@@ -64,7 +64,7 @@ from .components import (
     resonance_to_json,
 )
 from .exactalg import ExactScalar, LaurentPoly
-from .osres import in_resonance, resonance_rank, resonance_rank_os
+from .osres import resonance_rank, resonance_rank_os
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +467,9 @@ def _member_lattice(lat: Lattice2, coords: list[ExactScalar], k: int) -> dict:
         raise ValidationError(
             f"point has {len(lam)} coordinates; this lattice has {lat.n} hyperplanes"
         )
+    npairs = lat.n * (lat.n - 1) // 2
     rank = resonance_rank(lat, lam)
-    verdict = in_resonance(lat, lam, k)
+    verdict = rank <= npairs - k
     return {
         "in_Vk": verdict,
         "rank": rank,

@@ -30,14 +30,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .arrangement import Lattice2, ValidationError
-from .exactalg import (
-    ExactMatrix,
-    IntEchelon,
-    integer_kernel,
-    nullspace,
-    primitive_rows,
-    rational_rref,
-)
+from .exactalg import IntEchelon, integer_kernel, rational_rref
 from .osres import ResonanceSampler
 
 
@@ -344,7 +337,9 @@ def partition_tangent_space(
 
     The support is the union of the blocks.  Constraints: zero off the
     support, total sum zero, and sum zero over every polychrome flat of
-    the restricted lattice.  Raises if the partition is not neighborly.
+    the restricted lattice.  All are 0/1 rows, so the tangent lattice is
+    their saturated integer kernel.  Raises if the partition is not
+    neighborly.
     """
     support = tuple(sorted(set(itertools.chain.from_iterable(blocks))))
     if len(support) != sum(len(b) for b in blocks):
@@ -353,7 +348,13 @@ def partition_tangent_space(
     pos = {h: i for i, h in enumerate(support)}
     block_sets = [set(pos[h] for h in b) for b in blocks]
     classes = [set(f) for f in sub.flats] + [set(d) for d in sub.doubles()]
-    constraints = [[Fraction(1)] * len(support)]
+    on_support = set(support)
+    constraints = [[1 if h in on_support else 0 for h in range(lat.n)]]
+    for h in range(lat.n):
+        if h not in on_support:
+            row = [0] * lat.n
+            row[h] = 1
+            constraints.append(row)
     for cls in classes:
         counts = [len(cls & b) for b in block_sets]
         size = len(cls)
@@ -361,23 +362,11 @@ def partition_tangent_space(
             continue  # monochrome flat imposes nothing
         if any(c >= size - 1 for c in counts):
             raise ValidationError("partition is not neighborly for this lattice")
-        row = [Fraction(0)] * len(support)
+        row = [0] * lat.n
         for i in cls:
-            row[i] = Fraction(1)
+            row[support[i]] = 1
         constraints.append(row)
-    kernel = nullspace(
-        ExactMatrix.from_rational_rows(constraints, ncols=len(support))
-    )
-    rational = [[v.as_rational() for v in vec] for vec in kernel]
-    _, reduced = rational_rref(rational, len(support))
-    rows = primitive_rows(reduced)
-    embedded = []
-    for row in rows:
-        full = [0] * lat.n
-        for i, h in enumerate(support):
-            full[h] = row[i]
-        embedded.append(full)
-    return saturated_span(embedded, lat.n)
+    return integer_kernel(constraints, lat.n)
 
 
 def nonvanishing_block_pairs(

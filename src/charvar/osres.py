@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import Lattice2, ValidationError
-from .exactalg import ExactMatrix, IntEchelon, rational_rref
+from .exactalg import ExactMatrix, IntEchelon, _int_rank, rational_rref
 
 # ---------------------------------------------------------------------------
 # index helpers
@@ -180,22 +180,32 @@ def linearized_differential(k: int, n: int, lam: Sequence) -> list[list[Fraction
 
 def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
     """Rank of the flat wedge rows stacked over the degree-3 linearized
-    boundary at the given weights."""
+    boundary at the given weights.
+
+    The weights are scaled to integers, which leaves the rank unchanged,
+    and the rows go one at a time into a fraction-free integer echelon
+    that stops once the rank reaches the number of pairs."""
     n = lat.n
     ints = _as_ints(lam)
     if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
-    rows = [list(r) for r in flat_wedge_rows(lat)]
     pairs = pair_list(n)
+    npairs = len(pairs)
     pair_pos = {p: c for c, p in enumerate(pairs)}
+    ech = IntEchelon(npairs)
+    ech.add_rows(flat_wedge_rows(lat))
     for a, b, c in triple_list(n):
-        row = [0] * len(pairs)
-        row[pair_pos[(b, c)]] += ints[a]
-        row[pair_pos[(a, c)]] -= ints[b]
-        row[pair_pos[(a, b)]] += ints[c]
-        if any(row):
-            rows.append(row)
-    return ExactMatrix.from_rational_rows(rows, ncols=len(pairs)).rank()
+        if ech.rank == npairs:
+            break
+        la, lb, lc = ints[a], ints[b], ints[c]
+        if not (la or lb or lc):
+            continue
+        row = [0] * npairs
+        row[pair_pos[(b, c)]] = la
+        row[pair_pos[(a, c)]] = -lb
+        row[pair_pos[(a, b)]] = lc
+        ech.add_row(row)
+    return ech.rank
 
 
 def in_resonance(lat: Lattice2, lam: Sequence, k: int = 1) -> bool:
@@ -215,11 +225,11 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
     resonance_rank; the two are linked by the identity
     h1 = (number of pairs) - resonance_rank.
     """
-    lam_f = _as_fracs(lam)
+    ints = _as_ints(lam)
     n = lat.n
-    if len(lam_f) != n:
+    if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
-    if all(v == 0 for v in lam_f):
+    if not any(ints):
         raise ValidationError("weight vector must be nonzero")
     basis = nbc_basis(lat)
     pairs = pair_list(n)
@@ -227,23 +237,21 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
     # wedge of the weight covector with each e_i, then project
     mu_rows = []
     for i in range(n):
-        wedge = [Fraction(0)] * len(pairs)
+        wedge = [0] * len(pairs)
         for j in range(n):
-            if j == i or lam_f[j] == 0:
+            if j == i or ints[j] == 0:
                 continue
             if j < i:
-                wedge[pair_pos[(j, i)]] += lam_f[j]
+                wedge[pair_pos[(j, i)]] += ints[j]
             else:
-                wedge[pair_pos[(i, j)]] -= lam_f[j]
+                wedge[pair_pos[(i, j)]] -= ints[j]
         mu_rows.append(
             [
                 sum(wedge[c] * coeff for c, coeff in _row_support(prow))
                 for prow in basis.projection
             ]
         )
-    rank_mu = ExactMatrix.from_rational_rows(
-        mu_rows, ncols=basis.dimension
-    ).rank() if basis.dimension else 0
+    rank_mu = _int_rank(mu_rows, basis.dimension)
     return (n - rank_mu) - 1
 
 
@@ -265,8 +273,8 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
     cross-check of the flat-row route.
     """
     n = lat.n
-    lam_f = _as_fracs(lam)
-    if len(lam_f) != n:
+    ints = _as_ints(lam)
+    if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
     basis = nbc_basis(lat)
     pairs = pair_list(n)
@@ -274,19 +282,17 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
     triple_pos = {t: idx for idx, t in enumerate(triples)}
     rows = []
     for c, (a, b) in enumerate(pairs):
-        row = [Fraction(p_row[c]) for p_row in basis.projection]
-        wedge = [Fraction(0)] * len(triples)
+        row = [p_row[c] for p_row in basis.projection]
+        wedge = [0] * len(triples)
         for j in range(n):
-            if j == a or j == b or lam_f[j] == 0:
+            if j == a or j == b or ints[j] == 0:
                 continue
             tri = tuple(sorted((j, a, b)))
             position = tri.index(j)
             sign = 1 if position % 2 == 0 else -1
-            wedge[triple_pos[tri]] += sign * lam_f[j]
+            wedge[triple_pos[tri]] += sign * ints[j]
         rows.append(row + wedge)
-    return ExactMatrix.from_rational_rows(
-        rows, ncols=basis.dimension + len(triples)
-    ).rank()
+    return _int_rank(rows, basis.dimension + len(triples))
 
 
 # ---------------------------------------------------------------------------

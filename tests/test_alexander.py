@@ -4,8 +4,12 @@ presentation matrix, depth membership, and Fitting ideals."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -527,6 +531,27 @@ def test_packaged_affine_braid_monodromy_matches_its_lattice():
         frozenset((0, 1)),
         frozenset((3, 4)),
     }
+
+
+def test_derive_tool_reproduces_packaged_fixtures():
+    """`tools/derive_monodromy.py --check` re-derives both packaged fixtures
+    from their wiring diagrams, validates them against the census, and
+    compares them byte for byte with the packaged JSON without writing."""
+    import charvar
+
+    tool = Path(__file__).resolve().parent.parent / "tools" / "derive_monodromy.py"
+    src = str(Path(charvar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(tool), "--check"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("  matches ") == 2
 
 
 def test_unknown_fixture_name_raises():

@@ -6,7 +6,9 @@ exactly) and frozen here before being compared with the enumeration.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from charvar.components import (
     resonance_to_json,
     saturated_span,
 )
-from charvar.exactalg import hermite_normal_form
+from charvar.exactalg import hermite_normal_form, rational_rref
 from charvar.osres import ResonanceSampler, h1_dim, nbc_basis, pair_list
 
 
@@ -368,6 +370,52 @@ def test_yielded_partitions_produce_valid_tangent_spaces(support):
                 counts = [len(cls & b) for b in block_sets]
                 if max(counts) != len(cls):  # polychrome class sums to zero
                     assert sum(row[support[i]] for i in cls) == 0
+
+
+def _reference_tangent_space(lat, blocks):
+    """The tangent solve by rational elimination: Fraction constraint rows
+    on the support, the kernel read off their reduced echelon form, then
+    embedded in all n coordinates and saturated."""
+    support = sorted(itertools.chain.from_iterable(blocks))
+    sub = lat.restrict(support)
+    pos = {h: i for i, h in enumerate(support)}
+    block_sets = [set(pos[h] for h in b) for b in blocks]
+    constraints = [[Fraction(1)] * len(support)]
+    for cls in [set(f) for f in sub.flats] + [set(d) for d in sub.doubles()]:
+        if max(len(cls & b) for b in block_sets) < len(cls):
+            constraints.append([Fraction(int(i in cls)) for i in range(len(support))])
+    pivots, rref = rational_rref(constraints, len(support))
+    kernel = []
+    for free in range(len(support)):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * len(support)
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][free]
+        denom = math.lcm(*(v.denominator for v in vec))
+        full = [0] * lat.n
+        for i, h in enumerate(support):
+            full[h] = int(vec[i] * denom)
+        kernel.append(full)
+    return saturated_span(kernel, lat.n)
+
+
+# every neighborly partition of every support, pencils included
+REFERENCE_PARTITION_COUNTS = {"hessian": 305, "monomial": 50}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PARTITION_COUNTS))
+def test_partition_tangent_space_matches_rational_reference(name):
+    lat = lat_of(name, r=3) if name == "monomial" else lat_of(name)
+    count = 0
+    for size in range(3, lat.n + 1):
+        for support in itertools.combinations(range(lat.n), size):
+            for blocks in neighborly_partitions(lat, support):
+                got = partition_tangent_space(lat, blocks)
+                assert got == _reference_tangent_space(lat, blocks), blocks
+                count += 1
+    assert count == REFERENCE_PARTITION_COUNTS[name]
 
 
 # ---------------------------------------------------------------------------

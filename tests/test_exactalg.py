@@ -243,6 +243,50 @@ def test_int_echelon_matches_matrix_rank():
     assert clone.rank == 3 and ech.rank == 2
 
 
+@st.composite
+def _rows_with_dependencies(draw):
+    """Integer rows drawn freely, then repeated rows and integer
+    combinations of them mixed in, so the stack is usually rank-deficient.
+    Returns (all rows shuffled, the freely drawn rows)."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(
+        st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols
+    )
+    free = draw(st.lists(row, min_size=1, max_size=5))
+    rows = [list(r) for r in free]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(free))))
+        else:
+            coeffs = draw(
+                st.lists(
+                    st.integers(min_value=-4, max_value=4),
+                    min_size=len(free),
+                    max_size=len(free),
+                )
+            )
+            rows.append(
+                [sum(c * r[j] for c, r in zip(coeffs, free)) for j in range(ncols)]
+            )
+    return draw(st.permutations(rows)), free, ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows_with_dependencies())
+def test_integer_rank_kernels_agree_with_rational_rref(case):
+    """IntEchelon, _int_rank and the rational reduced echelon form are three
+    separate eliminations; they must give one rank, and rows that are
+    repeats or integer combinations of the free rows must not raise it."""
+    from charvar.exactalg import _int_rank, rational_rref
+
+    rows, free, ncols = case
+    ech = IntEchelon(ncols)
+    ech.add_rows(rows)
+    pivots, _ = rational_rref([[Fraction(v) for v in r] for r in rows], ncols)
+    assert ech.rank == _int_rank([list(r) for r in rows], ncols) == len(pivots)
+    assert ech.rank == _int_rank([list(r) for r in free], ncols)
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ identities that hold for every lattice are exercised as properties over
 the fixture pool with random integer weights.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from charvar.arrangement import (
     lattice_from_affine,
     lattice_from_central3,
 )
+from charvar.components import enumerate_first_resonance
 from charvar.exactalg import ExactMatrix
 from charvar.osres import (
     ResonanceSampler,
@@ -336,6 +338,68 @@ def test_sampler_matches_direct_rank(case):
     lat, lam = case
     sampler = ResonanceSampler(lat)
     assert sampler.rank_at(lam) == resonance_rank(lat, lam)
+
+
+ROUTE_LATTICES = {
+    "hessian": lambda: lattice_from_central3(gen_family("hessian")),
+    "monomial33": lambda: lattice_from_central3(gen_family("monomial", r=3)),
+    "braid5": _braid5,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _route_data(name):
+    """Lattice, sampler and component tangent bases, built once per name."""
+    lat = ROUTE_LATTICES[name]()
+    bases = [c.basis for c in enumerate_first_resonance(lat).components]
+    return lat, ResonanceSampler(lat), bases
+
+
+@st.composite
+def _structured_weights(draw):
+    """Random rational weights, sum-zero weights on a multiple point, or
+    an integer point on the span of an enumerated component."""
+    name = draw(st.sampled_from(sorted(ROUTE_LATTICES)))
+    lat, sampler, bases = _route_data(name)
+    kind = draw(st.sampled_from(["random", "flat", "component"]))
+    small = st.integers(min_value=-5, max_value=5)
+    if kind == "random":
+        lam = draw(
+            st.lists(
+                st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                min_size=lat.n,
+                max_size=lat.n,
+            )
+        )
+    elif kind == "flat":
+        flat = draw(st.sampled_from(sorted(lat.flats)))
+        coeffs = draw(st.lists(small, min_size=len(flat) - 1, max_size=len(flat) - 1))
+        lam = [0] * lat.n
+        for i, c in zip(flat, coeffs):
+            lam[i] = c
+        lam[flat[-1]] = -sum(coeffs)
+    else:
+        basis = draw(st.sampled_from(bases))
+        coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        lam = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(lat.n)]
+    return lat, sampler, kind, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structured_weights())
+def test_four_rank_routes_agree_on_larger_lattices(case):
+    """The flat-row rank, the basis-projection rank, the sampler and
+    pairs - h1 agree on hessian, monomial(3,3) and braid(5), on and off
+    the resonance variety."""
+    lat, sampler, kind, lam = case
+    npairs = lat.n * (lat.n - 1) // 2
+    rank = resonance_rank(lat, lam)
+    assert resonance_rank_os(lat, lam) == rank
+    assert sampler.rank_at(lam) == rank
+    if any(lam):
+        assert npairs - h1_dim(lat, lam) == rank
+        if kind != "random":
+            assert rank <= npairs - 1
 
 
 def test_sampler_precomputation_reused():

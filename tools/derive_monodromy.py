@@ -22,11 +22,13 @@ of the non-local tori must not.
 
 Run from the repository root after an editable install:
 
-    python3 tools/derive_monodromy.py
+    python3 tools/derive_monodromy.py          # derive and write the fixtures
+    python3 tools/derive_monodromy.py --check  # compare only; exit 1 on a difference
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import random
@@ -502,21 +504,43 @@ def derive(fixture):
         print(f"  combo {combo}: validated")
         for gen in gens:
             print(f"    X={list(gen.X)} delta={list(gen.delta)}")
-        out = OUT_DIR / f"{name}.json"
-        out.write_text(json.dumps(m.to_json(), indent=2) + "\n")
-        print(f"  wrote {out}")
-        return True
+        return json.dumps(m.to_json(), indent=2) + "\n"
     print(f"  FAILED: no combo validates for {name}")
-    return False
+    return None
 
 
-def main():
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare the derived fixtures with the packaged JSON; write nothing",
+    )
+    args = parser.parse_args(argv)
     triangle_pin_check()
-    ok = all([derive(diamond_fixture()), derive(braid4_fixture())])
+    ok = True
+    for fixture in (diamond_fixture(), braid4_fixture()):
+        text = derive(fixture)
+        if text is None:
+            ok = False
+            continue
+        out = OUT_DIR / f"{fixture['name']}.json"
+        if not args.check:
+            out.write_text(text)
+            print(f"  wrote {out}")
+        elif not out.exists() or out.read_text() != text:
+            print(f"  MISMATCH: {out} differs from the derived fixture")
+            ok = False
+        else:
+            print(f"  matches {out}")
     if not ok:
-        sys.exit(1)
-    print("all fixtures derived and validated")
+        return 1
+    if args.check:
+        print("all fixtures re-derived and identical to the packaged JSON")
+    else:
+        print("all fixtures derived and validated")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
