@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -45,10 +46,25 @@ from typing import Iterable, Sequence
 
 from .arrangement import Lattice2, ValidationError
 from .components import CapExceeded
-from .exactalg import ExactMatrix, ExactScalar, LaurentPoly
+from .exactalg import (
+    MODULAR_PRIME_FLOOR,
+    ExactMatrix,
+    ExactScalar,
+    LaurentPoly,
+    _int_rank,
+    modp_rank,
+    prime_field,
+)
 
 SYMBOLIC_STRAND_CAP = 8
 MINOR_CAP = 4
+# Largest order (lcm of the coordinates' orders) of a torus point that the
+# membership tests accept.  The exact route works in Q(zeta_m), whose degree
+# phi(m) drives the cost of every product: a point on a component of
+# diamond or pencil(6) takes 1-2 s at order 120 and 5-9 s at order 210 (one
+# core of a 2-core Intel Xeon).  A point of larger order is refused before
+# any cyclotomic polynomial is built.
+POINT_ORDER_CAP = 120
 
 FreeWord = tuple[int, ...]
 TwistFactor = tuple[int, int, int]  # (i, j, exponent) with 1 <= i < j
@@ -61,8 +77,30 @@ def _to_scalar(value) -> ExactScalar:
     return ExactScalar.from_rational(Fraction(value))
 
 
+def point_order(coords: Sequence) -> int:
+    """The order of a torus point: the lcm of its coordinates' orders
+    (1 for a rational point).  Above POINT_ORDER_CAP it is refused."""
+    order = math.lcm(*(_to_scalar(c).order for c in coords))
+    if order > POINT_ORDER_CAP:
+        raise CapExceeded(
+            f"torus points are limited to order {POINT_ORDER_CAP} (got {order})"
+        )
+    return order
+
+
+def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
+    coords = [_to_scalar(v) for v in point]
+    if len(coords) != n:
+        raise ValidationError(f"expected a point with {n} coordinates")
+    if any(c.is_zero() for c in coords):
+        raise ValidationError("torus points must have nonzero coordinates")
+    point_order(coords)
+    return coords
+
+
 class _Ring:
-    """Uniform scalar operations: symbolic Laurent or evaluation at a point."""
+    """Uniform scalar operations: symbolic Laurent, evaluation at a point,
+    or evaluation at the point's image in a prime field (`residue`)."""
 
     __slots__ = ("n", "one", "zero", "_t", "_tinv")
 
@@ -74,15 +112,28 @@ class _Ring:
             self._t = [LaurentPoly.variable(i, n) for i in range(n)]
             self._tinv = [LaurentPoly.variable(i, n, -1) for i in range(n)]
         else:
-            coords = [_to_scalar(v) for v in point]
-            if len(coords) != n:
-                raise ValidationError(f"expected a point with {n} coordinates")
-            if any(c.is_zero() for c in coords):
-                raise ValidationError("torus points must have nonzero coordinates")
-            self.one = ExactScalar.one()
-            self.zero = ExactScalar.zero()
-            self._t = coords
-            self._tinv = [c.inverse() for c in coords]
+            self._at(_torus_coords(n, point), ExactScalar.one(), ExactScalar.zero())
+
+    def _at(self, coords: list, one, zero) -> None:
+        self.one = one
+        self.zero = zero
+        self._t = coords
+        self._tinv = [c.inverse() for c in coords]
+
+    @classmethod
+    def residue(cls, n: int, point: Sequence, floor: int) -> "_Ring | None":
+        """Evaluation at the image of a torus point in F_p, p the least
+        prime above floor that is 1 modulo the point's order; None when p
+        divides a coordinate's denominator or a coordinate maps to 0."""
+        coords = _torus_coords(n, point)
+        field = prime_field(point_order(coords), floor)
+        images = [field.reduce(c) for c in coords]
+        if any(v is None or v.is_zero() for v in images):
+            return None
+        ring = cls.__new__(cls)
+        ring.n = n
+        ring._at(images, field.one, field.zero)
+        return ring
 
     def t(self, index: int):
         return self._t[index]
@@ -584,7 +635,10 @@ def presentation_matrix(
         raise CapExceeded(
             f"symbolic presentation is limited to {cap} strands (got {m.n})"
         )
-    ring = _Ring(m.n, point)
+    return _presentation_rows(m, _Ring(m.n, point))
+
+
+def _presentation_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
     rows: list[list] = []
     for gen in m.generators:
         block = _monodromy_chain_map(gen, ring)
@@ -601,7 +655,10 @@ def relator_jacobian(
     """Abelianized Fox Jacobian of the monodromy relators: for each vertex
     set, the rows (Gassner(generator) - identity) for all strands but the
     largest.  Shape b2 x n."""
-    ring = _Ring(m.n, point)
+    return _relator_rows(m, _Ring(m.n, point))
+
+
+def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
     rows = []
     for gen in m.generators:
         theta = _gassner(monodromy_braid(gen), ring)
@@ -614,8 +671,7 @@ def relator_jacobian(
 
 def presentation_rank(m: MonodromyInput, point: Sequence) -> int:
     """Exact rank of the presentation matrix evaluated at a torus point."""
-    ncols = len(list(itertools.combinations(range(m.n), 2)))
-    return ExactMatrix(presentation_matrix(m, point=point), ncols).rank()
+    return ExactMatrix(presentation_matrix(m, point=point), math.comb(m.n, 2)).rank()
 
 
 def relator_rank(m: MonodromyInput, point: Sequence) -> int:
@@ -623,29 +679,108 @@ def relator_rank(m: MonodromyInput, point: Sequence) -> int:
     return ExactMatrix(relator_jacobian(m, point=point), m.n).rank()
 
 
-def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
-    """Whether a torus point lies in the depth-k characteristic variety:
-    the presentation-matrix rank drops to at most C(n,2) - k."""
+@dataclass(frozen=True)
+class Membership:
+    """A depth-k verdict at a torus point: the exact presentation rank,
+    both criteria (`partial2` is None beyond the relator window), and the
+    route that decided each criterion, "mod <p>" or "exact"."""
+
+    rank: int
+    delta: bool
+    partial2: bool | None
+    certificate: dict
+
+
+def membership(
+    m: MonodromyInput, point: Sequence, k: int, prime_floor: int = MODULAR_PRIME_FLOOR
+) -> Membership:
+    """Depth-k membership of a torus point, by certified modular ranks with
+    exact elimination only where the modular rank cannot decide.
+
+    Let M be the point's order and p the least prime above prime_floor
+    with p = 1 (mod M).  When p divides no coordinate denominator and no
+    coordinate maps to 0, every coordinate is a unit of the local ring of
+    Z[zeta_M] at a prime P above p (see `PrimeField`), so every entry of
+    the presentation matrix and of the relator Jacobian (an integer
+    polynomial in the t_i and their inverses) lies in that ring, and
+    reducing modulo P is a ring map that commutes with minors.  A minor
+    that is nonzero mod P is nonzero in Q(zeta_M), hence the rank mod p
+    is at most the true rank.  Two consequences are used, each criterion
+    decided on its own:
+
+    - delta: a rank mod p equal to min(rows, C(n,2)) is the exact rank;
+      otherwise the presentation is rebuilt and ranked exactly.
+    - partial2: a relator rank mod p above n - k - 1 proves the point is
+      outside; otherwise the relator Jacobian is ranked exactly.
+
+    When p is not applicable both criteria take the exact route.
+    """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
-    ncols = len(list(itertools.combinations(range(m.n), 2)))
-    return presentation_rank(m, point) <= ncols - k
+    rank, delta_route = _certified_presentation_rank(m, point, prime_floor)
+    partial2, partial2_route = None, None
+    if k <= relator_route_limit(m):
+        partial2, partial2_route = _certified_relator_verdict(m, point, k, prime_floor)
+    return Membership(
+        rank,
+        rank <= math.comb(m.n, 2) - k,
+        partial2,
+        {"delta": delta_route, "partial2": partial2_route},
+    )
+
+
+def _certified_presentation_rank(
+    m: MonodromyInput, point: Sequence, floor: int
+) -> tuple[int, str]:
+    ring = _Ring.residue(m.n, point, floor)
+    if ring is not None:
+        rows = _presentation_rows(m, ring)
+        ncols = math.comb(m.n, 2)
+        rank = _residue_rank(rows, ncols, ring)
+        if rank == min(len(rows), ncols):
+            return rank, f"mod {ring.one.p}"
+    return presentation_rank(m, point), "exact"
+
+
+def _certified_relator_verdict(
+    m: MonodromyInput, point: Sequence, k: int, floor: int
+) -> tuple[bool, str]:
+    ring = _Ring.residue(m.n, point, floor)
+    if ring is not None:
+        if _residue_rank(_relator_rows(m, ring), m.n, ring) > m.n - k - 1:
+            return False, f"mod {ring.one.p}"
+    return relator_rank(m, point) <= m.n - k - 1, "exact"
+
+
+def _residue_rank(rows: list[list], ncols: int, ring: _Ring) -> int:
+    return modp_rank([[e.value for e in row] for row in rows], ncols, ring.one.p)
+
+
+def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
+    """Whether a torus point lies in the depth-k characteristic variety:
+    the presentation-matrix rank drops to at most C(n,2) - k.  Decided
+    by the certified route of `membership`."""
+    if k < 1:
+        raise ValidationError("depth k must be at least 1")
+    rank, _ = _certified_presentation_rank(m, point, MODULAR_PRIME_FLOOR)
+    return rank <= math.comb(m.n, 2) - k
 
 
 def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool:
     """Depth-k membership through the relator Jacobian: rank at most
     n - k - 1.  Agrees with in_charvar away from 1 for k up to
-    relator_route_limit(m)."""
+    relator_route_limit(m).  Decided by the certified route of
+    `membership`."""
     if k < 1:
         raise ValidationError("depth k must be at least 1")
-    return relator_rank(m, point) <= m.n - k - 1
+    verdict, _ = _certified_relator_verdict(m, point, k, MODULAR_PRIME_FLOOR)
+    return verdict
 
 
 def relator_route_limit(m: MonodromyInput) -> int:
     """Largest depth for which the relator-Jacobian criterion is valid:
     min(n, C(n,2) - b2)."""
-    ncols = len(list(itertools.combinations(range(m.n), 2)))
-    return min(m.n, ncols - m.b2)
+    return min(m.n, math.comb(m.n, 2) - m.b2)
 
 
 def lift_point(lift: dict, central_point: Sequence) -> list[ExactScalar]:
@@ -655,6 +790,7 @@ def lift_point(lift: dict, central_point: Sequence) -> list[ExactScalar]:
     strands = [int(v) for v in lift["strand_to_central"]]
     if len(coords) != len(strands) + 1:
         raise ValidationError("central point arity does not match the lift")
+    point_order(coords)
     prod = ExactScalar.one()
     for c in coords:
         if c.is_zero():
@@ -702,8 +838,7 @@ def phi_one_matrix(lat: Lattice2) -> list[list[int]]:
 
 
 def phi_one_rank(lat: Lattice2) -> int:
-    pairs = len(list(itertools.combinations(range(lat.n), 2)))
-    return ExactMatrix.from_rational_rows(phi_one_matrix(lat), pairs).rank()
+    return _int_rank(phi_one_matrix(lat), math.comb(lat.n, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ bundle.  The prefix ``fixture:`` in place of a path loads a packaged
 monodromy fixture by name (for example ``fixture:diamond_monodromy``).
 
 Exit codes: 0 success, 1 failed report check, 2 validation error,
-3 enumeration cap exceeded.  All output is deterministic for a fixed
+3 enumeration or size cap exceeded.  All output is deterministic for a fixed
 ``--seed``.
 """
 
@@ -37,11 +37,10 @@ from .alexander import (
     in_charvar_central,
     lift_point,
     load_monodromy,
+    membership,
     pencil_monodromy,
     phi_one_rank,
     presentation_rank,
-    relator_rank,
-    relator_route_limit,
     resolution_differential,
 )
 from .arrangement import (
@@ -441,23 +440,16 @@ def _member_monodromy(m: MonodromyInput, coords: list[ExactScalar], k: int) -> d
         raise ValidationError(
             f"point has {len(coords)} coordinates; this input takes {expect}"
         )
-    ncols = m.n * (m.n - 1) // 2
-    rank = presentation_rank(m, point)
-    delta = rank <= ncols - k
-    limit = relator_route_limit(m)
-    partial2 = None
-    if k <= limit:
-        partial2 = relator_rank(m, point) <= m.n - k - 1
-    criteria = {"delta": delta, "partial2": partial2}
-    consistent = partial2 is None or partial2 == delta
+    verdict = membership(m, point, k)
     return {
-        "in_Vk": delta,
-        "rank": rank,
+        "in_Vk": verdict.delta,
+        "rank": verdict.rank,
         "k": k,
         "route": "alexander",
         "lifted": lifted,
-        "criteria": criteria,
-        "consistent": consistent,
+        "criteria": {"delta": verdict.delta, "partial2": verdict.partial2},
+        "consistent": verdict.partial2 is None or verdict.partial2 == verdict.delta,
+        "certificate": verdict.certificate,
     }
 
 
@@ -490,6 +482,8 @@ def _member_text(verdict: dict) -> str:
         shown = "n/a" if value is None else ("yes" if value else "no")
         lines.append(f"criterion {name}: {shown}")
     lines.append(f"consistent: {'yes' if verdict['consistent'] else 'no'}")
+    for name, route in verdict.get("certificate", {}).items():
+        lines.append(f"certificate {name}: {route or 'n/a'}")
     return "\n".join(lines)
 
 

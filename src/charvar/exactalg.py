@@ -107,9 +107,27 @@ def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of a positive integer, ascending."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
+    phi = m
+    for q in _prime_factors(m):
+        phi -= phi // q
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +295,10 @@ class ExactScalar:
         if isinstance(obj, dict):
             order = obj["order"]
             coeffs = [Fraction(c) for c in obj["coeffs"]]
-            if not isinstance(order, int) or order < 1:
+            if not isinstance(order, int) or isinstance(order, bool) or order < 1:
                 raise ValueError("scalar order must be a positive integer")
-            if len(coeffs) != _euler_phi(order):
+            # phi(m) >= sqrt(m / 2), so a short list is refused before factoring m
+            if 2 * len(coeffs) ** 2 < order or len(coeffs) != _euler_phi(order):
                 raise ValueError("coefficient list length must equal phi(order)")
             return cls(order, coeffs)
         raise ValueError(f"cannot parse scalar from {obj!r}")
@@ -771,6 +790,147 @@ def integer_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]
             break
     kernel = [row[m:] for row in aug[r:]]
     return hermite_normal_form(kernel)
+
+
+# ---------------------------------------------------------------------------
+# reduction modulo a prime (the certified modular rank)
+# ---------------------------------------------------------------------------
+
+MODULAR_PRIME_FLOOR = 2**30  # modular ranks use the least suitable prime above this
+
+
+class ModP:
+    """An element of the prime field F_p, with the scalar operations the
+    presentation builders use."""
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        self.value = value % p
+        self.p = p
+
+    def __add__(self, other: "ModP") -> "ModP":
+        return ModP(self.value + other.value, self.p)
+
+    def __sub__(self, other: "ModP") -> "ModP":
+        return ModP(self.value - other.value, self.p)
+
+    def __mul__(self, other: "ModP") -> "ModP":
+        return ModP(self.value * other.value, self.p)
+
+    def __neg__(self) -> "ModP":
+        return ModP(-self.value, self.p)
+
+    def inverse(self) -> "ModP":
+        assert self.value, "zero has no inverse"
+        return ModP(pow(self.value, -1, self.p), self.p)
+
+    def is_zero(self) -> bool:
+        return self.value == 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModP):
+            return NotImplemented
+        return (self.value, self.p) == (other.value, other.p)
+
+    def __repr__(self) -> str:
+        return f"{self.value} mod {self.p}"
+
+
+class PrimeField:
+    """F_p as the residue field of Z[zeta_M] at a prime above p.
+
+    For a prime p = 1 (mod M), F_p holds an element omega of order exactly
+    M; since p does not divide M, omega is a root of the M-th cyclotomic
+    polynomial mod p, so zeta_M -> omega extends to a ring map from
+    Z[zeta_M] onto F_p with kernel a prime ideal P above p.  The map
+    extends to the local ring of P: every a/b with b outside P, in
+    particular every scalar whose power-basis coefficients have
+    denominators prime to p.  `reduce` evaluates that map (a scalar of
+    order d dividing M sends zeta_d to omega^(M/d), matching how scalars
+    are promoted), and declines when p divides a denominator.
+    """
+
+    __slots__ = ("order", "p", "omega", "one", "zero")
+
+    def __init__(self, order: int, floor: int = MODULAR_PRIME_FLOOR):
+        self.order = order
+        self.p = modular_prime(order, floor)
+        self.omega = _element_of_order(order, self.p)
+        self.one = ModP(1, self.p)
+        self.zero = ModP(0, self.p)
+
+    def reduce(self, value: ExactScalar) -> ModP | None:
+        """The image of an exact scalar, or None when p divides one of its
+        coefficient denominators."""
+        assert self.order % value.order == 0, "scalar order must divide the field order"
+        p = self.p
+        step = pow(self.omega, self.order // value.order, p)
+        acc, power = 0, 1
+        for c in value.coeffs:
+            if c:
+                if c.denominator % p == 0:
+                    return None
+                acc += c.numerator * pow(c.denominator, -1, p) * power
+            power = power * step % p
+        return ModP(acc, p)
+
+
+@lru_cache(maxsize=None)
+def prime_field(order: int, floor: int = MODULAR_PRIME_FLOOR) -> PrimeField:
+    return PrimeField(order, floor)
+
+
+def modular_prime(order: int, floor: int = MODULAR_PRIME_FLOOR) -> int:
+    """The least prime above floor that is 1 modulo order."""
+    p = floor + 1
+    p += (1 - p) % order
+    while not _is_prime(p):
+        p += order
+    return p
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _element_of_order(order: int, p: int) -> int:
+    """The first element of exact multiplicative order `order` in F_p found
+    by raising 2, 3, ... to the power (p - 1) / order."""
+    factors = _prime_factors(order)
+    for a in range(2, p):
+        w = pow(a, (p - 1) // order, p)
+        if all(pow(w, order // q, p) != 1 for q in factors):
+            return w
+    raise AssertionError("F_p has no element of the requested order")
+
+
+def modp_rank(rows: Iterable[Sequence[int]], ncols: int, p: int) -> int:
+    """Rank over F_p of integer rows, by elimination that stops at full rank.
+
+    Reduction modulo p is a ring map, so every minor that survives it was
+    nonzero before: the result never exceeds the rank over the rationals.
+    """
+    work = [[v % p for v in row] for row in rows]
+    work = [row for row in work if any(row)]
+    full = min(len(work), ncols)
+    rank_found = 0
+    for col in range(ncols):
+        if rank_found == full:
+            break
+        piv = next((i for i in range(rank_found, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank_found], work[piv] = work[piv], work[rank_found]
+        prow = work[rank_found]
+        inv = pow(prow[col], -1, p)
+        for idx in range(rank_found + 1, len(work)):
+            row = work[idx]
+            if row[col]:
+                factor = row[col] * inv % p
+                work[idx] = [(a - factor * b) % p for a, b in zip(row, prow)]
+        rank_found += 1
+    return rank_found
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charvar.alexander import (
     MINOR_CAP,
+    POINT_ORDER_CAP,
     SYMBOLIC_STRAND_CAP,
     MonodromyGen,
     MonodromyInput,
@@ -34,12 +36,14 @@ from charvar.alexander import (
     invert_word,
     lift_point,
     load_monodromy,
+    membership,
     monodromy_braid,
     monodromy_chain_map,
     normalize_braid,
     pencil_monodromy,
     phi_one_matrix,
     phi_one_rank,
+    point_order,
     presentation_matrix,
     presentation_rank,
     relator_jacobian,
@@ -60,10 +64,18 @@ from charvar.arrangement import (
 from charvar.components import (
     CapExceeded,
     Component,
+    cone_lattice,
     enumerate_first_resonance,
     product_components,
 )
-from charvar.exactalg import ExactMatrix, ExactScalar, LaurentPoly
+from charvar.exactalg import (
+    MODULAR_PRIME_FLOOR,
+    ExactMatrix,
+    ExactScalar,
+    LaurentPoly,
+    modular_prime,
+    root_of_unity,
+)
 
 
 def mat_mul(left, right):
@@ -727,6 +739,137 @@ def test_both_membership_routes_agree_within_the_valid_depth_window():
         for point in points:
             for k in range(1, relator_route_limit(m) + 1):
                 assert in_charvar(m, point, k) == in_charvar_relator_route(m, point, k)
+
+
+# ---------------------------------------------------------------------------
+# the certified modular route
+# ---------------------------------------------------------------------------
+
+GATE_INPUTS = {
+    "diamond": lambda: load_monodromy("diamond_monodromy"),
+    "braid4_affine": lambda: load_monodromy("braid4_affine_monodromy"),
+    "pencil6": lambda: pencil_monodromy(6),
+    "grid33": lambda: grid_monodromy(3, 3),
+}
+
+
+@cache
+def _gate_input(name):
+    """The monodromy input and the component bases of its coned lattice."""
+    m = GATE_INPUTS[name]()
+    comps = enumerate_first_resonance(cone_lattice(m.lattice())).components
+    return m, [comp.basis for comp in comps]
+
+
+def _gate_point(name, on, order, seed):
+    """A seeded point of the input's torus (strand coordinates of a cone
+    point): rational when order is 1, else powers of a primitive order-th
+    root of unity; on a component subtorus when `on`, else drawn freely."""
+    m, bases = _gate_input(name)
+    rng = random.Random(seed)
+    if on:
+        rows = rng.choice(bases)
+    else:
+        rows = [[int(i == j) for i in range(m.n + 1)] for j in range(m.n)]
+    if order == 1:
+        params = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+        return [
+            ExactScalar.from_rational(
+                math.prod((u ** row[i] for u, row in zip(params, rows)), start=Fraction(1))
+            )
+            for i in range(m.n)
+        ]
+    params = [rng.randrange(order) for _ in rows]
+    return [
+        root_of_unity(order, sum(a * row[i] for a, row in zip(params, rows)))
+        for i in range(m.n)
+    ]
+
+
+def _exact_membership(m, point, k):
+    rank = presentation_rank(m, point)
+    partial2 = None
+    if k <= relator_route_limit(m):
+        partial2 = relator_rank(m, point) <= m.n - k - 1
+    return rank, rank <= math.comb(m.n, 2) - k, partial2
+
+
+def test_certified_route_agrees_with_the_exact_route():
+    """Random points of order 1 (rational) and 2..12, on and off the
+    components, at depths 1..3, with the default prime and with small
+    primes (the least prime above 10, 30 or 60 that is 1 modulo the
+    point's order) at which ranks drop: every certified rank and verdict
+    equals the exact one, and at least one drop sent a criterion the
+    modular rank could not decide to the exact route."""
+    drops = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(sorted(GATE_INPUTS)),
+        st.booleans(),
+        st.sampled_from([1, 1, 1] + list(range(2, 13))),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([10, 30, 60, MODULAR_PRIME_FLOOR]),
+    )
+    # the point (3/2, 5/2, 1, 8/7, 2, 8) is off the pencil's component, but
+    # its coordinate product 480/7 is 1 modulo 11, so its ranks drop mod 11
+    @example("pencil6", False, 1, 1, 1, 10)
+    def check(name, on, order, seed, k, floor):
+        m, _ = _gate_input(name)
+        point = _gate_point(name, on, order, seed)
+        rank, delta, partial2 = _exact_membership(m, point, k)
+        got = membership(m, point, k, prime_floor=floor)
+        assert (got.rank, got.delta, got.partial2) == (rank, delta, partial2)
+        modular = f"mod {modular_prime(point_order(point), floor)}"
+        assert got.certificate["delta"] in (modular, "exact")
+        if partial2 is None:
+            assert got.certificate["partial2"] is None
+        else:
+            assert got.certificate["partial2"] in (modular, "exact")
+        full = min(m.b2 + math.comb(m.n, 3), math.comb(m.n, 2))
+        if got.certificate["delta"] == modular:
+            assert rank == full
+        elif rank == full:
+            drops.append((name, on, order, seed, k, floor, "delta"))
+        if got.certificate["partial2"] == modular:
+            assert partial2 is False
+        elif partial2 is False:
+            drops.append((name, on, order, seed, k, floor, "partial2"))
+
+    check()
+    assert drops, "no small prime made the modular rank drop"
+
+
+def test_certified_route_falls_back_where_the_prime_does_not_apply():
+    """At the least prime above 10 (11 for rational points), a coordinate
+    with 11 in its denominator or one that maps to 0 sends both criteria
+    to the exact route."""
+    m = pencil_monodromy(4)
+    for point in ([2, 3, 5, Fraction(1, 11)], [Fraction(11, 2), 3, 5, 7]):
+        got = membership(m, point, 1, prime_floor=10)
+        assert got.certificate == {"delta": "exact", "partial2": "exact"}
+        assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
+    got = membership(m, [2, 3, 5, 7], 1)
+    modular = f"mod {modular_prime(1)}"
+    assert got.certificate == {"delta": modular, "partial2": modular}
+    assert (got.rank, got.delta, got.partial2) == (6, False, False)
+
+
+def test_points_above_the_order_cap_are_refused():
+    m = load_monodromy("diamond_monodromy")
+    assert point_order([root_of_unity(4), root_of_unity(6), Fraction(1, 2)]) == 12
+    big = root_of_unity(POINT_ORDER_CAP + 1)
+    with pytest.raises(CapExceeded, match="order"):
+        in_charvar(m, [big] + [1] * 5, 1)
+    with pytest.raises(CapExceeded, match="order"):
+        membership(m, [1] * 5 + [big], 2)
+    with pytest.raises(CapExceeded, match="order"):
+        lift_point(m.lift, [big, big.inverse()] + [1] * 5)
+    with pytest.raises(CapExceeded, match="order"):
+        presentation_rank(
+            m, [root_of_unity(8), root_of_unity(POINT_ORDER_CAP - 1)] + [1] * 4
+        )
 
 
 # ---------------------------------------------------------------------------

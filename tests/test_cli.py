@@ -7,6 +7,7 @@ checks stdout, stderr, exit codes, and written files.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from charvar.alexander import load_monodromy
 from charvar.arrangement import decone, gen_family
 from charvar.cli import main
 from charvar.components import DEFAULT_CAP
+from charvar.exactalg import modular_prime
 
 
 def run(capsys, *argv):
@@ -228,6 +230,8 @@ def test_member_torsion_point_via_packaged_fixture(capsys):
     assert "resonance" not in verdict["criteria"]
     assert verdict["consistent"] is True
     assert verdict["lifted"] is True
+    # on the locus the modular rank is deficient, so both criteria are exact
+    assert verdict["certificate"] == {"delta": "exact", "partial2": "exact"}
 
 
 def test_member_accepts_comma_separated_rationals(capsys, monodromy_file):
@@ -250,7 +254,12 @@ def test_member_identity_is_inside_at_depth_one(capsys, monodromy_file):
 def test_member_generic_point_is_outside(capsys, monodromy_file):
     code, out, _ = run(capsys, "member", monodromy_file, "--point=2,3,5,7,11,13")
     assert code == 0
-    assert json.loads(out)["in_Vk"] is False
+    verdict = json.loads(out)
+    assert verdict["in_Vk"] is False
+    assert verdict["rank"] == 15
+    # off the locus the full modular rank decides both criteria
+    modular = f"mod {modular_prime(1)}"
+    assert verdict["certificate"] == {"delta": modular, "partial2": modular}
 
 
 def test_member_relator_route_nulls_out_beyond_its_window(capsys, monodromy_file):
@@ -261,6 +270,7 @@ def test_member_relator_route_nulls_out_beyond_its_window(capsys, monodromy_file
     verdict = json.loads(out)
     assert verdict["criteria"]["partial2"] is None
     assert verdict["consistent"] is True
+    assert verdict["certificate"] == {"delta": "exact", "partial2": None}
 
 
 def test_member_weight_on_a_lattice_input(capsys, braid4_file):
@@ -291,7 +301,14 @@ def test_member_text_format(capsys, monodromy_file):
         capsys, "member", monodromy_file, "--point=1,1,1,1,1,1", "--format", "text"
     )
     assert code == 0
-    assert out.splitlines()[0] == "in V_1: yes"
+    lines = out.splitlines()
+    assert lines[0] == "in V_1: yes"
+    assert lines[-2:] == ["certificate delta: exact", "certificate partial2: exact"]
+    code, out, _ = run(
+        capsys, "member", monodromy_file, "--point=1,1,1,1,1,1", "--k", "7",
+        "--format", "text",
+    )
+    assert out.splitlines()[-1] == "certificate partial2: n/a"
 
 
 def test_member_cyclotomic_point_in_json_form(capsys, monodromy_file):
@@ -302,6 +319,25 @@ def test_member_cyclotomic_point_in_json_form(capsys, monodromy_file):
     code, out, _ = run(capsys, "member", monodromy_file, "--point", point)
     assert code == 0
     assert json.loads(out)["rank"] >= 0
+
+
+def test_member_refuses_a_point_of_large_order_quickly(capsys):
+    # zeta_5040 on the power basis: phi(5040) = 1152 coefficients
+    zeta = {"order": 5040, "coeffs": ["0", "1"] + ["0"] * 1150}
+    point = json.dumps([zeta] + [1] * 5)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", "fixture:diamond_monodromy", "--point", point)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "order" in err
+
+
+def test_member_rejects_a_boolean_order(capsys, monodromy_file):
+    point = json.dumps([{"order": True, "coeffs": ["1"]}] + [1] * 5)
+    code, _, err = run(capsys, "member", monodromy_file, "--point", point)
+    assert code == 2
+    assert err.startswith("error:") and "positive integer" in err
 
 
 def test_member_rejects_unknown_fixture(capsys):

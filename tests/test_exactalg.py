@@ -1,5 +1,8 @@
-"""Tests for exact cyclotomic scalars, matrices, and Laurent polynomials."""
+"""Tests for exact cyclotomic scalars, matrices, Laurent polynomials, and
+the reduction of scalars and integer rows modulo a prime."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,14 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charvar.exactalg import (
+    MODULAR_PRIME_FLOOR,
     ExactMatrix,
     ExactScalar,
     IntEchelon,
     LaurentMatrix,
     LaurentPoly,
+    _euler_phi,
+    _int_rank,
     cyclotomic_polynomial,
+    modp_rank,
+    modular_prime,
     nullspace,
+    prime_field,
     rank,
+    rational_rref,
     root_of_unity,
 )
 
@@ -119,6 +129,21 @@ def test_scalar_json_rejects_bad_input():
         ExactScalar.from_json({"order": 3, "coeffs": ["1"]})
     with pytest.raises(ValueError):
         ExactScalar.from_json(True)
+    # bool is an int subclass, but True is not an order
+    with pytest.raises(ValueError, match="positive integer"):
+        ExactScalar.from_json({"order": True, "coeffs": ["1"]})
+    # a huge order with a short list is refused without factoring the order
+    with pytest.raises(ValueError, match="phi"):
+        ExactScalar.from_json({"order": 10**30 + 57, "coeffs": ["0", "1"]})
+
+
+def test_euler_phi_matches_the_cyclotomic_degree():
+    for m in range(1, 61):
+        assert _euler_phi(m) == len(cyclotomic_polynomial(m)) - 1
+    start = time.perf_counter()
+    assert _euler_phi(5040) == 1152
+    assert _euler_phi(20011) == 20010
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=30, deadline=None)
@@ -285,6 +310,94 @@ def test_integer_rank_kernels_agree_with_rational_rref(case):
     pivots, _ = rational_rref([[Fraction(v) for v in r] for r in rows], ncols)
     assert ech.rank == _int_rank([list(r) for r in rows], ncols) == len(pivots)
     assert ech.rank == _int_rank([list(r) for r in free], ncols)
+
+
+# ---------------------------------------------------------------------------
+# reduction modulo a prime
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("floor", [10, 60, MODULAR_PRIME_FLOOR])
+def test_modular_prime_and_its_root_of_unity(floor):
+    for order in range(1, 13):
+        field = prime_field(order, floor)
+        p = field.p
+        assert p == modular_prime(order, floor) and p > floor and (p - 1) % order == 0
+        # p is the least prime above floor that is 1 modulo the order
+        primes = [
+            q
+            for q in range(floor + 1, p + 1)
+            if (q - 1) % order == 0 and all(q % d for d in range(2, math.isqrt(q) + 1))
+        ]
+        assert primes == [p]
+        powers = [pow(field.omega, e, p) for e in range(1, order + 1)]
+        assert powers.index(1) == order - 1
+        assert field.reduce(root_of_unity(order)).value == field.omega
+    small = [modular_prime(m, 10) for m in (1, 2, 3, 4, 5, 6, 12)]
+    assert small == [11, 11, 13, 13, 11, 13, 13]
+
+
+def _scalar(draw, order):
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=6),
+            min_size=_euler_phi(order),
+            max_size=_euler_phi(order),
+        )
+    )
+    return ExactScalar(order, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([10, 60, MODULAR_PRIME_FLOOR]),
+)
+def test_reduction_mod_p_is_a_ring_map(data, d1, d2, floor):
+    """Scalars of two orders, reduced in the field of their lcm order (so
+    mixed orders are promoted first): sums, products and inverses of units
+    commute with the reduction."""
+    a, b = _scalar(data.draw, d1), _scalar(data.draw, d2)
+    field = prime_field(math.lcm(d1, d2), floor)
+    ra, rb = field.reduce(a), field.reduce(b)
+    # denominators are at most 6 and every prime used is above 10
+    assert ra is not None and rb is not None
+    assert field.reduce(a + b) == ra + rb
+    assert field.reduce(a - b) == ra - rb
+    assert field.reduce(a * b) == ra * rb
+    assert field.reduce(-a) == -ra
+    zeta = root_of_unity(d2, data.draw(st.integers(min_value=0, max_value=d2 - 1)))
+    assert field.reduce(zeta.inverse()) == field.reduce(zeta).inverse()
+    if not a.is_zero() and not ra.is_zero():
+        inv = field.reduce(a.inverse())
+        # a unit at the prime above p need not have p-free power-basis
+        # denominators (p splits completely); where it does, they agree
+        if inv is not None:
+            assert inv == ra.inverse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows_with_dependencies(), st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_modular_rank_bounds_the_rational_rank(case, small):
+    """The F_p rank never exceeds the rational rank, and equals it for the
+    default prime: the rank is that of at most five free rows with entries
+    of size at most 9, whose minors are below (9 * sqrt(5))^5 < p."""
+    rows, _free, ncols = case
+    exact = _int_rank([list(r) for r in rows], ncols)
+    pivots, _ = rational_rref([[Fraction(v) for v in r] for r in rows], ncols)
+    assert exact == len(pivots)
+    assert modp_rank(rows, ncols, small) <= exact
+    assert modp_rank(rows, ncols, modular_prime(1)) == exact
+
+
+def test_modular_rank_drops_at_a_bad_prime():
+    rows = [[1, 2], [3, 17]]  # determinant 11
+    assert _int_rank([list(r) for r in rows], 2) == 2
+    assert modp_rank(rows, 2, 11) == 1
+    assert modp_rank(rows, 2, 13) == 2
+    assert modp_rank([], 3, 11) == 0
 
 
 # ---------------------------------------------------------------------------
