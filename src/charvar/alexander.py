@@ -50,8 +50,8 @@ from .exactalg import (
     MODULAR_PRIME_FLOOR,
     ExactMatrix,
     ExactScalar,
+    IntEchelon,
     LaurentPoly,
-    _int_rank,
     modp_rank,
     prime_field,
 )
@@ -551,16 +551,25 @@ class MonodromyInput:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed monodromy data: {exc}") from exc
         gens = []
-        for item in raw_gens:
-            X = tuple(int(v) for v in item["X"])
-            delta = []
-            for entry in item.get("delta", ()):
-                if len(entry) != 4 or entry[0] != "A":
-                    raise ValidationError(
-                        'conjugator factors look like ["A", i, j, exponent]'
-                    )
-                delta.append((int(entry[1]), int(entry[2]), int(entry[3])))
-            gens.append(MonodromyGen(X, tuple(delta)))
+        try:
+            for item in raw_gens:
+                if not isinstance(item, dict):
+                    raise ValidationError("each monodromy generator must be an object")
+                X = tuple(int(v) for v in item["X"])
+                delta = []
+                for entry in item.get("delta", ()):
+                    if len(entry) != 4 or entry[0] != "A":
+                        raise ValidationError(
+                            'conjugator factors look like ["A", i, j, exponent]'
+                        )
+                    delta.append((int(entry[1]), int(entry[2]), int(entry[3])))
+                gens.append(MonodromyGen(X, tuple(delta)))
+        except ValidationError:
+            raise
+        except KeyError as exc:
+            raise ValidationError(f"monodromy generator missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed monodromy generator: {exc}") from exc
         return cls(n, tuple(gens), obj.get("lift"))
 
 
@@ -838,7 +847,7 @@ def phi_one_matrix(lat: Lattice2) -> list[list[int]]:
 
 
 def phi_one_rank(lat: Lattice2) -> int:
-    return _int_rank(phi_one_matrix(lat), math.comb(lat.n, 2))
+    return IntEchelon(math.comb(lat.n, 2)).add_rows(phi_one_matrix(lat))
 
 
 # ---------------------------------------------------------------------------

@@ -268,11 +268,16 @@ class Lattice2:
                     raise ValidationError(f"index {v!r} out of range 1..{n}")
                 out.append(v - 1)
             return out
-        return cls(
-            n=n,
-            flats=[tuple(shift(f)) for f in flats],
-            parallel_pairs=[tuple(shift(p)) for p in obj.get("parallel_pairs", [])],
-        )
+        try:
+            return cls(
+                n=n,
+                flats=[tuple(shift(f)) for f in flats],
+                parallel_pairs=[tuple(shift(p)) for p in obj.get("parallel_pairs", [])],
+            )
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed lattice JSON: {exc}") from exc
 
 
 def b2(lattice: Lattice2) -> int:

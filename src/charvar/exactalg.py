@@ -3,11 +3,14 @@
 Scalars live in cyclotomic extensions of the rationals: every value is
 either a rational number or an element of Q(zeta_m) written on the power
 basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
-Matrices over these scalars support exact rank and nullspace computation.
-Laurent polynomials in several variables (with integer exponents of either
-sign) model the group-ring entries of monodromy and boundary matrices; they
-evaluate to scalars at points whose coordinates are roots of unity times
-rationals.
+Linear algebra has one kernel per job: a fraction-free integer echelon for
+the rank of integer and rational rows, one elimination over Q(zeta_m) for
+cyclotomic ranks, one over F_p for the certified modular rank, a rational
+reduced echelon form, and one unimodular reduction behind the Hermite
+normal form and the saturated integer kernel.  Laurent polynomials in
+several variables (with integer exponents of either sign) model the
+group-ring entries of monodromy and boundary matrices; they evaluate to
+scalars at points whose coordinates are roots of unity times rationals.
 
 Everything here is deterministic and division-free where possible, so the
 same inputs always produce the same pivots, ranks, and basis vectors.
@@ -15,7 +18,6 @@ same inputs always produce the same pivots, ranks, and basis vectors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -286,22 +288,25 @@ class ExactScalar:
 
     @classmethod
     def from_json(cls, obj) -> "ExactScalar":
-        if isinstance(obj, bool):
-            raise ValueError("boolean is not a scalar")
-        if isinstance(obj, int):
-            return cls.from_rational(obj)
-        if isinstance(obj, str):
-            return cls.from_rational(Fraction(obj))
         if isinstance(obj, dict):
             order = obj["order"]
-            coeffs = [Fraction(c) for c in obj["coeffs"]]
+            coeffs = obj["coeffs"]
             if not isinstance(order, int) or isinstance(order, bool) or order < 1:
                 raise ValueError("scalar order must be a positive integer")
+            if not isinstance(coeffs, list):
+                raise ValueError("scalar coeffs must be a list")
             # phi(m) >= sqrt(m / 2), so a short list is refused before factoring m
             if 2 * len(coeffs) ** 2 < order or len(coeffs) != _euler_phi(order):
                 raise ValueError("coefficient list length must equal phi(order)")
-            return cls(order, coeffs)
-        raise ValueError(f"cannot parse scalar from {obj!r}")
+            return cls(order, [_json_rational(c) for c in coeffs])
+        return cls.from_rational(_json_rational(obj))
+
+
+def _json_rational(value) -> Fraction:
+    """An exact rational from JSON: an integer or a rational string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"cannot parse a rational from {value!r}")
+    return Fraction(value)
 
 
 def _coerce(value) -> ExactScalar:
@@ -347,12 +352,12 @@ def root_of_unity(m: int, k: int = 1) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# matrices over exact scalars
+# ranks of matrices over exact scalars
 # ---------------------------------------------------------------------------
 
 
 class ExactMatrix:
-    """A dense matrix of ExactScalar entries with exact rank and nullspace."""
+    """A dense matrix of ExactScalar entries, kept for its exact rank."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -370,126 +375,24 @@ class ExactMatrix:
         self.ncols = ncols
         self.entries = rows
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rational_rows(
-        cls, rows: Sequence[Sequence[int | Fraction]], ncols: int | None = None
-    ) -> "ExactMatrix":
-        return cls([[ExactScalar.from_rational(v) for v in row] for row in rows], ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_rational_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], n
-        )
-
-    @classmethod
-    def vstack(cls, blocks: Sequence["ExactMatrix"]) -> "ExactMatrix":
-        assert blocks, "need at least one block"
-        ncols = blocks[0].ncols
-        assert all(b.ncols == ncols for b in blocks), "column counts differ"
-        rows: list[list[ExactScalar]] = []
-        for b in blocks:
-            rows.extend(b.entries)
-        return cls(rows, ncols)
-
-    # -- basic operations ---------------------------------------------------
-
-    def row(self, i: int) -> list[ExactScalar]:
-        return list(self.entries[i])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.ncols == other.nrows, "inner dimensions differ"
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = ExactScalar.zero()
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    if not a.is_zero():
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out, other.ncols)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return ExactMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
-            self.ncols,
-        )
-
-    def is_zero_matrix(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-        )
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.nrows}x{self.ncols})"
-
-    def all_rational(self) -> bool:
-        return all(e.order == 1 for row in self.entries for e in row)
-
-    # -- rank and nullspace ---------------------------------------------------
-
     def rank(self) -> int:
+        """Rank over Q(zeta_m): rational rows are cleared of denominators and
+        go to the integer echelon, cyclotomic ones to field elimination."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        if self.all_rational():
-            int_rows = [
+        if all(e.order == 1 for row in self.entries for e in row):
+            return IntEchelon(self.ncols).add_rows(
                 _clear_denominators([e.coeffs[0] for e in row]) for row in self.entries
-            ]
-            return _int_rank(int_rows, self.ncols)
+            )
         return _field_rank([list(row) for row in self.entries], self.ncols)
 
-    def nullspace(self) -> list[list[ExactScalar]]:
-        """A basis of the right kernel; integer-cleared when all-rational."""
-        if self.ncols == 0:
-            return []
-        rows = [list(r) for r in self.entries]
-        pivots, rref = _field_rref(rows, self.ncols)
-        pivot_cols = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_cols:
-                continue
-            vec = [ExactScalar.zero()] * self.ncols
-            vec[free] = ExactScalar.one()
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rref[r][free]
-            if all(v.is_rational() for v in vec):
-                ints = _clear_denominators([v.as_rational() for v in vec])
-                vec = [ExactScalar.from_rational(v) for v in ints]
-            basis.append(vec)
-        return basis
 
-
-def rank(matrix: ExactMatrix) -> int:
-    return matrix.rank()
-
-
-def nullspace(matrix: ExactMatrix) -> list[list[ExactScalar]]:
-    return matrix.nullspace()
+def nullspace(matrix: ExactMatrix) -> list[list[int]]:
+    """Basis of the saturated integer kernel of a rational matrix, in
+    Hermite form (see `integer_kernel`).  No library code calls it; the
+    traced benchmark (perfbench/spans.py) wraps it by name."""
+    rows = [_clear_denominators([e.as_rational() for e in row]) for row in matrix.entries]
+    return integer_kernel(rows, matrix.ncols)
 
 
 def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
@@ -503,36 +406,6 @@ def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
     if g > 1:
         ints = [v // g for v in ints]
     return ints
-
-
-def _int_rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank of integer rows by fraction-free elimination with gcd reduction."""
-    rows = [r for r in rows if any(r)]
-    rank_found = 0
-    for col in range(ncols):
-        piv = None
-        for idx in range(rank_found, len(rows)):
-            if rows[idx][col]:
-                piv = idx
-                break
-        if piv is None:
-            continue
-        rows[rank_found], rows[piv] = rows[piv], rows[rank_found]
-        p = rows[rank_found]
-        pl = p[col]
-        for idx in range(rank_found + 1, len(rows)):
-            r = rows[idx]
-            if r[col]:
-                m = r[col]
-                new = [pl * rv - m * pv for rv, pv in zip(r, p)]
-                g = 0
-                for v in new:
-                    g = math.gcd(g, abs(v))
-                rows[idx] = [v // g for v in new] if g > 1 else new
-        rank_found += 1
-        if rank_found == ncols:
-            break
-    return rank_found
 
 
 def _pick_pivot(rows: list[list[ExactScalar]], start: int, col: int) -> int | None:
@@ -568,32 +441,8 @@ def _field_rank(rows: list[list[ExactScalar]], ncols: int) -> int:
     return rank_found
 
 
-def _field_rref(
-    rows: list[list[ExactScalar]], ncols: int
-) -> tuple[list[int], list[list[ExactScalar]]]:
-    """Reduced row echelon form; returns (pivot columns, reduced rows)."""
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = _pick_pivot(rows, r, col)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pinv = rows[r][col].inverse()
-        rows[r] = [v * pinv for v in rows[r]]
-        for idx in range(len(rows)):
-            if idx != r and not rows[idx][col].is_zero():
-                factor = rows[idx][col]
-                rows[idx] = [rv - factor * pv for rv, pv in zip(rows[idx], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, rows[: len(pivots)]
-
-
 # ---------------------------------------------------------------------------
-# incremental integer echelon (performance path for large sampling loops)
+# incremental integer echelon (the one integer rank kernel)
 # ---------------------------------------------------------------------------
 
 
@@ -602,8 +451,9 @@ class IntEchelon:
 
     Rows are added one at a time; each is reduced against the stored pivot
     rows with integer cross-multiplication.  Stored rows are never mutated,
-    so a clone shares them and costs only a dict copy.  Intended for loops
-    that test many small perturbations of a fixed row block.
+    so a clone shares them and costs only a dict copy, which suits loops
+    that test many small perturbations of a fixed row block.  Every integer
+    and rational rank goes through it: `IntEchelon(ncols).add_rows(rows)`.
     """
 
     __slots__ = ("ncols", "_pivot_rows")
@@ -644,8 +494,12 @@ class IntEchelon:
         return False
 
     def add_rows(self, rows: Iterable[Sequence[int]]) -> int:
+        """Add rows in order until the rank reaches the column count; returns
+        how many were independent (on a fresh echelon, the rank of the rows)."""
         added = 0
         for row in rows:
+            if self.rank == self.ncols:
+                break
             if self.add_row(row):
                 added += 1
         return added
@@ -696,29 +550,14 @@ def rational_rref(
     return pivots, work[: len(pivots)]
 
 
-def primitive_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each rational row to a primitive integer row with positive lead."""
-    out = []
-    for row in rows:
-        ints = _clear_denominators([Fraction(v) for v in row])
-        lead = _first_nonzero(ints)
-        if lead is not None and ints[lead] < 0:
-            ints = [-v for v in ints]
-        out.append(ints)
-    return out
+def _unimodular_echelon(work: list[list[int]], ncols: int) -> list[int]:
+    """Bring the first ncols columns of integer rows to echelon form in
+    place, by row swaps, negations and adding integer multiples of one row
+    to another; returns the pivot columns, one per leading row.
 
-
-def hermite_normal_form(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and zero rows are dropped, so two row sets span the same
-    integer lattice exactly when their normal forms are equal.
-    """
-    work = [list(map(int, row)) for row in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
+    Each column is cleared below the pivot by repeated division with
+    remainder, the smallest entry becoming the pivot, so pivots are
+    positive and the row operations are invertible over the integers."""
     r = 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -743,9 +582,24 @@ def hermite_normal_form(rows: Iterable[Sequence[int]]) -> list[list[int]]:
                 break
         if r == len(work):
             break
-    work = work[:r]
-    for rr in range(r - 1, -1, -1):
-        col = pivots[rr]
+    return pivots
+
+
+def hermite_normal_form(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form of an integer matrix.
+
+    Pivots are positive, entries above each pivot are reduced into
+    [0, pivot), and zero rows are dropped, so two row sets span the same
+    integer lattice exactly when their normal forms are equal.
+    """
+    work = [list(map(int, row)) for row in rows]
+    if not work:
+        return []
+    pivots = _unimodular_echelon(work, len(work[0]))
+    work = work[: len(pivots)]
+    # forward order: reducing with row rr changes only columns right of its
+    # pivot, so the entries above earlier pivots stay reduced
+    for rr, col in enumerate(pivots):
         for above in range(rr):
             q = work[above][col] // work[rr][col]
             if q:
@@ -766,28 +620,7 @@ def integer_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]
         [mat[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(ncols)]
         for j in range(ncols)
     ]
-    r = 0
-    for col in range(m):
-        while True:
-            nz = [i for i in range(r, ncols) if aug[i][col]]
-            if not nz:
-                break
-            best = min(nz, key=lambda i: abs(aug[i][col]))
-            aug[r], aug[best] = aug[best], aug[r]
-            if aug[r][col] < 0:
-                aug[r] = [-v for v in aug[r]]
-            again = False
-            for i in range(r + 1, ncols):
-                if aug[i][col]:
-                    q = aug[i][col] // aug[r][col]
-                    aug[i] = [a - q * b for a, b in zip(aug[i], aug[r])]
-                    if aug[i][col]:
-                        again = True
-            if not again:
-                r += 1
-                break
-        if r == ncols:
-            break
+    r = len(_unimodular_echelon(aug, m))
     kernel = [row[m:] for row in aug[r:]]
     return hermite_normal_form(kernel)
 
@@ -1114,173 +947,3 @@ class LaurentPoly:
             parts.append(piece)
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
-
-
-# ---------------------------------------------------------------------------
-# matrices of Laurent polynomials
-# ---------------------------------------------------------------------------
-
-
-class LaurentMatrix:
-    """A dense matrix with LaurentPoly entries, all sharing one variable set."""
-
-    __slots__ = ("nvars", "nrows", "ncols", "entries")
-
-    def __init__(
-        self,
-        nvars: int,
-        entries: Sequence[Sequence[LaurentPoly]],
-        ncols: int | None = None,
-    ):
-        rows = []
-        for row in entries:
-            clean = []
-            for e in row:
-                if isinstance(e, (int, Fraction)):
-                    e = LaurentPoly.constant(e, nvars)
-                assert isinstance(e, LaurentPoly) and e.nvars == nvars
-                clean.append(e)
-            rows.append(clean)
-        if rows:
-            ncols_found = len(rows[0])
-            assert all(len(r) == ncols_found for r in rows), "ragged matrix"
-            ncols = ncols_found
-        else:
-            assert ncols is not None, "empty matrix needs an explicit column count"
-        self.nvars = nvars
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.entries = rows
-
-    @classmethod
-    def identity(cls, n: int, nvars: int) -> "LaurentMatrix":
-        one = LaurentPoly.one(nvars)
-        zero = LaurentPoly.zero(nvars)
-        return cls(nvars, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int, nvars: int) -> "LaurentMatrix":
-        z = LaurentPoly.zero(nvars)
-        return cls(nvars, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def vstack(cls, blocks: Sequence["LaurentMatrix"]) -> "LaurentMatrix":
-        assert blocks, "need at least one block"
-        nvars = blocks[0].nvars
-        ncols = blocks[0].ncols
-        assert all(b.nvars == nvars and b.ncols == ncols for b in blocks)
-        rows: list[list[LaurentPoly]] = []
-        for b in blocks:
-            rows.extend(b.entries)
-        return cls(nvars, rows, ncols)
-
-    def row(self, i: int) -> list[LaurentPoly]:
-        return list(self.entries[i])
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.nvars,
-            [[self.entries[i][j] for j in cols] for i in rows],
-            len(cols),
-        )
-
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        assert self.nvars == other.nvars and self.ncols == other.nrows
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = LaurentPoly.zero(self.nvars)
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    if not a.is_zero():
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(self.nvars, out, other.ncols)
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return LaurentMatrix(
-            self.nvars,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
-            self.ncols,
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return LaurentMatrix(
-            self.nvars,
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
-            self.ncols,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return (
-            (self.nrows, self.ncols, self.nvars)
-            == (other.nrows, other.ncols, other.nvars)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"LaurentMatrix({self.nrows}x{self.ncols}, {self.nvars} vars)"
-
-    def evaluate(self, point: Sequence[ExactScalar]) -> ExactMatrix:
-        return ExactMatrix(
-            [[e.evaluate(point) for e in row] for row in self.entries], self.ncols
-        )
-
-    def at_one(self) -> ExactMatrix:
-        return ExactMatrix.from_rational_rows(
-            [[e.at_one() for e in row] for row in self.entries], self.ncols
-        )
-
-    def determinant(self) -> LaurentPoly:
-        assert self.nrows == self.ncols, "determinant needs a square matrix"
-        n = self.nrows
-        if n == 0:
-            return LaurentPoly.one(self.nvars)
-        if n == 1:
-            return self.entries[0][0]
-        # Laplace expansion along the first row; fine for the small sizes used
-        total = LaurentPoly.zero(self.nvars)
-        rest_rows = list(range(1, n))
-        for j in range(n):
-            e = self.entries[0][j]
-            if e.is_zero():
-                continue
-            cols = [c for c in range(n) if c != j]
-            minor = self.submatrix(rest_rows, cols).determinant()
-            term = e * minor
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-    def exterior_square(self) -> "LaurentMatrix":
-        """The induced matrix on wedge pairs, with lexicographic pair order.
-
-        Row (i<j) and column (k<l) hold the 2x2 minor from rows i,j and
-        columns k,l.  For a square matrix of an operator on a free module
-        this is the matrix of the operator induced on the degree-2 exterior
-        power.
-        """
-        row_pairs = list(itertools.combinations(range(self.nrows), 2))
-        col_pairs = list(itertools.combinations(range(self.ncols), 2))
-        out = []
-        for i, j in row_pairs:
-            row = []
-            for k, l in col_pairs:
-                minor = (
-                    self.entries[i][k] * self.entries[j][l]
-                    - self.entries[i][l] * self.entries[j][k]
-                )
-                row.append(minor)
-            out.append(row)
-        return LaurentMatrix(self.nvars, out, len(col_pairs))

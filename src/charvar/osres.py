@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import Lattice2, ValidationError
-from .exactalg import ExactMatrix, IntEchelon, _int_rank, rational_rref
+from .exactalg import IntEchelon, rational_rref
 
 # ---------------------------------------------------------------------------
 # index helpers
@@ -80,11 +80,6 @@ class NbcBasis:
     @property
     def dimension(self) -> int:
         return len(self.pairs)
-
-    def projection_matrix(self) -> ExactMatrix:
-        return ExactMatrix.from_rational_rows(
-            self.projection, ncols=len(pair_list(self.n))
-        )
 
 
 def nbc_basis(lat: Lattice2) -> NbcBasis:
@@ -251,7 +246,7 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
                 for prow in basis.projection
             ]
         )
-    rank_mu = _int_rank(mu_rows, basis.dimension)
+    rank_mu = IntEchelon(basis.dimension).add_rows(mu_rows)
     return (n - rank_mu) - 1
 
 
@@ -292,7 +287,7 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
             sign = 1 if position % 2 == 0 else -1
             wedge[triple_pos[tri]] += sign * ints[j]
         rows.append(row + wedge)
-    return _int_rank(rows, basis.dimension + len(triples))
+    return IntEchelon(basis.dimension + len(triples)).add_rows(rows)
 
 
 # ---------------------------------------------------------------------------

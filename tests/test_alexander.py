@@ -307,6 +307,11 @@ def test_wedge_square_is_multiplicative():
     for i in range(3):
         for j in range(3):
             assert lhs[i][j] == rhs[i][j]
+    # the exterior square of the identity on four strands is the identity
+    # on the six wedge pairs
+    one, zero = LaurentPoly.one(4), LaurentPoly.zero(4)
+    identity6 = [[one if i == j else zero for j in range(6)] for i in range(6)]
+    assert wedge_square(gassner((), 4)) == identity6
 
 
 # ---------------------------------------------------------------------------

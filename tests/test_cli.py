@@ -340,6 +340,17 @@ def test_member_rejects_a_boolean_order(capsys, monodromy_file):
     assert err.startswith("error:") and "positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "zeta", [{"order": 3, "coeffs": [0.1, True]}, {"order": 3, "coeffs": "12"}],
+    ids=["float-and-bool", "string"],
+)
+def test_member_rejects_inexact_scalar_coefficients(capsys, zeta):
+    point = json.dumps([zeta] + [1] * 5)
+    code, out, err = run(capsys, "member", "fixture:diamond_monodromy", "--point", point)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad coordinate" in err
+
+
 def test_member_rejects_unknown_fixture(capsys):
     code, _, err = run(capsys, "member", "fixture:nope", "--point=1")
     assert code == 2
@@ -419,6 +430,24 @@ def test_unrecognised_json_shape_is_a_validation_error(capsys, tmp_path):
     code, _, err = run(capsys, "lattice", str(path))
     assert code == 2
     assert "unrecognised input" in err
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 3, "generators": [{"delta": []}]}, "missing key 'X'"),
+        ({"n": 3, "generators": [[1, 2]]}, "must be an object"),
+        ({"n": 3, "generators": [{"X": [1, "x"]}]}, "malformed monodromy generator"),
+        ({"n": 3, "flats": [5]}, "malformed lattice"),
+    ],
+    ids=["generator-without-X", "generator-not-an-object", "non-integer-strand", "flat-not-a-list"],
+)
+def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "lattice", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_console_entry_point_matches_main():

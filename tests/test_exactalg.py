@@ -1,5 +1,6 @@
-"""Tests for exact cyclotomic scalars, matrices, Laurent polynomials, and
-the reduction of scalars and integer rows modulo a prime."""
+"""Tests for exact cyclotomic scalars, exact ranks, integer lattice normal
+forms, Laurent polynomials, and the reduction of scalars and integer rows
+modulo a prime."""
 
 import math
 import time
@@ -14,16 +15,15 @@ from charvar.exactalg import (
     ExactMatrix,
     ExactScalar,
     IntEchelon,
-    LaurentMatrix,
     LaurentPoly,
     _euler_phi,
-    _int_rank,
     cyclotomic_polynomial,
+    hermite_normal_form,
+    integer_kernel,
     modp_rank,
     modular_prime,
     nullspace,
     prime_field,
-    rank,
     rational_rref,
     root_of_unity,
 )
@@ -135,6 +135,14 @@ def test_scalar_json_rejects_bad_input():
     # a huge order with a short list is refused without factoring the order
     with pytest.raises(ValueError, match="phi"):
         ExactScalar.from_json({"order": 10**30 + 57, "coeffs": ["0", "1"]})
+    # coefficients are integers or rational strings: no floats, no booleans,
+    # and a string is not read character by character as a list
+    with pytest.raises(ValueError, match="rational"):
+        ExactScalar.from_json({"order": 3, "coeffs": [0.1, True]})
+    with pytest.raises(ValueError, match="list"):
+        ExactScalar.from_json({"order": 3, "coeffs": "12"})
+    with pytest.raises(ValueError, match="rational"):
+        ExactScalar.from_json(0.5)
 
 
 def test_euler_phi_matches_the_cyclotomic_degree():
@@ -178,11 +186,11 @@ def test_all_roots_multiply_to_unity_polynomial(m):
 
 
 def test_rank_of_rational_examples():
-    m = ExactMatrix.from_rational_rows([[1, 2], [2, 4]])
-    assert rank(m) == 1
-    m2 = ExactMatrix.from_rational_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-    assert rank(m2) == 2
-    assert rank(ExactMatrix.from_rational_rows([], ncols=5)) == 0
+    m = ExactMatrix([[1, 2], [2, 4]])
+    assert m.rank() == 1
+    m2 = ExactMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+    assert m2.rank() == 2
+    assert ExactMatrix([], ncols=5).rank() == 0
 
 
 def test_rank_with_cyclotomic_entries():
@@ -190,38 +198,27 @@ def test_rank_with_cyclotomic_entries():
     one = ExactScalar.one()
     # second row is zeta times the first, so the rank is 1
     m = ExactMatrix([[one, z], [z, z * z]])
-    assert rank(m) == 1
+    assert m.rank() == 1
     m2 = ExactMatrix([[one, z], [z, one]])
-    assert rank(m2) == 2
+    assert m2.rank() == 2
 
 
 def test_nullspace_of_incidence_oracle():
-    m = ExactMatrix.from_rational_rows(INCIDENCE_ROWS)
+    # rows scaled by rationals keep their kernel
+    m = ExactMatrix([[Fraction(v, i + 1) for v in row] for i, row in enumerate(INCIDENCE_ROWS)])
     basis = nullspace(m)
     assert len(basis) == 2
-    int_basis = [[v.as_rational() for v in vec] for vec in basis]
-    assert all(x.denominator == 1 for vec in int_basis for x in vec)
-    got = [[int(x) for x in vec] for vec in int_basis]
-    assert same_span(got, INCIDENCE_KERNEL, 6)
+    assert all(type(x) is int for vec in basis for x in vec)
+    assert same_span(basis, INCIDENCE_KERNEL, 6)
     # every returned vector is genuinely in the kernel
     for vec in basis:
         for row in INCIDENCE_ROWS:
-            acc = ExactScalar.zero()
-            for coeff, v in zip(row, vec):
-                acc = acc + ExactScalar.from_rational(coeff) * v
-            assert acc.is_zero()
+            assert sum(coeff * v for coeff, v in zip(row, vec)) == 0
 
 
 def test_nullspace_full_rank_is_empty():
-    m = ExactMatrix.from_rational_rows([[1, 0], [0, 1], [1, 1]])
+    m = ExactMatrix([[1, 0], [0, 1], [1, 1]])
     assert nullspace(m) == []
-
-
-def test_matrix_product_and_transpose():
-    a = ExactMatrix.from_rational_rows([[1, 2], [3, 4]])
-    b = ExactMatrix.from_rational_rows([[0, 1], [1, 0]])
-    assert (a * b) == ExactMatrix.from_rational_rows([[2, 1], [4, 3]])
-    assert a.transpose() == ExactMatrix.from_rational_rows([[1, 3], [2, 4]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,14 +231,14 @@ def test_matrix_product_and_transpose():
     st.randoms(use_true_random=False),
 )
 def test_rank_invariant_under_shuffles(rows, rng):
-    m = ExactMatrix.from_rational_rows(rows, ncols=4)
-    base = rank(m)
+    m = ExactMatrix(rows, ncols=4)
+    base = m.rank()
     shuffled_rows = list(rows)
     rng.shuffle(shuffled_rows)
     cols = list(range(4))
     rng.shuffle(cols)
     permuted = [[row[c] for c in cols] for row in shuffled_rows]
-    assert rank(ExactMatrix.from_rational_rows(permuted, ncols=4)) == base
+    assert ExactMatrix(permuted, ncols=4).rank() == base
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,15 +250,15 @@ def test_rank_invariant_under_shuffles(rows, rng):
     )
 )
 def test_rank_plus_nullity_is_column_count(rows):
-    m = ExactMatrix.from_rational_rows(rows, ncols=5)
-    assert rank(m) + len(nullspace(m)) == 5
+    m = ExactMatrix(rows, ncols=5)
+    assert m.rank() + len(nullspace(m)) == 5
 
 
 def test_int_echelon_matches_matrix_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
     ech = IntEchelon(3)
     assert ech.add_rows(rows) == 2
-    assert ech.rank == rank(ExactMatrix.from_rational_rows(rows))
+    assert ech.rank == ExactMatrix(rows).rank()
     clone = ech.clone()
     assert clone.add_row([5, 0, 0]) is True
     # the clone grew but the original is untouched
@@ -299,17 +296,19 @@ def _rows_with_dependencies(draw):
 @settings(max_examples=80, deadline=None)
 @given(_rows_with_dependencies())
 def test_integer_rank_kernels_agree_with_rational_rref(case):
-    """IntEchelon, _int_rank and the rational reduced echelon form are three
-    separate eliminations; they must give one rank, and rows that are
+    """The integer echelon (row by row, and through add_rows with its stop
+    at full rank), ExactMatrix.rank on the rows scaled by rationals, and the
+    rational reduced echelon form must give one rank, and rows that are
     repeats or integer combinations of the free rows must not raise it."""
-    from charvar.exactalg import _int_rank, rational_rref
-
     rows, free, ncols = case
     ech = IntEchelon(ncols)
-    ech.add_rows(rows)
+    for row in rows:
+        ech.add_row(row)
     pivots, _ = rational_rref([[Fraction(v) for v in r] for r in rows], ncols)
-    assert ech.rank == _int_rank([list(r) for r in rows], ncols) == len(pivots)
-    assert ech.rank == _int_rank([list(r) for r in free], ncols)
+    scaled = [[Fraction(v, i + 2) for v in r] for i, r in enumerate(rows)]
+    assert ech.rank == IntEchelon(ncols).add_rows(rows) == len(pivots)
+    assert ech.rank == ExactMatrix(scaled).rank()
+    assert ech.rank == IntEchelon(ncols).add_rows(free)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ def test_modular_rank_bounds_the_rational_rank(case, small):
     default prime: the rank is that of at most five free rows with entries
     of size at most 9, whose minors are below (9 * sqrt(5))^5 < p."""
     rows, _free, ncols = case
-    exact = _int_rank([list(r) for r in rows], ncols)
+    exact = IntEchelon(ncols).add_rows(rows)
     pivots, _ = rational_rref([[Fraction(v) for v in r] for r in rows], ncols)
     assert exact == len(pivots)
     assert modp_rank(rows, ncols, small) <= exact
@@ -394,7 +393,7 @@ def test_modular_rank_bounds_the_rational_rank(case, small):
 
 def test_modular_rank_drops_at_a_bad_prime():
     rows = [[1, 2], [3, 17]]  # determinant 11
-    assert _int_rank([list(r) for r in rows], 2) == 2
+    assert IntEchelon(2).add_rows(rows) == 2
     assert modp_rank(rows, 2, 11) == 1
     assert modp_rank(rows, 2, 13) == 2
     assert modp_rank([], 3, 11) == 0
@@ -471,53 +470,24 @@ def test_laurent_evaluation_is_ring_homomorphism(fterms, gterms, k1, k2):
     assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
 
 
-def test_laurent_matrix_product_evaluation_commutes():
-    n = 2
-    t1, t2 = lp_var(0, n), lp_var(1, n)
-    a = LaurentMatrix(n, [[t1, 1 - t1], [t2, t1 * t2]])
-    b = LaurentMatrix(n, [[t2, LaurentPoly.zero(n)], [1 - t2, t1**-1]])
-    point = [root_of_unity(3), root_of_unity(5, 2)]
-    left = (a * b).evaluate(point)
-    right = a.evaluate(point) * b.evaluate(point)
-    assert left == right
-
-
-def test_laurent_matrix_determinant():
-    n = 1
-    t = lp_var(0, n)
-    m = LaurentMatrix(n, [[t, 1 + 0 * t], [LaurentPoly.one(n), t]])
-    assert m.determinant() == t * t - 1
-
-
-def test_exterior_square_of_identity():
-    m = LaurentMatrix.identity(4, 2)
-    sq = m.exterior_square()
-    assert sq == LaurentMatrix.identity(6, 2)
-
-
-def test_exterior_square_is_multiplicative():
-    n = 2
-    t1, t2 = lp_var(0, n), lp_var(1, n)
-    a = LaurentMatrix(n, [[t1, 1 + 0 * t1, 0 * t1], [0 * t1, t2, 1 + 0 * t1], [1 + 0 * t1, 0 * t1, t1 * t2]])
-    b = LaurentMatrix(n, [[1 + 0 * t1, t2, 0 * t1], [t1, 0 * t1, 1 + 0 * t1], [0 * t1, 1 + 0 * t1, t2]])
-    assert (a * b).exterior_square() == a.exterior_square() * b.exterior_square()
-
-
 # --- integer lattice normal forms -------------------------------------------
 
 
 def test_hermite_normal_form_small():
-    from charvar.exactalg import hermite_normal_form
-
     assert hermite_normal_form([[2, 4], [6, 8]]) == [[2, 0], [0, 4]]
     assert hermite_normal_form([[0, 0], [0, 0]]) == []
     assert hermite_normal_form([[3]]) == [[3]]
     assert hermite_normal_form([[-1, 2]]) == [[1, -2]]
+    # clearing the 1 above the second pivot puts -1 above the third; that
+    # entry must still end in [0, 2)
+    assert hermite_normal_form([[1, 1, 0], [0, 1, 1], [0, 0, 2]]) == [
+        [1, 0, 1],
+        [0, 1, 1],
+        [0, 0, 2],
+    ]
 
 
 def test_hermite_normal_form_is_span_canonical():
-    from charvar.exactalg import hermite_normal_form
-
     a = [[1, 0, -1], [0, 1, -1]]
     b = [[1, 1, -2], [1, 0, -1], [-1, 1, 0]]
     assert hermite_normal_form(a) == hermite_normal_form(b)
@@ -527,28 +497,20 @@ def test_hermite_normal_form_is_span_canonical():
 
 
 def test_integer_kernel_sum_vector():
-    from charvar.exactalg import integer_kernel
-
     assert integer_kernel([[1, 1, 1]], 3) == [[1, 0, -1], [0, 1, -1]]
 
 
 def test_integer_kernel_is_saturated():
-    from charvar.exactalg import integer_kernel
-
     # the rational kernel of (2, 2) is spanned by (1, -1); a non-saturated
     # routine would return (2, -2) here
     assert integer_kernel([[2, 2]], 2) == [[1, -1]]
 
 
 def test_integer_kernel_full_rank_is_empty():
-    from charvar.exactalg import integer_kernel
-
     assert integer_kernel([[1, 2], [3, 4]], 2) == []
 
 
 def test_integer_kernel_of_empty_matrix_is_identity():
-    from charvar.exactalg import integer_kernel
-
     assert integer_kernel([], 2) == [[1, 0], [0, 1]]
 
 
@@ -560,21 +522,46 @@ def test_integer_kernel_of_empty_matrix_is_identity():
     )
 )
 def test_integer_kernel_orthogonal_and_complementary(rows):
-    from charvar.exactalg import integer_kernel
-
     kernel = integer_kernel(rows, 4)
     for u in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, u)) == 0
-    rank = ExactMatrix.from_rational_rows(rows, ncols=4).rank()
+    rank = ExactMatrix(rows, ncols=4).rank()
     assert rank + len(kernel) == 4
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_unimodular_reduction_is_canonical_and_saturating(rows, rng):
+    """The Hermite normal form depends only on the lattice the rows span, so
+    row shuffles, negations and adding integer multiples of one row to
+    another leave it fixed; and the integer kernel K is saturated: the
+    kernel of the kernel of K is K itself."""
+    ncols = len(rows[0])
+    moved = [list(r) for r in rows]
+    rng.shuffle(moved)
+    for _ in range(6):
+        i, j = rng.randrange(len(moved)), rng.randrange(len(moved))
+        if i != j:
+            q = rng.randint(-3, 3)
+            moved[i] = [a + q * b for a, b in zip(moved[i], moved[j])]
+        if rng.random() < 0.3:
+            moved[i] = [-a for a in moved[i]]
+    assert hermite_normal_form(moved) == hermite_normal_form(rows)
+    kernel = integer_kernel(rows, ncols)
+    assert integer_kernel(integer_kernel(kernel, ncols), ncols) == kernel
+
+
 def test_rational_rref_and_primitive_rows():
-    from fractions import Fraction
-
-    from charvar.exactalg import primitive_rows, rational_rref
-
     pivots, rows = rational_rref(
         [[Fraction(2), Fraction(4), Fraction(6)], [Fraction(1), Fraction(2), Fraction(4)]],
         3,
@@ -584,5 +571,3 @@ def test_rational_rref_and_primitive_rows():
         [Fraction(1), Fraction(2), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
-    prim = primitive_rows([[Fraction(-1, 2), Fraction(0), Fraction(3, 4)]])
-    assert prim == [[2, 0, -3]]
