@@ -40,6 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
@@ -52,6 +53,8 @@ from .exactalg import (
     ExactScalar,
     IntEchelon,
     LaurentPoly,
+    PrimeField,
+    _euler_phi,
     modp_rank,
     prime_field,
 )
@@ -59,11 +62,12 @@ from .exactalg import (
 SYMBOLIC_STRAND_CAP = 8
 MINOR_CAP = 4
 # Largest order (lcm of the coordinates' orders) of a torus point that the
-# membership tests accept.  The exact route works in Q(zeta_m), whose degree
-# phi(m) drives the cost of every product: a point on a component of
-# diamond or pencil(6) takes 1-2 s at order 120 and 5-9 s at order 210 (one
-# core of a 2-core Intel Xeon).  A point of larger order is refused before
-# any cyclotomic polynomial is built.
+# membership tests accept.  On the locus a unit point (roots of unity, +-1)
+# needs about phi(m) times as many primes as at order 1 and a non-unit point
+# is ranked exactly in Q(zeta_m): at order 120 a point on a component of
+# diamond or pencil(6) takes 0.1-0.3 s as a unit point (23-47 primes) and
+# 2-6 s as a non-unit one (one core of a 2-core Intel Xeon).  A point of
+# larger order is refused before any cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 
 FreeWord = tuple[int, ...]
@@ -99,47 +103,92 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 
 
 class _Ring:
-    """Uniform scalar operations: symbolic Laurent, evaluation at a point,
-    or evaluation at the point's image in a prime field (`residue`)."""
+    """Uniform scalar operations on the values of the t_i and their
+    inverses: symbolic Laurent or exact at a point (`_ring`), images in a
+    prime field (`residue`), or majorants of absolute values (`majorant`)."""
 
     __slots__ = ("n", "one", "zero", "_t", "_tinv")
 
-    def __init__(self, n: int, point: Sequence | None = None):
-        self.n = n
-        if point is None:
-            self.one = LaurentPoly.one(n)
-            self.zero = LaurentPoly.zero(n)
-            self._t = [LaurentPoly.variable(i, n) for i in range(n)]
-            self._tinv = [LaurentPoly.variable(i, n, -1) for i in range(n)]
-        else:
-            self._at(_torus_coords(n, point), ExactScalar.one(), ExactScalar.zero())
-
-    def _at(self, coords: list, one, zero) -> None:
-        self.one = one
-        self.zero = zero
-        self._t = coords
-        self._tinv = [c.inverse() for c in coords]
+    def __init__(self, t: list, tinv: list, one, zero):
+        self.n, self._t, self._tinv, self.one, self.zero = len(t), t, tinv, one, zero
 
     @classmethod
-    def residue(cls, n: int, point: Sequence, floor: int) -> "_Ring | None":
-        """Evaluation at the image of a torus point in F_p, p the least
-        prime above floor that is 1 modulo the point's order; None when p
-        divides a coordinate's denominator or a coordinate maps to 0."""
-        coords = _torus_coords(n, point)
-        field = prime_field(point_order(coords), floor)
+    def residue(cls, coords: list[ExactScalar], field: PrimeField) -> "_Ring | None":
+        """Evaluation at the point's image in F_p (see `PrimeField`); None
+        when p divides a coordinate's denominator or a coordinate maps to 0."""
         images = [field.reduce(c) for c in coords]
         if any(v is None or v.is_zero() for v in images):
             return None
-        ring = cls.__new__(cls)
-        ring.n = n
-        ring._at(images, field.one, field.zero)
-        return ring
+        return cls(images, [v.inverse() for v in images], field.one, field.zero)
+
+    @classmethod
+    def majorant(cls, coords: list[ExactScalar]) -> "_Ring | None":
+        """Evaluation at bounds on |sigma(t_i)| and |sigma(1/t_i)| over the
+        embeddings sigma of Q(zeta_M) in C, so that the builders return, for
+        every entry e, an integer bound on every |sigma(e)|; None unless the
+        point is a unit point (see `_unit_bounds`)."""
+        bounds = [_unit_bounds(c) for c in coords]
+        if None in bounds:
+            return None
+        t = [_Majorant(a) for a, _ in bounds]
+        tinv = [_Majorant(b) for _, b in bounds]
+        return cls(t, tinv, _Majorant(1), _Majorant(0))
 
     def t(self, index: int):
         return self._t[index]
 
     def tinv(self, index: int):
         return self._tinv[index]
+
+
+def _ring(n: int, point: Sequence | None = None) -> _Ring:
+    """Symbolic Laurent scalars, or exact values at a torus point."""
+    if point is None:
+        t = [LaurentPoly.variable(i, n) for i in range(n)]
+        tinv = [LaurentPoly.variable(i, n, -1) for i in range(n)]
+        return _Ring(t, tinv, LaurentPoly.one(n), LaurentPoly.zero(n))
+    t = _torus_coords(n, point)
+    return _Ring(t, [c.inverse() for c in t], ExactScalar.one(), ExactScalar.zero())
+
+
+class _Majorant:
+    """A nonnegative integer bound on an absolute value: the bound of a sum
+    or a difference is the sum of the bounds, that of a product the product."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __add__(self, other: "_Majorant") -> "_Majorant":
+        return _Majorant(self.value + other.value)
+
+    __sub__ = __add__
+
+    def __mul__(self, other: "_Majorant") -> "_Majorant":
+        return _Majorant(self.value * other.value)
+
+    def __neg__(self) -> "_Majorant":
+        return self
+
+    def is_zero(self) -> bool:
+        return self.value == 0
+
+
+def _unit_bounds(c: ExactScalar) -> tuple[int, int] | None:
+    """Integer bounds on |sigma(c)| and |sigma(1/c)| over the embeddings
+    sigma of Q(zeta_M) in C when c is a unit of Z[zeta_M] (c and 1/c have
+    integer power-basis coefficients), else None.  As |sigma(zeta^i)| = 1,
+    the sum of the absolute coefficients bounds |sigma(c)|; when
+    c * conj(c) = 1, as for roots of unity and +-1, every |sigma(c)| is 1."""
+    if any(v.denominator != 1 for v in c.coeffs):
+        return None
+    if (c * c.conjugate()).is_one():
+        return 1, 1
+    inv = c.inverse()
+    if any(v.denominator != 1 for v in inv.coeffs):
+        return None
+    return sum(abs(int(v)) for v in c.coeffs), sum(abs(int(v)) for v in inv.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +336,7 @@ def _gassner(braid: BraidWord, ring: _Ring) -> list[list]:
 def gassner(braid: Iterable[Sequence[int]], n: int, point: Sequence | None = None):
     """Gassner matrix of a pure-braid word: row i is the abelianized Fox
     gradient of the image of g_i.  Symbolic when no point is given."""
-    return _gassner(normalize_braid(braid), _Ring(n, point))
+    return _gassner(normalize_braid(braid), _ring(n, point))
 
 
 def wedge_square(matrix: Sequence[Sequence], ring_n: int | None = None) -> list[list]:
@@ -374,7 +423,7 @@ def twist_chain_map(X: Sequence[int], n: int, point: Sequence | None = None):
     X = _validated_strands(X)
     if X[-1] > n:
         raise ValidationError("strand index exceeds strand count")
-    return _twist_chain_map(X, _Ring(n, point))
+    return _twist_chain_map(X, _ring(n, point))
 
 
 def _monodromy_chain_map(gen: "MonodromyGen", ring: _Ring) -> list[list]:
@@ -394,7 +443,7 @@ def monodromy_chain_map(
     conjugator, times the twist chain map, times the wedge square of the
     Gassner of the conjugator."""
     _check_gen(gen, n)
-    return _monodromy_chain_map(gen, _Ring(n, point))
+    return _monodromy_chain_map(gen, _ring(n, point))
 
 
 def monodromy_braid(gen: "MonodromyGen") -> BraidWord:
@@ -432,7 +481,7 @@ def resolution_differential(k: int, n: int, point: Sequence | None = None):
     (t_i - 1)."""
     if not 1 <= k <= n:
         raise ValidationError("differential degree must satisfy 1 <= k <= n")
-    return _resolution_differential(k, _Ring(n, point))
+    return _resolution_differential(k, _ring(n, point))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +542,9 @@ class MonodromyInput:
     def _check_lift(self) -> None:
         lift = self.lift
         try:
-            central_n = int(lift["central_n"])
-            strands = [int(v) for v in lift["strand_to_central"]]
-            infinity = int(lift["infinity"])
+            central_n = _json_int(lift["central_n"])
+            strands = [_json_int(v) for v in lift["strand_to_central"]]
+            infinity = _json_int(lift["infinity"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed lift metadata: {exc}") from exc
         if central_n != self.n + 1:
@@ -546,7 +595,7 @@ class MonodromyInput:
     @classmethod
     def from_json(cls, obj: dict) -> "MonodromyInput":
         try:
-            n = int(obj["n"])
+            n = _json_int(obj["n"])
             raw_gens = obj["generators"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed monodromy data: {exc}") from exc
@@ -555,14 +604,14 @@ class MonodromyInput:
             for item in raw_gens:
                 if not isinstance(item, dict):
                     raise ValidationError("each monodromy generator must be an object")
-                X = tuple(int(v) for v in item["X"])
+                X = tuple(_json_int(v) for v in item["X"])
                 delta = []
                 for entry in item.get("delta", ()):
                     if len(entry) != 4 or entry[0] != "A":
                         raise ValidationError(
                             'conjugator factors look like ["A", i, j, exponent]'
                         )
-                    delta.append((int(entry[1]), int(entry[2]), int(entry[3])))
+                    delta.append(tuple(_json_int(v) for v in entry[1:]))
                 gens.append(MonodromyGen(X, tuple(delta)))
         except ValidationError:
             raise
@@ -571,6 +620,13 @@ class MonodromyInput:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed monodromy generator: {exc}") from exc
         return cls(n, tuple(gens), obj.get("lift"))
+
+
+def _json_int(value) -> int:
+    """An integer from JSON: floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def pencil_monodromy(n: int) -> MonodromyInput:
@@ -644,7 +700,7 @@ def presentation_matrix(
         raise CapExceeded(
             f"symbolic presentation is limited to {cap} strands (got {m.n})"
         )
-    return _presentation_rows(m, _Ring(m.n, point))
+    return _presentation_rows(m, _ring(m.n, point))
 
 
 def _presentation_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
@@ -664,7 +720,7 @@ def relator_jacobian(
     """Abelianized Fox Jacobian of the monodromy relators: for each vertex
     set, the rows (Gassner(generator) - identity) for all strands but the
     largest.  Shape b2 x n."""
-    return _relator_rows(m, _Ring(m.n, point))
+    return _relator_rows(m, _ring(m.n, point))
 
 
 def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
@@ -692,7 +748,7 @@ def relator_rank(m: MonodromyInput, point: Sequence) -> int:
 class Membership:
     """A depth-k verdict at a torus point: the exact presentation rank,
     both criteria (`partial2` is None beyond the relator window), and the
-    route that decided each criterion, "mod <p>" or "exact"."""
+    route that decided each criterion, "mod <p1>*<p2>*..." or "exact"."""
 
     rank: int
     delta: bool
@@ -704,61 +760,106 @@ def membership(
     m: MonodromyInput, point: Sequence, k: int, prime_floor: int = MODULAR_PRIME_FLOOR
 ) -> Membership:
     """Depth-k membership of a torus point, by certified modular ranks with
-    exact elimination only where the modular rank cannot decide.
+    exact elimination only where they cannot decide.
 
-    Let M be the point's order and p the least prime above prime_floor
-    with p = 1 (mod M).  When p divides no coordinate denominator and no
-    coordinate maps to 0, every coordinate is a unit of the local ring of
-    Z[zeta_M] at a prime P above p (see `PrimeField`), so every entry of
-    the presentation matrix and of the relator Jacobian (an integer
-    polynomial in the t_i and their inverses) lies in that ring, and
-    reducing modulo P is a ring map that commutes with minors.  A minor
-    that is nonzero mod P is nonzero in Q(zeta_M), hence the rank mod p
-    is at most the true rank.  Two consequences are used, each criterion
-    decided on its own:
+    Let M be the point's order and p_1 < p_2 < ... the primes above
+    prime_floor with p_i = 1 (mod M).  When p_i divides no coordinate
+    denominator and no coordinate maps to 0, every coordinate is a unit of
+    the local ring of Z[zeta_M] at a prime P_i above p_i (see `PrimeField`),
+    so every entry of the presentation matrix and of the relator Jacobian
+    (an integer polynomial in the t_i and their inverses) lies in that ring,
+    and reducing modulo P_i is a ring map that commutes with minors.  Hence
+    the rank r_i mod p_i is at most the true rank r.  So
 
-    - delta: a rank mod p equal to min(rows, C(n,2)) is the exact rank;
-      otherwise the presentation is rebuilt and ranked exactly.
-    - partial2: a relator rank mod p above n - k - 1 proves the point is
-      outside; otherwise the relator Jacobian is ranked exactly.
+    - a rank mod p_1 equal to min(rows, columns) is the exact rank, and a
+      relator rank mod p_1 above n - k - 1 proves `partial2` false;
+    - at a unit point (every coordinate and its inverse has integer
+      power-basis coefficients, as for roots of unity and +-1) every entry
+      lies in Z[zeta_M] and every P_i applies.  Let s = max r_i over the
+      primes taken and H the product of the s + 1 largest row-norm bounds
+      of the `_Ring.majorant` build, so |sigma(D)| <= H at every embedding
+      sigma for each (s+1)-minor D (Hadamard).  D lies in every P_i, so
+      p_1 * ... * p_j divides its norm N(D), while |N(D)| <= H^phi(M).
+      Primes are taken until p_1 * ... * p_j > H^phi(M); then D = 0 and
+      s = r exactly.
 
-    When p is not applicable both criteria take the exact route.
+    Everything else (a non-unit point whose rank mod p_1 does not decide,
+    or a p_1 that does not apply) is ranked exactly over Q(zeta_M).  The
+    certificate names the primes used.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
-    rank, delta_route = _certified_presentation_rank(m, point, prime_floor)
+    residues = _Residues(m.n, point, prime_floor)
+    ncols = math.comb(m.n, 2)
+    rank, delta_route = _certified_rank(
+        m, residues, _presentation_rows, ncols, ncols
+    ) or (presentation_rank(m, point), "exact")
     partial2, partial2_route = None, None
     if k <= relator_route_limit(m):
-        partial2, partial2_route = _certified_relator_verdict(m, point, k, prime_floor)
+        relator, partial2_route = _certified_rank(
+            m, residues, _relator_rows, m.n, m.n - k - 1
+        ) or (relator_rank(m, point), "exact")
+        partial2 = relator <= m.n - k - 1
     return Membership(
         rank,
-        rank <= math.comb(m.n, 2) - k,
+        rank <= ncols - k,
         partial2,
         {"delta": delta_route, "partial2": partial2_route},
     )
 
 
-def _certified_presentation_rank(
-    m: MonodromyInput, point: Sequence, floor: int
-) -> tuple[int, str]:
-    ring = _Ring.residue(m.n, point, floor)
-    if ring is not None:
-        rows = _presentation_rows(m, ring)
-        ncols = math.comb(m.n, 2)
-        rank = _residue_rank(rows, ncols, ring)
-        if rank == min(len(rows), ncols):
-            return rank, f"mod {ring.one.p}"
-    return presentation_rank(m, point), "exact"
+class _Residues:
+    """A torus point's evaluation rings at the successive primes p = 1
+    (mod its order) above a floor, each built on first use and shared by
+    both criteria, and its majorant ring."""
+
+    def __init__(self, n: int, point: Sequence, floor: int):
+        self.coords = _torus_coords(n, point)
+        self.order = point_order(self.coords)
+        self.floor = floor
+        self.rings: list[_Ring | None] = []
+
+    def ring(self, i: int) -> _Ring | None:
+        while len(self.rings) <= i:
+            field = prime_field(self.order, self.floor)
+            self.floor = field.p
+            self.rings.append(_Ring.residue(self.coords, field))
+        return self.rings[i]
+
+    @cached_property
+    def majorant(self) -> _Ring | None:
+        return _Ring.majorant(self.coords)
 
 
-def _certified_relator_verdict(
-    m: MonodromyInput, point: Sequence, k: int, floor: int
-) -> tuple[bool, str]:
-    ring = _Ring.residue(m.n, point, floor)
-    if ring is not None:
-        if _residue_rank(_relator_rows(m, ring), m.n, ring) > m.n - k - 1:
-            return False, f"mod {ring.one.p}"
-    return relator_rank(m, point) <= m.n - k - 1, "exact"
+def _certified_rank(
+    m: MonodromyInput, residues: _Residues, build, ncols: int, threshold: int
+) -> tuple[int, str] | None:
+    """The rank of build's matrix at the point from modular ranks alone,
+    with the primes used (see `membership`): the exact rank, or a modular
+    rank above threshold.  None when the exact route must decide."""
+    ring = residues.ring(0)
+    if ring is None:
+        return None
+    rows = build(m, ring)
+    full = min(len(rows), ncols)
+    rank, primes = _residue_rank(rows, ncols, ring), [ring.one.p]
+    if rank < full and rank <= threshold:
+        if residues.majorant is None:
+            return None
+        norms = sorted(
+            (sum(e.value ** 2 for e in row) for row in build(m, residues.majorant)),
+            reverse=True,
+        )
+        phi = _euler_phi(residues.order)
+        while (
+            rank < full
+            and rank <= threshold
+            and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi
+        ):
+            ring = residues.ring(len(primes))
+            rank = max(rank, _residue_rank(build(m, ring), ncols, ring))
+            primes.append(ring.one.p)
+    return rank, "mod " + "*".join(map(str, primes))
 
 
 def _residue_rank(rows: list[list], ncols: int, ring: _Ring) -> int:
@@ -768,11 +869,16 @@ def _residue_rank(rows: list[list], ncols: int, ring: _Ring) -> int:
 def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
     """Whether a torus point lies in the depth-k characteristic variety:
     the presentation-matrix rank drops to at most C(n,2) - k.  Decided
-    by the certified route of `membership`."""
+    by the certified route of `membership`, where a modular rank above
+    C(n,2) - k already proves the point outside."""
     if k < 1:
         raise ValidationError("depth k must be at least 1")
-    rank, _ = _certified_presentation_rank(m, point, MODULAR_PRIME_FLOOR)
-    return rank <= math.comb(m.n, 2) - k
+    limit = math.comb(m.n, 2) - k
+    residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
+    rank, _ = _certified_rank(
+        m, residues, _presentation_rows, math.comb(m.n, 2), limit
+    ) or (presentation_rank(m, point), None)
+    return rank <= limit
 
 
 def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool:
@@ -782,8 +888,11 @@ def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool
     `membership`."""
     if k < 1:
         raise ValidationError("depth k must be at least 1")
-    verdict, _ = _certified_relator_verdict(m, point, k, MODULAR_PRIME_FLOOR)
-    return verdict
+    residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
+    rank, _ = _certified_rank(
+        m, residues, _relator_rows, m.n, m.n - k - 1
+    ) or (relator_rank(m, point), None)
+    return rank <= m.n - k - 1
 
 
 def relator_route_limit(m: MonodromyInput) -> int:

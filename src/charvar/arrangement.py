@@ -259,12 +259,12 @@ class Lattice2:
             flats = obj["flats"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"lattice JSON missing key: {exc}") from exc
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise ValidationError("n must be an integer")
         def shift(seq):
             out = []
             for v in seq:
-                if not isinstance(v, int) or v < 1 or v > n:
+                if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n:
                     raise ValidationError(f"index {v!r} out of range 1..{n}")
                 out.append(v - 1)
             return out

@@ -208,13 +208,13 @@ class ExactScalar:
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         other = _coerce(other)
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         a, b = self._promoted(m), other._promoted(m)
         return ExactScalar(m, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         other = _coerce(other)
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         a, b = self._promoted(m), other._promoted(m)
         return ExactScalar(m, [x - y for x, y in zip(a, b)])
 
@@ -225,7 +225,7 @@ class ExactScalar:
         other = _coerce(other)
         if self.order == 1 and other.order == 1:
             return ExactScalar(1, (self.coeffs[0] * other.coeffs[0],))
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         prod = _poly_mul(self._promoted(m), other._promoted(m))
         return ExactScalar(m, _reduce_mod_cyclotomic(m, prod))
 
@@ -236,6 +236,14 @@ class ExactScalar:
         f = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         inv = _poly_mod_inverse(list(self.coeffs), f)
         return ExactScalar(self.order, _reduce_mod_cyclotomic(self.order, inv))
+
+    def conjugate(self) -> "ExactScalar":
+        """The image under zeta -> 1/zeta, which is complex conjugation at
+        every embedding of Q(zeta_m) in C."""
+        raw = [Fraction(0)] * self.order
+        for i, c in enumerate(self.coeffs):
+            raw[-i % self.order] += c
+        return ExactScalar(self.order, _reduce_mod_cyclotomic(self.order, raw))
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         return self * _coerce(other).inverse()
@@ -261,7 +269,7 @@ class ExactScalar:
             other = ExactScalar.from_rational(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         return self._promoted(m) == other._promoted(m)
 
     def __repr__(self) -> str:
@@ -315,10 +323,6 @@ def _coerce(value) -> ExactScalar:
     if isinstance(value, (int, Fraction)):
         return ExactScalar.from_rational(value)
     raise TypeError(f"cannot treat {value!r} as a scalar")
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _reduce_mod_cyclotomic(m: int, raw: Sequence[Fraction]) -> list[Fraction]:
@@ -398,7 +402,7 @@ def nullspace(matrix: ExactMatrix) -> list[list[int]]:
 def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
     denom = 1
     for v in row:
-        denom = _lcm(denom, Fraction(v).denominator)
+        denom = math.lcm(denom, Fraction(v).denominator)
     ints = [int(v * denom) for v in row]
     g = 0
     for v in ints:
@@ -821,9 +825,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -2,6 +2,7 @@
 words, Gassner matrices, twist chain maps, resolution differentials, the
 presentation matrix, depth membership, and Fitting ideals."""
 
+import cmath
 import itertools
 import math
 import os
@@ -53,6 +54,13 @@ from charvar.alexander import (
     twist_chain_map,
     twist_generator_image,
     wedge_square,
+    _certified_rank,
+    _Majorant,
+    _presentation_rows,
+    _relator_rows,
+    _Residues,
+    _Ring,
+    _unit_bounds,
 )
 from charvar.arrangement import (
     Lattice2,
@@ -73,7 +81,11 @@ from charvar.exactalg import (
     ExactMatrix,
     ExactScalar,
     LaurentPoly,
+    ModP,
+    _euler_phi as euler_phi,
+    modp_rank,
     modular_prime,
+    prime_field,
     root_of_unity,
 )
 
@@ -768,82 +780,204 @@ def _gate_input(name):
 
 def _gate_point(name, on, order, seed):
     """A seeded point of the input's torus (strand coordinates of a cone
-    point): rational when order is 1, else powers of a primitive order-th
-    root of unity; on a component subtorus when `on`, else drawn freely."""
+    point), on a component subtorus when `on`, else drawn freely.  Order
+    None gives rational coordinates.  Order d gives a unit point: powers
+    of a primitive d-th root of unity (+-1 at d = 2), and for odd d >= 5
+    one parameter may carry the cyclotomic unit 1 + zeta_d, whose
+    conjugates are not all on the unit circle."""
     m, bases = _gate_input(name)
     rng = random.Random(seed)
     if on:
         rows = rng.choice(bases)
     else:
         rows = [[int(i == j) for i in range(m.n + 1)] for j in range(m.n)]
-    if order == 1:
-        params = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
-        return [
-            ExactScalar.from_rational(
-                math.prod((u ** row[i] for u, row in zip(params, rows)), start=Fraction(1))
-            )
-            for i in range(m.n)
+    if order is None:
+        params = [
+            ExactScalar.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for _ in rows
         ]
-    params = [rng.randrange(order) for _ in rows]
+    else:
+        params = [root_of_unity(order, rng.randrange(order)) for _ in rows]
+        if order % 2 and order >= 5 and rng.random() < 0.5:
+            params[0] = params[0] * (1 + root_of_unity(order))
     return [
-        root_of_unity(order, sum(a * row[i] for a, row in zip(params, rows)))
+        math.prod((u ** row[i] for u, row in zip(params, rows)), start=ExactScalar.one())
         for i in range(m.n)
     ]
 
 
-def _exact_membership(m, point, k):
-    rank = presentation_rank(m, point)
-    partial2 = None
+def _is_unit_point(point):
+    return all(
+        c.denominator == 1 for x in point for c in x.coeffs + x.inverse().coeffs
+    )
+
+
+def _exact_ranks(m, point, k):
+    """The exact presentation rows and rank, and the relator rows and rank
+    (None beyond the relator window)."""
+    rows = presentation_matrix(m, point)
+    out = [(rows, ExactMatrix(rows, math.comb(m.n, 2)).rank())]
     if k <= relator_route_limit(m):
-        partial2 = relator_rank(m, point) <= m.n - k - 1
-    return rank, rank <= math.comb(m.n, 2) - k, partial2
+        rows = relator_jacobian(m, point)
+        out.append((rows, ExactMatrix(rows, m.n).rank()))
+    return out
+
+
+def _exact_membership(m, point, k):
+    ranks = [rank for _, rank in _exact_ranks(m, point, k)] + [None]
+    partial2 = None if ranks[1] is None else ranks[1] <= m.n - k - 1
+    return ranks[0], ranks[0] <= math.comb(m.n, 2) - k, partial2
+
+
+def _check_certificate(route, point, floor, rows, rank, ncols, threshold, norms, seen):
+    """A criterion's certificate against the exact matrix (rows, rank):
+    "exact" only off the unit points; otherwise the successive primes
+    p = 1 (mod the point's order) from the floor, one of them off the unit
+    points (its rank full or above threshold).  At a unit point whose rank
+    is neither, the primes' product exceeds H^phi(M), H the product of the
+    rank + 1 largest majorant row norms, and stops at the first prime that
+    does."""
+    unit = _is_unit_point(point)
+    if route == "exact":
+        assert not unit
+        return
+    order = point_order(point)
+    primes = [int(p) for p in route.removeprefix("mod ").split("*")]
+    want, above = [], floor
+    for _ in primes:
+        above = modular_prime(order, above)
+        want.append(above)
+    assert primes == want
+    field = prime_field(order, floor)
+    first = modp_rank([[field.reduce(e).value for e in row] for row in rows], ncols, primes[0])
+    full = min(len(rows), ncols)
+    if not unit:
+        assert len(primes) == 1 and (first == rank == full or first > threshold)
+        return
+    if len(primes) > 1:
+        seen["several primes"] = True
+    if first < rank:
+        seen["rank rose past the first prime"] = True
+    if rank < full and rank <= threshold:
+        bound = math.prod(sorted(norms, reverse=True)[: rank + 1]) ** euler_phi(order)
+        assert math.prod(primes) ** 2 > bound
+        assert len(primes) == 1 or math.prod(primes[:-1]) ** 2 <= bound
 
 
 def test_certified_route_agrees_with_the_exact_route():
-    """Random points of order 1 (rational) and 2..12, on and off the
+    """Random rational and unit points of order 1..12, on and off the
     components, at depths 1..3, with the default prime and with small
-    primes (the least prime above 10, 30 or 60 that is 1 modulo the
-    point's order) at which ranks drop: every certified rank and verdict
-    equals the exact one, and at least one drop sent a criterion the
-    modular rank could not decide to the exact route."""
+    primes (above 10, 30 or 60) at which ranks drop: every certified rank
+    and verdict equals the exact one, every certificate is checked by
+    `_check_certificate`, at least one drop at a rational point sent a
+    criterion to the exact route, at least one unit point needed several
+    primes, and at least one had a rank mod p_1 below the true rank."""
     drops = []
+    seen = {}
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(sorted(GATE_INPUTS)),
         st.booleans(),
-        st.sampled_from([1, 1, 1] + list(range(2, 13))),
+        st.sampled_from([None, None, None] + list(range(1, 13))),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=1, max_value=3),
         st.sampled_from([10, 30, 60, MODULAR_PRIME_FLOOR]),
     )
     # the point (3/2, 5/2, 1, 8/7, 2, 8) is off the pencil's component, but
     # its coordinate product 480/7 is 1 modulo 11, so its ranks drop mod 11
-    @example("pencil6", False, 1, 1, 1, 10)
+    @example("pencil6", False, None, 1, 1, 10)
+    # at this order-5 point on a component the ranks mod 11 are 9 (delta,
+    # true rank 14) and 0 (relator, true rank 4); later primes raise both
+    @example("diamond", True, 5, 0, 1, 10)
     def check(name, on, order, seed, k, floor):
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed)
+        exact = _exact_ranks(m, point, k)
         rank, delta, partial2 = _exact_membership(m, point, k)
         got = membership(m, point, k, prime_floor=floor)
         assert (got.rank, got.delta, got.partial2) == (rank, delta, partial2)
-        modular = f"mod {modular_prime(point_order(point), floor)}"
-        assert got.certificate["delta"] in (modular, "exact")
+        majorant = _Ring.majorant(point)
+        routes = [
+            (got.certificate["delta"], _presentation_rows, math.comb(m.n, 2), math.comb(m.n, 2)),
+            (got.certificate["partial2"], _relator_rows, m.n, m.n - k - 1),
+        ]
         if partial2 is None:
             assert got.certificate["partial2"] is None
-        else:
-            assert got.certificate["partial2"] in (modular, "exact")
-        full = min(m.b2 + math.comb(m.n, 3), math.comb(m.n, 2))
-        if got.certificate["delta"] == modular:
-            assert rank == full
-        elif rank == full:
-            drops.append((name, on, order, seed, k, floor, "delta"))
-        if got.certificate["partial2"] == modular:
-            assert partial2 is False
-        elif partial2 is False:
-            drops.append((name, on, order, seed, k, floor, "partial2"))
+        for (route, build, ncols, threshold), (rows, exact_rank) in zip(routes, exact):
+            norms = None
+            if majorant is not None:
+                norms = [sum(e.value ** 2 for e in row) for row in build(m, majorant)]
+            _check_certificate(route, point, floor, rows, exact_rank, ncols, threshold, norms, seen)
+            if route == "exact" and (exact_rank == min(len(rows), ncols) or exact_rank > threshold):
+                drops.append((name, on, order, seed, k, floor))
 
     check()
-    assert drops, "no small prime made the modular rank drop"
+    assert drops, "no small prime made the modular rank drop at a rational point"
+    assert seen == {"several primes": True, "rank rose past the first prime": True}
+
+
+def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
+    """The prime loop on a scripted 3x3 matrix at a point of order 5
+    (phi = 4, primes 11, 31, 41, 61 above 10) whose rank mod p is 1, 2, 1,
+    3 and whose majorant rows have norm^2 3: the rank is the maximum over
+    the primes taken, and primes are taken until their product squared
+    passes the product of the rank + 1 largest norms^2, to the power phi.
+    After 11 the rank is 1 and 11^2 <= 9^4; after 31 it is 2 and
+    (11*31)^2 <= 27^4; after 41 the product passes 27^4.  A threshold of 1
+    stops the loop as soon as a rank above it appears."""
+    residues = _Residues(2, [root_of_unity(5)] * 2, 10)
+    script = {11: 1, 31: 2, 41: 1, 61: 3}
+
+    def build(_m, ring):
+        if ring is residues.majorant:
+            return [[_Majorant(1)] * 3 for _ in range(3)]
+        p = ring.one.p
+        return [[ModP(int(i == j < script[p]), p) for j in range(3)] for i in range(3)]
+
+    assert _certified_rank(None, residues, build, 3, 3) == (2, "mod 11*31*41")
+    assert _certified_rank(None, residues, build, 3, 1) == (2, "mod 11*31")
+
+
+def test_majorants_bound_every_embedding():
+    """At unit points of order 1..12 the majorant build bounds every entry
+    of the presentation and the relator Jacobian at every embedding
+    zeta_M -> exp(2 pi i j / M), gcd(j, M) = 1 (checked in floating point
+    with a relative margin of 1e-9); roots of unity get the bound 1, and
+    non-unit points have no majorant ring."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(sorted(GATE_INPUTS)),
+        st.booleans(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def check(name, on, order, seed):
+        m, _ = _gate_input(name)
+        point = _gate_point(name, on, order, seed)
+        majorant = _Ring.majorant(point)
+        order = point_order(point)
+        embeddings = [j for j in range(1, order + 1) if math.gcd(j, order) == 1]
+        for build, exact in (
+            (_presentation_rows, presentation_matrix),
+            (_relator_rows, relator_jacobian),
+        ):
+            for row, bounds in zip(exact(m, point), build(m, majorant)):
+                for e, b in zip(row, bounds):
+                    for a in embeddings:
+                        z = cmath.exp(2j * cmath.pi * a / e.order)
+                        value = abs(sum(float(c) * z**i for i, c in enumerate(e.coeffs)))
+                        assert value <= b.value * (1 + 1e-9), (e, b.value, a)
+
+    check()
+    assert _unit_bounds(root_of_unity(11, 10)) == (1, 1)
+    assert _unit_bounds(ExactScalar.from_rational(-1)) == (1, 1)
+    assert _unit_bounds(1 + root_of_unity(5)) == (2, 2)  # 1/(1 + z5) = -z5 - z5^3
+    for x in (ExactScalar.from_rational(2), ExactScalar.from_rational(Fraction(1, 2))):
+        assert _unit_bounds(x) is None
+        assert _Ring.majorant([x, ExactScalar.one()]) is None
+    assert _unit_bounds(2 + root_of_unity(3)) is None  # its norm is 3
 
 
 def test_certified_route_falls_back_where_the_prime_does_not_apply():

@@ -230,8 +230,12 @@ def test_member_torsion_point_via_packaged_fixture(capsys):
     assert "resonance" not in verdict["criteria"]
     assert verdict["consistent"] is True
     assert verdict["lifted"] is True
-    # on the locus the modular rank is deficient, so both criteria are exact
-    assert verdict["certificate"] == {"delta": "exact", "partial2": "exact"}
+    # a +-1 point is a unit point: on the locus the modular ranks are
+    # certified exact by the norm bound, here with two primes for delta
+    # and one for partial2
+    p1 = modular_prime(1)
+    p2 = modular_prime(1, p1)
+    assert verdict["certificate"] == {"delta": f"mod {p1}*{p2}", "partial2": f"mod {p1}"}
 
 
 def test_member_accepts_comma_separated_rationals(capsys, monodromy_file):
@@ -270,7 +274,7 @@ def test_member_relator_route_nulls_out_beyond_its_window(capsys, monodromy_file
     verdict = json.loads(out)
     assert verdict["criteria"]["partial2"] is None
     assert verdict["consistent"] is True
-    assert verdict["certificate"] == {"delta": "exact", "partial2": None}
+    assert verdict["certificate"] == {"delta": f"mod {modular_prime(1)}", "partial2": None}
 
 
 def test_member_weight_on_a_lattice_input(capsys, braid4_file):
@@ -303,7 +307,8 @@ def test_member_text_format(capsys, monodromy_file):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "in V_1: yes"
-    assert lines[-2:] == ["certificate delta: exact", "certificate partial2: exact"]
+    modular = f"mod {modular_prime(1)}"
+    assert lines[-2:] == [f"certificate delta: {modular}", f"certificate partial2: {modular}"]
     code, out, _ = run(
         capsys, "member", monodromy_file, "--point=1,1,1,1,1,1", "--k", "7",
         "--format", "text",
@@ -439,8 +444,38 @@ def test_unrecognised_json_shape_is_a_validation_error(capsys, tmp_path):
         ({"n": 3, "generators": [[1, 2]]}, "must be an object"),
         ({"n": 3, "generators": [{"X": [1, "x"]}]}, "malformed monodromy generator"),
         ({"n": 3, "flats": [5]}, "malformed lattice"),
+        (
+            {"n": 3.9, "generators": [{"X": [1, 2.7]}, {"X": [True, 3]}, {"X": [2, 3]}]},
+            "expected an integer, got 3.9",
+        ),
+        ({"n": 3, "generators": [{"X": [True, 3]}]}, "expected an integer, got True"),
+        (
+            {"n": 3, "generators": [{"X": [1, 2], "delta": [["A", 1, 2, 1.5]]}]},
+            "expected an integer, got 1.5",
+        ),
+        (
+            {
+                "n": 2,
+                "generators": [{"X": [1, 2]}],
+                "lift": {"central_n": 3.0, "strand_to_central": [1, 2], "infinity": 3},
+            },
+            "malformed lift metadata: expected an integer, got 3.0",
+        ),
+        ({"n": True, "flats": []}, "n must be an integer"),
+        ({"n": 3, "flats": [[1, True, 3]]}, "index True out of range"),
     ],
-    ids=["generator-without-X", "generator-not-an-object", "non-integer-strand", "flat-not-a-list"],
+    ids=[
+        "generator-without-X",
+        "generator-not-an-object",
+        "non-integer-strand",
+        "flat-not-a-list",
+        "float-n-and-strands",
+        "boolean-strand",
+        "float-conjugator-exponent",
+        "float-lift-count",
+        "boolean-n",
+        "boolean-flat-index",
+    ],
 )
 def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, message):
     path = tmp_path / "bad.json"
