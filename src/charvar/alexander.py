@@ -41,11 +41,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .arrangement import Lattice2, ValidationError
+from .arrangement import Lattice2, ValidationError, _scalar
 from .components import CapExceeded
 from .exactalg import (
     MODULAR_PRIME_FLOOR,
@@ -65,7 +64,7 @@ MINOR_CAP = 4
 # membership tests accept.  On the locus a unit point (roots of unity, +-1)
 # needs about phi(m) times as many primes as at order 1 and a non-unit point
 # is ranked exactly in Q(zeta_m): at order 120 a point on a component of
-# diamond or pencil(6) takes 0.1-0.3 s as a unit point (23-47 primes) and
+# diamond or pencil(6) takes 0.1-0.2 s as a unit point (23-47 primes) and
 # 2-6 s as a non-unit one (one core of a 2-core Intel Xeon).  A point of
 # larger order is refused before any cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
@@ -75,16 +74,10 @@ TwistFactor = tuple[int, int, int]  # (i, j, exponent) with 1 <= i < j
 BraidWord = tuple[TwistFactor, ...]
 
 
-def _to_scalar(value) -> ExactScalar:
-    if isinstance(value, ExactScalar):
-        return value
-    return ExactScalar.from_rational(Fraction(value))
-
-
 def point_order(coords: Sequence) -> int:
     """The order of a torus point: the lcm of its coordinates' orders
     (1 for a rational point).  Above POINT_ORDER_CAP it is refused."""
-    order = math.lcm(*(_to_scalar(c).order for c in coords))
+    order = math.lcm(*(_scalar(c).order for c in coords))
     if order > POINT_ORDER_CAP:
         raise CapExceeded(
             f"torus points are limited to order {POINT_ORDER_CAP} (got {order})"
@@ -93,7 +86,7 @@ def point_order(coords: Sequence) -> int:
 
 
 def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
-    coords = [_to_scalar(v) for v in point]
+    coords = [_scalar(v) for v in point]
     if len(coords) != n:
         raise ValidationError(f"expected a point with {n} coordinates")
     if any(c.is_zero() for c in coords):
@@ -339,15 +332,10 @@ def gassner(braid: Iterable[Sequence[int]], n: int, point: Sequence | None = Non
     return _gassner(normalize_braid(braid), _ring(n, point))
 
 
-def wedge_square(matrix: Sequence[Sequence], ring_n: int | None = None) -> list[list]:
+def wedge_square(matrix: Sequence[Sequence]) -> list[list]:
     """Second exterior power of a square matrix on the lexicographic basis."""
-    n = len(matrix)
-    pairs = list(itertools.combinations(range(n), 2))
-    out = []
-    for a, b in pairs:
-        ra, rb = matrix[a], matrix[b]
-        out.append([ra[c] * rb[d] - ra[d] * rb[c] for c, d in pairs])
-    return out
+    pairs = list(itertools.combinations(range(len(matrix)), 2))
+    return [_wedge_vectors(matrix[a], matrix[b], pairs) for a, b in pairs]
 
 
 def _mat_mul(left: Sequence[Sequence], right: Sequence[Sequence], ring: _Ring):
@@ -904,7 +892,7 @@ def relator_route_limit(m: MonodromyInput) -> int:
 def lift_point(lift: dict, central_point: Sequence) -> list[ExactScalar]:
     """Restrict a central torus point (coordinate product 1) to the affine
     strands recorded in the lift metadata, in strand order."""
-    coords = [_to_scalar(v) for v in central_point]
+    coords = [_scalar(v) for v in central_point]
     strands = [int(v) for v in lift["strand_to_central"]]
     if len(coords) != len(strands) + 1:
         raise ValidationError("central point arity does not match the lift")
@@ -964,19 +952,13 @@ def phi_one_rank(lat: Lattice2) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_zero_entry(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
-
 def _det(rows: list[list]):
     size = len(rows)
     if size == 1:
         return rows[0][0]
     total = None
     for j, entry in enumerate(rows[0]):
-        if _is_zero_entry(entry):
+        if entry.is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         term = entry * _det(minor)
@@ -991,14 +973,13 @@ def _det(rows: list[list]):
 def _one_like(entry):
     if isinstance(entry, LaurentPoly):
         return LaurentPoly.one(entry.nvars)
-    if isinstance(entry, ExactScalar):
-        return ExactScalar.one()
-    return Fraction(1)
+    return ExactScalar.one()
 
 
 def fitting_generators(matrix: Sequence[Sequence], k: int, cap: int = MINOR_CAP):
     """Generators of the k-th Fitting ideal of the module presented by the
-    matrix (columns = module generators): all (q - k + 1)-minors.
+    matrix (columns = module generators): all (q - k + 1)-minors.  Entries
+    are symbolic (LaurentPoly) or evaluated at a point (ExactScalar).
 
     Returns [] for the zero ideal (k <= 0 or minors larger than the row
     count) and [1] for the unit ideal (k > q).  Minor size is capped.
@@ -1018,6 +999,6 @@ def fitting_generators(matrix: Sequence[Sequence], k: int, cap: int = MINOR_CAP)
     for rset in itertools.combinations(range(p), size):
         for cset in itertools.combinations(range(q), size):
             det = _det([[rows[i][j] for j in cset] for i in rset])
-            if not _is_zero_entry(det) and all(det != g for g in gens):
+            if not det.is_zero() and all(det != g for g in gens):
                 gens.append(det)
     return gens

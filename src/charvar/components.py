@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .arrangement import Lattice2, ValidationError
-from .exactalg import IntEchelon, integer_kernel, rational_rref
+from .arrangement import Lattice2, ValidationError, _scalar
+from .exactalg import ExactScalar, IntEchelon, integer_kernel, rational_rref
 from .osres import ResonanceSampler
 
 
@@ -104,12 +104,7 @@ class Component:
         Coordinates may be exact scalars, rationals, or ints; they must be
         invertible (nonzero).
         """
-        from .exactalg import ExactScalar
-
-        coords = [
-            v if isinstance(v, ExactScalar) else ExactScalar.from_rational(Fraction(v))
-            for v in point
-        ]
+        coords = [_scalar(v) for v in point]
         one = ExactScalar.one()
         for eq in self.torus_equations():
             acc = ExactScalar.one()
@@ -200,13 +195,16 @@ def cone_lattice(lat: Lattice2) -> Lattice2:
     """
     n = lat.n
     flats = [tuple(f) for f in lat.flats]
-    for cls in _parallel_classes(lat):
-        flats.append(tuple(sorted(cls)) + (n,))
+    for cls in _union_classes(n, lat.parallel_pairs):
+        if len(cls) >= 2:
+            flats.append(tuple(cls) + (n,))
     return Lattice2(n + 1, flats)
 
 
-def _parallel_classes(lat: Lattice2) -> list[list[int]]:
-    parent = list(range(lat.n))
+def _union_classes(n: int, pairs) -> list[list[int]]:
+    """The classes of range(n) under the equivalence the pairs generate,
+    each ascending, ordered by their least members (union-find)."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -214,12 +212,12 @@ def _parallel_classes(lat: Lattice2) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for i, j in lat.parallel_pairs:
+    for i, j in pairs:
         parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in range(lat.n):
+    for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return [g for g in groups.values() if len(g) >= 2]
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def neighborly_partitions(
     """
     support = tuple(sorted(support))
     sub = lat.restrict(support)
-    atoms = _double_atoms(sub)
+    atoms = _union_classes(sub.n, sub.doubles())
     if len(atoms) < 3:
         return
     flats = [set(f) for f in sub.flats]
@@ -310,23 +308,6 @@ def neighborly_partitions(
                 blocks[b] -= atom
 
     yield from extend(0)
-
-
-def _double_atoms(sub: Lattice2) -> list[list[int]]:
-    parent = list(range(sub.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in sub.doubles():
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(sub.n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
 
 
 def partition_tangent_space(

@@ -7,10 +7,11 @@ Linear algebra has one kernel per job: a fraction-free integer echelon for
 the rank of integer and rational rows, one elimination over Q(zeta_m) for
 cyclotomic ranks, one over F_p for the certified modular rank, a rational
 reduced echelon form, and one unimodular reduction behind the Hermite
-normal form and the saturated integer kernel.  Laurent polynomials in
-several variables (with integer exponents of either sign) model the
-group-ring entries of monodromy and boundary matrices; they evaluate to
-scalars at points whose coordinates are roots of unity times rationals.
+normal form and the saturated integer kernel.  Laurent polynomials over
+Z in several variables (integer exponents of either sign, integer
+coefficients) model the entries of monodromy and boundary matrices over
+the group ring Z[Z^n]; they evaluate to scalars at points whose
+coordinates are roots of unity times rationals.
 
 Everything here is deterministic and division-free where possible, so the
 same inputs always produce the same pivots, ranks, and basis vectors.
@@ -19,6 +20,7 @@ same inputs always produce the same pivots, ranks, and basis vectors.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -386,7 +388,7 @@ class ExactMatrix:
             return 0
         if all(e.order == 1 for row in self.entries for e in row):
             return IntEchelon(self.ncols).add_rows(
-                _clear_denominators([e.coeffs[0] for e in row]) for row in self.entries
+                clear_denominators([e.coeffs[0] for e in row]) for row in self.entries
             )
         return _field_rank([list(row) for row in self.entries], self.ncols)
 
@@ -395,21 +397,19 @@ def nullspace(matrix: ExactMatrix) -> list[list[int]]:
     """Basis of the saturated integer kernel of a rational matrix, in
     Hermite form (see `integer_kernel`).  No library code calls it; the
     traced benchmark (perfbench/spans.py) wraps it by name."""
-    rows = [_clear_denominators([e.as_rational() for e in row]) for row in matrix.entries]
+    rows = [clear_denominators([e.as_rational() for e in row]) for row in matrix.entries]
     return integer_kernel(rows, matrix.ncols)
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    denom = 1
-    for v in row:
-        denom = math.lcm(denom, Fraction(v).denominator)
-    ints = [int(v * denom) for v in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def clear_denominators(values: Iterable) -> list[int]:
+    """Rationals (or anything Fraction accepts) scaled by the one positive
+    factor that makes them coprime integers; all zero stays all zero.  A
+    positive common factor leaves every rank and every sign unchanged."""
+    fracs = [Fraction(v) for v in values]
+    denom = math.lcm(*(v.denominator for v in fracs))
+    ints = [v.numerator * (denom // v.denominator) for v in fracs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _pick_pivot(rows: list[list[ExactScalar]], start: int, col: int) -> int | None:
@@ -727,8 +727,34 @@ def modular_prime(order: int, floor: int = MODULAR_PRIME_FLOOR) -> int:
     return p
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all twelve bases (Sorenson-Webster, 2017)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin on the prime bases 2..37, exact below
+    _MILLER_RABIN_LIMIT; a larger n raises ValueError."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is too large for a deterministic primality test")
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _element_of_order(order: int, p: int) -> int:
@@ -775,51 +801,70 @@ def modp_rank(rows: Iterable[Sequence[int]], ncols: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _require_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {value!r}")
+    return value
+
+
 class LaurentPoly:
-    """A Laurent polynomial over Q in nvars variables t1..tn.
+    """A Laurent polynomial over Z in nvars variables t1..tn: an element of
+    the group ring Z[Z^n] over which the Alexander invariant is a module.
 
     Terms map exponent tuples (length nvars, integers of either sign) to
-    nonzero rational coefficients.
+    nonzero integer coefficients.  The public constructors, mixed
+    arithmetic and comparison take Python ints only: a bool, Fraction,
+    float or any other value raises TypeError.  Arithmetic builds its
+    results with `_raw`, which skips that check.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for exp, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
+            if _require_int(coeff, "coefficient"):
+                exp = tuple(_require_int(e, "exponent") for e in exp)
                 assert len(exp) == nvars, "exponent tuple length mismatch"
-                clean[tuple(exp)] = coeff
+                clean[exp] = coeff
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """An instance on terms already known to be clean (int coefficients,
+        none zero), as arithmetic produces them."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars)
+        return cls._raw(nvars, {})
 
     @classmethod
-    def constant(cls, value: int | Fraction, nvars: int) -> "LaurentPoly":
-        value = Fraction(value)
-        return cls(nvars, {(0,) * nvars: value} if value else {})
+    def constant(cls, value: int, nvars: int) -> "LaurentPoly":
+        value = _require_int(value, "coefficient")
+        return cls._raw(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls.constant(1, nvars)
+        return cls._raw(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, index: int, nvars: int, power: int = 1) -> "LaurentPoly":
         """The monomial t_{index+1}^power (index is 0-based)."""
         assert 0 <= index < nvars, "variable index out of range"
         exp = [0] * nvars
-        exp[index] = power
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        exp[index] = _require_int(power, "exponent")
+        return cls._raw(nvars, {tuple(exp): 1})
 
     @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff: int | Fraction = 1) -> "LaurentPoly":
-        return cls(len(exponents), {tuple(exponents): Fraction(coeff)})
+    def monomial(cls, exponents: Sequence[int], coeff: int = 1) -> "LaurentPoly":
+        return cls(len(exponents), {tuple(exponents): coeff})
 
     # -- predicates ----------------------------------------------------------
 
@@ -828,19 +873,16 @@ class LaurentPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "LaurentPoly") -> None:
-        assert self.nvars == other.nvars, "variable counts differ"
-
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
-                out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+                del out[exp]
+        return LaurentPoly._raw(self.nvars, out)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -849,34 +891,31 @@ class LaurentPoly:
         return self._coerce(other) + (-self)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
+                exp = tuple(map(operator.add, e1, e2))
+                s = out.get(exp, 0) + c1 * c2
                 if s:
                     out[exp] = s
                 else:
-                    out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+                    del out[exp]
+        return LaurentPoly._raw(self.nvars, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
-        assert exponent >= 0 or len(self.terms) == 1, (
-            "negative powers need a monomial base"
-        )
         if exponent < 0:
+            # the units of Z[Z^n] are the monomials +-t^a
+            if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
+                raise ValueError("negative powers need a unit monomial +-t^a")
             ((exp, coeff),) = self.terms.items()
-            assert abs(coeff) == 1 or coeff != 0, "nonunit monomial"
-            inv = LaurentPoly(
-                self.nvars, {tuple(-e for e in exp): 1 / coeff}
-            )
+            inv = LaurentPoly._raw(self.nvars, {tuple(-e for e in exp): coeff})
             return inv ** (-exponent)
         result = LaurentPoly.one(self.nvars)
         base = self
@@ -890,17 +929,13 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            self._check(other)
+            assert self.nvars == other.nvars, "variable counts differ"
             return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(other, self.nvars)
-        raise TypeError(f"cannot treat {other!r} as a Laurent polynomial")
+        return LaurentPoly.constant(other, self.nvars)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other, self.nvars)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            other = LaurentPoly.constant(other, self.nvars)
         return self.nvars == other.nvars and self.terms == other.terms
 
     # -- evaluation ----------------------------------------------------------
@@ -916,8 +951,8 @@ class LaurentPoly:
             total = total + term
         return total
 
-    def at_one(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+    def at_one(self) -> int:
+        return sum(self.terms.values())
 
     # -- display ---------------------------------------------------------------
 

@@ -23,13 +23,12 @@ weight vectors can be tested quickly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import Lattice2, ValidationError
-from .exactalg import IntEchelon, rational_rref
+from .exactalg import IntEchelon, clear_denominators, rational_rref
 
 # ---------------------------------------------------------------------------
 # index helpers
@@ -44,18 +43,6 @@ def pair_list(n: int) -> list[tuple[int, int]]:
 def triple_list(n: int) -> list[tuple[int, int, int]]:
     """All 3-subsets of range(n) in lexicographic order."""
     return list(itertools.combinations(range(n), 3))
-
-
-def _as_fracs(lam: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in lam]
-
-
-def _as_ints(lam: Sequence) -> list[int]:
-    fracs = _as_fracs(lam)
-    denom = 1
-    for v in fracs:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return [int(v * denom) for v in fracs]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +139,7 @@ def linearized_differential(k: int, n: int, lam: Sequence) -> list[list[Fraction
     """
     if k not in (2, 3):
         raise ValidationError("linearized differential supported for k in {2, 3}")
-    lam = _as_fracs(lam)
+    lam = [Fraction(v) for v in lam]
     if len(lam) != n:
         raise ValidationError("weight vector length must equal n")
     cols = list(itertools.combinations(range(n), k - 1))
@@ -181,7 +168,7 @@ def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
     and the rows go one at a time into a fraction-free integer echelon
     that stops once the rank reaches the number of pairs."""
     n = lat.n
-    ints = _as_ints(lam)
+    ints = clear_denominators(lam)
     if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
     pairs = pair_list(n)
@@ -220,7 +207,7 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
     resonance_rank; the two are linked by the identity
     h1 = (number of pairs) - resonance_rank.
     """
-    ints = _as_ints(lam)
+    ints = clear_denominators(lam)
     n = lat.n
     if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
@@ -268,7 +255,7 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
     cross-check of the flat-row route.
     """
     n = lat.n
-    ints = _as_ints(lam)
+    ints = clear_denominators(lam)
     if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
     basis = nbc_basis(lat)
@@ -327,18 +314,17 @@ class ResonanceSampler:
                 vec = [Fraction(0)] * self.quotient_dim
                 vec[free_pos[c]] = Fraction(1)
                 residuals.append(vec)
-        denom = 1
-        for vec in residuals:
-            for v in vec:
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        self._residuals = [[int(v * denom) for v in vec] for vec in residuals]
+        # one common factor for every residual keeps their combinations exact
+        flat = clear_denominators(itertools.chain.from_iterable(residuals))
+        q = self.quotient_dim
+        self._residuals = [flat[c * q : (c + 1) * q] for c in range(self.npairs)]
         self._triple_data = [
             (a, b, c, pair_pos[(b, c)], pair_pos[(a, c)], pair_pos[(a, b)])
             for a, b, c in triple_list(n)
         ]
 
     def rank_at(self, lam: Sequence) -> int:
-        ints = _as_ints(lam)
+        ints = clear_denominators(lam)
         if len(ints) != self.n:
             raise ValidationError("weight vector length must equal n")
         q = self.quotient_dim

@@ -39,6 +39,7 @@ from charvar.components import (
     product_components,
     resonance_from_json,
     resonance_to_json,
+    _union_classes,
     saturated_span,
 )
 from charvar.exactalg import hermite_normal_form, rational_rref
@@ -283,6 +284,18 @@ def test_component_from_json_needs_equations():
 # ---------------------------------------------------------------------------
 # coning
 # ---------------------------------------------------------------------------
+
+
+def test_union_classes_are_ascending_and_ordered_by_least_member():
+    # one helper builds the parallel classes of `cone_lattice` and the
+    # double-point atoms of `neighborly_partitions`, in this order
+    assert _union_classes(7, [(4, 1), (6, 3), (3, 0), (5, 5)]) == [
+        [0, 3, 6],
+        [1, 4],
+        [2],
+        [5],
+    ]
+    assert _union_classes(3, []) == [[0], [1], [2]]
 
 
 def test_cone_lattice_restores_central_diamond():

@@ -17,6 +17,8 @@ from charvar.exactalg import (
     IntEchelon,
     LaurentPoly,
     _euler_phi,
+    _is_prime,
+    clear_denominators,
     cyclotomic_polynomial,
     hermite_normal_form,
     integer_kernel,
@@ -336,6 +338,32 @@ def test_modular_prime_and_its_root_of_unity(floor):
     assert small == [11, 11, 13, 13, 11, 13, 13]
 
 
+def _trial_division_is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division_is_prime(n)
+    ]
+    # strong pseudoprimes to the bases 2; 2, 3; 2..7; 2..31, and Carmichael numbers
+    for n in (2047, 1373653, 3215031751, 3825123056546413051, 561, 41041):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+    # the least strong pseudoprime to all twelve bases is refused, not guessed
+    with pytest.raises(ValueError):
+        _is_prime(318665857834031151167461)
+
+
+def test_modular_primes_match_a_trial_division_search():
+    for m in range(1, 121):
+        q = MODULAR_PRIME_FLOOR + 1
+        q += (1 - q) % m
+        while not _trial_division_is_prime(q):
+            q += m
+        assert modular_prime(m) == q
+
+
 def _scalar(draw, order):
     coeffs = draw(
         st.lists(
@@ -412,15 +440,7 @@ def test_laurent_basic_identity():
     n = 2
     t1, t2 = lp_var(0, n), lp_var(1, n)
     f = (t1 - 1) * (t2 - 1)
-    expected = LaurentPoly(
-        n,
-        {
-            (1, 1): Fraction(1),
-            (1, 0): Fraction(-1),
-            (0, 1): Fraction(-1),
-            (0, 0): Fraction(1),
-        },
-    )
+    expected = LaurentPoly(n, {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1})
     assert f == expected
     assert f.at_one() == 0
 
@@ -432,6 +452,45 @@ def test_laurent_negative_exponents():
     assert (t * inv) == LaurentPoly.one(n)
     point = [root_of_unity(5, 2)]
     assert inv.evaluate(point) == root_of_unity(5, 3)
+
+
+def test_laurent_negative_powers_need_a_unit_monomial():
+    n = 2
+    t = lp_var(0, n)
+    assert (-t) ** -1 == -(t**-1)
+    assert (-t) ** -2 == t**-2
+    assert (t**3) ** -1 == t**-3
+    for base in (2 * t, t + 1, LaurentPoly.zero(n), LaurentPoly.constant(3, n)):
+        with pytest.raises(ValueError):
+            base**-1
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 1.0, True])
+def test_laurent_coefficients_are_ints_only(bad):
+    n = 2
+    t = lp_var(0, n)
+    builders = [
+        lambda: LaurentPoly(n, {(1, 0): bad}),
+        lambda: LaurentPoly(n, {(bad, 0): 1}),
+        lambda: LaurentPoly.constant(bad, n),
+        lambda: LaurentPoly.variable(0, n, bad),
+        lambda: LaurentPoly.monomial((1, 0), bad),
+        lambda: t + bad,
+        lambda: bad + t,
+        lambda: t - bad,
+        lambda: bad - t,
+        lambda: t * bad,
+        lambda: bad * t,
+        lambda: t == bad,
+    ]
+    for build in builders:
+        with pytest.raises(TypeError):
+            build()
+    # the same operations with an int build int coefficients
+    one = LaurentPoly.constant(1, n)
+    assert (t + 1) - t == one and 1 * t == t and one == 1
+    assert LaurentPoly.monomial((1, 0), 3).terms == {(1, 0): 3}
+    assert type(((t - 1) ** 3).at_one()) is int
 
 
 def test_laurent_to_str():
@@ -463,8 +522,8 @@ def test_laurent_to_str():
 )
 def test_laurent_evaluation_is_ring_homomorphism(fterms, gterms, k1, k2):
     n = 2
-    f = LaurentPoly(n, {e: Fraction(c) for e, c in fterms})
-    g = LaurentPoly(n, {e: Fraction(c) for e, c in gterms})
+    f = LaurentPoly(n, dict(fterms))
+    g = LaurentPoly(n, dict(gterms))
     point = [root_of_unity(6, k1), root_of_unity(4, k2)]
     assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
     assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
@@ -559,6 +618,13 @@ def test_unimodular_reduction_is_canonical_and_saturating(rows, rng):
     assert hermite_normal_form(moved) == hermite_normal_form(rows)
     kernel = integer_kernel(rows, ncols)
     assert integer_kernel(integer_kernel(kernel, ncols), ncols) == kernel
+
+
+def test_clear_denominators_scales_by_one_positive_factor():
+    assert clear_denominators([Fraction(1, 2), Fraction(-3, 4), 0]) == [2, -3, 0]
+    assert clear_denominators([6, -9, "3/2"]) == [4, -6, 1]
+    assert clear_denominators([0, 0]) == [0, 0]
+    assert clear_denominators([]) == []
 
 
 def test_rational_rref_and_primitive_rows():
