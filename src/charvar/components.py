@@ -201,7 +201,7 @@ def cone_lattice(lat: Lattice2) -> Lattice2:
     return Lattice2(n + 1, flats)
 
 
-def _union_classes(n: int, pairs) -> list[list[int]]:
+def _union_classes(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
     """The classes of range(n) under the equivalence the pairs generate,
     each ascending, ordered by their least members (union-find)."""
     parent = list(range(n))
