@@ -53,6 +53,7 @@ from .exactalg import (
     IntEchelon,
     LaurentPoly,
     PrimeField,
+    ResidueRing,
     _euler_phi,
     modp_rank,
     prime_field,
@@ -64,9 +65,10 @@ MINOR_CAP = 4
 # membership tests accept.  On the locus a unit point (roots of unity, +-1)
 # needs about phi(m) times as many primes as at order 1 and a non-unit point
 # is ranked exactly in Q(zeta_m): at order 120 a point on a component of
-# diamond or pencil(6) takes 0.1-0.2 s as a unit point (23-47 primes) and
-# 2-6 s as a non-unit one (one core of a 2-core Intel Xeon).  A point of
-# larger order is refused before any cyclotomic polynomial is built.
+# diamond or pencil(6) takes 0.03-0.07 s as a unit point (23-37 primes) and
+# 0.8-6.3 s as a non-unit one (one core of a 2-core Intel Xeon, Python
+# 3.11).  A point of larger order is refused before any cyclotomic
+# polynomial is built.
 POINT_ORDER_CAP = 120
 
 FreeWord = tuple[int, ...]
@@ -98,19 +100,24 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 class _Ring:
     """Uniform scalar operations on the values of the t_i and their
     inverses: symbolic Laurent or exact at a point (`_ring`), images in a
-    prime field (`residue`), or majorants of absolute values (`majorant`)."""
+    prime field or modulo a product of primes (`residue`), or majorants of
+    absolute values (`majorant`)."""
 
-    __slots__ = ("n", "one", "zero", "_t", "_tinv")
+    __slots__ = ("n", "one", "zero", "_t", "_tinv", "_factors")
 
     def __init__(self, t: list, tinv: list, one, zero):
         self.n, self._t, self._tinv, self.one, self.zero = len(t), t, tinv, one, zero
+        self._factors: dict[TwistFactor, list] = {}
 
     @classmethod
-    def residue(cls, coords: list[ExactScalar], field: PrimeField) -> "_Ring | None":
-        """Evaluation at the point's image in F_p (see `PrimeField`); None
-        when p divides a coordinate's denominator or a coordinate maps to 0."""
+    def residue(
+        cls, coords: list[ExactScalar], field: PrimeField | ResidueRing
+    ) -> "_Ring | None":
+        """Evaluation at the point's image in F_p or in Z/(p_1 ... p_j) (see
+        `PrimeField`, `ResidueRing`); None when a prime divides a
+        coordinate's denominator or a coordinate's image is not a unit."""
         images = [field.reduce(c) for c in coords]
-        if any(v is None or v.is_zero() for v in images):
+        if any(v is None or not v.is_unit() for v in images):
             return None
         return cls(images, [v.inverse() for v in images], field.one, field.zero)
 
@@ -132,6 +139,25 @@ class _Ring:
 
     def tinv(self, index: int):
         return self._tinv[index]
+
+    def factor_rows(self, factor: TwistFactor) -> list[list[tuple[int, object]]]:
+        """Rows i..j of the Gassner matrix of a twist factor (i, j, e), each
+        as its nonzero entries (column - i, entry) in columns i..j, where
+        they all lie; built once per ring."""
+        rows = self._factors.get(factor)
+        if rows is None:
+            i, j, e = factor
+            rows = self._factors[factor] = [
+                [
+                    (c, x)
+                    for c, x in enumerate(
+                        fox_gradient(twist_generator_image(i, j, e, k), self)[i - 1 : j]
+                    )
+                    if not x.is_zero()
+                ]
+                for k in range(i, j + 1)
+            ]
+        return rows
 
 
 def _ring(n: int, point: Sequence | None = None) -> _Ring:
@@ -301,29 +327,37 @@ def fox_gradient(word: Iterable[int], ring: _Ring) -> list:
     return grad
 
 
-def _factor_gassner(factor: TwistFactor, ring: _Ring) -> list[list]:
-    i, j, e = factor
-    return [
-        fox_gradient(twist_generator_image(i, j, e, k), ring)
-        for k in range(1, ring.n + 1)
-    ]
+def _push(braid: BraidWord, vectors: Iterable[Sequence], ring: _Ring) -> list[list]:
+    """The row vectors times the Gassner matrix of a braid word.
+
+    Row i of the Gassner matrix holds the gradient of the image of g_i, so
+    the matrix of a word is the product of its factor matrices in word
+    order, and the vectors are multiplied by one factor at a time, which
+    keeps entries at their final polynomial size instead of materializing
+    exponentially long image words.  A factor (i, j, e) fixes g_k outside
+    i..j and sends g_k inside to a word in g_i, g_j, g_k, so only the
+    coordinates i..j change, and they depend only on coordinates i..j.
+    """
+    vectors = [list(v) for v in vectors]
+    for factor in braid:
+        i, j, _ = factor
+        rows = ring.factor_rows(factor)
+        for v in vectors:
+            new = [ring.zero] * (j - i + 1)
+            for a, row in zip(v[i - 1 : j], rows):
+                if a.is_zero():
+                    continue
+                for c, x in row:
+                    new[c] = new[c] + a * x
+            v[i - 1 : j] = new
+    return vectors
 
 
 def _gassner(braid: BraidWord, ring: _Ring) -> list[list]:
-    # Row i holds the gradient of the image of g_i, so the matrix of a
-    # word is the product of factor matrices in word order; multiplying
-    # factor-wise keeps entries at their final polynomial size instead of
-    # materializing exponentially long image words.
-    matrix = None
-    for factor in braid:
-        step = _factor_gassner(factor, ring)
-        matrix = step if matrix is None else _mat_mul(matrix, step, ring)
-    if matrix is None:
-        matrix = [
-            [ring.one if a == b else ring.zero for b in range(ring.n)]
-            for a in range(ring.n)
-        ]
-    return matrix
+    identity = [
+        [ring.one if a == b else ring.zero for b in range(ring.n)] for a in range(ring.n)
+    ]
+    return _push(braid, identity, ring)
 
 
 def gassner(braid: Iterable[Sequence[int]], n: int, point: Sequence | None = None):
@@ -694,12 +728,55 @@ def presentation_matrix(
 def _presentation_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
     rows: list[list] = []
     for gen in m.generators:
-        block = _monodromy_chain_map(gen, ring)
-        for s in gen.X[:-1]:
-            rows.append(block[s - 1])
+        rows.extend(_chain_map_rows(gen, ring))
     if m.n >= 3:
         rows.extend(_resolution_differential(3, ring))
     return rows
+
+
+def _unit_rows(strands: Iterable[int], ring: _Ring) -> list[list]:
+    return [
+        [ring.one if c == s - 1 else ring.zero for c in range(ring.n)] for s in strands
+    ]
+
+
+def _chain_map_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
+    """Rows X[:-1] of the monodromy chain map Gassner(delta^-1) Phi_X
+    wedge^2(Theta), Theta = Gassner(delta), without building a matrix.
+
+    Row k of Phi_X is e_k ^ nabla for k in X (nabla the gradient of the
+    product of the X generators), (t_k - 1) nabla ^ nabla_{X>k} for
+    X_0 < k < X_last outside X, and 0 otherwise.  So with theta_s the row
+    e_s Gassner(delta^-1), row s of Gassner(delta^-1) Phi_X is u_s ^ nabla,
+    where u_s = sum_{k in X} theta_s[k] e_k
+    - sum_{X_0 < k < X_last, k not in X} theta_s[k] (t_k - 1) nabla_{X>k};
+    and (u ^ w) wedge^2(Theta) = (u Theta) ^ (w Theta).
+    """
+    X = gen.X
+    pairs = list(itertools.combinations(range(ring.n), 2))
+    nabla = _product_gradient(X, ring)
+    units = _unit_rows(X[:-1], ring)
+    if not gen.delta:
+        return [_wedge_vectors(u, nabla, pairs) for u in units]
+    members = set(X)
+    uppers = {}  # k -> (t_k - 1) nabla_{X>k}
+    for k in range(X[0] + 1, X[-1]):
+        if k not in members:
+            upper = _product_gradient([s for s in X if s > k], ring)
+            uppers[k] = [(ring.t(k - 1) - ring.one) * c for c in upper]
+    us = []
+    for theta in _push(invert_braid(gen.delta), units, ring):
+        u = [theta[c] if c + 1 in members else ring.zero for c in range(ring.n)]
+        for k, upper in uppers.items():
+            a = theta[k - 1]
+            if a.is_zero():
+                continue
+            for c, x in enumerate(upper):
+                if not x.is_zero():
+                    u[c] = u[c] - a * x
+        us.append(u)
+    *us, nabla = _push(gen.delta, us + [nabla], ring)
+    return [_wedge_vectors(u, nabla, pairs) for u in us]
 
 
 def relator_jacobian(
@@ -714,9 +791,9 @@ def relator_jacobian(
 def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
     rows = []
     for gen in m.generators:
-        theta = _gassner(monodromy_braid(gen), ring)
-        for s in gen.X[:-1]:
-            row = list(theta[s - 1])
+        strands = gen.X[:-1]
+        pushed = _push(monodromy_braid(gen), _unit_rows(strands, ring), ring)
+        for s, row in zip(strands, pushed):
             row[s - 1] = row[s - 1] - ring.one
             rows.append(row)
     return rows
@@ -769,7 +846,9 @@ def membership(
       sigma for each (s+1)-minor D (Hadamard).  D lies in every P_i, so
       p_1 * ... * p_j divides its norm N(D), while |N(D)| <= H^phi(M).
       Primes are taken until p_1 * ... * p_j > H^phi(M); then D = 0 and
-      s = r exactly.
+      s = r exactly.  The primes that this rule needs at the current s are
+      built together, once, modulo their product (see `ResidueRing`), and
+      ranked one by one in order; a larger s asks for another batch.
 
     Everything else (a non-unit point whose rank mod p_1 does not decide,
     or a p_1 that does not apply) is ranked exactly over Q(zeta_M).  The
@@ -779,14 +858,10 @@ def membership(
         raise ValidationError("depth k must be at least 1")
     residues = _Residues(m.n, point, prime_floor)
     ncols = math.comb(m.n, 2)
-    rank, delta_route = _certified_rank(
-        m, residues, _presentation_rows, ncols, ncols
-    ) or (presentation_rank(m, point), "exact")
+    rank, delta_route = _decided_rank(m, residues, False, ncols)
     partial2, partial2_route = None, None
     if k <= relator_route_limit(m):
-        relator, partial2_route = _certified_rank(
-            m, residues, _relator_rows, m.n, m.n - k - 1
-        ) or (relator_rank(m, point), "exact")
+        relator, partial2_route = _decided_rank(m, residues, True, m.n - k - 1)
         partial2 = relator <= m.n - k - 1
     return Membership(
         rank,
@@ -799,24 +874,52 @@ def membership(
 class _Residues:
     """A torus point's evaluation rings at the successive primes p = 1
     (mod its order) above a floor, each built on first use and shared by
-    both criteria, and its majorant ring."""
+    both criteria, rings modulo products of consecutive ones, and its
+    majorant ring."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
         self.coords = _torus_coords(n, point)
         self.order = point_order(self.coords)
         self.floor = floor
+        self.fields: list[PrimeField] = []
         self.rings: list[_Ring | None] = []
+
+    def field(self, i: int) -> PrimeField:
+        while len(self.fields) <= i:
+            field = prime_field(self.order, self.floor)
+            self.floor = field.p
+            self.fields.append(field)
+        return self.fields[i]
 
     def ring(self, i: int) -> _Ring | None:
         while len(self.rings) <= i:
-            field = prime_field(self.order, self.floor)
-            self.floor = field.p
-            self.rings.append(_Ring.residue(self.coords, field))
+            self.rings.append(_Ring.residue(self.coords, self.field(len(self.rings))))
         return self.rings[i]
+
+    def product_ring(self, start: int, stop: int) -> _Ring | None:
+        """The evaluation ring modulo the product of primes start..stop-1."""
+        if stop - start == 1:
+            return self.ring(start)
+        fields = [self.field(i) for i in range(start, stop)]
+        return _Ring.residue(self.coords, ResidueRing(fields))
 
     @cached_property
     def majorant(self) -> _Ring | None:
         return _Ring.majorant(self.coords)
+
+
+def _decided_rank(
+    m: MonodromyInput, residues: _Residues, relator: bool, threshold: int
+) -> tuple[int, str]:
+    """The rank of the relator Jacobian (or of the presentation) at the
+    point and the route that decided it: the certified modular rank, which
+    may stop at a rank above threshold, else the exact rank."""
+    if relator:
+        build, exact, ncols = _relator_rows, relator_rank, m.n
+    else:
+        build, exact, ncols = _presentation_rows, presentation_rank, math.comb(m.n, 2)
+    certified = _certified_rank(m, residues, build, ncols, threshold)
+    return certified or (exact(m, residues.coords), "exact")
 
 
 def _certified_rank(
@@ -830,7 +933,8 @@ def _certified_rank(
         return None
     rows = build(m, ring)
     full = min(len(rows), ncols)
-    rank, primes = _residue_rank(rows, ncols, ring), [ring.one.p]
+    primes = [residues.field(0).p]
+    rank = modp_rank(_values(rows), ncols, primes[0])
     if rank < full and rank <= threshold:
         if residues.majorant is None:
             return None
@@ -839,19 +943,31 @@ def _certified_rank(
             reverse=True,
         )
         phi = _euler_phi(residues.order)
-        while (
-            rank < full
-            and rank <= threshold
-            and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi
-        ):
-            ring = residues.ring(len(primes))
-            rank = max(rank, _residue_rank(build(m, ring), ncols, ring))
-            primes.append(ring.one.p)
+
+        def bound() -> int:
+            return math.prod(norms[: rank + 1]) ** phi
+
+        def undecided() -> bool:
+            return rank < full and rank <= threshold and math.prod(primes) ** 2 <= bound()
+
+        while undecided():
+            # the primes the rule needs at the current rank, in one build
+            start = stop = len(primes)
+            product, target = math.prod(primes), bound()
+            while product ** 2 <= target:
+                product *= residues.field(stop).p
+                stop += 1
+            values = _values(build(m, residues.product_ring(start, stop)))
+            for i in range(start, stop):
+                primes.append(residues.field(i).p)
+                rank = max(rank, modp_rank(values, ncols, primes[-1]))
+                if not undecided():
+                    break
     return rank, "mod " + "*".join(map(str, primes))
 
 
-def _residue_rank(rows: list[list], ncols: int, ring: _Ring) -> int:
-    return modp_rank([[e.value for e in row] for row in rows], ncols, ring.one.p)
+def _values(rows: list[list]) -> list[list[int]]:
+    return [[e.value for e in row] for row in rows]
 
 
 def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
@@ -863,10 +979,7 @@ def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
         raise ValidationError("depth k must be at least 1")
     limit = math.comb(m.n, 2) - k
     residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
-    rank, _ = _certified_rank(
-        m, residues, _presentation_rows, math.comb(m.n, 2), limit
-    ) or (presentation_rank(m, point), None)
-    return rank <= limit
+    return _decided_rank(m, residues, False, limit)[0] <= limit
 
 
 def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool:
@@ -876,11 +989,9 @@ def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool
     `membership`."""
     if k < 1:
         raise ValidationError("depth k must be at least 1")
+    limit = m.n - k - 1
     residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
-    rank, _ = _certified_rank(
-        m, residues, _relator_rows, m.n, m.n - k - 1
-    ) or (relator_rank(m, point), None)
-    return rank <= m.n - k - 1
+    return _decided_rank(m, residues, True, limit)[0] <= limit
 
 
 def relator_route_limit(m: MonodromyInput) -> int:

@@ -27,6 +27,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .alexander import (
@@ -846,6 +847,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charvar",

@@ -5,13 +5,15 @@ either a rational number or an element of Q(zeta_m) written on the power
 basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
 Linear algebra has one kernel per job: a fraction-free integer echelon for
 the rank of integer and rational rows, one elimination over Q(zeta_m) for
-cyclotomic ranks, one over F_p for the certified modular rank, a rational
-reduced echelon form, and one unimodular reduction behind the Hermite
-normal form and the saturated integer kernel.  Laurent polynomials over
-Z in several variables (integer exponents of either sign, integer
-coefficients) model the entries of monodromy and boundary matrices over
-the group ring Z[Z^n]; they evaluate to scalars at points whose
-coordinates are roots of unity times rationals.
+cyclotomic ranks, one over F_p for the certified modular rank (rows
+built once modulo a product of primes, by the Chinese remainder theorem,
+serve every one of them), a rational reduced echelon form, and one
+unimodular reduction behind the Hermite normal form and the saturated
+integer kernel.  Laurent polynomials over Z in several variables
+(integer exponents of either sign, integer coefficients) model the
+entries of monodromy and boundary matrices over the group ring Z[Z^n];
+they evaluate to scalars at points whose coordinates are roots of unity
+times rationals.
 
 Everything here is deterministic and division-free where possible, so the
 same inputs always produce the same pivots, ranks, and basis vectors.
@@ -637,8 +639,9 @@ MODULAR_PRIME_FLOOR = 2**30  # modular ranks use the least suitable prime above 
 
 
 class ModP:
-    """An element of the prime field F_p, with the scalar operations the
-    presentation builders use."""
+    """A residue modulo p, with the scalar operations the presentation
+    builders use.  The modulus p is a prime (an element of the field F_p)
+    or a product of distinct primes (an element of `ResidueRing`)."""
 
     __slots__ = ("value", "p")
 
@@ -664,6 +667,9 @@ class ModP:
 
     def is_zero(self) -> bool:
         return self.value == 0
+
+    def is_unit(self) -> bool:
+        return math.gcd(self.value, self.p) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModP):
@@ -711,6 +717,38 @@ class PrimeField:
                 acc += c.numerator * pow(c.denominator, -1, p) * power
             power = power * step % p
         return ModP(acc, p)
+
+
+class ResidueRing:
+    """Z/(p_1 ... p_j) for the distinct primes of some `PrimeField`s, which
+    the Chinese remainder theorem identifies with the product of the fields.
+
+    `reduce` sends a scalar to the residue whose image mod each p_i is its
+    image in the i-th field.  Reduction mod p_i is a ring map onto F_{p_i},
+    so anything built from such residues by ring operations reduces mod p_i
+    to the same thing built in F_{p_i}: one build serves every p_i.
+    """
+
+    __slots__ = ("fields", "p", "one", "zero", "_idempotents")
+
+    def __init__(self, fields: Sequence[PrimeField]):
+        self.fields = tuple(fields)
+        self.p = math.prod(field.p for field in self.fields)
+        self.one = ModP(1, self.p)
+        self.zero = ModP(0, self.p)
+        # e_i = 1 mod p_i and 0 mod every other p_l
+        self._idempotents = [
+            self.p // field.p * pow(self.p // field.p, -1, field.p)
+            for field in self.fields
+        ]
+
+    def reduce(self, value: ExactScalar) -> ModP | None:
+        """The residue of an exact scalar, or None when one of the primes
+        divides one of its coefficient denominators."""
+        images = [field.reduce(value) for field in self.fields]
+        if None in images:
+            return None
+        return ModP(sum(e * v.value for e, v in zip(self._idempotents, images)), self.p)
 
 
 @lru_cache(maxsize=None)

@@ -60,6 +60,7 @@ from charvar.alexander import (
     _relator_rows,
     _Residues,
     _Ring,
+    _ring,
     _unit_bounds,
 )
 from charvar.arrangement import (
@@ -82,6 +83,7 @@ from charvar.exactalg import (
     ExactScalar,
     LaurentPoly,
     ModP,
+    ResidueRing,
     _euler_phi as euler_phi,
     modp_rank,
     modular_prime,
@@ -419,6 +421,59 @@ def test_conjugated_chain_map_realizes_gassner_minus_identity():
 def test_anchor_identity_holds_at_evaluated_points():
     point = [Fraction(2), Fraction(1, 3), Fraction(-5), Fraction(7)]
     check_anchor(MonodromyGen((1, 2, 4), ((1, 3, -1), (2, 4, 1))), 4, point)
+
+
+@st.composite
+def conjugated_generators(draw):
+    """A strand count n <= 6 and a full twist on 2..4 of its strands,
+    conjugated by a braid word of 1..4 unit twist factors."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    size = draw(st.integers(min_value=2, max_value=min(4, n)))
+    X = tuple(sorted(draw(st.permutations(range(1, n + 1)))[:size]))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    factor = st.tuples(st.sampled_from(pairs), st.sampled_from((-1, 1)))
+    delta = draw(st.lists(factor, min_size=1, max_size=4))
+    return n, MonodromyGen(X, tuple((i, j, e) for (i, j), e in delta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    conjugated_generators(),
+    st.sampled_from(["symbolic", "rational", "zeta12", "mod p", "mod p1*p2"]),
+    st.randoms(use_true_random=False),
+)
+def test_row_builders_match_the_reference_construction(drawn, kind, rng):
+    """The row-only builders equal, entry by entry, the rows X[:-1] of the
+    reference products: the monodromy chain map (Gassner of the inverse
+    conjugator, twist chain map, wedge square) stacked over the degree-three
+    differential, and Gassner of the monodromy braid minus the identity.
+    Symbolically, at a rational point, at a point of order 12, and at that
+    point's images in F_p and in Z/(p1*p2), reduced from the exact rows."""
+    n, gen = drawn
+    m = MonodromyInput(n, (gen,))
+    point = None
+    if kind == "rational":
+        point = [Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.randint(1, 4)) for _ in range(n)]
+    elif kind != "symbolic":
+        point = [root_of_unity(12, rng.randrange(12)) for _ in range(n)]
+    ring, image = _ring(n, point), lambda e: e
+    if kind.startswith("mod"):
+        field = prime_field(12)
+        if kind == "mod p1*p2":
+            field = ResidueRing([field, prime_field(12, field.p)])
+        ring, image = _Ring.residue(point, field), field.reduce
+    chain = monodromy_chain_map(gen, n, point)
+    want = [chain[s - 1] for s in gen.X[:-1]]
+    if n >= 3:
+        want += resolution_differential(3, n, point)
+    assert _presentation_rows(m, ring) == [[image(e) for e in row] for row in want]
+    theta = gassner(monodromy_braid(gen), n, point)
+    one = LaurentPoly.one(n) if point is None else ExactScalar.one()
+    want = [
+        [image(e - one if c == s - 1 else e) for c, e in enumerate(theta[s - 1])]
+        for s in gen.X[:-1]
+    ]
+    assert _relator_rows(m, ring) == want
 
 
 def test_wedge_of_gassner_commutes_past_the_degree_two_differential():
@@ -937,6 +992,105 @@ def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
 
     assert _certified_rank(None, residues, build, 3, 3) == (2, "mod 11*31*41")
     assert _certified_rank(None, residues, build, 3, 1) == (2, "mod 11*31")
+
+
+def _sequential_rank(m, residues, build, ncols, threshold):
+    """The prime loop with one build per prime: after p_1, take the next
+    prime while the rank is neither full nor above threshold and the
+    primes' product squared is at most H^phi(M)."""
+    ring = residues.ring(0)
+    if ring is None:
+        return None
+    rows = build(m, ring)
+    full = min(len(rows), ncols)
+    primes = [ring.one.p]
+    rank = modp_rank([[e.value for e in row] for row in rows], ncols, primes[0])
+    if rank < full and rank <= threshold:
+        if residues.majorant is None:
+            return None
+        norms = sorted(
+            (sum(e.value ** 2 for e in row) for row in build(m, residues.majorant)),
+            reverse=True,
+        )
+        phi = euler_phi(residues.order)
+        while (
+            rank < full
+            and rank <= threshold
+            and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi
+        ):
+            ring = residues.ring(len(primes))
+            values = [[e.value for e in row] for row in build(m, ring)]
+            rank = max(rank, modp_rank(values, ncols, ring.one.p))
+            primes.append(ring.one.p)
+    return rank, "mod " + "*".join(map(str, primes))
+
+
+def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch):
+    """At unit points of order 1..12 on the gate inputs, with the default
+    floor and with a floor of 10 (where ranks mod small primes drop), each
+    criterion's certified rank and primes, and so `membership`'s rank,
+    verdicts and certificates, equal those of the loop that builds once per
+    prime.  Among the queries, the primes after p_1 were built together
+    modulo their product, a rank rose within a batch so that another batch
+    followed, and a batch was cut short at the prime where the loop stops."""
+    batches = []
+    product_ring = _Residues.product_ring
+
+    def spy(self, start, stop):
+        batches.append((start, stop))
+        return product_ring(self, start, stop)
+
+    monkeypatch.setattr(_Residues, "product_ring", spy)
+    seen = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(GATE_INPUTS)),
+        st.booleans(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=2),
+        st.sampled_from([10, MODULAR_PRIME_FLOOR]),
+    )
+    @example("diamond", True, 3, 0, 1, MODULAR_PRIME_FLOOR)
+    # mod 11 the ranks are 9 (delta, true rank 14) and 0 (relator, true 4)
+    @example("diamond", True, 5, 0, 2, 10)
+    # off the locus the rank mod 31 is full and ends a batch built at the
+    # rank mod 11
+    @example("braid4_affine", False, 5, 27, 1, 10)
+    def check(name, on, order, seed, k, floor):
+        m, _ = _gate_input(name)
+        point = _gate_point(name, on, order, seed)
+        ncols = math.comb(m.n, 2)
+        criteria = [(_presentation_rows, presentation_rank, ncols, ncols)]
+        if k <= relator_route_limit(m):
+            criteria.append((_relator_rows, relator_rank, m.n, m.n - k - 1))
+        routes = []
+        for build, exact, width, threshold in criteria:
+            want = _sequential_rank(m, _Residues(m.n, point, floor), build, width, threshold)
+            batches.clear()
+            got = _certified_rank(m, _Residues(m.n, point, floor), build, width, threshold)
+            assert got == want
+            if any(stop - start > 1 for start, stop in batches):
+                seen.add("several primes in one build")
+            if any(start > 1 for start, _ in batches):
+                seen.add("another batch after a rank rose")
+            if batches and batches[-1][1] > got[1].count("*") + 1:
+                seen.add("a batch cut short")
+            routes.append(want or (exact(m, point), "exact"))
+        got = membership(m, point, k, prime_floor=floor)
+        rank = routes[0][0]
+        partial2 = routes[1][0] <= m.n - k - 1 if len(routes) > 1 else None
+        assert (got.rank, got.delta, got.partial2) == (rank, rank <= ncols - k, partial2)
+        routes.append((None, None))
+        assert got.certificate == {"delta": routes[0][1], "partial2": routes[1][1]}
+
+    check()
+    assert seen == {
+        "several primes in one build",
+        "another batch after a rank rose",
+        "a batch cut short",
+    }
 
 
 def test_majorants_bound_every_embedding():

@@ -277,6 +277,22 @@ def test_member_relator_route_nulls_out_beyond_its_window(capsys, monodromy_file
     assert verdict["certificate"] == {"delta": f"mod {modular_prime(1)}", "partial2": None}
 
 
+def test_main_calls_in_sequence_share_no_state(capsys, monodromy_file):
+    """The parser is built once per process: an argparse error, then an
+    explicit --k, leave nothing behind for the calls after them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["member", monodromy_file])  # --point is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "member", monodromy_file, "--point=1,1,1,1,1,1")
+    assert code == 0 and json.loads(out)["k"] == 1
+    torsion = "--point=-1,1,1,-1,-1,1,-1"
+    code, out, _ = run(capsys, "member", monodromy_file, torsion, "--k", "2")
+    assert code == 0 and json.loads(out)["k"] == 2
+    code, out, _ = run(capsys, "member", monodromy_file, torsion)
+    assert code == 0 and json.loads(out)["k"] == 1
+
+
 def test_member_weight_on_a_lattice_input(capsys, braid4_file):
     code, out, _ = run(capsys, "member", braid4_file, "--point=1,-1,0,0,0,0")
     assert code == 0
