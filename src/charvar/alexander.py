@@ -62,13 +62,13 @@ from .exactalg import (
 SYMBOLIC_STRAND_CAP = 8
 MINOR_CAP = 4
 # Largest order (lcm of the coordinates' orders) of a torus point that the
-# membership tests accept.  On the locus a unit point (roots of unity, +-1)
-# needs about phi(m) times as many primes as at order 1 and a non-unit point
-# is ranked exactly in Q(zeta_m): at order 120 a point on a component of
-# diamond or pencil(6) takes 0.03-0.07 s as a unit point (23-37 primes) and
-# 0.8-6.3 s as a non-unit one (one core of a 2-core Intel Xeon, Python
-# 3.11).  A point of larger order is refused before any cyclotomic
-# polynomial is built.
+# membership tests accept.  On the locus a point needs about phi(m) times as
+# many primes as at order 1, and more when its coordinates have
+# denominators: at order 120 a point on a component of diamond or pencil(6)
+# takes 0.03-0.07 s as a unit point (23-47 primes) and 0.04-1.3 s as a
+# point (a/b) * zeta_120^e (up to about 600 primes; 0.5-8 s by the exact
+# route), on one core of a 2-core Intel Xeon, Python 3.11.  A point of
+# larger order is refused before any cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 
 FreeWord = tuple[int, ...]
@@ -100,8 +100,8 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 class _Ring:
     """Uniform scalar operations on the values of the t_i and their
     inverses: symbolic Laurent or exact at a point (`_ring`), images in a
-    prime field or modulo a product of primes (`residue`), or majorants of
-    absolute values (`majorant`)."""
+    prime field or modulo a product of primes (`residue`), or majorants
+    with denominators (`majorant`)."""
 
     __slots__ = ("n", "one", "zero", "_t", "_tinv", "_factors")
 
@@ -122,17 +122,15 @@ class _Ring:
         return cls(images, [v.inverse() for v in images], field.one, field.zero)
 
     @classmethod
-    def majorant(cls, coords: list[ExactScalar]) -> "_Ring | None":
-        """Evaluation at bounds on |sigma(t_i)| and |sigma(1/t_i)| over the
-        embeddings sigma of Q(zeta_M) in C, so that the builders return, for
-        every entry e, an integer bound on every |sigma(e)|; None unless the
-        point is a unit point (see `_unit_bounds`)."""
-        bounds = [_unit_bounds(c) for c in coords]
-        if None in bounds:
-            return None
-        t = [_Majorant(a) for a, _ in bounds]
-        tinv = [_Majorant(b) for _, b in bounds]
-        return cls(t, tinv, _Majorant(1), _Majorant(0))
+    def majorant(cls, coords: list[ExactScalar]) -> "_Ring":
+        """Evaluation at majorants of t_i and 1/t_i (see `_Majorant`,
+        `_coordinate_bounds`), so that the builders return, for every entry
+        e, a denominator d with d * e in Z[zeta_M] and an integer bound on
+        every |sigma(d * e)| over the embeddings sigma of Q(zeta_M) in C."""
+        bounds = [_coordinate_bounds(c) for c in coords]
+        t = [_Majorant(*b) for b, _ in bounds]
+        tinv = [_Majorant(*b) for _, b in bounds]
+        return cls(t, tinv, _Majorant(1, 1), _Majorant(0, 1))
 
     def t(self, index: int):
         return self._t[index]
@@ -171,43 +169,66 @@ def _ring(n: int, point: Sequence | None = None) -> _Ring:
 
 
 class _Majorant:
-    """A nonnegative integer bound on an absolute value: the bound of a sum
-    or a difference is the sum of the bounds, that of a product the product."""
+    """A majorant of a value x of Q(zeta_M): a positive integer `den` with
+    den * x in Z[zeta_M], and an integer `bound` on |sigma(den * x)| at
+    every embedding sigma.  A sum or a difference clears with
+    L = lcm(den_x, den_y) and is bounded by
+    bound_x * L / den_x + bound_y * L / den_y; a product clears with
+    den_x * den_y and is bounded by bound_x * bound_y."""
 
-    __slots__ = ("value",)
+    __slots__ = ("bound", "den")
 
-    def __init__(self, value: int):
-        self.value = value
+    def __init__(self, bound: int, den: int):
+        self.bound, self.den = bound, den
 
     def __add__(self, other: "_Majorant") -> "_Majorant":
-        return _Majorant(self.value + other.value)
+        if self.den == other.den:
+            return _Majorant(self.bound + other.bound, self.den)
+        den = math.lcm(self.den, other.den)
+        return _Majorant(
+            self.bound * (den // self.den) + other.bound * (den // other.den), den
+        )
 
     __sub__ = __add__
 
     def __mul__(self, other: "_Majorant") -> "_Majorant":
-        return _Majorant(self.value * other.value)
+        return _Majorant(self.bound * other.bound, self.den * other.den)
 
     def __neg__(self) -> "_Majorant":
         return self
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return self.bound == 0
 
 
-def _unit_bounds(c: ExactScalar) -> tuple[int, int] | None:
-    """Integer bounds on |sigma(c)| and |sigma(1/c)| over the embeddings
-    sigma of Q(zeta_M) in C when c is a unit of Z[zeta_M] (c and 1/c have
-    integer power-basis coefficients), else None.  As |sigma(zeta^i)| = 1,
-    the sum of the absolute coefficients bounds |sigma(c)|; when
-    c * conj(c) = 1, as for roots of unity and +-1, every |sigma(c)| is 1."""
-    if any(v.denominator != 1 for v in c.coeffs):
-        return None
+def _coordinate_bounds(c: ExactScalar) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The majorants (bound, den) of c and of 1/c (see `_Majorant`): den is
+    the lcm of the power-basis coefficient denominators, and as
+    |sigma(zeta^i)| = 1 the sum of |den * coefficient| bounds every
+    |sigma(den * c)|.  When c * conj(c) = 1, as for roots of unity and +-1,
+    every |sigma(c)| is 1 and 1/c = conj(c) has the same denominators, so
+    both get (den, den)."""
+    bound, den = _cleared(c)
     if (c * c.conjugate()).is_one():
-        return 1, 1
-    inv = c.inverse()
-    if any(v.denominator != 1 for v in inv.coeffs):
-        return None
-    return sum(abs(int(v)) for v in c.coeffs), sum(abs(int(v)) for v in inv.coeffs)
+        return (den, den), (den, den)
+    return (bound, den), _cleared(c.inverse())
+
+
+def _cleared(c: ExactScalar) -> tuple[int, int]:
+    den = math.lcm(*(v.denominator for v in c.coeffs))
+    return sum(abs(v.numerator) * (den // v.denominator) for v in c.coeffs), den
+
+
+def _cleared_norms(rows: list[list[_Majorant]]) -> list[int]:
+    """Squared bounds on the Euclidean norms at every embedding of the
+    majorant rows, each row r scaled by L_r, the lcm of its entries' dens,
+    so that L_r times the row lies in Z[zeta_M]: entry e is bounded by
+    e.bound * L_r / e.den."""
+    norms = []
+    for row in rows:
+        scale = math.lcm(*{e.den for e in row})
+        norms.append(sum((e.bound * (scale // e.den)) ** 2 for e in row))
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -838,21 +859,27 @@ def membership(
 
     - a rank mod p_1 equal to min(rows, columns) is the exact rank, and a
       relator rank mod p_1 above n - k - 1 proves `partial2` false;
-    - at a unit point (every coordinate and its inverse has integer
-      power-basis coefficients, as for roots of unity and +-1) every entry
-      lies in Z[zeta_M] and every P_i applies.  Let s = max r_i over the
-      primes taken and H the product of the s + 1 largest row-norm bounds
-      of the `_Ring.majorant` build, so |sigma(D)| <= H at every embedding
-      sigma for each (s+1)-minor D (Hadamard).  D lies in every P_i, so
-      p_1 * ... * p_j divides its norm N(D), while |N(D)| <= H^phi(M).
-      Primes are taken until p_1 * ... * p_j > H^phi(M); then D = 0 and
-      s = r exactly.  The primes that this rule needs at the current s are
-      built together, once, modulo their product (see `ResidueRing`), and
-      ranked one by one in order; a larger s asks for another batch.
+    - otherwise let s = max r_i over the primes taken.  The `_Ring.majorant`
+      build gives each entry e a denominator d_e with d_e * e in Z[zeta_M]
+      and a bound B_e on every |sigma(d_e * e)| over the embeddings sigma
+      of Q(zeta_M) in C (at a unit point, where every coordinate and its
+      inverse has integer power-basis coefficients, every d_e is 1).
+      Scale row r by L_r, the lcm of its entries' d_e; its entries are
+      then bounded by B_e * L_r / d_e.  Let H be the product of the s + 1
+      largest of these cleared row norms.  For an (s+1)-minor D, the
+      matching minor D' = (prod L_r) * D of the cleared rows lies in
+      Z[zeta_M] and |sigma(D')| <= H at every sigma (Hadamard), so
+      |N(D')| <= H^phi(M).  D lies in P_i times the local ring at P_i, so
+      D' lies in P_i for every prime taken, and p_1 * ... * p_j divides
+      N(D').  Primes are taken until p_1 * ... * p_j > H^phi(M); then
+      D' = 0, so D = 0, and s = r exactly.  The primes that this rule needs
+      at the current s are built together, once, modulo their product (see
+      `ResidueRing`), and ranked one by one in order; a larger s asks for
+      another batch.
 
-    Everything else (a non-unit point whose rank mod p_1 does not decide,
-    or a p_1 that does not apply) is ranked exactly over Q(zeta_M).  The
-    certificate names the primes used.
+    Where a prime the rule needs does not apply (it divides a coordinate
+    denominator or maps a coordinate to 0), the criterion is ranked exactly
+    over Q(zeta_M).  The certificate names the primes used.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
@@ -904,7 +931,7 @@ class _Residues:
         return _Ring.residue(self.coords, ResidueRing(fields))
 
     @cached_property
-    def majorant(self) -> _Ring | None:
+    def majorant(self) -> _Ring:
         return _Ring.majorant(self.coords)
 
 
@@ -936,12 +963,7 @@ def _certified_rank(
     primes = [residues.field(0).p]
     rank = modp_rank(_values(rows), ncols, primes[0])
     if rank < full and rank <= threshold:
-        if residues.majorant is None:
-            return None
-        norms = sorted(
-            (sum(e.value ** 2 for e in row) for row in build(m, residues.majorant)),
-            reverse=True,
-        )
+        norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
         phi = _euler_phi(residues.order)
 
         def bound() -> int:
@@ -957,7 +979,10 @@ def _certified_rank(
             while product ** 2 <= target:
                 product *= residues.field(stop).p
                 stop += 1
-            values = _values(build(m, residues.product_ring(start, stop)))
+            ring = residues.product_ring(start, stop)
+            if ring is None:
+                return None
+            values = _values(build(m, ring))
             for i in range(start, stop):
                 primes.append(residues.field(i).p)
                 rank = max(rank, modp_rank(values, ncols, primes[-1]))

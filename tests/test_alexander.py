@@ -55,13 +55,13 @@ from charvar.alexander import (
     twist_generator_image,
     wedge_square,
     _certified_rank,
+    _coordinate_bounds,
     _Majorant,
     _presentation_rows,
     _relator_rows,
     _Residues,
     _Ring,
     _ring,
-    _unit_bounds,
 )
 from charvar.arrangement import (
     Lattice2,
@@ -833,28 +833,33 @@ def _gate_input(name):
     return m, [comp.basis for comp in comps]
 
 
-def _gate_point(name, on, order, seed):
+def _gate_point(name, on, order, seed, scaled=False):
     """A seeded point of the input's torus (strand coordinates of a cone
     point), on a component subtorus when `on`, else drawn freely.  Order
     None gives rational coordinates.  Order d gives a unit point: powers
     of a primitive d-th root of unity (+-1 at d = 2), and for odd d >= 5
     one parameter may carry the cyclotomic unit 1 + zeta_d, whose
-    conjugates are not all on the unit circle."""
+    conjugates are not all on the unit circle.  `scaled` multiplies each
+    parameter of order d by a rational a/b, which makes a non-unit point
+    of order d, (a/b) * zeta_d^e on a component."""
     m, bases = _gate_input(name)
     rng = random.Random(seed)
     if on:
         rows = rng.choice(bases)
     else:
         rows = [[int(i == j) for i in range(m.n + 1)] for j in range(m.n)]
+
+    def rational():
+        return ExactScalar.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+
     if order is None:
-        params = [
-            ExactScalar.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-            for _ in rows
-        ]
+        params = [rational() for _ in rows]
     else:
         params = [root_of_unity(order, rng.randrange(order)) for _ in rows]
         if order % 2 and order >= 5 and rng.random() < 0.5:
             params[0] = params[0] * (1 + root_of_unity(order))
+        if scaled:
+            params = [u * rational() for u in params]
     return [
         math.prod((u ** row[i] for u, row in zip(params, rows)), start=ExactScalar.one())
         for i in range(m.n)
@@ -865,6 +870,12 @@ def _is_unit_point(point):
     return all(
         c.denominator == 1 for x in point for c in x.coeffs + x.inverse().coeffs
     )
+
+
+def _point_kind(point):
+    if _is_unit_point(point):
+        return "unit"
+    return "rational" if point_order(point) == 1 else "non-unit cyclotomic"
 
 
 def _exact_ranks(m, point, k):
@@ -884,50 +895,87 @@ def _exact_membership(m, point, k):
     return ranks[0], ranks[0] <= math.comb(m.n, 2) - k, partial2
 
 
+def _row_norms(rows):
+    """The squared norms of majorant rows, each row r cleared by L_r, the
+    lcm of its entries' denominators: an entry (bound B, denominator d)
+    becomes B * L_r / d."""
+    norms = []
+    for row in rows:
+        scale = math.lcm(*(e.den for e in row))
+        norms.append(sum((e.bound * scale // e.den) ** 2 for e in row))
+    return norms
+
+
 def _check_certificate(route, point, floor, rows, rank, ncols, threshold, norms, seen):
-    """A criterion's certificate against the exact matrix (rows, rank):
-    "exact" only off the unit points; otherwise the successive primes
-    p = 1 (mod the point's order) from the floor, one of them off the unit
-    points (its rank full or above threshold).  At a unit point whose rank
-    is neither, the primes' product exceeds H^phi(M), H the product of the
-    rank + 1 largest majorant row norms, and stops at the first prime that
-    does."""
-    unit = _is_unit_point(point)
-    if route == "exact":
-        assert not unit
-        return
+    """A criterion's certificate against the exact matrix (rows, rank) and
+    the cleared majorant row norms^2.  Let p_1, p_2, ... be the primes
+    p = 1 (mod the point's order M) from the floor, s_i the largest rank
+    mod p_1..p_i, deficient meaning neither full nor above threshold, and
+    bound(s) = (product of the s + 1 largest norms)^phi(M).
+
+    A modular route names p_1..p_j, each mapping every coordinate to a
+    unit; it goes on exactly while s_i is deficient and
+    (p_1 * ... * p_i)^2 <= bound(s_i), and its s_j is the exact rank or
+    above threshold.  "exact" only where a prime the rule needs does not
+    apply: p_1 does not, or the rank mod p_1 is deficient and the primes
+    before the first that does not apply have a product whose square is
+    at most bound(rank) (with each norm taken at least 1, so that it
+    bounds bound(s) for every s <= rank)."""
     order = point_order(point)
-    primes = [int(p) for p in route.removeprefix("mod ").split("*")]
-    want, above = [], floor
-    for _ in primes:
-        above = modular_prime(order, above)
-        want.append(above)
-    assert primes == want
-    field = prime_field(order, floor)
-    first = modp_rank([[field.reduce(e).value for e in row] for row in rows], ncols, primes[0])
     full = min(len(rows), ncols)
-    if not unit:
-        assert len(primes) == 1 and (first == rank == full or first > threshold)
+    phi = euler_phi(order)
+    ordered = sorted(norms, reverse=True)
+    fields = []
+
+    def field(i):
+        while len(fields) <= i:
+            fields.append(prime_field(order, fields[-1].p if fields else floor))
+        return fields[i]
+
+    def applies(f):
+        return all(v is not None and v.is_unit() for v in map(f.reduce, point))
+
+    def rank_mod(f):
+        return modp_rank([[f.reduce(e).value for e in row] for row in rows], ncols, f.p)
+
+    def deficient(s):
+        return s < full and s <= threshold
+
+    if route == "exact":
+        cap = math.prod(max(x, 1) for x in ordered[: rank + 1]) ** phi
+        j, product = 0, 1
+        while applies(field(j)):
+            product *= field(j).p
+            assert product ** 2 <= cap, "every prime the rule needs applies"
+            j += 1
+        assert j == 0 or deficient(rank_mod(field(0)))
         return
+    primes = [int(p) for p in route.removeprefix("mod ").split("*")]
+    assert primes == [field(i).p for i in range(len(primes))]
+    s = 0
+    for i, f in enumerate(fields[: len(primes)]):
+        assert applies(f)
+        s = max(s, rank_mod(f))
+        if i == 0 and s < rank:
+            seen["rank rose past the first prime"] = True
+        bound = math.prod(ordered[: s + 1]) ** phi
+        undecided = deficient(s) and math.prod(primes[: i + 1]) ** 2 <= bound
+        assert undecided == (i < len(primes) - 1)
+    assert s == rank or s > threshold
     if len(primes) > 1:
-        seen["several primes"] = True
-    if first < rank:
-        seen["rank rose past the first prime"] = True
-    if rank < full and rank <= threshold:
-        bound = math.prod(sorted(norms, reverse=True)[: rank + 1]) ** euler_phi(order)
-        assert math.prod(primes) ** 2 > bound
-        assert len(primes) == 1 or math.prod(primes[:-1]) ** 2 <= bound
+        seen[f"several primes at a {_point_kind(point)} point"] = True
 
 
 def test_certified_route_agrees_with_the_exact_route():
-    """Random rational and unit points of order 1..12, on and off the
-    components, at depths 1..3, with the default prime and with small
-    primes (above 10, 30 or 60) at which ranks drop: every certified rank
-    and verdict equals the exact one, every certificate is checked by
-    `_check_certificate`, at least one drop at a rational point sent a
-    criterion to the exact route, at least one unit point needed several
-    primes, and at least one had a rank mod p_1 below the true rank."""
-    drops = []
+    """Random rational points, unit points of order 1..12 and non-unit
+    points (a/b) * zeta_d^e of order d <= 12, on and off the components,
+    at depths 1..3, with the default prime and with small primes (above
+    10, 30 or 60) at which ranks drop: every certified rank and verdict
+    equals the exact one, every certificate is checked by
+    `_check_certificate` against row norms cleared here, a rational point,
+    a unit point and a non-unit cyclotomic point each needed several
+    primes, and at least one point had a rank mod p_1 below the true
+    rank."""
     seen = {}
 
     @settings(max_examples=40, deadline=None)
@@ -935,19 +983,22 @@ def test_certified_route_agrees_with_the_exact_route():
         st.sampled_from(sorted(GATE_INPUTS)),
         st.booleans(),
         st.sampled_from([None, None, None] + list(range(1, 13))),
+        st.booleans(),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=1, max_value=3),
         st.sampled_from([10, 30, 60, MODULAR_PRIME_FLOOR]),
     )
     # the point (3/2, 5/2, 1, 8/7, 2, 8) is off the pencil's component, but
     # its coordinate product 480/7 is 1 modulo 11, so its ranks drop mod 11
-    @example("pencil6", False, None, 1, 1, 10)
+    @example("pencil6", False, None, False, 1, 1, 10)
     # at this order-5 point on a component the ranks mod 11 are 9 (delta,
     # true rank 14) and 0 (relator, true rank 4); later primes raise both
-    @example("diamond", True, 5, 0, 1, 10)
-    def check(name, on, order, seed, k, floor):
+    @example("diamond", True, 5, False, 0, 1, 10)
+    @example("diamond", True, None, False, 0, 1, MODULAR_PRIME_FLOOR)
+    @example("diamond", True, 12, True, 0, 1, MODULAR_PRIME_FLOOR)
+    def check(name, on, order, scaled, seed, k, floor):
         m, _ = _gate_input(name)
-        point = _gate_point(name, on, order, seed)
+        point = _gate_point(name, on, order, seed, scaled)
         exact = _exact_ranks(m, point, k)
         rank, delta, partial2 = _exact_membership(m, point, k)
         got = membership(m, point, k, prime_floor=floor)
@@ -960,16 +1011,16 @@ def test_certified_route_agrees_with_the_exact_route():
         if partial2 is None:
             assert got.certificate["partial2"] is None
         for (route, build, ncols, threshold), (rows, exact_rank) in zip(routes, exact):
-            norms = None
-            if majorant is not None:
-                norms = [sum(e.value ** 2 for e in row) for row in build(m, majorant)]
+            norms = _row_norms(build(m, majorant))
             _check_certificate(route, point, floor, rows, exact_rank, ncols, threshold, norms, seen)
-            if route == "exact" and (exact_rank == min(len(rows), ncols) or exact_rank > threshold):
-                drops.append((name, on, order, seed, k, floor))
 
     check()
-    assert drops, "no small prime made the modular rank drop at a rational point"
-    assert seen == {"several primes": True, "rank rose past the first prime": True}
+    assert seen == {
+        "several primes at a rational point": True,
+        "several primes at a unit point": True,
+        "several primes at a non-unit cyclotomic point": True,
+        "rank rose past the first prime": True,
+    }
 
 
 def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
@@ -986,7 +1037,7 @@ def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
 
     def build(_m, ring):
         if ring is residues.majorant:
-            return [[_Majorant(1)] * 3 for _ in range(3)]
+            return [[_Majorant(1, 1)] * 3 for _ in range(3)]
         p = ring.one.p
         return [[ModP(int(i == j < script[p]), p) for j in range(3)] for i in range(3)]
 
@@ -1006,12 +1057,7 @@ def _sequential_rank(m, residues, build, ncols, threshold):
     primes = [ring.one.p]
     rank = modp_rank([[e.value for e in row] for row in rows], ncols, primes[0])
     if rank < full and rank <= threshold:
-        if residues.majorant is None:
-            return None
-        norms = sorted(
-            (sum(e.value ** 2 for e in row) for row in build(m, residues.majorant)),
-            reverse=True,
-        )
+        norms = sorted(_row_norms(build(m, residues.majorant)), reverse=True)
         phi = euler_phi(residues.order)
         while (
             rank < full
@@ -1094,22 +1140,27 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch
 
 
 def test_majorants_bound_every_embedding():
-    """At unit points of order 1..12 the majorant build bounds every entry
-    of the presentation and the relator Jacobian at every embedding
+    """At rational points, unit points of order 1..12 and non-unit points
+    (a/b) * zeta_d^e, the majorant build gives every entry e of the
+    presentation and the relator Jacobian a denominator d with d * e in
+    Z[zeta_M] and a bound B with |sigma(e)| <= B / d at every embedding
     zeta_M -> exp(2 pi i j / M), gcd(j, M) = 1 (checked in floating point
-    with a relative margin of 1e-9); roots of unity get the bound 1, and
-    non-unit points have no majorant ring."""
+    with a relative margin of 1e-9).  Coordinates get the exact pairs
+    ((bound, den) of c, of 1/c) below."""
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
         st.sampled_from(sorted(GATE_INPUTS)),
         st.booleans(),
-        st.integers(min_value=1, max_value=12),
+        st.sampled_from([None] + list(range(1, 13))),
+        st.booleans(),
         st.integers(min_value=0, max_value=10**6),
     )
-    def check(name, on, order, seed):
+    @example("diamond", True, None, False, 0)
+    @example("diamond", True, 12, True, 0)
+    def check(name, on, order, scaled, seed):
         m, _ = _gate_input(name)
-        point = _gate_point(name, on, order, seed)
+        point = _gate_point(name, on, order, seed, scaled)
         majorant = _Ring.majorant(point)
         order = point_order(point)
         embeddings = [j for j in range(1, order + 1) if math.gcd(j, order) == 1]
@@ -1119,30 +1170,55 @@ def test_majorants_bound_every_embedding():
         ):
             for row, bounds in zip(exact(m, point), build(m, majorant)):
                 for e, b in zip(row, bounds):
+                    assert all((c * b.den).denominator == 1 for c in e.coeffs), (e, b.den)
                     for a in embeddings:
                         z = cmath.exp(2j * cmath.pi * a / e.order)
                         value = abs(sum(float(c) * z**i for i, c in enumerate(e.coeffs)))
-                        assert value <= b.value * (1 + 1e-9), (e, b.value, a)
+                        assert value <= b.bound / b.den * (1 + 1e-9), (e, b.bound, b.den, a)
 
     check()
-    assert _unit_bounds(root_of_unity(11, 10)) == (1, 1)
-    assert _unit_bounds(ExactScalar.from_rational(-1)) == (1, 1)
-    assert _unit_bounds(1 + root_of_unity(5)) == (2, 2)  # 1/(1 + z5) = -z5 - z5^3
-    for x in (ExactScalar.from_rational(2), ExactScalar.from_rational(Fraction(1, 2))):
-        assert _unit_bounds(x) is None
-        assert _Ring.majorant([x, ExactScalar.one()]) is None
-    assert _unit_bounds(2 + root_of_unity(3)) is None  # its norm is 3
+    assert _coordinate_bounds(root_of_unity(11, 10)) == ((1, 1), (1, 1))
+    assert _coordinate_bounds(ExactScalar.from_rational(-1)) == ((1, 1), (1, 1))
+    # 1/(1 + z5) = -z5 - z5^3
+    assert _coordinate_bounds(1 + root_of_unity(5)) == ((2, 1), (2, 1))
+    assert _coordinate_bounds(ExactScalar.from_rational(2)) == ((2, 1), (1, 2))
+    assert _coordinate_bounds(ExactScalar.from_rational(Fraction(1, 2))) == ((1, 2), (2, 1))
+    # 2 + z3 has norm 3, and 1/(2 + z3) = (1 - z3)/3
+    assert _coordinate_bounds(2 + root_of_unity(3)) == ((3, 1), (2, 3))
+    # (3 + 4i)/5 has absolute value 1 at both embeddings but is no
+    # algebraic integer: c and 1/c = conj(c) keep the denominator 5
+    c = ExactScalar(4, [Fraction(3, 5), Fraction(4, 5)])
+    assert _coordinate_bounds(c) == ((5, 5), (5, 5))
 
 
 def test_certified_route_falls_back_where_the_prime_does_not_apply():
-    """At the least prime above 10 (11 for rational points), a coordinate
-    with 11 in its denominator or one that maps to 0 sends both criteria
-    to the exact route."""
+    """At the least primes above 10 (11, 13, 17, ... for rational points),
+    a coordinate with 11 in its denominator or one that maps to 0 sends
+    both criteria to the exact route; on the pencil's component
+    (coordinate product 1), where the rank mod 11 is deficient and more
+    primes are needed, a coordinate with 13 in its denominator does so
+    too, while one with 7 there is certified by 11, 13, ..."""
     m = pencil_monodromy(4)
-    for point in ([2, 3, 5, Fraction(1, 11)], [Fraction(11, 2), 3, 5, 7]):
+    criteria = [(_presentation_rows, 6, 6), (_relator_rows, 4, 2)]
+    for point in (
+        [2, 3, 5, Fraction(1, 11)],
+        [Fraction(11, 2), 3, 5, 7],
+        [Fraction(2, 13), Fraction(13, 2), 1, 1],
+    ):
         got = membership(m, point, 1, prime_floor=10)
         assert got.certificate == {"delta": "exact", "partial2": "exact"}
         assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
+        point = [ExactScalar.from_rational(c) for c in point]
+        majorant = _Ring.majorant(point)
+        for (build, ncols, threshold), (rows, rank) in zip(criteria, _exact_ranks(m, point, 1)):
+            norms = _row_norms(build(m, majorant))
+            _check_certificate("exact", point, 10, rows, rank, ncols, threshold, norms, {})
+    point = [Fraction(2, 7), Fraction(7, 2), 1, 1]
+    got = membership(m, point, 1, prime_floor=10)
+    for route in got.certificate.values():
+        assert route.startswith("mod 11*13*")
+    assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
+    assert got.delta and got.partial2
     got = membership(m, [2, 3, 5, 7], 1)
     modular = f"mod {modular_prime(1)}"
     assert got.certificate == {"delta": modular, "partial2": modular}

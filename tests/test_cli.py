@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from charvar.alexander import load_monodromy
+from charvar.alexander import load_monodromy, presentation_rank
 from charvar.arrangement import decone, gen_family
 from charvar.cli import main
 from charvar.components import DEFAULT_CAP
@@ -236,6 +237,27 @@ def test_member_torsion_point_via_packaged_fixture(capsys):
     p1 = modular_prime(1)
     p2 = modular_prime(1, p1)
     assert verdict["certificate"] == {"delta": f"mod {p1}*{p2}", "partial2": f"mod {p1}"}
+
+
+def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
+    """A rational point on a non-local component of diamond (parameters 2
+    and 3 on its basis (1, 0, 0, 1, -1, -1), (0, 1, 1, 0, -1, -1)): its
+    coordinates 1/6 are not units, and the deficient rank mod p1 is made
+    exact by the primes after it."""
+    code, out, _ = run(
+        capsys, "member", "fixture:diamond_monodromy", "--point=2,3,3,2,1/6,1/6"
+    )
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["in_Vk"] is True and verdict["consistent"] is True
+    point = [2, 3, 3, 2, Fraction(1, 6), Fraction(1, 6)]
+    assert verdict["rank"] == presentation_rank(load_monodromy("diamond_monodromy"), point)
+    primes = [modular_prime(1)]
+    while len(primes) < 4:
+        primes.append(modular_prime(1, primes[-1]))
+    # the majorant bound needs four primes for both criteria
+    modular = "mod " + "*".join(map(str, primes))
+    assert verdict["certificate"] == {"delta": modular, "partial2": modular}
 
 
 def test_member_accepts_comma_separated_rationals(capsys, monodromy_file):
