@@ -40,7 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -65,8 +65,8 @@ MINOR_CAP = 4
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.03-0.07 s as a unit point (23-47 primes) and 0.04-1.3 s as a
-# point (a/b) * zeta_120^e (up to about 600 primes; 0.5-8 s by the exact
+# takes 0.02-0.06 s as a unit point (9-37 primes) and 0.06-0.9 s as a
+# point (a/b) * zeta_120^e (up to about 330 primes; 0.4-10 s by the exact
 # route), on one core of a 2-core Intel Xeon, Python 3.11.  A point of
 # larger order is refused before any cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
@@ -103,11 +103,12 @@ class _Ring:
     prime field or modulo a product of primes (`residue`), or majorants
     with denominators (`majorant`)."""
 
-    __slots__ = ("n", "one", "zero", "_t", "_tinv", "_factors")
+    __slots__ = ("n", "one", "zero", "_t", "_tinv", "_factors", "_pushed")
 
     def __init__(self, t: list, tinv: list, one, zero):
         self.n, self._t, self._tinv, self.one, self.zero = len(t), t, tinv, one, zero
         self._factors: dict[TwistFactor, list] = {}
+        self._pushed: dict[MonodromyGen, tuple[list[list], list]] = {}
 
     @classmethod
     def residue(
@@ -141,19 +142,18 @@ class _Ring:
     def factor_rows(self, factor: TwistFactor) -> list[list[tuple[int, object]]]:
         """Rows i..j of the Gassner matrix of a twist factor (i, j, e), each
         as its nonzero entries (column - i, entry) in columns i..j, where
-        they all lie; built once per ring."""
+        they all lie; built once per ring from the image words, which are
+        built once per factor (`_factor_words`)."""
         rows = self._factors.get(factor)
         if rows is None:
-            i, j, e = factor
+            i, j, _ = factor
             rows = self._factors[factor] = [
                 [
                     (c, x)
-                    for c, x in enumerate(
-                        fox_gradient(twist_generator_image(i, j, e, k), self)[i - 1 : j]
-                    )
+                    for c, x in enumerate(_gradient(word, self, i - 1, j - i + 1))
                     if not x.is_zero()
                 ]
-                for k in range(i, j + 1)
+                for word in _factor_words(factor)
             ]
         return rows
 
@@ -333,19 +333,33 @@ def _validated_strands(X: Sequence[int]) -> tuple[int, ...]:
 
 def fox_gradient(word: Iterable[int], ring: _Ring) -> list:
     """Abelianized left Fox gradient of a free word."""
-    grad = [ring.zero] * ring.n
+    word = free_reduce(word)
+    if any(abs(letter) > ring.n for letter in word):
+        raise ValidationError("word letter exceeds strand count")
+    return _gradient(word, ring, 0, ring.n)
+
+
+def _gradient(word: FreeWord, ring: _Ring, lo: int, size: int) -> list:
+    """Entries lo..lo+size-1 of the gradient of a freely reduced word whose
+    letters all lie in generators lo+1..lo+size."""
+    grad = [ring.zero] * size
     m = ring.one
-    for letter in free_reduce(word):
+    for letter in word:
         idx = abs(letter) - 1
-        if idx >= ring.n:
-            raise ValidationError("word letter exceeds strand count")
         if letter > 0:
-            grad[idx] = grad[idx] + m
+            grad[idx - lo] = grad[idx - lo] + m
             m = m * ring.t(idx)
         else:
             m = m * ring.tinv(idx)
-            grad[idx] = grad[idx] - m
+            grad[idx - lo] = grad[idx - lo] - m
     return grad
+
+
+@cache
+def _factor_words(factor: TwistFactor) -> tuple[FreeWord, ...]:
+    """The freely reduced images of g_i..g_j under a twist factor (i, j, e)."""
+    i, j, e = factor
+    return tuple(twist_generator_image(i, j, e, k) for k in range(i, j + 1))
 
 
 def _push(braid: BraidWord, vectors: Iterable[Sequence], ring: _Ring) -> list[list]:
@@ -763,7 +777,17 @@ def _unit_rows(strands: Iterable[int], ring: _Ring) -> list[list]:
 
 def _chain_map_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
     """Rows X[:-1] of the monodromy chain map Gassner(delta^-1) Phi_X
-    wedge^2(Theta), Theta = Gassner(delta), without building a matrix.
+    wedge^2(Theta), Theta = Gassner(delta), without building a matrix:
+    x_s ^ y with (x_s, y) from `_pushed_vectors`."""
+    pairs = list(itertools.combinations(range(ring.n), 2))
+    xs, y = _pushed_vectors(gen, ring)
+    return [_wedge_vectors(x, y, pairs) for x in xs]
+
+
+def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
+    """The vectors x_s = u_s Theta, s in X[:-1], and y = nabla Theta whose
+    wedges x_s ^ y are the rows of the monodromy chain map, so that both
+    criteria are built from them; computed once per ring.
 
     Row k of Phi_X is e_k ^ nabla for k in X (nabla the gradient of the
     product of the X generators), (t_k - 1) nabla ^ nabla_{X>k} for
@@ -773,12 +797,15 @@ def _chain_map_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
     - sum_{X_0 < k < X_last, k not in X} theta_s[k] (t_k - 1) nabla_{X>k};
     and (u ^ w) wedge^2(Theta) = (u Theta) ^ (w Theta).
     """
+    pushed = ring._pushed.get(gen)
+    if pushed is not None:
+        return pushed
     X = gen.X
-    pairs = list(itertools.combinations(range(ring.n), 2))
     nabla = _product_gradient(X, ring)
     units = _unit_rows(X[:-1], ring)
     if not gen.delta:
-        return [_wedge_vectors(u, nabla, pairs) for u in units]
+        pushed = ring._pushed[gen] = units, nabla
+        return pushed
     members = set(X)
     uppers = {}  # k -> (t_k - 1) nabla_{X>k}
     for k in range(X[0] + 1, X[-1]):
@@ -796,8 +823,9 @@ def _chain_map_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
                 if not x.is_zero():
                     u[c] = u[c] - a * x
         us.append(u)
-    *us, nabla = _push(gen.delta, us + [nabla], ring)
-    return [_wedge_vectors(u, nabla, pairs) for u in us]
+    *xs, y = _push(gen.delta, us + [nabla], ring)
+    pushed = ring._pushed[gen] = xs, y
+    return pushed
 
 
 def relator_jacobian(
@@ -805,18 +833,32 @@ def relator_jacobian(
 ) -> list[list]:
     """Abelianized Fox Jacobian of the monodromy relators: for each vertex
     set, the rows (Gassner(generator) - identity) for all strands but the
-    largest.  Shape b2 x n."""
+    largest.  Shape b2 x n.  Built as the presentation's chain-map rows
+    times the degree-two differential (see `_relator_rows`)."""
     return _relator_rows(m, _ring(m.n, point))
 
 
 def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
+    """Rows X[:-1] of Gassner(generator) - I for every generator, from the
+    chain-map vectors: Gassner(gen) - I = Phi_gen d_2, and d_2 sends
+    e_a ^ e_b to (t_b - 1) e_a - (t_a - 1) e_b, so row s is
+    (x_s ^ y) d_2 = eps(y) x_s - eps(x_s) y with
+    eps(v) = sum_b (t_b - 1) v_b, O(n) per row from `_pushed_vectors`."""
+
+    def eps(v: list):
+        total = ring.zero
+        for b, a in enumerate(v):
+            if not a.is_zero():
+                total = total + (ring.t(b) - ring.one) * a
+        return total
+
     rows = []
     for gen in m.generators:
-        strands = gen.X[:-1]
-        pushed = _push(monodromy_braid(gen), _unit_rows(strands, ring), ring)
-        for s, row in zip(strands, pushed):
-            row[s - 1] = row[s - 1] - ring.one
-            rows.append(row)
+        xs, y = _pushed_vectors(gen, ring)
+        ey = eps(y)
+        for x in xs:
+            ex = eps(x)
+            rows.append([ey * a - ex * b for a, b in zip(x, y)])
     return rows
 
 
@@ -876,6 +918,14 @@ def membership(
       at the current s are built together, once, modulo their product (see
       `ResidueRing`), and ranked one by one in order; a larger s asks for
       another batch.
+
+    Both criteria are built in each ring from one push per generator (see
+    `_pushed_vectors`): the presentation rows are x_s ^ y, and the relator
+    rows are those rows times the degree-two differential,
+    eps(y) x_s - eps(x_s) y.  The majorant ring follows the same
+    expressions, so its bounds hold for the entries as built, and the
+    relator majorants come from the same short pushes as the
+    presentation's instead of a push through the whole conjugated twist.
 
     Where a prime the rule needs does not apply (it divides a coordinate
     denominator or maps a coordinate to 0), the criterion is ranked exactly

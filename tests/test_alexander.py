@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from charvar import alexander
 from charvar.alexander import (
     MINOR_CAP,
     POINT_ORDER_CAP,
@@ -25,6 +26,7 @@ from charvar.alexander import (
     MonodromyInput,
     artin_apply,
     fitting_generators,
+    fox_gradient,
     free_reduce,
     full_twist,
     gassner,
@@ -310,6 +312,49 @@ def test_gassner_rows_satisfy_the_fundamental_gradient_identity():
             for j in range(n):
                 acc = acc + matrix[i][j] * (t[j] - 1)
             assert acc == t[i] - 1
+
+
+def test_factor_rows_are_fox_gradients_of_memoized_image_words(monkeypatch):
+    """Each twist factor's rows equal the Fox gradients of its image words,
+    entry by entry and, on majorants, bound by bound and den by den; the
+    image words are built once per factor, so a ring built after the first
+    does no free-group work."""
+    n = 5
+    rational = [Fraction(2, 3), Fraction(-5), Fraction(7, 2), Fraction(3)]
+    point = [ExactScalar.from_rational(c) for c in rational] + [root_of_unity(12, 5)]
+    factors = [
+        (i, j, e) for i, j in itertools.combinations(range(1, n + 1), 2) for e in (1, -1)
+    ]
+
+    def entries(rows):
+        return [
+            [(c, (x.bound, x.den) if isinstance(x, _Majorant) else x) for c, x in row]
+            for row in rows
+        ]
+
+    for factor in factors:
+        _ring(n).factor_rows(factor)
+    calls = []
+    for name in ("twist_generator_image", "free_reduce"):
+        real = getattr(alexander, name)
+        monkeypatch.setattr(
+            alexander, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    rings = [_ring(n), _ring(n, point), _Ring.majorant(point)]
+    got = [[entries(ring.factor_rows(f)) for f in factors] for ring in rings]
+    assert calls == []
+    monkeypatch.undo()
+    for ring, rows in zip(rings, got):
+        want = []
+        for i, j, e in factors:
+            grads = [
+                fox_gradient(twist_generator_image(i, j, e, k), ring)[i - 1 : j]
+                for k in range(i, j + 1)
+            ]
+            want.append(
+                entries([[(c, x) for c, x in enumerate(g) if not x.is_zero()] for g in grads])
+            )
+        assert rows == want
 
 
 def test_wedge_square_is_multiplicative():
@@ -1189,6 +1234,53 @@ def test_majorants_bound_every_embedding():
     # algebraic integer: c and 1/c = conj(c) keep the denominator 5
     c = ExactScalar(4, [Fraction(3, 5), Fraction(4, 5)])
     assert _coordinate_bounds(c) == ((5, 5), (5, 5))
+
+
+def test_relator_certificate_needs_no_more_primes_than_the_presentation():
+    """The relator rows are the chain-map rows times the degree-two
+    differential, so their majorants stay as tight as the presentation's:
+    at a non-unit point (a/b) * zeta_12^e on pencil(6)'s component,
+    pushing unit rows through the whole conjugated twist gave `partial2`
+    57 primes against 20 for `delta`."""
+    m, _ = _gate_input("pencil6")
+    point = _gate_point("pencil6", True, 12, 0, scaled=True)
+    got = membership(m, point, 1)
+    primes = {name: route.count("*") + 1 for name, route in got.certificate.items()}
+    assert primes["delta"] == 20
+    assert primes["partial2"] <= primes["delta"]
+    assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
+
+
+def test_both_criteria_share_one_push_per_generator_and_ring(monkeypatch):
+    """`membership` pushes each generator's vectors through its inverse
+    conjugator and its conjugator once per evaluation ring, and both
+    criteria are built from them: at a point off the locus (decided at
+    p_1) and at one on a component (several primes and the majorant
+    ring)."""
+    pushes = {}
+    push = alexander._push
+
+    def spy(braid, vectors, ring):
+        pushes.setdefault(ring, []).append(braid)
+        return push(braid, vectors, ring)
+
+    monkeypatch.setattr(alexander, "_push", spy)
+    m, _ = _gate_input("diamond")
+    want = sorted(
+        braid
+        for gen in m.generators
+        if gen.delta
+        for braid in (invert_braid(gen.delta), gen.delta)
+    )
+    modular = f"mod {modular_prime(1)}"
+    got = membership(m, [2, 3, 5, 7, 11, 13], 1)
+    assert got.certificate == {"delta": modular, "partial2": modular}
+    assert [sorted(braids) for braids in pushes.values()] == [want]
+    pushes.clear()
+    got = membership(m, _gate_point("diamond", True, None, False, 0), 1)
+    assert all("*" in route for route in got.certificate.values())
+    assert len(pushes) > 2
+    assert all(sorted(braids) == want for braids in pushes.values())
 
 
 def test_certified_route_falls_back_where_the_prime_does_not_apply():

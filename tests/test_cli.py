@@ -242,8 +242,9 @@ def test_member_torsion_point_via_packaged_fixture(capsys):
 def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
     """A rational point on a non-local component of diamond (parameters 2
     and 3 on its basis (1, 0, 0, 1, -1, -1), (0, 1, 1, 0, -1, -1)): its
-    coordinates 1/6 are not units, and the deficient rank mod p1 is made
-    exact by the primes after it."""
+    coordinates 1/6 are not units, and the deficient ranks mod p1 are made
+    exact by the primes after it, as many as each criterion's majorant
+    bound asks for."""
     code, out, _ = run(
         capsys, "member", "fixture:diamond_monodromy", "--point=2,3,3,2,1/6,1/6"
     )
@@ -255,9 +256,12 @@ def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
     primes = [modular_prime(1)]
     while len(primes) < 4:
         primes.append(modular_prime(1, primes[-1]))
-    # the majorant bound needs four primes for both criteria
-    modular = "mod " + "*".join(map(str, primes))
-    assert verdict["certificate"] == {"delta": modular, "partial2": modular}
+    # the majorant bound needs four primes for delta and three for partial2,
+    # whose rows are the chain-map rows times the degree-two differential
+    assert verdict["certificate"] == {
+        "delta": "mod " + "*".join(map(str, primes)),
+        "partial2": "mod " + "*".join(map(str, primes[:3])),
+    }
 
 
 def test_member_accepts_comma_separated_rationals(capsys, monodromy_file):
