@@ -65,9 +65,9 @@ MINOR_CAP = 4
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.02-0.06 s as a unit point (9-37 primes) and 0.06-0.9 s as a
-# point (a/b) * zeta_120^e (up to about 330 primes; 0.4-10 s by the exact
-# route), on one core of a 2-core Intel Xeon, Python 3.11.  A point of
+# takes 0.02-0.04 s as a unit point (23-37 primes) and 0.04-0.9 s as a
+# point (a/b) * zeta_120^e (69-333 primes; 0.5-10 s by the exact route),
+# on one core of a 2-core Intel Xeon, Python 3.11.  A point of
 # larger order is refused before any cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 
@@ -99,14 +99,15 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 
 class _Ring:
     """Uniform scalar operations on the values of the t_i and their
-    inverses: symbolic Laurent or exact at a point (`_ring`), images in a
-    prime field or modulo a product of primes (`residue`), or majorants
-    with denominators (`majorant`)."""
+    inverses: symbolic Laurent or exact at a point (`_ring`), int residues
+    modulo a prime or a product of primes (`residue`), or majorants with
+    denominators (`majorant`).  The builders test zeros by truthiness."""
 
-    __slots__ = ("n", "one", "zero", "_t", "_tinv", "_factors", "_pushed")
+    __slots__ = ("n", "one", "zero", "modulus", "_t", "_tinv", "_factors", "_pushed")
 
-    def __init__(self, t: list, tinv: list, one, zero):
+    def __init__(self, t: list, tinv: list, one, zero, modulus: int | None = None):
         self.n, self._t, self._tinv, self.one, self.zero = len(t), t, tinv, one, zero
+        self.modulus = modulus
         self._factors: dict[TwistFactor, list] = {}
         self._pushed: dict[MonodromyGen, tuple[list[list], list]] = {}
 
@@ -115,12 +116,15 @@ class _Ring:
         cls, coords: list[ExactScalar], field: PrimeField | ResidueRing
     ) -> "_Ring | None":
         """Evaluation at the point's image in F_p or in Z/(p_1 ... p_j) (see
-        `PrimeField`, `ResidueRing`); None when a prime divides a
-        coordinate's denominator or a coordinate's image is not a unit."""
+        `PrimeField`, `ResidueRing`), on ints modulo N = field.p, the ring's
+        `modulus`; None when a prime divides a coordinate's denominator or a
+        coordinate's image is not a unit.  Entries are built on integer
+        representatives, which `_push` reduces mod N to keep them small."""
+        modulus = field.p
         images = [field.reduce(c) for c in coords]
-        if any(v is None or not v.is_unit() for v in images):
+        if any(v is None or math.gcd(v, modulus) != 1 for v in images):
             return None
-        return cls(images, [v.inverse() for v in images], field.one, field.zero)
+        return cls(images, [pow(v, -1, modulus) for v in images], 1, 0, modulus)
 
     @classmethod
     def majorant(cls, coords: list[ExactScalar]) -> "_Ring":
@@ -151,7 +155,7 @@ class _Ring:
                 [
                     (c, x)
                     for c, x in enumerate(_gradient(word, self, i - 1, j - i + 1))
-                    if not x.is_zero()
+                    if x
                 ]
                 for word in _factor_words(factor)
             ]
@@ -199,6 +203,9 @@ class _Majorant:
 
     def is_zero(self) -> bool:
         return self.bound == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
 
 def _coordinate_bounds(c: ExactScalar) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -372,18 +379,23 @@ def _push(braid: BraidWord, vectors: Iterable[Sequence], ring: _Ring) -> list[li
     exponentially long image words.  A factor (i, j, e) fixes g_k outside
     i..j and sends g_k inside to a word in g_i, g_j, g_k, so only the
     coordinates i..j change, and they depend only on coordinates i..j.
+    In a residue ring the vectors and every factor's output are reduced
+    mod its modulus, so every entry of the result lies in [0, modulus).
     """
-    vectors = [list(v) for v in vectors]
+    modulus = ring.modulus
+    vectors = [list(v) if modulus is None else [a % modulus for a in v] for v in vectors]
     for factor in braid:
         i, j, _ = factor
         rows = ring.factor_rows(factor)
         for v in vectors:
             new = [ring.zero] * (j - i + 1)
             for a, row in zip(v[i - 1 : j], rows):
-                if a.is_zero():
+                if not a:
                     continue
                 for c, x in row:
                     new[c] = new[c] + a * x
+            if modulus is not None:
+                new = [a % modulus for a in new]
             v[i - 1 : j] = new
     return vectors
 
@@ -515,19 +527,31 @@ def monodromy_braid(gen: "MonodromyGen") -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _resolution_differential(k: int, ring: _Ring) -> list[list]:
-    n = ring.n
-    if k == 1:
-        return [[ring.t(i) - ring.one] for i in range(n)]
-    cols = list(itertools.combinations(range(1, n + 1), k - 1))
+@cache
+def _koszul_pattern(k: int, n: int) -> tuple[int, tuple[tuple, ...]]:
+    """The column count C(n, k-1) and, for each k-subset J in lexicographic
+    order, the entries of its row of the degree-k differential as
+    (column of J minus j, j - 1, whether the sign is minus), j in J."""
+    cols = itertools.combinations(range(1, n + 1), k - 1)
     col_index = {c: i for i, c in enumerate(cols)}
+    rows = tuple(
+        tuple((col_index[J[:r] + J[r + 1 :]], J[r] - 1, r % 2 == 0) for r in range(k))
+        for J in itertools.combinations(range(1, n + 1), k)
+    )
+    return len(col_index), rows
+
+
+def _resolution_differential(k: int, ring: _Ring) -> list[list]:
+    plus = [ring.t(i) - ring.one for i in range(ring.n)]
+    if k == 1:
+        return [[entry] for entry in plus]
+    minus = [-entry for entry in plus]
+    ncols, pattern = _koszul_pattern(k, ring.n)
     rows = []
-    for J in itertools.combinations(range(1, n + 1), k):
-        row = [ring.zero] * len(cols)
-        for r, jr in enumerate(J, start=1):
-            rest = tuple(v for v in J if v != jr)
-            entry = ring.t(jr - 1) - ring.one
-            row[col_index[rest]] = -entry if r % 2 else entry
+    for entries in pattern:
+        row = [ring.zero] * ncols
+        for c, j, negative in entries:
+            row[c] = minus[j] if negative else plus[j]
         rows.append(row)
     return rows
 
@@ -817,10 +841,10 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
         u = [theta[c] if c + 1 in members else ring.zero for c in range(ring.n)]
         for k, upper in uppers.items():
             a = theta[k - 1]
-            if a.is_zero():
+            if not a:
                 continue
             for c, x in enumerate(upper):
-                if not x.is_zero():
+                if x:
                     u[c] = u[c] - a * x
         us.append(u)
     *xs, y = _push(gen.delta, us + [nabla], ring)
@@ -848,7 +872,7 @@ def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
     def eps(v: list):
         total = ring.zero
         for b, a in enumerate(v):
-            if not a.is_zero():
+            if a:
                 total = total + (ring.t(b) - ring.one) * a
         return total
 
@@ -926,6 +950,10 @@ def membership(
     expressions, so its bounds hold for the entries as built, and the
     relator majorants come from the same short pushes as the
     presentation's instead of a push through the whole conjugated twist.
+    In a residue ring the builders compute on integer representatives and
+    reduce them mod N = p_1 ... p_j only to keep them small; Z -> Z/N is a
+    ring map, so every entry is the residue of the entry built in Z/N, and
+    `modp_rank` reduces it mod each p_i.
 
     Where a prime the rule needs does not apply (it divides a coordinate
     denominator or maps a coordinate to 0), the criterion is ranked exactly
@@ -1011,7 +1039,7 @@ def _certified_rank(
     rows = build(m, ring)
     full = min(len(rows), ncols)
     primes = [residues.field(0).p]
-    rank = modp_rank(_values(rows), ncols, primes[0])
+    rank = modp_rank(rows, ncols, primes[0])
     if rank < full and rank <= threshold:
         norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
         phi = _euler_phi(residues.order)
@@ -1032,17 +1060,14 @@ def _certified_rank(
             ring = residues.product_ring(start, stop)
             if ring is None:
                 return None
-            values = _values(build(m, ring))
+            # reduced once, so that each prime reduces ints below the product
+            values = [[v % ring.modulus for v in row] for row in build(m, ring)]
             for i in range(start, stop):
                 primes.append(residues.field(i).p)
                 rank = max(rank, modp_rank(values, ncols, primes[-1]))
                 if not undecided():
                     break
     return rank, "mod " + "*".join(map(str, primes))
-
-
-def _values(rows: list[list]) -> list[list[int]]:
-    return [[e.value for e in row] for row in rows]
 
 
 def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:

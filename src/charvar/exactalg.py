@@ -5,15 +5,15 @@ either a rational number or an element of Q(zeta_m) written on the power
 basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
 Linear algebra has one kernel per job: a fraction-free integer echelon for
 the rank of integer and rational rows, one elimination over Q(zeta_m) for
-cyclotomic ranks, one over F_p for the certified modular rank (rows
-built once modulo a product of primes, by the Chinese remainder theorem,
-serve every one of them), a rational reduced echelon form, and one
-unimodular reduction behind the Hermite normal form and the saturated
-integer kernel.  Laurent polynomials over Z in several variables
-(integer exponents of either sign, integer coefficients) model the
-entries of monodromy and boundary matrices over the group ring Z[Z^n];
-they evaluate to scalars at points whose coordinates are roots of unity
-times rationals.
+cyclotomic ranks, a sparse one over F_p for the certified modular rank
+(rows of int residues built once modulo a product of primes, by the
+Chinese remainder theorem, serve every one of them), a rational reduced
+echelon form, and one unimodular reduction behind the Hermite normal form
+and the saturated integer kernel.  Laurent polynomials over Z in several
+variables (integer exponents of either sign, integer coefficients) model
+the entries of monodromy and boundary matrices over the group ring
+Z[Z^n]; they evaluate to scalars at points whose coordinates are roots of
+unity times rationals.
 
 Everything here is deterministic and division-free where possible, so the
 same inputs always produce the same pivots, ranks, and basis vectors.
@@ -184,6 +184,9 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return self.order == 1 and self.coeffs[0] == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_one(self) -> bool:
         return self.order == 1 and self.coeffs[0] == 1
@@ -638,48 +641,6 @@ def integer_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]
 MODULAR_PRIME_FLOOR = 2**30  # modular ranks use the least suitable prime above this
 
 
-class ModP:
-    """A residue modulo p, with the scalar operations the presentation
-    builders use.  The modulus p is a prime (an element of the field F_p)
-    or a product of distinct primes (an element of `ResidueRing`)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def __add__(self, other: "ModP") -> "ModP":
-        return ModP(self.value + other.value, self.p)
-
-    def __sub__(self, other: "ModP") -> "ModP":
-        return ModP(self.value - other.value, self.p)
-
-    def __mul__(self, other: "ModP") -> "ModP":
-        return ModP(self.value * other.value, self.p)
-
-    def __neg__(self) -> "ModP":
-        return ModP(-self.value, self.p)
-
-    def inverse(self) -> "ModP":
-        assert self.value, "zero has no inverse"
-        return ModP(pow(self.value, -1, self.p), self.p)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.p) == 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModP):
-            return NotImplemented
-        return (self.value, self.p) == (other.value, other.p)
-
-    def __repr__(self) -> str:
-        return f"{self.value} mod {self.p}"
-
-
 class PrimeField:
     """F_p as the residue field of Z[zeta_M] at a prime above p.
 
@@ -692,18 +653,20 @@ class PrimeField:
     denominators prime to p.  `reduce` evaluates that map (a scalar of
     order d dividing M sends zeta_d to omega^(M/d), matching how scalars
     are promoted), and declines when p divides a denominator.
+
+    Residues are plain ints in [0, p).  Z -> Z/p is a ring map, so sums
+    and products of residues computed in Z and reduced mod p (at any
+    point, or only at the end) are the residues of the same expressions.
     """
 
-    __slots__ = ("order", "p", "omega", "one", "zero")
+    __slots__ = ("order", "p", "omega")
 
     def __init__(self, order: int, floor: int = MODULAR_PRIME_FLOOR):
         self.order = order
         self.p = modular_prime(order, floor)
         self.omega = _element_of_order(order, self.p)
-        self.one = ModP(1, self.p)
-        self.zero = ModP(0, self.p)
 
-    def reduce(self, value: ExactScalar) -> ModP | None:
+    def reduce(self, value: ExactScalar) -> int | None:
         """The image of an exact scalar, or None when p divides one of its
         coefficient denominators."""
         assert self.order % value.order == 0, "scalar order must divide the field order"
@@ -716,39 +679,38 @@ class PrimeField:
                     return None
                 acc += c.numerator * pow(c.denominator, -1, p) * power
             power = power * step % p
-        return ModP(acc, p)
+        return acc % p
 
 
 class ResidueRing:
     """Z/(p_1 ... p_j) for the distinct primes of some `PrimeField`s, which
     the Chinese remainder theorem identifies with the product of the fields.
 
-    `reduce` sends a scalar to the residue whose image mod each p_i is its
-    image in the i-th field.  Reduction mod p_i is a ring map onto F_{p_i},
-    so anything built from such residues by ring operations reduces mod p_i
-    to the same thing built in F_{p_i}: one build serves every p_i.
+    `reduce` sends a scalar to the residue (an int in [0, p_1 ... p_j))
+    whose image mod each p_i is its image in the i-th field.  Reduction mod
+    p_i is a ring map onto F_{p_i}, so anything built from such residues by
+    ring operations reduces mod p_i to the same thing built in F_{p_i}: one
+    build serves every p_i.
     """
 
-    __slots__ = ("fields", "p", "one", "zero", "_idempotents")
+    __slots__ = ("fields", "p", "_idempotents")
 
     def __init__(self, fields: Sequence[PrimeField]):
         self.fields = tuple(fields)
         self.p = math.prod(field.p for field in self.fields)
-        self.one = ModP(1, self.p)
-        self.zero = ModP(0, self.p)
         # e_i = 1 mod p_i and 0 mod every other p_l
         self._idempotents = [
             self.p // field.p * pow(self.p // field.p, -1, field.p)
             for field in self.fields
         ]
 
-    def reduce(self, value: ExactScalar) -> ModP | None:
+    def reduce(self, value: ExactScalar) -> int | None:
         """The residue of an exact scalar, or None when one of the primes
         divides one of its coefficient denominators."""
         images = [field.reduce(value) for field in self.fields]
         if None in images:
             return None
-        return ModP(sum(e * v.value for e, v in zip(self._idempotents, images)), self.p)
+        return sum(e * v for e, v in zip(self._idempotents, images)) % self.p
 
 
 @lru_cache(maxsize=None)
@@ -807,29 +769,38 @@ def _element_of_order(order: int, p: int) -> int:
 
 
 def modp_rank(rows: Iterable[Sequence[int]], ncols: int, p: int) -> int:
-    """Rank over F_p of integer rows, by elimination that stops at full rank.
+    """Rank over F_p of integer rows, by sparse elimination that stops at
+    full rank.
+
+    Rows are reduced mod p and kept as {column: value} dicts of their
+    nonzero entries.  Each step takes the remaining row with the fewest
+    nonzeros as the pivot row, pivots on its first stored column, and
+    clears that column from every other remaining row; rows that become
+    zero are dropped.
 
     Reduction modulo p is a ring map, so every minor that survives it was
     nonzero before: the result never exceeds the rank over the rationals.
     """
-    work = [[v % p for v in row] for row in rows]
-    work = [row for row in work if any(row)]
+    work = [{c: r for c, v in enumerate(row) if (r := v % p)} for row in rows]
+    work = [row for row in work if row]
     full = min(len(work), ncols)
     rank_found = 0
-    for col in range(ncols):
-        if rank_found == full:
-            break
-        piv = next((i for i in range(rank_found, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank_found], work[piv] = work[piv], work[rank_found]
-        prow = work[rank_found]
-        inv = pow(prow[col], -1, p)
-        for idx in range(rank_found + 1, len(work)):
-            row = work[idx]
-            if row[col]:
-                factor = row[col] * inv % p
-                work[idx] = [(a - factor * b) % p for a, b in zip(row, prow)]
+    while work and rank_found < full:
+        pivot = min(work, key=len)
+        col, lead = next(iter(pivot.items()))
+        inv = pow(lead, -1, p)
+        for row in work:
+            a = row.get(col)
+            if a is None or row is pivot:
+                continue
+            factor = a * inv % p
+            for c, b in pivot.items():
+                v = (row.get(c, 0) - factor * b) % p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+        work = [row for row in work if row and row is not pivot]
         rank_found += 1
     return rank_found
 
@@ -908,6 +879,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     # -- arithmetic ----------------------------------------------------------
 

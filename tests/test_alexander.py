@@ -60,6 +60,7 @@ from charvar.alexander import (
     _coordinate_bounds,
     _Majorant,
     _presentation_rows,
+    _pushed_vectors,
     _relator_rows,
     _Residues,
     _Ring,
@@ -84,7 +85,6 @@ from charvar.exactalg import (
     ExactMatrix,
     ExactScalar,
     LaurentPoly,
-    ModP,
     ResidueRing,
     _euler_phi as euler_phi,
     modp_rank,
@@ -501,24 +501,44 @@ def test_row_builders_match_the_reference_construction(drawn, kind, rng):
         point = [Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.randint(1, 4)) for _ in range(n)]
     elif kind != "symbolic":
         point = [root_of_unity(12, rng.randrange(12)) for _ in range(n)]
-    ring, image = _ring(n, point), lambda e: e
+    ring, image, built = _ring(n, point), lambda e: e, lambda e: e
     if kind.startswith("mod"):
         field = prime_field(12)
         if kind == "mod p1*p2":
             field = ResidueRing([field, prime_field(12, field.p)])
         ring, image = _Ring.residue(point, field), field.reduce
+        # residue rows hold integer representatives: compare them mod N
+        built = lambda e: e % ring.modulus  # noqa: E731
     chain = monodromy_chain_map(gen, n, point)
     want = [chain[s - 1] for s in gen.X[:-1]]
     if n >= 3:
         want += resolution_differential(3, n, point)
-    assert _presentation_rows(m, ring) == [[image(e) for e in row] for row in want]
+    got = _presentation_rows(m, ring)
+    assert [[built(e) for e in row] for row in got] == [[image(e) for e in row] for row in want]
     theta = gassner(monodromy_braid(gen), n, point)
     one = LaurentPoly.one(n) if point is None else ExactScalar.one()
     want = [
         [image(e - one if c == s - 1 else e) for c, e in enumerate(theta[s - 1])]
         for s in gen.X[:-1]
     ]
-    assert _relator_rows(m, ring) == want
+    assert [[built(e) for e in row] for row in _relator_rows(m, ring)] == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(conjugated_generators(), st.randoms(use_true_random=False))
+def test_pushed_vectors_stay_below_the_modulus_of_a_residue_ring(drawn, rng):
+    """At a point of order 12, in F_p and in Z/(p1*p2), every entry of the
+    pushed vectors of a conjugated generator lies in [0, N): the push
+    reduces each factor's output, so the ints do not grow with the
+    conjugator, which no verdict would show."""
+    n, gen = drawn
+    point = [root_of_unity(12, rng.randrange(12)) for _ in range(n)]
+    field = prime_field(12)
+    for residues in (field, ResidueRing([field, prime_field(12, field.p)])):
+        ring = _Ring.residue(point, residues)
+        assert ring.modulus == residues.p
+        xs, y = _pushed_vectors(gen, ring)
+        assert all(0 <= e < ring.modulus for v in xs + [y] for e in v)
 
 
 def test_wedge_of_gassner_commutes_past_the_degree_two_differential():
@@ -978,10 +998,10 @@ def _check_certificate(route, point, floor, rows, rank, ncols, threshold, norms,
         return fields[i]
 
     def applies(f):
-        return all(v is not None and v.is_unit() for v in map(f.reduce, point))
+        return all(v is not None and math.gcd(v, f.p) == 1 for v in map(f.reduce, point))
 
     def rank_mod(f):
-        return modp_rank([[f.reduce(e).value for e in row] for row in rows], ncols, f.p)
+        return modp_rank([[f.reduce(e) for e in row] for row in rows], ncols, f.p)
 
     def deficient(s):
         return s < full and s <= threshold
@@ -1083,8 +1103,8 @@ def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
     def build(_m, ring):
         if ring is residues.majorant:
             return [[_Majorant(1, 1)] * 3 for _ in range(3)]
-        p = ring.one.p
-        return [[ModP(int(i == j < script[p]), p) for j in range(3)] for i in range(3)]
+        p = ring.modulus
+        return [[int(i == j < script[p]) for j in range(3)] for i in range(3)]
 
     assert _certified_rank(None, residues, build, 3, 3) == (2, "mod 11*31*41")
     assert _certified_rank(None, residues, build, 3, 1) == (2, "mod 11*31")
@@ -1099,8 +1119,8 @@ def _sequential_rank(m, residues, build, ncols, threshold):
         return None
     rows = build(m, ring)
     full = min(len(rows), ncols)
-    primes = [ring.one.p]
-    rank = modp_rank([[e.value for e in row] for row in rows], ncols, primes[0])
+    primes = [ring.modulus]
+    rank = modp_rank(rows, ncols, primes[0])
     if rank < full and rank <= threshold:
         norms = sorted(_row_norms(build(m, residues.majorant)), reverse=True)
         phi = euler_phi(residues.order)
@@ -1110,9 +1130,8 @@ def _sequential_rank(m, residues, build, ncols, threshold):
             and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi
         ):
             ring = residues.ring(len(primes))
-            values = [[e.value for e in row] for row in build(m, ring)]
-            rank = max(rank, modp_rank(values, ncols, ring.one.p))
-            primes.append(ring.one.p)
+            rank = max(rank, modp_rank(build(m, ring), ncols, ring.modulus))
+            primes.append(ring.modulus)
     return rank, "mod " + "*".join(map(str, primes))
 
 

@@ -333,7 +333,7 @@ def test_modular_prime_and_its_root_of_unity(floor):
         assert primes == [p]
         powers = [pow(field.omega, e, p) for e in range(1, order + 1)]
         assert powers.index(1) == order - 1
-        assert field.reduce(root_of_unity(order)).value == field.omega
+        assert field.reduce(root_of_unity(order)) == field.omega
     small = [modular_prime(m, 10) for m in (1, 2, 3, 4, 5, 6, 12)]
     assert small == [11, 11, 13, 13, 11, 13, 13]
 
@@ -388,21 +388,23 @@ def test_reduction_mod_p_is_a_ring_map(data, d1, d2, floor):
     commute with the reduction."""
     a, b = _scalar(data.draw, d1), _scalar(data.draw, d2)
     field = prime_field(math.lcm(d1, d2), floor)
+    p = field.p
     ra, rb = field.reduce(a), field.reduce(b)
     # denominators are at most 6 and every prime used is above 10
     assert ra is not None and rb is not None
-    assert field.reduce(a + b) == ra + rb
-    assert field.reduce(a - b) == ra - rb
-    assert field.reduce(a * b) == ra * rb
-    assert field.reduce(-a) == -ra
+    assert 0 <= ra < p and 0 <= rb < p
+    assert field.reduce(a + b) == (ra + rb) % p
+    assert field.reduce(a - b) == (ra - rb) % p
+    assert field.reduce(a * b) == ra * rb % p
+    assert field.reduce(-a) == -ra % p
     zeta = root_of_unity(d2, data.draw(st.integers(min_value=0, max_value=d2 - 1)))
-    assert field.reduce(zeta.inverse()) == field.reduce(zeta).inverse()
-    if not a.is_zero() and not ra.is_zero():
+    assert field.reduce(zeta.inverse()) == pow(field.reduce(zeta), -1, p)
+    if not a.is_zero() and ra:
         inv = field.reduce(a.inverse())
         # a unit at the prime above p need not have p-free power-basis
         # denominators (p splits completely); where it does, they agree
         if inv is not None:
-            assert inv == ra.inverse()
+            assert inv == pow(ra, -1, p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -425,6 +427,72 @@ def test_modular_rank_drops_at_a_bad_prime():
     assert modp_rank(rows, 2, 11) == 1
     assert modp_rank(rows, 2, 13) == 2
     assert modp_rank([], 3, 11) == 0
+
+
+def _dense_modp_rank(rows, ncols, p):
+    """Reference rank over F_p: dense elimination, column by column."""
+    work = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        for i in range(rank + 1, len(work)):
+            factor = work[i][col] * inv % p
+            work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _rows_mod_p(draw):
+    """A prime p and integer rows, more of them than columns or fewer, with
+    zero rows, repeated rows, integer combinations, rows congruent to
+    another mod p and multiples of p mixed in."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, modular_prime(1)]))
+    tall = draw(st.booleans())
+    low, high = (1, 5) if tall else (2, 9)
+    ncols = draw(st.integers(min_value=low, max_value=high))
+    entry = st.integers(min_value=-9, max_value=9)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    free = draw(st.lists(row, min_size=1, max_size=4))
+
+    def combination():
+        coeffs = draw(st.lists(entry, min_size=len(free), max_size=len(free)))
+        return [sum(c * r[j] for c, r in zip(coeffs, free)) for j in range(ncols)]
+
+    rows = [list(r) for r in free]
+    kinds = ["zero", "repeat", "combination", "congruent", "multiple of p"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        base = draw(st.sampled_from(rows))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(base))
+        elif kind == "combination":
+            rows.append(combination())
+        elif kind == "congruent":
+            rows.append([v + p * w for v, w in zip(base, draw(row))])
+        else:
+            rows.append([p * v for v in base])
+    while tall and len(rows) <= ncols:
+        rows.append(combination())
+    rows = draw(st.permutations(rows))
+    return (rows if tall else rows[: ncols - 1]), ncols, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_mod_p())
+def test_sparse_modular_rank_matches_a_dense_elimination(case):
+    """The sparse elimination of `modp_rank` gives the rank of the dense
+    column-by-column elimination over F_p, on tall and on wide row sets,
+    and never exceeds the rational rank."""
+    rows, ncols, p = case
+    rank = modp_rank(rows, ncols, p)
+    assert rank == _dense_modp_rank(rows, ncols, p)
+    assert rank <= IntEchelon(ncols).add_rows(rows)
 
 
 # ---------------------------------------------------------------------------
