@@ -66,9 +66,9 @@ MINOR_CAP = 4
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
 # takes 0.02-0.04 s as a unit point (23-37 primes) and 0.04-0.9 s as a
-# point (a/b) * zeta_120^e (69-333 primes; 0.5-10 s by the exact route),
-# on one core of a 2-core Intel Xeon, Python 3.11.  A point of
-# larger order is refused before any cyclotomic polynomial is built.
+# point (a/b) * zeta_120^e (69-333 primes), on one core of a 2-core Intel
+# Xeon, Python 3.11.  A point of larger order is refused before any
+# cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 
 FreeWord = tuple[int, ...]
@@ -114,16 +114,14 @@ class _Ring:
     @classmethod
     def residue(
         cls, coords: list[ExactScalar], field: PrimeField | ResidueRing
-    ) -> "_Ring | None":
+    ) -> "_Ring":
         """Evaluation at the point's image in F_p or in Z/(p_1 ... p_j) (see
         `PrimeField`, `ResidueRing`), on ints modulo N = field.p, the ring's
-        `modulus`; None when a prime divides a coordinate's denominator or a
-        coordinate's image is not a unit.  Entries are built on integer
+        `modulus`, at primes that apply (`_Residues.field`), where every
+        coordinate's image is a unit.  Entries are built on integer
         representatives, which `_push` reduces mod N to keep them small."""
         modulus = field.p
         images = [field.reduce(c) for c in coords]
-        if any(v is None or math.gcd(v, modulus) != 1 for v in images):
-            return None
         return cls(images, [pow(v, -1, modulus) for v in images], 1, 0, modulus)
 
     @classmethod
@@ -887,12 +885,15 @@ def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
 
 
 def presentation_rank(m: MonodromyInput, point: Sequence) -> int:
-    """Exact rank of the presentation matrix evaluated at a torus point."""
+    """Exact rank of the presentation matrix evaluated at a torus point, by
+    elimination over Q(zeta_M): the reference that `membership`'s modular
+    ranks are tested against."""
     return ExactMatrix(presentation_matrix(m, point=point), math.comb(m.n, 2)).rank()
 
 
 def relator_rank(m: MonodromyInput, point: Sequence) -> int:
-    """Exact rank of the relator Jacobian evaluated at a torus point."""
+    """Exact rank of the relator Jacobian evaluated at a torus point, by
+    elimination over Q(zeta_M): the reference for `membership`."""
     return ExactMatrix(relator_jacobian(m, point=point), m.n).rank()
 
 
@@ -900,7 +901,8 @@ def relator_rank(m: MonodromyInput, point: Sequence) -> int:
 class Membership:
     """A depth-k verdict at a torus point: the exact presentation rank,
     both criteria (`partial2` is None beyond the relator window), and the
-    route that decided each criterion, "mod <p1>*<p2>*..." or "exact"."""
+    primes that decided each criterion, "mod <p1>*<p2>*..." (None for
+    `partial2` beyond the window)."""
 
     rank: int
     delta: bool
@@ -911,17 +913,18 @@ class Membership:
 def membership(
     m: MonodromyInput, point: Sequence, k: int, prime_floor: int = MODULAR_PRIME_FLOOR
 ) -> Membership:
-    """Depth-k membership of a torus point, by certified modular ranks with
-    exact elimination only where they cannot decide.
+    """Depth-k membership of a torus point, by certified modular ranks.
 
-    Let M be the point's order and p_1 < p_2 < ... the primes above
-    prime_floor with p_i = 1 (mod M).  When p_i divides no coordinate
-    denominator and no coordinate maps to 0, every coordinate is a unit of
-    the local ring of Z[zeta_M] at a prime P_i above p_i (see `PrimeField`),
-    so every entry of the presentation matrix and of the relator Jacobian
-    (an integer polynomial in the t_i and their inverses) lies in that ring,
-    and reducing modulo P_i is a ring map that commutes with minors.  Hence
-    the rank r_i mod p_i is at most the true rank r.  So
+    Let M be the point's order and p_1 < p_2 < ... the primes that apply:
+    the primes p = 1 (mod M) above prime_floor that divide no coordinate
+    denominator and map no coordinate to 0 (a prime that does not apply is
+    skipped for the next; only those dividing a denominator or the norm of
+    a coordinate fail, so finitely many).  At p_i every coordinate is a
+    unit of the local ring of Z[zeta_M] at a prime P_i above p_i (see
+    `PrimeField`), so every entry of the presentation matrix and of the
+    relator Jacobian (an integer polynomial in the t_i and their inverses)
+    lies in that ring, and reducing modulo P_i is a ring map that commutes
+    with minors.  Hence the rank r_i mod p_i is at most the true rank r.  So
 
     - a rank mod p_1 equal to min(rows, columns) is the exact rank, and a
       relator rank mod p_1 above n - k - 1 proves `partial2` false;
@@ -937,7 +940,8 @@ def membership(
       Z[zeta_M] and |sigma(D')| <= H at every sigma (Hadamard), so
       |N(D')| <= H^phi(M).  D lies in P_i times the local ring at P_i, so
       D' lies in P_i for every prime taken, and p_1 * ... * p_j divides
-      N(D').  Primes are taken until p_1 * ... * p_j > H^phi(M); then
+      N(D'), as the P_i are distinct (that primes were skipped does not
+      matter).  Primes are taken until p_1 * ... * p_j > H^phi(M); then
       D' = 0, so D = 0, and s = r exactly.  The primes that this rule needs
       at the current s are built together, once, modulo their product (see
       `ResidueRing`), and ranked one by one in order; a larger s asks for
@@ -953,20 +957,19 @@ def membership(
     In a residue ring the builders compute on integer representatives and
     reduce them mod N = p_1 ... p_j only to keep them small; Z -> Z/N is a
     ring map, so every entry is the residue of the entry built in Z/N, and
-    `modp_rank` reduces it mod each p_i.
-
-    Where a prime the rule needs does not apply (it divides a coordinate
-    denominator or maps a coordinate to 0), the criterion is ranked exactly
-    over Q(zeta_M).  The certificate names the primes used.
+    `modp_rank` reduces it mod each p_i.  The certificate names the primes
+    used.  `presentation_rank` and `relator_rank` are the exact references.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
     residues = _Residues(m.n, point, prime_floor)
     ncols = math.comb(m.n, 2)
-    rank, delta_route = _decided_rank(m, residues, False, ncols)
+    rank, delta_route = _certified_rank(m, residues, _presentation_rows, ncols, ncols)
     partial2, partial2_route = None, None
     if k <= relator_route_limit(m):
-        relator, partial2_route = _decided_rank(m, residues, True, m.n - k - 1)
+        relator, partial2_route = _certified_rank(
+            m, residues, _relator_rows, m.n, m.n - k - 1
+        )
         partial2 = relator <= m.n - k - 1
     return Membership(
         rank,
@@ -977,31 +980,36 @@ def membership(
 
 
 class _Residues:
-    """A torus point's evaluation rings at the successive primes p = 1
-    (mod its order) above a floor, each built on first use and shared by
-    both criteria, rings modulo products of consecutive ones, and its
-    majorant ring."""
+    """A torus point's evaluation rings at the successive primes that apply
+    (see `field`), each built on first use and shared by both criteria,
+    rings modulo products of consecutive ones, and its majorant ring."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
         self.coords = _torus_coords(n, point)
         self.order = point_order(self.coords)
         self.floor = floor
         self.fields: list[PrimeField] = []
-        self.rings: list[_Ring | None] = []
+        self.rings: list[_Ring] = []
 
     def field(self, i: int) -> PrimeField:
+        """The i-th prime that applies: a prime p = 1 (mod the order) above
+        the floor that divides no coordinate denominator and maps every
+        coordinate to a unit (`reduce` gives None or 0 otherwise).  Only
+        the primes dividing a denominator or the norm of a coordinate fail,
+        so the search ends."""
         while len(self.fields) <= i:
             field = prime_field(self.order, self.floor)
             self.floor = field.p
-            self.fields.append(field)
+            if all(map(field.reduce, self.coords)):
+                self.fields.append(field)
         return self.fields[i]
 
-    def ring(self, i: int) -> _Ring | None:
+    def ring(self, i: int) -> _Ring:
         while len(self.rings) <= i:
             self.rings.append(_Ring.residue(self.coords, self.field(len(self.rings))))
         return self.rings[i]
 
-    def product_ring(self, start: int, stop: int) -> _Ring | None:
+    def product_ring(self, start: int, stop: int) -> _Ring:
         """The evaluation ring modulo the product of primes start..stop-1."""
         if stop - start == 1:
             return self.ring(start)
@@ -1013,60 +1021,41 @@ class _Residues:
         return _Ring.majorant(self.coords)
 
 
-def _decided_rank(
-    m: MonodromyInput, residues: _Residues, relator: bool, threshold: int
-) -> tuple[int, str]:
-    """The rank of the relator Jacobian (or of the presentation) at the
-    point and the route that decided it: the certified modular rank, which
-    may stop at a rank above threshold, else the exact rank."""
-    if relator:
-        build, exact, ncols = _relator_rows, relator_rank, m.n
-    else:
-        build, exact, ncols = _presentation_rows, presentation_rank, math.comb(m.n, 2)
-    certified = _certified_rank(m, residues, build, ncols, threshold)
-    return certified or (exact(m, residues.coords), "exact")
-
-
 def _certified_rank(
     m: MonodromyInput, residues: _Residues, build, ncols: int, threshold: int
-) -> tuple[int, str] | None:
-    """The rank of build's matrix at the point from modular ranks alone,
-    with the primes used (see `membership`): the exact rank, or a modular
-    rank above threshold.  None when the exact route must decide."""
+) -> tuple[int, str]:
+    """The rank of build's matrix at the point from modular ranks, with the
+    primes used (see `membership`): the exact rank, or a modular rank above
+    threshold."""
     ring = residues.ring(0)
-    if ring is None:
-        return None
     rows = build(m, ring)
     full = min(len(rows), ncols)
-    primes = [residues.field(0).p]
-    rank = modp_rank(rows, ncols, primes[0])
+    primes = [ring.modulus]
+    rank = modp_rank(rows, ncols, ring.modulus)
     if rank < full and rank <= threshold:
         norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
         phi = _euler_phi(residues.order)
-
-        def bound() -> int:
-            return math.prod(norms[: rank + 1]) ** phi
-
-        def undecided() -> bool:
-            return rank < full and rank <= threshold and math.prod(primes) ** 2 <= bound()
-
-        while undecided():
-            # the primes the rule needs at the current rank, in one build
-            start = stop = len(primes)
-            product, target = math.prod(primes), bound()
-            while product ** 2 <= target:
-                product *= residues.field(stop).p
-                stop += 1
-            ring = residues.product_ring(start, stop)
-            if ring is None:
-                return None
-            # reduced once, so that each prime reduces ints below the product
-            values = [[v % ring.modulus for v in row] for row in build(m, ring)]
-            for i in range(start, stop):
-                primes.append(residues.field(i).p)
-                rank = max(rank, modp_rank(values, ncols, primes[-1]))
-                if not undecided():
+        bound = math.prod(norms[: rank + 1]) ** phi
+        product, stop = primes[0], 1
+        while product ** 2 <= bound:
+            if len(primes) == stop:
+                # the primes the rule needs at the current rank, in one build
+                start, batch = stop, product
+                while batch ** 2 <= bound:
+                    batch *= residues.field(stop).p
+                    stop += 1
+                ring = residues.product_ring(start, stop)
+                # reduced once, so that each prime reduces ints below the product
+                values = [[v % ring.modulus for v in row] for row in build(m, ring)]
+            p = residues.field(len(primes)).p
+            primes.append(p)
+            product *= p
+            r = modp_rank(values, ncols, p)
+            if r > rank:
+                rank = r
+                if rank == full or rank > threshold:
                     break
+                bound = math.prod(norms[: rank + 1]) ** phi
     return rank, "mod " + "*".join(map(str, primes))
 
 
@@ -1077,9 +1066,10 @@ def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
     C(n,2) - k already proves the point outside."""
     if k < 1:
         raise ValidationError("depth k must be at least 1")
-    limit = math.comb(m.n, 2) - k
+    ncols = math.comb(m.n, 2)
     residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
-    return _decided_rank(m, residues, False, limit)[0] <= limit
+    rank, _ = _certified_rank(m, residues, _presentation_rows, ncols, ncols - k)
+    return rank <= ncols - k
 
 
 def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool:
@@ -1091,7 +1081,8 @@ def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool
         raise ValidationError("depth k must be at least 1")
     limit = m.n - k - 1
     residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
-    return _decided_rank(m, residues, True, limit)[0] <= limit
+    rank, _ = _certified_rank(m, residues, _relator_rows, m.n, limit)
+    return rank <= limit
 
 
 def relator_route_limit(m: MonodromyInput) -> int:

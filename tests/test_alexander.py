@@ -69,6 +69,7 @@ from charvar.alexander import (
 from charvar.arrangement import (
     Lattice2,
     ValidationError,
+    _scalar,
     b2,
     gen_family,
     lattice_from_central3,
@@ -898,7 +899,7 @@ def _gate_input(name):
     return m, [comp.basis for comp in comps]
 
 
-def _gate_point(name, on, order, seed, scaled=False):
+def _gate_point(name, on, order, seed, scaled=False, factor=1):
     """A seeded point of the input's torus (strand coordinates of a cone
     point), on a component subtorus when `on`, else drawn freely.  Order
     None gives rational coordinates.  Order d gives a unit point: powers
@@ -906,7 +907,8 @@ def _gate_point(name, on, order, seed, scaled=False):
     one parameter may carry the cyclotomic unit 1 + zeta_d, whose
     conjugates are not all on the unit circle.  `scaled` multiplies each
     parameter of order d by a rational a/b, which makes a non-unit point
-    of order d, (a/b) * zeta_d^e on a component."""
+    of order d, (a/b) * zeta_d^e on a component.  `factor` multiplies the
+    first parameter, which keeps the point on its component."""
     m, bases = _gate_input(name)
     rng = random.Random(seed)
     if on:
@@ -925,10 +927,21 @@ def _gate_point(name, on, order, seed, scaled=False):
             params[0] = params[0] * (1 + root_of_unity(order))
         if scaled:
             params = [u * rational() for u in params]
+    params[0] = params[0] * Fraction(factor)
     return [
         math.prod((u ** row[i] for u, row in zip(params, rows)), start=ExactScalar.one())
         for i in range(m.n)
     ]
+
+
+def _skipping_factor(point, floor, count):
+    """The product of the first |count| primes = 1 (mod the point's order)
+    above the floor, inverted when count < 0: a factor that makes those
+    primes divide a coordinate's numerator or denominator."""
+    order, primes = point_order(point), []
+    for _ in range(abs(count)):
+        primes.append(modular_prime(order, primes[-1] if primes else floor))
+    return Fraction(math.prod(primes)) ** (1 if count > 0 else -1)
 
 
 def _is_unit_point(point):
@@ -973,58 +986,37 @@ def _row_norms(rows):
 
 def _check_certificate(route, point, floor, rows, rank, ncols, threshold, norms, seen):
     """A criterion's certificate against the exact matrix (rows, rank) and
-    the cleared majorant row norms^2.  Let p_1, p_2, ... be the primes
-    p = 1 (mod the point's order M) from the floor, s_i the largest rank
-    mod p_1..p_i, deficient meaning neither full nor above threshold, and
-    bound(s) = (product of the s + 1 largest norms)^phi(M).
+    the cleared majorant row norms^2.  Let p_1, p_2, ... be the successive
+    primes that apply, from the floor: the primes p = 1 (mod the point's
+    order M) above it at which every coordinate maps to a unit (p divides
+    no denominator, and no coordinate maps to 0).  Let s_i be the largest
+    rank mod p_1..p_i, deficient mean neither full nor above threshold,
+    and bound(s) = (product of the s + 1 largest norms)^phi(M).
 
-    A modular route names p_1..p_j, each mapping every coordinate to a
-    unit; it goes on exactly while s_i is deficient and
+    The route names p_1..p_j; it goes on exactly while s_i is deficient and
     (p_1 * ... * p_i)^2 <= bound(s_i), and its s_j is the exact rank or
-    above threshold.  "exact" only where a prime the rule needs does not
-    apply: p_1 does not, or the rank mod p_1 is deficient and the primes
-    before the first that does not apply have a product whose square is
-    at most bound(rank) (with each norm taken at least 1, so that it
-    bounds bound(s) for every s <= rank)."""
+    above threshold."""
     order = point_order(point)
     full = min(len(rows), ncols)
     phi = euler_phi(order)
     ordered = sorted(norms, reverse=True)
-    fields = []
-
-    def field(i):
-        while len(fields) <= i:
-            fields.append(prime_field(order, fields[-1].p if fields else floor))
-        return fields[i]
-
-    def applies(f):
-        return all(v is not None and math.gcd(v, f.p) == 1 for v in map(f.reduce, point))
-
-    def rank_mod(f):
-        return modp_rank([[f.reduce(e) for e in row] for row in rows], ncols, f.p)
-
-    def deficient(s):
-        return s < full and s <= threshold
-
-    if route == "exact":
-        cap = math.prod(max(x, 1) for x in ordered[: rank + 1]) ** phi
-        j, product = 0, 1
-        while applies(field(j)):
-            product *= field(j).p
-            assert product ** 2 <= cap, "every prime the rule needs applies"
-            j += 1
-        assert j == 0 or deficient(rank_mod(field(0)))
-        return
     primes = [int(p) for p in route.removeprefix("mod ").split("*")]
-    assert primes == [field(i).p for i in range(len(primes))]
+    fields, candidate = [], None
+    while len(fields) < len(primes):
+        candidate = prime_field(order, candidate.p if candidate else floor)
+        images = [candidate.reduce(c) for c in point]
+        if all(v is not None and math.gcd(v, candidate.p) == 1 for v in images):
+            fields.append(candidate)
+        else:
+            seen["a prime skipped"] = True
+    assert primes == [f.p for f in fields]
     s = 0
-    for i, f in enumerate(fields[: len(primes)]):
-        assert applies(f)
-        s = max(s, rank_mod(f))
+    for i, f in enumerate(fields):
+        s = max(s, modp_rank([[f.reduce(e) for e in row] for row in rows], ncols, f.p))
         if i == 0 and s < rank:
             seen["rank rose past the first prime"] = True
         bound = math.prod(ordered[: s + 1]) ** phi
-        undecided = deficient(s) and math.prod(primes[: i + 1]) ** 2 <= bound
+        undecided = s < full and s <= threshold and math.prod(primes[: i + 1]) ** 2 <= bound
         assert undecided == (i < len(primes) - 1)
     assert s == rank or s > threshold
     if len(primes) > 1:
@@ -1040,7 +1032,10 @@ def test_certified_route_agrees_with_the_exact_route():
     `_check_certificate` against row norms cleared here, a rational point,
     a unit point and a non-unit cyclotomic point each needed several
     primes, and at least one point had a rank mod p_1 below the true
-    rank."""
+    rank.  `skip` = +-1 or +-2 multiplies the first parameter by
+    (p_1 ... p_|skip|)^(+-1), the first primes = 1 (mod M) above the floor,
+    so that they divide a coordinate's numerator or denominator and do not
+    apply; some certificate skipped a prime."""
     seen = {}
 
     @settings(max_examples=40, deadline=None)
@@ -1052,18 +1047,27 @@ def test_certified_route_agrees_with_the_exact_route():
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=1, max_value=3),
         st.sampled_from([10, 30, 60, MODULAR_PRIME_FLOOR]),
+        st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2]),
     )
     # the point (3/2, 5/2, 1, 8/7, 2, 8) is off the pencil's component, but
     # its coordinate product 480/7 is 1 modulo 11, so its ranks drop mod 11
-    @example("pencil6", False, None, False, 1, 1, 10)
+    @example("pencil6", False, None, False, 1, 1, 10, 0)
     # at this order-5 point on a component the ranks mod 11 are 9 (delta,
     # true rank 14) and 0 (relator, true rank 4); later primes raise both
-    @example("diamond", True, 5, False, 0, 1, 10)
-    @example("diamond", True, None, False, 0, 1, MODULAR_PRIME_FLOOR)
-    @example("diamond", True, 12, True, 0, 1, MODULAR_PRIME_FLOOR)
-    def check(name, on, order, scaled, seed, k, floor):
+    @example("diamond", True, 5, False, 0, 1, 10, 0)
+    @example("diamond", True, None, False, 0, 1, MODULAR_PRIME_FLOOR, 0)
+    @example("diamond", True, 12, True, 0, 1, MODULAR_PRIME_FLOOR, 0)
+    # primes that do not apply, off and on the locus, at both kinds of floor
+    @example("diamond", True, 5, False, 0, 1, 10, 1)
+    @example("diamond", True, None, False, 0, 1, 10, -2)
+    @example("pencil6", False, 3, False, 1, 1, MODULAR_PRIME_FLOOR, -1)
+    @example("diamond", True, None, False, 0, 1, MODULAR_PRIME_FLOOR, 2)
+    def check(name, on, order, scaled, seed, k, floor, skip):
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed, scaled)
+        if skip:
+            factor = _skipping_factor(point, floor, skip)
+            point = _gate_point(name, on, order, seed, scaled, factor)
         exact = _exact_ranks(m, point, k)
         rank, delta, partial2 = _exact_membership(m, point, k)
         got = membership(m, point, k, prime_floor=floor)
@@ -1085,6 +1089,7 @@ def test_certified_route_agrees_with_the_exact_route():
         "several primes at a unit point": True,
         "several primes at a non-unit cyclotomic point": True,
         "rank rose past the first prime": True,
+        "a prime skipped": True,
     }
 
 
@@ -1115,8 +1120,6 @@ def _sequential_rank(m, residues, build, ncols, threshold):
     prime while the rank is neither full nor above threshold and the
     primes' product squared is at most H^phi(M)."""
     ring = residues.ring(0)
-    if ring is None:
-        return None
     rows = build(m, ring)
     full = min(len(rows), ncols)
     primes = [ring.modulus]
@@ -1172,11 +1175,11 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed)
         ncols = math.comb(m.n, 2)
-        criteria = [(_presentation_rows, presentation_rank, ncols, ncols)]
+        criteria = [(_presentation_rows, ncols, ncols)]
         if k <= relator_route_limit(m):
-            criteria.append((_relator_rows, relator_rank, m.n, m.n - k - 1))
+            criteria.append((_relator_rows, m.n, m.n - k - 1))
         routes = []
-        for build, exact, width, threshold in criteria:
+        for build, width, threshold in criteria:
             want = _sequential_rank(m, _Residues(m.n, point, floor), build, width, threshold)
             batches.clear()
             got = _certified_rank(m, _Residues(m.n, point, floor), build, width, threshold)
@@ -1187,7 +1190,7 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch
                 seen.add("another batch after a rank rose")
             if batches and batches[-1][1] > got[1].count("*") + 1:
                 seen.add("a batch cut short")
-            routes.append(want or (exact(m, point), "exact"))
+            routes.append(want)
         got = membership(m, point, k, prime_floor=floor)
         rank = routes[0][0]
         partial2 = routes[1][0] <= m.n - k - 1 if len(routes) > 1 else None
@@ -1302,34 +1305,52 @@ def test_both_criteria_share_one_push_per_generator_and_ring(monkeypatch):
     assert all(sorted(braids) == want for braids in pushes.values())
 
 
-def test_certified_route_falls_back_where_the_prime_does_not_apply():
+def test_certified_route_skips_primes_that_do_not_apply():
     """At the least primes above 10 (11, 13, 17, ... for rational points),
-    a coordinate with 11 in its denominator or one that maps to 0 sends
-    both criteria to the exact route; on the pencil's component
+    a prime that divides a coordinate's denominator or maps a coordinate
+    to 0 is skipped for the next prime that applies: off the locus a
+    coordinate 1/11 or 11/2 is decided mod 13; on the pencil's component
     (coordinate product 1), where the rank mod 11 is deficient and more
-    primes are needed, a coordinate with 13 in its denominator does so
-    too, while one with 7 there is certified by 11, 13, ..."""
+    primes are needed, a coordinate with 13 in its denominator drops 13
+    from the primes, while one with 7 there keeps 11, 13, ...  At order 3
+    the primes = 1 (mod 3) above 10 are 13, 19, 31, ..., and a coordinate
+    13 * zeta_3 moves them to 19, 31, ..."""
     m = pencil_monodromy(4)
     criteria = [(_presentation_rows, 6, 6), (_relator_rows, 4, 2)]
-    for point in (
-        [2, 3, 5, Fraction(1, 11)],
-        [Fraction(11, 2), 3, 5, 7],
-        [Fraction(2, 13), Fraction(13, 2), 1, 1],
-    ):
+    z = root_of_unity(3)
+    cases = [
+        ([2, 3, 5, Fraction(1, 11)], "mod 13", "mod 13"),
+        ([Fraction(11, 2), 3, 5, 7], "mod 13", "mod 13"),
+        (
+            [Fraction(2, 13), Fraction(13, 2), 1, 1],
+            "mod 11*17*19*23*29*31*37*41",
+            "mod 11*17*19*23*29",
+        ),
+        (
+            [Fraction(2, 7), Fraction(7, 2), 1, 1],
+            "mod 11*13*17*19*23*29*31",
+            "mod 11*13*17*19*23",
+        ),
+        ([z * 13, z.inverse(), 1, 1], "mod 19", "mod 19"),
+        (
+            [z * 13, z.inverse() / 13, 1, 1],
+            "mod 19*31*37*43*61*67*73*79*97*103*109*127",
+            "mod 19*31*37*43*61*67*73*79*97",
+        ),
+    ]
+    for point, delta, partial2 in cases:
         got = membership(m, point, 1, prime_floor=10)
-        assert got.certificate == {"delta": "exact", "partial2": "exact"}
+        assert got.certificate == {"delta": delta, "partial2": partial2}
         assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
-        point = [ExactScalar.from_rational(c) for c in point]
+        point = [_scalar(c) for c in point]
         majorant = _Ring.majorant(point)
-        for (build, ncols, threshold), (rows, rank) in zip(criteria, _exact_ranks(m, point, 1)):
+        seen = {}
+        for (build, ncols, threshold), (rows, rank), route in zip(
+            criteria, _exact_ranks(m, point, 1), (delta, partial2)
+        ):
             norms = _row_norms(build(m, majorant))
-            _check_certificate("exact", point, 10, rows, rank, ncols, threshold, norms, {})
-    point = [Fraction(2, 7), Fraction(7, 2), 1, 1]
-    got = membership(m, point, 1, prime_floor=10)
-    for route in got.certificate.values():
-        assert route.startswith("mod 11*13*")
-    assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
-    assert got.delta and got.partial2
+            _check_certificate(route, point, 10, rows, rank, ncols, threshold, norms, seen)
+        assert ("a prime skipped" in seen) == (not delta.startswith("mod 11*13"))
     got = membership(m, [2, 3, 5, 7], 1)
     modular = f"mod {modular_prime(1)}"
     assert got.certificate == {"delta": modular, "partial2": modular}

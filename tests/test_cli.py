@@ -12,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from charvar.alexander import load_monodromy, presentation_rank
+from charvar.alexander import (
+    load_monodromy,
+    pencil_monodromy,
+    presentation_rank,
+    relator_rank,
+)
 from charvar.arrangement import decone, gen_family
 from charvar.cli import main
 from charvar.components import DEFAULT_CAP
@@ -262,6 +267,37 @@ def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
         "delta": "mod " + "*".join(map(str, primes)),
         "partial2": "mod " + "*".join(map(str, primes[:3])),
     }
+
+
+def test_member_skips_the_default_prime_where_it_does_not_apply(capsys, tmp_path):
+    """On pencil(4), a coordinate equal to the default first prime p1 maps
+    to 0 mod p1, and its inverse has p1 in the denominator: p1 does not
+    apply, and the certificate names the primes after it instead (one off
+    the locus, as many as the norm bound asks for on it)."""
+    m = pencil_monodromy(4)
+    path = tmp_path / "pencil4.json"
+    path.write_text(json.dumps(m.to_json()))
+    p1 = modular_prime(1)
+    for point, on in (
+        ([p1, 3, 5, 7], False),
+        ([Fraction(1, p1), 3, 5, 7], False),
+        ([p1, Fraction(1, p1), 1, 1], True),
+    ):
+        arg = ",".join(map(str, point))
+        code, out, _ = run(capsys, "member", str(path), f"--point={arg}")
+        assert code == 0
+        verdict = json.loads(out)
+        rank = presentation_rank(m, point)
+        partial2 = relator_rank(m, point) <= m.n - 2
+        assert (verdict["rank"], verdict["in_Vk"], rank <= 5) == (rank, on, on)
+        assert verdict["criteria"] == {"delta": on, "partial2": partial2}
+        for route in verdict["certificate"].values():
+            primes = [int(p) for p in route.removeprefix("mod ").split("*")]
+            want = [modular_prime(1, p1)]
+            while len(want) < len(primes):
+                want.append(modular_prime(1, want[-1]))
+            assert primes == want and (len(primes) > 1) == on
+            assert str(p1) not in route and "exact" not in route
 
 
 def test_member_accepts_comma_separated_rationals(capsys, monodromy_file):
