@@ -3,8 +3,11 @@
 Scalars live in cyclotomic extensions of the rationals: every value is
 either a rational number or an element of Q(zeta_m) written on the power
 basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
-Linear algebra has one kernel per job: a fraction-free integer echelon for
-the rank of integer and rational rows, one elimination over Q(zeta_m) for
+Linear algebra has one kernel per job: a sparse fraction-free integer
+echelon for the rank of integer and rational rows (each pivot row kept as
+its nonzero entries divided by its content, and a row scaled only when a
+pivot's lead does not divide the entry it clears; clones share the
+immutable pivot rows), one elimination over Q(zeta_m) for
 cyclotomic ranks, a sparse one over F_p for the certified modular rank
 (rows of int residues built once modulo a product of primes, by the
 Chinese remainder theorem, serve every one of them), a rational reduced
@@ -23,9 +26,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +459,30 @@ def _field_rank(rows: list[list[ExactScalar]], ncols: int) -> int:
 
 
 class IntEchelon:
-    """Incremental fraction-free echelon over the integers.
+    """Incremental fraction-free echelon over the integers, on sparse rows.
 
-    Rows are added one at a time; each is reduced against the stored pivot
-    rows with integer cross-multiplication.  Stored rows are never mutated,
-    so a clone shares them and costs only a dict copy, which suits loops
-    that test many small perturbations of a fixed row block.  Every integer
-    and rational rank goes through it: `IntEchelon(ncols).add_rows(rows)`.
+    Rows are added one at a time, each as a dense sequence of ncols
+    integers or as a {column: value} mapping of its nonzero entries.  A
+    pivot row is stored as (lead, columns, values): its first nonzero
+    entry, then the columns after the lead where it is nonzero and the
+    entries there, all divided by the row's content and signed so that the
+    lead is positive.  The row being reduced is a {column: value} dict.
+    While its first column holds a pivot, it loses entry/lead times the
+    pivot row, an exact quotient when the lead divides the entry; only
+    when it does not is the row first multiplied by lead/gcd(lead, entry).
+    The first column without a pivot becomes the new pivot's lead.  Every
+    step is an invertible row operation over Q, so ranks are exact.
+    Stored pivot rows are tuples and never mutated, so a clone shares them
+    and costs only a dict copy, which suits loops that test many small
+    perturbations of a fixed row block.  Every integer and rational rank
+    goes through it: `IntEchelon(ncols).add_rows(rows)`.
     """
 
     __slots__ = ("ncols", "_pivot_rows")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._pivot_rows: dict[int, tuple[int, ...]] = {}
+        self._pivot_rows: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 
     @property
     def rank(self) -> int:
@@ -480,29 +493,43 @@ class IntEchelon:
         other._pivot_rows = dict(self._pivot_rows)
         return other
 
-    def add_row(self, row: Sequence[int]) -> bool:
+    def add_row(self, row: Sequence[int] | Mapping[int, int]) -> bool:
         """Reduce row against the pivots; store it if independent."""
-        work = list(row)
-        assert len(work) == self.ncols, "row length mismatch"
-        col = _first_nonzero(work)
-        while col is not None:
-            pivot = self._pivot_rows.get(col)
+        if isinstance(row, Mapping):
+            work = {c: v for c, v in row.items() if v}
+            assert all(0 <= c < self.ncols for c in work), "column out of range"
+        else:
+            assert len(row) == self.ncols, "row length mismatch"
+            work = {c: v for c, v in enumerate(row) if v}
+        pivots = self._pivot_rows
+        while work:
+            col = min(work)
+            entry = work.pop(col)
+            pivot = pivots.get(col)
             if pivot is None:
-                g = 0
-                for v in work:
-                    g = math.gcd(g, abs(v))
-                if g > 1:
-                    work = [v // g for v in work]
-                if work[col] < 0:
-                    work = [-v for v in work]
-                self._pivot_rows[col] = tuple(work)
+                g = math.gcd(entry, *work.values())
+                if entry < 0:
+                    g = -g
+                cols = sorted(work)
+                vals = tuple(work[c] // g for c in cols)
+                pivots[col] = (entry // g, tuple(cols), vals)
                 return True
-            a, b = pivot[col], work[col]
-            work = [a * wv - b * pv for wv, pv in zip(work, pivot)]
-            col = _first_nonzero(work, col + 1)
+            lead, cols, vals = pivot
+            factor, rem = divmod(entry, lead)
+            if rem:
+                g = math.gcd(lead, entry)
+                scale = lead // g
+                factor = entry // g
+                work = {c: v * scale for c, v in work.items()}
+            for c, v in zip(cols, vals):
+                w = work.get(c, 0) - factor * v
+                if w:
+                    work[c] = w
+                else:
+                    del work[c]
         return False
 
-    def add_rows(self, rows: Iterable[Sequence[int]]) -> int:
+    def add_rows(self, rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
         """Add rows in order until the rank reaches the column count; returns
         how many were independent (on a fresh echelon, the rank of the rows)."""
         added = 0
@@ -512,13 +539,6 @@ class IntEchelon:
             if self.add_row(row):
                 added += 1
         return added
-
-
-def _first_nonzero(row: Sequence[int], start: int = 0) -> int | None:
-    for i in range(start, len(row)):
-        if row[i]:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ weight vectors can be tested quickly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,19 +55,30 @@ def triple_list(n: int) -> list[tuple[int, int, int]]:
 class NbcBasis:
     """The degree-2 no-broken-circuit basis and the projection onto it.
 
-    `pairs[r]` is the r-th basis pair (both indices 0-based).  `projection`
-    has one row per basis pair and one column per 2-subset of hyperplanes
-    (lexicographic); column c holds the coordinates of the image of the
-    wedge basis vector e_c.  Parallel pairs project to zero.
+    `pairs[r]` is the r-th basis pair (both indices 0-based).  The
+    projection has one row per basis pair and one column per 2-subset of
+    hyperplanes (lexicographic); column c holds the coordinates of the
+    image of the wedge basis vector e_c.  `columns[c]` lists the nonzero
+    entries of column c as (basis row, coefficient): at most two, none for
+    a parallel pair, which projects to zero.  `projection` is the same map
+    as dense rows, built on first use.
     """
 
     n: int
     pairs: list[tuple[int, int]]
-    projection: list[list[int]]
+    columns: list[list[tuple[int, int]]]
 
     @property
     def dimension(self) -> int:
         return len(self.pairs)
+
+    @functools.cached_property
+    def projection(self) -> list[list[int]]:
+        rows = [[0] * len(self.columns) for _ in self.pairs]
+        for c, entries in enumerate(self.columns):
+            for r, v in entries:
+                rows[r][c] = v
+        return rows
 
 
 def nbc_basis(lat: Lattice2) -> NbcBasis:
@@ -86,18 +98,17 @@ def nbc_basis(lat: Lattice2) -> NbcBasis:
         for i in cls[1:]:
             basis_pos[(m, i)] = len(basis_pairs)
             basis_pairs.append((m, i))
-    rows = [[0] * len(pairs) for _ in basis_pairs]
-    for c, (j, k) in enumerate(pairs):
+    columns: list[list[tuple[int, int]]] = []
+    for j, k in pairs:
         cls = lat.flat_of_pair(j, k)
         if cls is None:
-            continue  # parallel pair, projects to zero
-        m = cls[0]
-        if j == m:
-            rows[basis_pos[(j, k)]][c] += 1
+            columns.append([])  # parallel pair, projects to zero
+        elif j == cls[0]:
+            columns.append([(basis_pos[(j, k)], 1)])
         else:
-            rows[basis_pos[(m, k)]][c] += 1
-            rows[basis_pos[(m, j)]][c] -= 1
-    return NbcBasis(n=n, pairs=basis_pairs, projection=rows)
+            m = cls[0]
+            columns.append([(basis_pos[(m, k)], 1), (basis_pos[(m, j)], -1)])
+    return NbcBasis(n=n, pairs=basis_pairs, columns=columns)
 
 
 def flat_wedge_rows(lat: Lattice2) -> list[list[int]]:
@@ -107,20 +118,29 @@ def flat_wedge_rows(lat: Lattice2) -> list[list[int]]:
     over j in X, in the lexicographic pair basis.  The stack has full row
     rank equal to the second Betti number of the complement.
     """
-    n = lat.n
-    pairs = pair_list(n)
-    pair_pos = {p: c for c, p in enumerate(pairs)}
+    npairs = lat.n * (lat.n - 1) // 2
+    rows = []
+    for entries in _flat_wedge_entries(lat):
+        row = [0] * npairs
+        for c, v in entries.items():
+            row[c] = v
+        rows.append(row)
+    return rows
+
+
+def _flat_wedge_entries(lat: Lattice2) -> list[dict[int, int]]:
+    """The flat wedge rows as {pair column: entry} maps of their nonzero
+    entries, in the same order."""
+    pair_pos = {p: c for c, p in enumerate(pair_list(lat.n))}
     rows = []
     for cls in lat.rank2_classes():
         for i in cls[1:]:
-            row = [0] * len(pairs)
+            row = {}
             for j in cls:
-                if j == i:
-                    continue
                 if j < i:
-                    row[pair_pos[(j, i)]] -= 1
-                else:
-                    row[pair_pos[(i, j)]] += 1
+                    row[pair_pos[(j, i)]] = -1
+                elif j > i:
+                    row[pair_pos[(i, j)]] = 1
             rows.append(row)
     return rows
 
@@ -165,8 +185,9 @@ def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
     boundary at the given weights.
 
     The weights are scaled to integers, which leaves the rank unchanged,
-    and the rows go one at a time into a fraction-free integer echelon
-    that stops once the rank reaches the number of pairs."""
+    and the rows go one at a time, as maps of their nonzero entries (three
+    per triple), into a fraction-free integer echelon that stops once the
+    rank reaches the number of pairs."""
     n = lat.n
     ints = clear_denominators(lam)
     if len(ints) != n:
@@ -175,18 +196,14 @@ def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
     npairs = len(pairs)
     pair_pos = {p: c for c, p in enumerate(pairs)}
     ech = IntEchelon(npairs)
-    ech.add_rows(flat_wedge_rows(lat))
+    ech.add_rows(_flat_wedge_entries(lat))
     for a, b, c in triple_list(n):
         if ech.rank == npairs:
             break
         la, lb, lc = ints[a], ints[b], ints[c]
         if not (la or lb or lc):
             continue
-        row = [0] * npairs
-        row[pair_pos[(b, c)]] = la
-        row[pair_pos[(a, c)]] = -lb
-        row[pair_pos[(a, b)]] = lc
-        ech.add_row(row)
+        ech.add_row({pair_pos[(b, c)]: la, pair_pos[(a, c)]: -lb, pair_pos[(a, b)]: lc})
     return ech.rank
 
 
@@ -214,31 +231,23 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
     if not any(ints):
         raise ValidationError("weight vector must be nonzero")
     basis = nbc_basis(lat)
-    pairs = pair_list(n)
-    pair_pos = {p: c for c, p in enumerate(pairs)}
-    # wedge of the weight covector with each e_i, then project
+    pair_pos = {p: c for c, p in enumerate(pair_list(n))}
+    # wedge of the weight covector with each e_i, projected column by column
     mu_rows = []
     for i in range(n):
-        wedge = [0] * len(pairs)
+        mu: dict[int, int] = {}
         for j in range(n):
             if j == i or ints[j] == 0:
                 continue
             if j < i:
-                wedge[pair_pos[(j, i)]] += ints[j]
+                c, v = pair_pos[(j, i)], ints[j]
             else:
-                wedge[pair_pos[(i, j)]] -= ints[j]
-        mu_rows.append(
-            [
-                sum(wedge[c] * coeff for c, coeff in _row_support(prow))
-                for prow in basis.projection
-            ]
-        )
+                c, v = pair_pos[(i, j)], -ints[j]
+            for r, coeff in basis.columns[c]:
+                mu[r] = mu.get(r, 0) + v * coeff
+        mu_rows.append(mu)
     rank_mu = IntEchelon(basis.dimension).add_rows(mu_rows)
     return (n - rank_mu) - 1
-
-
-def _row_support(row: Sequence[int]) -> list[tuple[int, int]]:
-    return [(c, v) for c, v in enumerate(row) if v]
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +268,20 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
     if len(ints) != n:
         raise ValidationError("weight vector length must equal n")
     basis = nbc_basis(lat)
-    pairs = pair_list(n)
+    dim = basis.dimension
     triples = triple_list(n)
-    triple_pos = {t: idx for idx, t in enumerate(triples)}
+    triple_pos = {t: dim + idx for idx, t in enumerate(triples)}
     rows = []
-    for c, (a, b) in enumerate(pairs):
-        row = [p_row[c] for p_row in basis.projection]
-        wedge = [0] * len(triples)
+    for c, (a, b) in enumerate(pair_list(n)):
+        row = dict(basis.columns[c])
         for j in range(n):
             if j == a or j == b or ints[j] == 0:
                 continue
             tri = tuple(sorted((j, a, b)))
-            position = tri.index(j)
-            sign = 1 if position % 2 == 0 else -1
-            wedge[triple_pos[tri]] += sign * ints[j]
-        rows.append(row + wedge)
-    return IntEchelon(basis.dimension + len(triples)).add_rows(rows)
+            sign = 1 if tri.index(j) % 2 == 0 else -1
+            row[triple_pos[tri]] = sign * ints[j]
+        rows.append(row)
+    return IntEchelon(dim + len(triples)).add_rows(rows)
 
 
 # ---------------------------------------------------------------------------

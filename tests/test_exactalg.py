@@ -313,6 +313,87 @@ def test_integer_rank_kernels_agree_with_rational_rref(case):
     assert ech.rank == IntEchelon(ncols).add_rows(free)
 
 
+def _dense_fraction_rank(rows, ncols):
+    """Reference rank over Q: dense Fraction elimination, column by column."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][col] / work[rank][col]
+            work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _echelon_rows(draw):
+    """Integer rows for the sparse echelon.  They open with two rows that
+    start in one column, where the first lead (of either sign, in a row of
+    content 1) does not divide the second, so reducing the second row must
+    scale it; then free rows with zero, repeated, negated and combined rows
+    mixed in, shuffled."""
+    ncols = draw(st.integers(min_value=2, max_value=7))
+    entry = st.integers(min_value=-9, max_value=9)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    col = draw(st.integers(min_value=0, max_value=ncols - 2))
+    lead = draw(st.sampled_from([v for v in range(-9, 10) if abs(v) > 1]))
+    below = draw(entry.filter(lambda v: v % lead))
+    tail = st.lists(entry, min_size=ncols - col - 1, max_size=ncols - col - 1)
+    first_tail, second_tail = draw(tail), draw(tail)
+    first_tail[0] = 1  # content 1, so the stored lead stays |lead| > 1
+    opening = [
+        [0] * col + [lead] + first_tail,
+        [0] * col + [below] + second_tail,
+    ]
+    free = draw(st.lists(row, min_size=0, max_size=4))
+    rows = [list(r) for r in free]
+    kinds = ["zero", "repeat", "negated", "combination"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        base = draw(st.sampled_from(rows + opening))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(base))
+        elif kind == "negated":
+            rows.append([-v for v in base])
+        else:
+            span = opening + free
+            coeffs = draw(st.lists(entry, min_size=len(span), max_size=len(span)))
+            rows.append(
+                [sum(c * r[j] for c, r in zip(coeffs, span)) for j in range(ncols)]
+            )
+    return opening + draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_echelon_rows(), st.data())
+def test_sparse_integer_echelon_matches_a_dense_fraction_elimination(case, data):
+    """Rows added dense and the same rows added as {column: value} maps
+    (nonzero entries, keys in descending order) give the rank of a dense
+    Fraction elimination, with the same independent rows; rows added to a
+    clone leave the original's rank unchanged."""
+    rows, ncols = case
+    expected = _dense_fraction_rank(rows, ncols)
+    dense, sparse = IntEchelon(ncols), IntEchelon(ncols)
+    split = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    for row in rows[:split]:
+        mapping = {c: row[c] for c in reversed(range(ncols)) if row[c]}
+        assert dense.add_row(row) is sparse.add_row(mapping)
+    assert dense.rank == sparse.rank == _dense_fraction_rank(rows[:split], ncols)
+    rank_at_split = sparse.rank
+    clone = sparse.clone()
+    for row in rows[split:]:
+        mapping = {c: row[c] for c in reversed(range(ncols)) if row[c]}
+        assert dense.add_row(row) is clone.add_row(mapping)
+    assert dense.rank == clone.rank == expected
+    assert sparse.rank == rank_at_split
+    assert IntEchelon(ncols).add_rows(rows) == expected
+
+
 # ---------------------------------------------------------------------------
 # reduction modulo a prime
 # ---------------------------------------------------------------------------
