@@ -2,16 +2,20 @@
 
 This module works with braid monodromy presentations of arrangement
 groups: the Artin action of pure braids on free-group words, abelianized
-Fox calculus (Gassner matrices), the degree-two chain map attached to a
-conjugated full twist, the presentation matrix of the Alexander invariant
-(first homology of the universal abelian cover as a module over the
-character torus's coordinate ring), exact point-membership tests for the
-depth-k characteristic varieties, and Fitting-ideal generators for small
-presentations.
+Fox calculus pushed through braid words (the Gassner action), the rows of
+the degree-two chain map attached to a conjugated full twist, the
+presentation matrix of the Alexander invariant (first homology of the
+universal abelian cover as a module over the character torus's coordinate
+ring), certified point membership in the depth-k characteristic varieties
+(`membership`, the one route for torus points), and Fitting-ideal
+generators for small presentations.
 
-Index and sign conventions (each pinned by tests in the suite; the single
-identity "Gassner minus identity equals the degree-two differential
-composed with the twist chain map" fixes them jointly):
+Index and sign conventions.  The whole-matrix constructions that pin them
+(Gassner matrices, wedge squares, twist and monodromy chain maps) live in
+the tests, in `tests/alexander_reference.py`.  There the identity
+"Gassner minus identity equals the degree-two differential composed with
+the twist chain map" fixes them jointly, and the row builders here are
+checked against them entry by entry:
 
  - Free-group generators are 1-based.  A word is a tuple of nonzero
    integers; a negative entry is the inverse generator.  Words are kept
@@ -332,16 +336,8 @@ def _validated_strands(X: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Fox calculus and the Gassner matrix
+# Fox calculus and the Gassner action
 # ---------------------------------------------------------------------------
-
-
-def fox_gradient(word: Iterable[int], ring: _Ring) -> list:
-    """Abelianized left Fox gradient of a free word."""
-    word = free_reduce(word)
-    if any(abs(letter) > ring.n for letter in word):
-        raise ValidationError("word letter exceeds strand count")
-    return _gradient(word, ring, 0, ring.n)
 
 
 def _gradient(word: FreeWord, ring: _Ring, lo: int, size: int) -> list:
@@ -398,46 +394,8 @@ def _push(braid: BraidWord, vectors: Iterable[Sequence], ring: _Ring) -> list[li
     return vectors
 
 
-def _gassner(braid: BraidWord, ring: _Ring) -> list[list]:
-    identity = [
-        [ring.one if a == b else ring.zero for b in range(ring.n)] for a in range(ring.n)
-    ]
-    return _push(braid, identity, ring)
-
-
-def gassner(braid: Iterable[Sequence[int]], n: int, point: Sequence | None = None):
-    """Gassner matrix of a pure-braid word: row i is the abelianized Fox
-    gradient of the image of g_i.  Symbolic when no point is given."""
-    return _gassner(normalize_braid(braid), _ring(n, point))
-
-
-def wedge_square(matrix: Sequence[Sequence]) -> list[list]:
-    """Second exterior power of a square matrix on the lexicographic basis."""
-    pairs = list(itertools.combinations(range(len(matrix)), 2))
-    return [_wedge_vectors(matrix[a], matrix[b], pairs) for a, b in pairs]
-
-
-def _mat_mul(left: Sequence[Sequence], right: Sequence[Sequence], ring: _Ring):
-    if not left:
-        return []
-    ncols = len(right[0]) if right else 0
-    out = []
-    for row in left:
-        acc = [ring.zero] * ncols
-        for k, a in enumerate(row):
-            if a.is_zero():
-                continue
-            rrow = right[k]
-            for j in range(ncols):
-                b = rrow[j]
-                if not b.is_zero():
-                    acc[j] = acc[j] + a * b
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# chain maps of full twists and their conjugates
+# full twists and their conjugates
 # ---------------------------------------------------------------------------
 
 
@@ -453,64 +411,6 @@ def _product_gradient(strands: Sequence[int], ring: _Ring) -> list:
 
 def _wedge_vectors(u: Sequence, v: Sequence, pairs: Sequence[tuple[int, int]]):
     return [u[a] * v[b] - u[b] * v[a] for a, b in pairs]
-
-
-def _twist_chain_map(X: tuple[int, ...], ring: _Ring) -> list[list]:
-    n = ring.n
-    pairs = list(itertools.combinations(range(n), 2))
-    nabla = _product_gradient(X, ring)
-    members = set(X)
-    lo, hi = X[0], X[-1]
-    rows = []
-    for k in range(1, n + 1):
-        if k in members:
-            unit = [ring.zero] * n
-            unit[k - 1] = ring.one
-            rows.append(_wedge_vectors(unit, nabla, pairs))
-        elif lo < k < hi:
-            upper = [s for s in X if s > k]
-            nabla_up = _product_gradient(upper, ring)
-            factor = ring.t(k - 1) - ring.one
-            rows.append(
-                [factor * c for c in _wedge_vectors(nabla, nabla_up, pairs)]
-            )
-        else:
-            rows.append([ring.zero] * len(pairs))
-    return rows
-
-
-def twist_chain_map(X: Sequence[int], n: int, point: Sequence | None = None):
-    """Degree-two chain map of the full twist on X: an n x C(n,2) matrix.
-
-    Rows for strands in X wedge the strand vector with the gradient of the
-    product of the X generators; rows for strands strictly inside the span
-    of X but not in it carry (t_k - 1) times the wedge of that gradient
-    with the gradient of the upper part; all other rows vanish.
-    """
-    X = _validated_strands(X)
-    if X[-1] > n:
-        raise ValidationError("strand index exceeds strand count")
-    return _twist_chain_map(X, _ring(n, point))
-
-
-def _monodromy_chain_map(gen: "MonodromyGen", ring: _Ring) -> list[list]:
-    base = _twist_chain_map(gen.X, ring)
-    if not gen.delta:
-        return base
-    delta = normalize_braid(gen.delta)
-    theta_inv = _gassner(invert_braid(delta), ring)
-    theta2 = wedge_square(_gassner(delta, ring))
-    return _mat_mul(_mat_mul(theta_inv, base, ring), theta2, ring)
-
-
-def monodromy_chain_map(
-    gen: "MonodromyGen", n: int, point: Sequence | None = None
-) -> list[list]:
-    """Chain map of a conjugated full twist: Gassner of the inverse
-    conjugator, times the twist chain map, times the wedge square of the
-    Gassner of the conjugator."""
-    _check_gen(gen, n)
-    return _monodromy_chain_map(gen, _ring(n, point))
 
 
 def monodromy_braid(gen: "MonodromyGen") -> BraidWord:
@@ -886,14 +786,17 @@ def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
 
 def presentation_rank(m: MonodromyInput, point: Sequence) -> int:
     """Exact rank of the presentation matrix evaluated at a torus point, by
-    elimination over Q(zeta_M): the reference that `membership`'s modular
-    ranks are tested against."""
+    elimination over Q(zeta_M).  No library route calls it: it is the
+    oracle that the tests hold `membership`'s certified ranks against, and
+    the traced benchmark binds it by name."""
     return ExactMatrix(presentation_matrix(m, point=point), math.comb(m.n, 2)).rank()
 
 
 def relator_rank(m: MonodromyInput, point: Sequence) -> int:
     """Exact rank of the relator Jacobian evaluated at a torus point, by
-    elimination over Q(zeta_M): the reference for `membership`."""
+    elimination over Q(zeta_M).  Like `presentation_rank`, the tests' oracle
+    for `membership` and a name the traced benchmark binds; no library
+    route calls it."""
     return ExactMatrix(relator_jacobian(m, point=point), m.n).rank()
 
 
@@ -958,7 +861,15 @@ def membership(
     reduce them mod N = p_1 ... p_j only to keep them small; Z -> Z/N is a
     ring map, so every entry is the residue of the entry built in Z/N, and
     `modp_rank` reduces it mod each p_i.  The certificate names the primes
-    used.  `presentation_rank` and `relator_rank` are the exact references.
+    used.
+
+    This is the one route by which the library decides a torus point: the
+    depth-k verdict is `.delta` (rank at most C(n,2) - k), `.partial2` is
+    the relator criterion (rank at most n - k - 1) within
+    `relator_route_limit`, and `.rank` at the point 1 is the presentation
+    rank there, b2.  A central point goes through `lift_point` first.  The
+    tests hold it against the exact Q(zeta_M) eliminations
+    `presentation_rank` and `relator_rank`.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
@@ -1059,41 +970,18 @@ def _certified_rank(
     return rank, "mod " + "*".join(map(str, primes))
 
 
-def in_charvar(m: MonodromyInput, point: Sequence, k: int) -> bool:
-    """Whether a torus point lies in the depth-k characteristic variety:
-    the presentation-matrix rank drops to at most C(n,2) - k.  Decided
-    by the certified route of `membership`, where a modular rank above
-    C(n,2) - k already proves the point outside."""
-    if k < 1:
-        raise ValidationError("depth k must be at least 1")
-    ncols = math.comb(m.n, 2)
-    residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
-    rank, _ = _certified_rank(m, residues, _presentation_rows, ncols, ncols - k)
-    return rank <= ncols - k
-
-
-def in_charvar_relator_route(m: MonodromyInput, point: Sequence, k: int) -> bool:
-    """Depth-k membership through the relator Jacobian: rank at most
-    n - k - 1.  Agrees with in_charvar away from 1 for k up to
-    relator_route_limit(m).  Decided by the certified route of
-    `membership`."""
-    if k < 1:
-        raise ValidationError("depth k must be at least 1")
-    limit = m.n - k - 1
-    residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
-    rank, _ = _certified_rank(m, residues, _relator_rows, m.n, limit)
-    return rank <= limit
-
-
 def relator_route_limit(m: MonodromyInput) -> int:
     """Largest depth for which the relator-Jacobian criterion is valid:
     min(n, C(n,2) - b2)."""
     return min(m.n, math.comb(m.n, 2) - m.b2)
 
 
-def lift_point(lift: dict, central_point: Sequence) -> list[ExactScalar]:
+def lift_point(lift: dict | None, central_point: Sequence) -> list[ExactScalar]:
     """Restrict a central torus point (coordinate product 1) to the affine
-    strands recorded in the lift metadata, in strand order."""
+    strands recorded in the lift metadata (`MonodromyInput.lift`), in strand
+    order, so that `membership` decides it."""
+    if lift is None:
+        raise ValidationError("this monodromy has no central lift metadata")
     coords = [_scalar(v) for v in central_point]
     strands = [int(v) for v in lift["strand_to_central"]]
     if len(coords) != len(strands) + 1:
@@ -1107,14 +995,6 @@ def lift_point(lift: dict, central_point: Sequence) -> list[ExactScalar]:
     if not prod.is_one():
         raise ValidationError("central torus points must have coordinate product 1")
     return [coords[s - 1] for s in strands]
-
-
-def in_charvar_central(m: MonodromyInput, central_point: Sequence, k: int) -> bool:
-    """Depth-k membership for a point on the central torus, using the lift
-    metadata to restrict it to the affine strands."""
-    if m.lift is None:
-        raise ValidationError("this monodromy has no central lift metadata")
-    return in_charvar(m, lift_point(m.lift, central_point), k)
 
 
 # ---------------------------------------------------------------------------

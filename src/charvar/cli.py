@@ -34,14 +34,11 @@ from .alexander import (
     MonodromyInput,
     fitting_generators,
     grid_monodromy,
-    in_charvar,
-    in_charvar_central,
     lift_point,
     load_monodromy,
     membership,
     pencil_monodromy,
     phi_one_rank,
-    presentation_rank,
     resolution_differential,
 )
 from .arrangement import (
@@ -570,19 +567,23 @@ def _check_diamond_membership(cfg: RunConfig):
     central = lattice_from_central3(gen_family("diamond"))
     res = enumerate_first_resonance(central)
     torsion = [-1, 1, 1, -1, -1, 1, -1]
+
+    def inside(point, k):
+        return membership(m, lift_point(m.lift, point), k).delta
+
     checks = []
-    checks.append(in_charvar_central(m, torsion, 2))
+    checks.append(inside(torsion, 2))
     ones = [Fraction(1)] * m.n
-    checks.append(in_charvar(m, ones, 1))
+    checks.append(membership(m, ones, 1).delta)
     rng = cfg.rng("diamond-membership")
     for comp in res.nonlocals:
         for _ in range(cfg.samples):
             point = _component_point(comp, rng)
-            checks.append(in_charvar_central(m, point, 1))
-            checks.append(not in_charvar_central(m, point, 2))
+            checks.append(inside(point, 1))
+            checks.append(not inside(point, 2))
     for _ in range(cfg.samples):
         point = _off_component_point(res.components, central.n, rng)
-        checks.append(not in_charvar_central(m, point, 1))
+        checks.append(not inside(point, 1))
     ok = all(checks)
     return ok, (
         f"torsion point at depth 2; {cfg.samples} points per non-local torus "
@@ -600,9 +601,9 @@ def _check_pencil_membership(cfg: RunConfig, n: int):
         for v in t:
             prod *= v
         on = t + [1 / prod]
-        ok = ok and in_charvar(m, on, n - 2)
+        ok = ok and membership(m, on, n - 2).delta
         off = t + [prod + 1 if prod != -1 else Fraction(7)]
-        ok = ok and not in_charvar(m, off, 1)
+        ok = ok and not membership(m, off, 1).delta
     return ok, (
         f"{cfg.samples} points with coordinate product 1 at depth {n - 2}; "
         f"{cfg.samples} with product != 1 outside depth 1"
@@ -615,10 +616,10 @@ def _check_product_membership():
     factor = [Fraction(3), Fraction(5), Fraction(1), Fraction(1)]
     mixed = [Fraction(3), Fraction(5), Fraction(7), Fraction(11)]
     ok = (
-        presentation_rank(m, ones) == m.b2
-        and in_charvar(m, factor, 1)
-        and not in_charvar(m, factor, 2)
-        and not in_charvar(m, mixed, 1)
+        membership(m, ones, 1).rank == m.b2
+        and membership(m, factor, 1).delta
+        and not membership(m, factor, 2).delta
+        and not membership(m, mixed, 1).delta
     )
     return ok, "product of two free pairs: factor locus at depth 1, mixed points outside"
 
@@ -644,7 +645,7 @@ def _check_monodromy_identity_rank():
     details = []
     ok = True
     for label, m in items:
-        got = presentation_rank(m, [Fraction(1)] * m.n)
+        got = membership(m, [Fraction(1)] * m.n, 1).rank
         ok = ok and got == m.b2
         details.append(f"{label}={got}")
     return ok, "presentation rank at the identity equals b2: " + ", ".join(details)
@@ -770,7 +771,7 @@ def _file_checks(
         m = value
 
         def rank_check():
-            got = presentation_rank(m, [Fraction(1)] * m.n)
+            got = membership(m, [Fraction(1)] * m.n, 1).rank
             return got == m.b2, f"rank {got}, b2 {m.b2}"
 
         checks.append((f"{path}: identity rank", rank_check))

@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .arrangement import Lattice2, ValidationError, _scalar
-from .exactalg import ExactScalar, IntEchelon, integer_kernel, rational_rref
+from .exactalg import ExactScalar, IntEchelon, clear_denominators, integer_kernel
 from .osres import ResonanceSampler
 
 
@@ -92,11 +91,10 @@ class Component:
         return integer_kernel([list(row) for row in self.basis], n)
 
     def contains_weight(self, lam: Sequence) -> bool:
-        """Whether a rational weight vector lies in the tangent subspace."""
-        target = [Fraction(v) for v in lam]
-        rows = [[Fraction(v) for v in row] for row in self.basis]
-        _, reduced = rational_rref(rows + [target], len(target))
-        return len(reduced) == len(self.basis)
+        """Whether a rational weight vector lies in the tangent subspace:
+        scaled to integers, it adds nothing to the basis echelon."""
+        target = clear_denominators(lam)
+        return not _span_echelon(self, len(target)).add_row(target)
 
     def contains_point(self, point: Sequence) -> bool:
         """Whether a character-torus point satisfies every torus equation.
@@ -350,40 +348,41 @@ def partition_tangent_space(
     return integer_kernel(constraints, lat.n)
 
 
-def nonvanishing_block_pairs(
+def _nonvanishing_pairs(
     blocks: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]
-) -> list[tuple[int, int]]:
-    """Same-block hyperplane pairs whose determinant does not vanish.
+) -> Iterator[tuple[int, int]]:
+    """Same-block hyperplane pairs whose determinant does not vanish, block
+    by block, each found at its first nonzero basis pair.
 
     The pairing of two weight vectors u, v is vector-valued: one
     coordinate per pair {i, j} lying in a common block, holding the
     two-by-two determinant u_i v_j - u_j v_i.  Each coordinate is an
     alternating bilinear form, so it vanishes on the whole subspace
-    exactly when it vanishes on every pair of basis vectors.  Returns
-    the sorted pairs {i, j} whose determinant coordinate is nonzero at
-    some basis pair.
+    exactly when it vanishes on every pair of basis vectors.
     """
-    bad: set[tuple[int, int]] = set()
     for block in blocks:
         for i, j in itertools.combinations(sorted(block), 2):
             for u, v in itertools.combinations(basis, 2):
                 if u[i] * v[j] - u[j] * v[i] != 0:
-                    bad.add((i, j))
+                    yield i, j
                     break
-    return sorted(bad)
+
+
+def nonvanishing_block_pairs(
+    blocks: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]
+) -> list[tuple[int, int]]:
+    """The sorted same-block pairs {i, j} whose determinant coordinate of
+    the pairing form is nonzero at some basis pair."""
+    return sorted(set(_nonvanishing_pairs(blocks, basis)))
 
 
 def pairing_form_vanishes(
     blocks: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]
 ) -> bool:
     """Whether every same-block determinant coordinate of the pairing
-    form vanishes identically on the subspace spanned by the basis."""
-    for block in blocks:
-        for i, j in itertools.combinations(sorted(block), 2):
-            for u, v in itertools.combinations(basis, 2):
-                if u[i] * v[j] - u[j] * v[i] != 0:
-                    return False
-    return True
+    form vanishes identically on the subspace spanned by the basis; the
+    scan stops at the first pair that does not."""
+    return next(_nonvanishing_pairs(blocks, basis), None) is None
 
 
 # ---------------------------------------------------------------------------

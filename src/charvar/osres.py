@@ -16,8 +16,9 @@ Everything is phrased through two matrices over the rationals:
 
 The rank of the two blocks stacked decides membership, and an independent
 route through the no-broken-circuit basis and its projection cross-checks
-it.  A sampler object preprocesses the lattice block once so that many
-weight vectors can be tested quickly.
+it.  A sampler object reads the quotient by the lattice block off that
+projection once, with no elimination, so that many weight vectors can be
+tested quickly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import Lattice2, ValidationError
-from .exactalg import IntEchelon, clear_denominators, rational_rref
+from .exactalg import IntEchelon, clear_denominators
 
 # ---------------------------------------------------------------------------
 # index helpers
@@ -292,10 +293,16 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
 class ResonanceSampler:
     """Preprocessed resonance testing for many weight vectors on one lattice.
 
-    The flat wedge block is fixed; its row space is echelonized once and
-    every pair coordinate is replaced by its residual in the quotient.
-    Testing a weight vector then reduces one short integer row per triple
-    of hyperplanes inside a space of dimension (pairs - flat rank).
+    The flat wedge block is fixed.  Its rows are the negated rows of the
+    no-broken-circuit projection (`nbc_basis`), and those are already in
+    reduced row echelon form: the row of a basis pair has a 1 in that
+    pair's column, which no other row meets and which precedes the row's
+    other entries, at the non-basis pairs (the free columns) that project
+    onto the basis pair.  So every pair coordinate is replaced by its
+    residual in the quotient without elimination: a basis pair by minus
+    its projection row on the free columns, a non-basis pair by its unit
+    vector there.  Testing a weight vector then reduces one short integer
+    row per triple of hyperplanes inside a space of dimension (pairs - b2).
     """
 
     def __init__(self, lat: Lattice2):
@@ -305,26 +312,18 @@ class ResonanceSampler:
         pairs = pair_list(n)
         self.npairs = len(pairs)
         pair_pos = {p: c for c, p in enumerate(pairs)}
-        base = [[Fraction(v) for v in row] for row in flat_wedge_rows(lat)]
-        pivots, rref = rational_rref(base, self.npairs)
-        self.base_rank = len(pivots)
-        free_cols = [c for c in range(self.npairs) if c not in set(pivots)]
-        self.quotient_dim = len(free_cols)
-        free_pos = {c: idx for idx, c in enumerate(free_cols)}
-        residuals: list[list[Fraction]] = []
-        pivot_of = {col: r for r, col in enumerate(pivots)}
-        for c in range(self.npairs):
-            if c in pivot_of:
-                row = rref[pivot_of[c]]
-                residuals.append([-row[fc] for fc in free_cols])
-            else:
-                vec = [Fraction(0)] * self.quotient_dim
-                vec[free_pos[c]] = Fraction(1)
-                residuals.append(vec)
-        # one common factor for every residual keeps their combinations exact
-        flat = clear_denominators(itertools.chain.from_iterable(residuals))
-        q = self.quotient_dim
-        self._residuals = [flat[c * q : (c + 1) * q] for c in range(self.npairs)]
+        basis = nbc_basis(lat)
+        self.base_rank = basis.dimension
+        pivots = [pair_pos[p] for p in basis.pairs]
+        pivot_set = set(pivots)
+        free_cols = [c for c in range(self.npairs) if c not in pivot_set]
+        q = self.quotient_dim = len(free_cols)
+        residuals = [[0] * q for _ in range(self.npairs)]
+        for idx, c in enumerate(free_cols):
+            residuals[c][idx] = 1
+            for r, coeff in basis.columns[c]:
+                residuals[pivots[r]][idx] = -coeff
+        self._residuals = residuals
         self._triple_data = [
             (a, b, c, pair_pos[(b, c)], pair_pos[(a, c)], pair_pos[(a, b)])
             for a, b, c in triple_list(n)

@@ -26,22 +26,16 @@ from charvar.alexander import (
     MonodromyInput,
     artin_apply,
     fitting_generators,
-    fox_gradient,
     free_reduce,
     full_twist,
-    gassner,
     generic_monodromy,
     grid_monodromy,
-    in_charvar,
-    in_charvar_central,
-    in_charvar_relator_route,
     invert_braid,
     invert_word,
     lift_point,
     load_monodromy,
     membership,
     monodromy_braid,
-    monodromy_chain_map,
     normalize_braid,
     pencil_monodromy,
     phi_one_matrix,
@@ -53,9 +47,7 @@ from charvar.alexander import (
     relator_rank,
     relator_route_limit,
     resolution_differential,
-    twist_chain_map,
     twist_generator_image,
-    wedge_square,
     _certified_rank,
     _coordinate_bounds,
     _Majorant,
@@ -65,6 +57,13 @@ from charvar.alexander import (
     _Residues,
     _Ring,
     _ring,
+)
+from alexander_reference import (
+    fox_gradient,
+    gassner,
+    monodromy_chain_map,
+    twist_chain_map,
+    wedge_square,
 )
 from charvar.arrangement import (
     Lattice2,
@@ -737,7 +736,7 @@ def test_lift_point_validations():
 
 def test_membership_without_lift_metadata_raises():
     with pytest.raises(ValidationError, match="lift"):
-        in_charvar_central(generic_monodromy(3), [1, 1, 1, 1], 1)
+        lift_point(generic_monodromy(3).lift, [1, 1, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -767,17 +766,20 @@ def test_presentation_rank_at_identity_equals_second_betti_number():
         generic_monodromy(4),
         load_monodromy("diamond_monodromy"),
         load_monodromy("braid4_affine_monodromy"),
+        grid_monodromy(2, 2),
     ]
     for m in fixtures:
-        assert presentation_rank(m, [Fraction(1)] * m.n) == m.b2
+        ones = [Fraction(1)] * m.n
+        assert presentation_rank(m, ones) == m.b2
+        assert membership(m, ones, 1).rank == m.b2
 
 
 def test_identity_character_membership_depth_window():
     m = load_monodromy("diamond_monodromy")
     ncols = math.comb(6, 2)
     for k in range(1, ncols - m.b2 + 1):
-        assert in_charvar(m, [1] * 6, k)
-    assert not in_charvar(m, [1] * 6, ncols - m.b2 + 1)
+        assert membership(m, [1] * 6, k).delta
+    assert not membership(m, [1] * 6, ncols - m.b2 + 1).delta
 
 
 def test_pencil_membership_depends_on_coordinate_product():
@@ -786,10 +788,10 @@ def test_pencil_membership_depends_on_coordinate_product():
     off = [2, 3, 5, 7]
     assert presentation_rank(m, on) == math.comb(4, 2) - 2
     assert presentation_rank(m, off) == math.comb(4, 2)
-    assert in_charvar(m, on, 1)
-    assert in_charvar(m, on, 2)
-    assert not in_charvar(m, on, 3)
-    assert not in_charvar(m, off, 1)
+    assert membership(m, on, 1).delta
+    assert membership(m, on, 2).delta
+    assert not membership(m, on, 3).delta
+    assert not membership(m, off, 1).delta
 
 
 def test_five_line_pencil_depth_profile():
@@ -798,32 +800,32 @@ def test_five_line_pencil_depth_profile():
     off = [2, 3, 5, 7, 11]
     assert presentation_rank(m, on) == math.comb(5, 2) - 3
     assert presentation_rank(m, off) == math.comb(5, 2)
-    assert in_charvar(m, on, 3)
-    assert not in_charvar(m, on, 4)
-    assert not in_charvar(m, off, 1)
+    assert membership(m, on, 3).delta
+    assert not membership(m, on, 4).delta
+    assert not membership(m, off, 1).delta
 
 
 def test_generic_lines_have_empty_depth_one_locus():
     m = generic_monodromy(3)
     assert presentation_rank(m, [2, 3, 5]) == 3
-    assert not in_charvar(m, [2, 3, 5], 1)
+    assert not membership(m, [2, 3, 5], 1).delta
 
 
 def test_membership_validates_inputs():
     m = pencil_monodromy(3)
     with pytest.raises(ValidationError):
-        in_charvar(m, [1, 1, 1], 0)
+        membership(m, [1, 1, 1], 0)
     with pytest.raises(ValidationError):
-        in_charvar(m, [0, 1, 1], 1)
+        membership(m, [0, 1, 1], 1)
     with pytest.raises(ValidationError):
-        in_charvar(m, [1, 1], 1)
+        membership(m, [1, 1], 1)
 
 
 def test_diamond_order_two_point_sits_at_depth_two():
     m = load_monodromy("diamond_monodromy")
     point = [Fraction(-1), 1, 1, -1, -1, 1, -1]
-    assert in_charvar_central(m, point, 1)
-    assert in_charvar_central(m, point, 2)
+    assert membership(m, lift_point(m.lift, point), 1).delta
+    assert membership(m, lift_point(m.lift, point), 2).delta
 
 
 def test_diamond_component_samples_sit_at_depth_one_only():
@@ -834,8 +836,8 @@ def test_diamond_component_samples_sit_at_depth_one_only():
         Fraction(2) ** comp.basis[0][i] * Fraction(3) ** comp.basis[1][i]
         for i in range(7)
     ]
-    assert in_charvar_central(m, point, 1)
-    assert not in_charvar_central(m, point, 2)
+    assert membership(m, lift_point(m.lift, point), 1).delta
+    assert not membership(m, lift_point(m.lift, point), 2).delta
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +878,8 @@ def test_both_membership_routes_agree_within_the_valid_depth_window():
     for m, points in cases:
         for point in points:
             for k in range(1, relator_route_limit(m) + 1):
-                assert in_charvar(m, point, k) == in_charvar_relator_route(m, point, k)
+                got = membership(m, point, k)
+                assert got.delta == got.partial2
 
 
 # ---------------------------------------------------------------------------
@@ -1362,7 +1365,7 @@ def test_points_above_the_order_cap_are_refused():
     assert point_order([root_of_unity(4), root_of_unity(6), Fraction(1, 2)]) == 12
     big = root_of_unity(POINT_ORDER_CAP + 1)
     with pytest.raises(CapExceeded, match="order"):
-        in_charvar(m, [big] + [1] * 5, 1)
+        membership(m, [big] + [1] * 5, 1)
     with pytest.raises(CapExceeded, match="order"):
         membership(m, [1] * 5 + [big], 2)
     with pytest.raises(CapExceeded, match="order"):
@@ -1487,11 +1490,11 @@ def test_product_membership_is_the_union_of_factor_loci():
     m = grid_monodromy(2, 2)
     # one factor generic, the other at the identity: depth exactly one
     for point in ([2, 3, 1, 1], [1, 1, 2, 3], [2, 1, 1, 1]):
-        assert in_charvar(m, point, 1)
-        assert not in_charvar(m, point, 2)
+        assert membership(m, point, 1).delta
+        assert not membership(m, point, 2).delta
     # neither factor at the identity: outside the depth-one locus
     for point in ([2, 3, 5, 7], [2, 3, 5, 1]):
-        assert not in_charvar(m, point, 1)
+        assert not membership(m, point, 1).delta
     assert presentation_rank(m, [Fraction(1)] * 4) == m.b2
 
 
@@ -1499,11 +1502,11 @@ def test_deeper_product_membership_tracks_the_larger_free_factor():
     m = grid_monodromy(3, 2)
     first = [2, 3, 5, 1, 1]
     second = [1, 1, 1, 2, 3]
-    assert in_charvar(m, first, 2)
-    assert not in_charvar(m, first, 3)
-    assert in_charvar(m, second, 1)
-    assert not in_charvar(m, second, 2)
-    assert not in_charvar(m, [2, 3, 5, 7, 11], 1)
+    assert membership(m, first, 2).delta
+    assert not membership(m, first, 3).delta
+    assert membership(m, second, 1).delta
+    assert not membership(m, second, 2).delta
+    assert not membership(m, [2, 3, 5, 7, 11], 1).delta
 
 
 def test_embedded_factor_components_match_product_membership():
@@ -1528,4 +1531,4 @@ def test_embedded_factor_components_match_product_membership():
     ]
     for point in points:
         in_union = any(c.contains_point(point) for c in comps)
-        assert in_union == in_charvar(m, point, 1)
+        assert in_union == membership(m, point, 1).delta

@@ -9,6 +9,7 @@ the fixture pool with random integer weights.
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from charvar.arrangement import (
     lattice_from_central3,
 )
 from charvar.components import enumerate_first_resonance
-from charvar.exactalg import ExactMatrix, IntEchelon
+from charvar.exactalg import ExactMatrix, IntEchelon, clear_denominators, rational_rref
 from charvar.osres import (
     ResonanceSampler,
     flat_wedge_rows,
@@ -438,6 +439,52 @@ def test_sampler_precomputation_reused():
     assert sampler.in_resonance_at(DIAMOND_T1, k=1)
     assert not sampler.in_resonance_at(DIAMOND_GENERIC, k=1)
     assert sampler.h1_at(DIAMOND_T1) == h1_dim(lat, DIAMOND_T1)
+
+
+def _rref_residuals(lat):
+    """The sampler's quotient as elimination gives it: the reduced row
+    echelon form of the flat wedge rows over Q, then, for each pair column,
+    its residual on the free columns (minus its reduced row there at a
+    pivot, its unit vector at a free column), scaled by one common factor
+    to coprime integers.  Returns the rank and the residuals."""
+    npairs = len(pair_list(lat.n))
+    rows = [[Fraction(v) for v in row] for row in flat_wedge_rows(lat)]
+    pivots, rref = rational_rref(rows, npairs)
+    free = [c for c in range(npairs) if c not in pivots]
+    residuals = []
+    for c in range(npairs):
+        if c in pivots:
+            row = rref[pivots.index(c)]
+            residuals.append([-row[f] for f in free])
+        else:
+            residuals.append([Fraction(f == c) for f in free])
+    flat = clear_denominators(itertools.chain.from_iterable(residuals))
+    q = len(free)
+    return len(pivots), [flat[c * q : (c + 1) * q] for c in range(npairs)]
+
+
+def test_sampler_quotient_is_the_reduced_flat_wedge_block():
+    """The sampler reads its quotient off the no-broken-circuit projection
+    without eliminating; on the families and on seeded restrictions of them
+    (parallel pairs included), its residuals and base rank are exactly
+    those of the reduced row echelon form of the flat wedge rows."""
+    lattices = FIXTURE_LATTICES + [
+        lattice_from_central3(gen_family("hessian")),
+        lattice_from_central3(gen_family("monomial", r=3)),
+        gen_family("falk_pair")[1],
+    ]
+    rng = random.Random(20261019)
+    for lat in list(lattices):
+        for _ in range(3):
+            size = rng.randint(2, lat.n)
+            lattices.append(lat.restrict(rng.sample(range(lat.n), size)))
+    assert any(lat.parallel_pairs for lat in lattices)
+    for lat in lattices:
+        sampler = ResonanceSampler(lat)
+        base_rank, residuals = _rref_residuals(lat)
+        assert sampler.base_rank == base_rank
+        assert sampler.quotient_dim == len(pair_list(lat.n)) - base_rank
+        assert sampler._residuals == residuals
 
 
 def test_rational_weights_accepted():

@@ -44,9 +44,9 @@ from charvar.alexander import (
     free_reduce,
     full_twist,
     invert_word,
+    lift_point,
+    membership,
     monodromy_braid,
-    presentation_rank,
-    in_charvar_central,
 )
 from charvar.arrangement import Lattice2, gen_family, lattice_from_central3
 from charvar.components import enumerate_first_resonance
@@ -350,23 +350,29 @@ def random_off_points(components, n, count, rng):
     return points
 
 
+def central_in_vk(m: MonodromyInput, point, k: int) -> bool:
+    """Certified depth-k membership of a central torus point, restricted to
+    the affine strands through the lift metadata."""
+    return membership(m, lift_point(m.lift, point), k).delta
+
+
 def validate(m: MonodromyInput, census, torsion_checks, hard_depth2, label):
     failures = []
     warnings = []
 
     ones = [Fraction(1)] * m.n
-    rank1 = presentation_rank(m, ones)
+    rank1 = membership(m, ones, 1).rank
     if rank1 != m.b2:
         failures.append(f"rank at the identity is {rank1}, expected b2 = {m.b2}")
 
     for comp in census.components:
         for which in range(2):
             point = component_sample(comp, which)
-            if not in_charvar_central(m, point, 1):
+            if not central_in_vk(m, point, 1):
                 failures.append(
                     f"{comp.kind} component {comp.support} sample {which} not at depth 1"
                 )
-            deep = in_charvar_central(m, point, 2)
+            deep = central_in_vk(m, point, 2)
             if deep:
                 msg = (
                     f"{comp.kind} component {comp.support} sample {which} "
@@ -375,13 +381,13 @@ def validate(m: MonodromyInput, census, torsion_checks, hard_depth2, label):
                 (failures if hard_depth2 else warnings).append(msg)
 
     for point, k, expected in torsion_checks:
-        got = in_charvar_central(m, point, k)
+        got = central_in_vk(m, point, k)
         if got != expected:
             failures.append(f"special point {point} at depth {k}: {got}, expected {expected}")
 
     rng = random.Random(20260815)
     for point in random_off_points(census.components, m.lift["central_n"], 5, rng):
-        if in_charvar_central(m, point, 1):
+        if central_in_vk(m, point, 1):
             failures.append(f"off-component point {point} tests inside depth 1")
 
     for note in warnings:
