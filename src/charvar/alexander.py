@@ -48,7 +48,7 @@ from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .arrangement import Lattice2, ValidationError, _scalar
+from .arrangement import Lattice2, ValidationError, _scalar, _torus_product
 from .components import CapExceeded
 from .exactalg import (
     MODULAR_PRIME_FLOOR,
@@ -785,16 +785,16 @@ def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
 
 
 def presentation_rank(m: MonodromyInput, point: Sequence) -> int:
-    """Exact rank of the presentation matrix evaluated at a torus point, by
-    elimination over Q(zeta_M).  No library route calls it: it is the
+    """Exact rank over Q(zeta_M) of the presentation matrix evaluated at a
+    torus point (`ExactMatrix.rank`).  No library route calls it: it is the
     oracle that the tests hold `membership`'s certified ranks against, and
     the traced benchmark binds it by name."""
     return ExactMatrix(presentation_matrix(m, point=point), math.comb(m.n, 2)).rank()
 
 
 def relator_rank(m: MonodromyInput, point: Sequence) -> int:
-    """Exact rank of the relator Jacobian evaluated at a torus point, by
-    elimination over Q(zeta_M).  Like `presentation_rank`, the tests' oracle
+    """Exact rank over Q(zeta_M) of the relator Jacobian evaluated at a
+    torus point (`ExactMatrix.rank`).  Like `presentation_rank`, the tests' oracle
     for `membership` and a name the traced benchmark binds; no library
     route calls it."""
     return ExactMatrix(relator_jacobian(m, point=point), m.n).rank()
@@ -868,8 +868,8 @@ def membership(
     the relator criterion (rank at most n - k - 1) within
     `relator_route_limit`, and `.rank` at the point 1 is the presentation
     rank there, b2.  A central point goes through `lift_point` first.  The
-    tests hold it against the exact Q(zeta_M) eliminations
-    `presentation_rank` and `relator_rank`.
+    tests hold it against the exact Q(zeta_M) ranks `presentation_rank`
+    and `relator_rank`.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
@@ -987,13 +987,7 @@ def lift_point(lift: dict | None, central_point: Sequence) -> list[ExactScalar]:
     if len(coords) != len(strands) + 1:
         raise ValidationError("central point arity does not match the lift")
     point_order(coords)
-    prod = ExactScalar.one()
-    for c in coords:
-        if c.is_zero():
-            raise ValidationError("torus points must have nonzero coordinates")
-        prod = prod * c
-    if not prod.is_one():
-        raise ValidationError("central torus points must have coordinate product 1")
+    _torus_product(coords, central=True)
     return [coords[s - 1] for s in strands]
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactalg import ExactScalar, root_of_unity
 
@@ -118,7 +119,9 @@ class Arrangement:
             hyperplanes = [[ExactScalar.from_json(v) for v in row] for row in rows]
         except (ValueError, TypeError, KeyError) as exc:
             raise ValidationError(f"bad hyperplane entry: {exc}") from exc
-        labels = list(obj.get("labels", []))
+        labels = obj.get("labels", [])
+        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+            raise ValidationError("arrangement labels must be a list of strings")
         arr = cls(flavor=flavor, hyperplanes=hyperplanes, labels=labels)
         if "dim" in obj and obj["dim"] != arr.dim:
             raise ValidationError("declared dim disagrees with hyperplane rows")
@@ -173,18 +176,13 @@ class Lattice2:
         if len(parallel_set) != len(self.parallel_pairs):
             raise ValidationError("duplicate parallel pair")
         # parallelism must be an equivalence relation on the lines it touches
-        classes: dict[int, set[int]] = {}
-        for i, j in parallel_set:
-            cls_i = classes.setdefault(i, {i})
-            cls_j = classes.setdefault(j, {j})
-            if cls_i is not cls_j:
-                cls_i |= cls_j
-                for k in cls_j:
-                    classes[k] = cls_i
-        for group in {id(c): c for c in classes.values()}.values():
-            for pair in itertools.combinations(sorted(group), 2):
-                if pair not in parallel_set:
-                    raise ValidationError("parallel pairs are not transitively closed")
+        if parallel_set:
+            for group in _union_classes(self.n, parallel_set):
+                for pair in itertools.combinations(group, 2):
+                    if pair not in parallel_set:
+                        raise ValidationError(
+                            "parallel pairs are not transitively closed"
+                        )
         self._pair_owner = pair_owner
         self._parallel_set = parallel_set
 
@@ -282,6 +280,25 @@ class Lattice2:
 
 def b2(lattice: Lattice2) -> int:
     return lattice.b2()
+
+
+def _union_classes(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of range(n) under the equivalence the pairs generate,
+    each ascending, ordered by their least members (union-find)."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +464,8 @@ def central_to_affine_point(
     questions about the central arrangement reduce to the affine one
     through this restriction.
     """
-    point = [(_scalar(v)) for v in point]
-    prod = ExactScalar.one()
-    for v in point:
-        if v.is_zero():
-            raise ValidationError("torus points must have nonzero coordinates")
-        prod = prod * v
-    if not prod.is_one():
-        raise ValidationError("central torus points must have coordinate product 1")
+    point = [_scalar(v) for v in point]
+    _torus_product(point, central=True)
     return [v for i, v in enumerate(point) if i != at]
 
 
@@ -462,15 +473,22 @@ def affine_to_central_point(
     point: Sequence[ExactScalar], at: int
 ) -> list[ExactScalar]:
     """Insert the infinity coordinate so the product of all coordinates is 1."""
-    point = [(_scalar(v)) for v in point]
+    full = [_scalar(v) for v in point]
+    full.insert(at, _torus_product(full).inverse())
+    return full
+
+
+def _torus_product(point: Sequence[ExactScalar], central: bool = False) -> ExactScalar:
+    """The product of a torus point's coordinates.  A zero coordinate is
+    refused, and so, for a central point, is a product other than 1."""
     prod = ExactScalar.one()
     for v in point:
         if v.is_zero():
             raise ValidationError("torus points must have nonzero coordinates")
         prod = prod * v
-    full = list(point)
-    full.insert(at, prod.inverse())
-    return full
+    if central and not prod.is_one():
+        raise ValidationError("central torus points must have coordinate product 1")
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +568,22 @@ def _gen_monomial(r: int, l: int = 3):
 
 
 def _monomial_lattice(r: int, l: int) -> Lattice2:
-    pairs = list(itertools.combinations(range(l), 2))
-    family = {p: f for f, p in enumerate(pairs)}
+    npairs = math.comb(l, 2)
+    flats = [tuple(range(f * r, f * r + r)) for f in range(npairs)] if r >= 3 else []
+    return Lattice2(r * npairs, sorted(flats + _triple_point_flats(r, l, 0)))
+
+
+def _triple_point_flats(r: int, l: int, offset: int) -> list[tuple[int, ...]]:
+    """The flats x_i = zeta^a x_j, x_j = zeta^b x_m, x_i = zeta^(a+b) x_m
+    (i < j < m) of the monomial hyperplanes, where x_i = zeta^k x_j (k in
+    1..r, matching the geometric labels H_ij^(k)) has the index offset +
+    r * (position of (i, j) among the coordinate pairs) + k - 1."""
+    family = {p: f for f, p in enumerate(itertools.combinations(range(l), 2))}
 
     def idx(i: int, j: int, k: int) -> int:
-        # k runs 1..r, matching the geometric labels H_ij^(k)
-        return family[(i, j)] * r + (k - 1)
+        return offset + family[(i, j)] * r + (k - 1)
 
     flats = []
-    if r >= 3:
-        for f in range(len(pairs)):
-            flats.append(tuple(range(f * r, f * r + r)))
     for i, j, m in itertools.combinations(range(l), 3):
         for a in range(1, r + 1):
             for b in range(1, r + 1):
@@ -568,7 +591,7 @@ def _monomial_lattice(r: int, l: int) -> Lattice2:
                 flats.append(
                     tuple(sorted((idx(i, j, a), idx(j, m, b), idx(i, m, c))))
                 )
-    return Lattice2(r * len(pairs), sorted(flats))
+    return flats
 
 
 def _gen_full_monomial(r: int, l: int = 3):
@@ -602,24 +625,11 @@ def _gen_full_monomial(r: int, l: int = 3):
 
 
 def _full_monomial_lattice(r: int, l: int) -> Lattice2:
-    pairs = list(itertools.combinations(range(l), 2))
-    family = {p: f for f, p in enumerate(pairs)}
-
-    def idx(i: int, j: int, k: int) -> int:
-        return l + family[(i, j)] * r + (k - 1)
-
-    flats = []
-    for (i, j), f in family.items():
-        members = (i, j) + tuple(idx(i, j, k) for k in range(1, r + 1))
-        flats.append(tuple(sorted(members)))
-    for i, j, m in itertools.combinations(range(l), 3):
-        for a in range(1, r + 1):
-            for b in range(1, r + 1):
-                c = (a + b - 1) % r + 1
-                flats.append(
-                    tuple(sorted((idx(i, j, a), idx(j, m, b), idx(i, m, c))))
-                )
-    return Lattice2(l + r * len(pairs), sorted(flats))
+    flats = [
+        (i, j) + tuple(range(l + f * r, l + f * r + r))
+        for f, (i, j) in enumerate(itertools.combinations(range(l), 2))
+    ]
+    return Lattice2(l + r * len(flats), sorted(flats + _triple_point_flats(r, l, l)))
 
 
 def _gen_hessian() -> Arrangement:

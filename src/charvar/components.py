@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .arrangement import Lattice2, ValidationError, _scalar
+from .arrangement import Lattice2, ValidationError, _scalar, _union_classes
 from .exactalg import ExactScalar, IntEchelon, clear_denominators, integer_kernel
 from .osres import ResonanceSampler
 
@@ -197,25 +197,6 @@ def cone_lattice(lat: Lattice2) -> Lattice2:
         if len(cls) >= 2:
             flats.append(tuple(cls) + (n,))
     return Lattice2(n + 1, flats)
-
-
-def _union_classes(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """The classes of range(n) under the equivalence the pairs generate,
-    each ascending, ordered by their least members (union-find)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

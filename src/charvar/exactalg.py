@@ -4,19 +4,19 @@ Scalars live in cyclotomic extensions of the rationals: every value is
 either a rational number or an element of Q(zeta_m) written on the power
 basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
 Linear algebra has one kernel per job: a sparse fraction-free integer
-echelon for the rank of integer and rational rows (each pivot row kept as
-its nonzero entries divided by its content, and a row scaled only when a
-pivot's lead does not divide the entry it clears; clones share the
-immutable pivot rows), one elimination over Q(zeta_m) for
-cyclotomic ranks, a sparse one over F_p for the certified modular rank
-(rows of int residues built once modulo a product of primes, by the
-Chinese remainder theorem, serve every one of them), a rational reduced
-echelon form, and one unimodular reduction behind the Hermite normal form
-and the saturated integer kernel.  Laurent polynomials over Z in several
-variables (integer exponents of either sign, integer coefficients) model
-the entries of monodromy and boundary matrices over the group ring
-Z[Z^n]; they evaluate to scalars at points whose coordinates are roots of
-unity times rationals.
+echelon for every exact rank (each pivot row kept as its nonzero entries
+divided by its content, and a row scaled only when a pivot's lead does
+not divide the entry it clears; clones share the immutable pivot rows),
+which ranks rows over Q(zeta_m) by restriction of scalars to Q; a sparse
+elimination over F_p for the certified modular rank (rows of int residues
+built once modulo a product of primes, by the Chinese remainder theorem,
+serve every one of them); a rational reduced echelon form; and one
+unimodular reduction behind the Hermite normal form and the saturated
+integer kernel.  Laurent polynomials over Z in several variables
+(integer exponents of either sign, integer coefficients) model the
+entries of monodromy and boundary matrices over the group ring Z[Z^n];
+they evaluate to scalars at points whose coordinates are roots of unity
+times rationals.
 
 Everything here is deterministic and division-free where possible, so the
 same inputs always produce the same pivots, ranks, and basis vectors.
@@ -201,9 +201,6 @@ class ExactScalar:
         assert self.order == 1, "scalar is not rational"
         return self.coeffs[0]
 
-    def support_size(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _promoted(self, order: int) -> list[Fraction]:
@@ -371,7 +368,8 @@ def root_of_unity(m: int, k: int = 1) -> ExactScalar:
 
 
 class ExactMatrix:
-    """A dense matrix of ExactScalar entries, kept for its exact rank."""
+    """A dense matrix of ExactScalar entries, kept for its exact rank over
+    Q(zeta_M), which the integer echelon computes."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -390,15 +388,47 @@ class ExactMatrix:
         self.entries = rows
 
     def rank(self) -> int:
-        """Rank over Q(zeta_m): rational rows are cleared of denominators and
-        go to the integer echelon, cyclotomic ones to field elimination."""
+        """Rank over Q(zeta_M), M the lcm of the entries' orders, by
+        restriction of scalars to Q.
+
+        With d = phi(M), 1, zeta, ..., zeta^(d-1) is a Q-basis of
+        Q(zeta_M), so the Q(zeta_M)-span of the rows is the Q-span of the
+        rows zeta^i r (i < d) on the power basis, and has Q-dimension d
+        times the rank.  Each row, cleared of denominators, goes to the
+        integer echelon with its d - 1 zeta-multiples, rows of least
+        largest entry first (small pivots keep the fraction-free growth
+        down).  The span stays closed under zeta, so a row that depends on
+        it over Q does so over Q(zeta_M) and its multiples are skipped.
+        Multiplying by zeta shifts each entry's coefficients up by one and
+        folds the top one back through the monic integer Phi_M, so rows
+        stay integral.  Rational rows have d = 1.  The echelon stops at
+        full rank."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        if all(e.order == 1 for row in self.entries for e in row):
-            return IntEchelon(self.ncols).add_rows(
-                clear_denominators([e.coeffs[0] for e in row]) for row in self.entries
-            )
-        return _field_rank([list(row) for row in self.entries], self.ncols)
+        order = math.lcm(*(e.order for row in self.entries for e in row))
+        d = _euler_phi(order)
+        fold = cyclotomic_polynomial(order)[:-1]
+        rows = [
+            clear_denominators([c for e in row for c in e._promoted(order)])
+            for row in self.entries
+        ]
+        echelon = IntEchelon(d * self.ncols)
+        for vec in sorted(rows, key=lambda vec: max(map(abs, vec))):
+            if echelon.rank == echelon.ncols:
+                break
+            if not echelon.add_row(vec):
+                continue
+            for _ in range(d - 1):
+                shifted = []
+                for start in range(0, len(vec), d):
+                    top = vec[start + d - 1]
+                    block = [0] + vec[start : start + d - 1]
+                    if top:
+                        block = [b - top * f for b, f in zip(block, fold)]
+                    shifted += block
+                vec = shifted
+                echelon.add_row(vec)
+        return echelon.rank // d
 
 
 def nullspace(matrix: ExactMatrix) -> list[list[int]]:
@@ -418,39 +448,6 @@ def clear_denominators(values: Iterable) -> list[int]:
     ints = [v.numerator * (denom // v.denominator) for v in fracs]
     g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
-
-
-def _pick_pivot(rows: list[list[ExactScalar]], start: int, col: int) -> int | None:
-    """Pivot row at or below start: prefer entries with the largest support."""
-    best = None
-    best_size = -1
-    for idx in range(start, len(rows)):
-        e = rows[idx][col]
-        if not e.is_zero():
-            size = e.support_size()
-            if size > best_size:
-                best, best_size = idx, size
-    return best
-
-
-def _field_rank(rows: list[list[ExactScalar]], ncols: int) -> int:
-    rank_found = 0
-    for col in range(ncols):
-        piv = _pick_pivot(rows, rank_found, col)
-        if piv is None:
-            continue
-        rows[rank_found], rows[piv] = rows[piv], rows[rank_found]
-        p = rows[rank_found]
-        pinv = p[col].inverse()
-        for idx in range(rank_found + 1, len(rows)):
-            r = rows[idx]
-            if not r[col].is_zero():
-                factor = r[col] * pinv
-                rows[idx] = [rv - factor * pv for rv, pv in zip(r, p)]
-        rank_found += 1
-        if rank_found == ncols:
-            break
-    return rank_found
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +472,8 @@ class IntEchelon:
     Stored pivot rows are tuples and never mutated, so a clone shares them
     and costs only a dict copy, which suits loops that test many small
     perturbations of a fixed row block.  Every integer and rational rank
-    goes through it: `IntEchelon(ncols).add_rows(rows)`.
+    goes through it: `IntEchelon(ncols).add_rows(rows)`, and so does every
+    Q(zeta_M) rank, written over Q (`ExactMatrix.rank`).
     """
 
     __slots__ = ("ncols", "_pivot_rows")

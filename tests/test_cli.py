@@ -515,6 +515,12 @@ def test_unrecognised_json_shape_is_a_validation_error(capsys, tmp_path):
     assert "unrecognised input" in err
 
 
+_AFFINE_TRIANGLE = {
+    "flavor": "affine",
+    "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+}
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [
@@ -541,6 +547,12 @@ def test_unrecognised_json_shape_is_a_validation_error(capsys, tmp_path):
         ),
         ({"n": True, "flats": []}, "n must be an integer"),
         ({"n": 3, "flats": [[1, True, 3]]}, "index True out of range"),
+        (_AFFINE_TRIANGLE | {"labels": 5}, "labels must be a list of strings"),
+        (_AFFINE_TRIANGLE | {"labels": "abc"}, "labels must be a list of strings"),
+        (
+            _AFFINE_TRIANGLE | {"labels": [1, None, {"x": 1}]},
+            "labels must be a list of strings",
+        ),
     ],
     ids=[
         "generator-without-X",
@@ -553,6 +565,9 @@ def test_unrecognised_json_shape_is_a_validation_error(capsys, tmp_path):
         "float-lift-count",
         "boolean-n",
         "boolean-flat-index",
+        "numeric-labels",
+        "string-labels",
+        "non-string-labels",
     ],
 )
 def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, message):

@@ -394,6 +394,85 @@ def test_sparse_integer_echelon_matches_a_dense_fraction_elimination(case, data)
     assert IntEchelon(ncols).add_rows(rows) == expected
 
 
+def _dense_cyclotomic_rank(rows, ncols):
+    """Reference rank over Q(zeta): dense elimination on ExactScalar
+    entries, column by column, taking the pivot with the most nonzero
+    power-basis coefficients and inverting it by the extended Euclidean
+    algorithm."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(ncols):
+        nonzero = [i for i in range(rank, len(work)) if not work[i][col].is_zero()]
+        if not nonzero:
+            continue
+        piv = max(nonzero, key=lambda i: sum(1 for c in work[i][col].coeffs if c))
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = work[rank][col].inverse()
+        for i in range(rank + 1, len(work)):
+            if not work[i][col].is_zero():
+                factor = work[i][col] * inv
+                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _cyclotomic_rows(draw):
+    """Rows over Q(zeta_M) whose entries have orders 1, 3, 4 and 5, so M is
+    a proper lcm, and coefficients with denominators.  Zero rows, rows
+    zeta^e r and (1 + zeta) r for zeta of order 3, 4 or 5, and sums of two
+    rows are mixed in and shuffled.  When `full` is drawn, the rows of the
+    identity matrix open the list: their largest entry, 1, is the least
+    there is, so `ExactMatrix.rank` takes them first, reaches full rank
+    and stops before the nonzero rows that follow.  Returns (rows, ncols,
+    full)."""
+    ncols = draw(st.integers(min_value=1, max_value=3))
+
+    def entry():
+        if draw(st.booleans()):
+            return ExactScalar.zero()
+        return _scalar(draw, draw(st.sampled_from([1, 3, 4, 5])))
+
+    def row():
+        return [entry() for _ in range(ncols)]
+
+    rows = [row() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    kinds = ["zero", "zeta power", "one plus zeta", "sum"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
+        base = draw(st.sampled_from(rows))
+        zeta = root_of_unity(draw(st.sampled_from([3, 4, 5])), draw(st.integers(1, 4)))
+        if kind == "zero":
+            rows.append([ExactScalar.zero()] * ncols)
+        elif kind == "zeta power":
+            rows.append([zeta * v for v in base])
+        elif kind == "one plus zeta":
+            rows.append([(zeta + 1) * v for v in base])
+        else:
+            other = draw(st.sampled_from(rows))
+            rows.append([a + b for a, b in zip(base, other)])
+    rows = draw(st.permutations(rows))
+    full = draw(st.booleans())
+    if full:
+        one, zero = ExactScalar.one(), ExactScalar.zero()
+        rows = [
+            [one if i == j else zero for j in range(ncols)] for i in range(ncols)
+        ] + rows
+    return rows, ncols, full
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclotomic_rows())
+def test_cyclotomic_rank_matches_a_dense_field_elimination(case):
+    """ExactMatrix.rank, which ranks the rows zeta^i r on the power basis in
+    the integer echelon, gives the rank of dense elimination over Q(zeta),
+    and full rank where the identity rows open the list."""
+    rows, ncols, full = case
+    rank = ExactMatrix(rows, ncols).rank()
+    assert rank == _dense_cyclotomic_rank(rows, ncols)
+    if full:
+        assert rank == ncols
+
+
 # ---------------------------------------------------------------------------
 # reduction modulo a prime
 # ---------------------------------------------------------------------------
