@@ -17,7 +17,6 @@ with matching local data but different global structure.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,8 +40,19 @@ def _scalar(value) -> ExactScalar:
     return ExactScalar.from_rational(Fraction(value))
 
 
-def _canonical_direction(vec: Sequence[ExactScalar]) -> str:
-    """A hashable canonical form of a nonzero vector up to scaling."""
+def _value_key(values: Iterable[ExactScalar], order: int) -> tuple:
+    """A hashable key, equal for equal values whose orders divide `order`.
+
+    ExactScalar keeps no canonical order (zeta_3 is stored at order 3, the
+    computed zeta_6^2 at order 6), so each value is written on the power
+    basis of Q(zeta_order), where its coordinates are unique.
+    """
+    return tuple(tuple(v._promoted(order)) for v in values)
+
+
+def _canonical_direction(vec: Sequence[ExactScalar], order: int) -> tuple:
+    """A hashable canonical form of a nonzero vector up to scaling, for
+    entries whose orders divide `order`."""
     lead = None
     for v in vec:
         if not v.is_zero():
@@ -51,7 +61,7 @@ def _canonical_direction(vec: Sequence[ExactScalar]) -> str:
     if lead is None:
         raise ValidationError("zero vector has no direction")
     inv = lead.inverse()
-    return json.dumps([(v * inv).to_json() for v in vec])
+    return _value_key([v * inv for v in vec], order)
 
 
 @dataclass
@@ -82,8 +92,9 @@ class Arrangement:
             if self.flavor == "central" and not row[-1].is_zero():
                 raise ValidationError("central arrangement has a nonzero constant term")
         seen = set()
+        order = self.field_order
         for row in self.hyperplanes:
-            key = _canonical_direction(row)
+            key = _canonical_direction(row, order)
             if key in seen:
                 raise ValidationError("duplicate hyperplane")
             seen.add(key)
@@ -99,6 +110,12 @@ class Arrangement:
     @property
     def dim(self) -> int:
         return len(self.hyperplanes[0]) - 1
+
+    @property
+    def field_order(self) -> int:
+        """The lcm M of the coefficient orders: every value computed from
+        the coefficients lies in Q(zeta_M), so `_value_key` keys on M."""
+        return math.lcm(*(v.order for row in self.hyperplanes for v in row))
 
     def to_json(self) -> dict:
         return {
@@ -316,10 +333,11 @@ def lattice_from_central3(arr: Arrangement) -> Lattice2:
     if arr.flavor != "central" or arr.dim != 3:
         raise ValidationError("expected a central arrangement in dimension 3")
     normals = [row[:3] for row in arr.hyperplanes]
-    groups: dict[str, set[int]] = {}
+    order = arr.field_order
+    groups: dict[tuple, set[int]] = {}
     for i, j in itertools.combinations(range(arr.n), 2):
         direction = _cross(normals[i], normals[j])
-        key = _canonical_direction(direction)
+        key = _canonical_direction(direction, order)
         groups.setdefault(key, set()).update((i, j))
     flats = sorted(
         tuple(sorted(g)) for g in groups.values() if len(g) >= 3
@@ -331,7 +349,8 @@ def lattice_from_affine(arr: Arrangement) -> Lattice2:
     """Group the lines of an affine arrangement in C^2 by intersection point."""
     if arr.flavor != "affine" or arr.dim != 2:
         raise ValidationError("expected an affine arrangement in dimension 2")
-    points: dict[str, set[int]] = {}
+    order = arr.field_order
+    points: dict[tuple, set[int]] = {}
     parallels: list[tuple[int, int]] = []
     for i, j in itertools.combinations(range(arr.n), 2):
         a1, b1, c1 = arr.hyperplanes[i]
@@ -344,7 +363,7 @@ def lattice_from_affine(arr: Arrangement) -> Lattice2:
         # solve a x + b y + c = 0 for both lines
         x = (b1 * c2 - b2 * c1) * inv
         y = (a2 * c1 - a1 * c2) * inv
-        key = json.dumps([x.to_json(), y.to_json()])
+        key = _value_key((x, y), order)
         points.setdefault(key, set()).update((i, j))
     flats = sorted(tuple(sorted(g)) for g in points.values() if len(g) >= 3)
     return Lattice2(arr.n, flats, parallels)

@@ -14,6 +14,11 @@ marks braid-monodromy data, ``hyperplanes`` marks coordinate arrangements,
 bundle.  The prefix ``fixture:`` in place of a path loads a packaged
 monodromy fixture by name (for example ``fixture:diamond_monodromy``).
 
+Each subcommand reads the parsed arguments directly, builds one JSON-able
+payload and hands it to `_render`, which writes it as JSON or, under
+``--format text``, as the text the subcommand derives from it.  ``report``
+takes ``--seed`` and ``--samples`` (at least 1) for its seeded checks.
+
 Exit codes: 0 success, 1 failed report check, 2 validation error,
 3 enumeration or size cap exceeded.  All output is deterministic for a fixed
 ``--seed``.
@@ -25,7 +30,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -57,7 +61,6 @@ from .components import (
     Resonance1,
     cone_lattice,
     enumerate_first_resonance,
-    format_torus_equation,
     resonance_to_json,
 )
 from .exactalg import ExactScalar, LaurentPoly
@@ -65,42 +68,27 @@ from .osres import resonance_rank, resonance_rank_os
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# output
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: which command runs on which files, and the
-    knobs every command shares.  A fixed seed makes the output byte-identical
-    across runs."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    output: str | None = None
-    k: int = 1
-    cap: int | None = None
-    samples: int = 5
-    seed: int = 0
-    format: str = "json"
-
-    def rng(self, label: str) -> random.Random:
-        """Independent deterministic stream per named use site."""
-        return random.Random(f"{self.seed}:{label}")
+def _rng(args, label: str) -> random.Random:
+    """Independent deterministic stream per named use site."""
+    return random.Random(f"{args.seed}:{label}")
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _render(args, payload, text: Callable[[object], str]) -> None:
+    """Write a command's one result: the payload as JSON, or `text(payload)`
+    under ``--format text``; to ``--output`` when given, else stdout."""
+    fmt = args.format or _DEFAULT_FORMATS[args.command]
+    out = text(payload) if fmt == "text" else json.dumps(payload, indent=2)
+    if not out.endswith("\n"):
+        out += "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(out)
     else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+        sys.stdout.write(out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +240,12 @@ def _census_line(census: dict) -> str:
     return ", ".join(parts)
 
 
-def _component_line(comp: Component) -> str:
-    supp = "{" + ",".join(str(i + 1) for i in comp.support) + "}"
-    line = f"{comp.kind} dim {comp.dim} support {supp}"
-    eqs = comp.torus_equations()
-    if eqs:
-        line += "  " + "; ".join(format_torus_equation(eq) for eq in eqs)
+def _component_line(comp: dict) -> str:
+    """One component of a `components` payload (support numbered from 1)."""
+    supp = "{" + ",".join(map(str, comp["support"])) + "}"
+    line = f"{comp['kind']} dim {comp['dimension']} support {supp}"
+    if comp["monomial_equations"]:
+        line += "  " + "; ".join(comp["monomial_equations"])
     return line
 
 
@@ -322,12 +310,9 @@ def _family_text(obj) -> str:
     return _lattice_text(obj)
 
 
-def cmd_gen(cfg: RunConfig, args) -> int:
+def cmd_gen(args) -> int:
     obj = gen_family(args.family, **_family_kwargs(args))
-    if cfg.format == "text":
-        _emit(cfg, _family_text(obj))
-    else:
-        _emit(cfg, _json_text(_family_json(obj)))
+    _render(args, _family_json(obj), lambda _: _family_text(obj))
     return 0
 
 
@@ -336,19 +321,10 @@ def cmd_gen(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_lattice(cfg: RunConfig, args) -> int:
-    kind, value = _load_input(cfg.inputs[0])
-    if kind == "pair":
-        if cfg.format == "text":
-            _emit(cfg, _family_text(value))
-        else:
-            _emit(cfg, _json_text({"pair": [part.to_json() for part in value]}))
-        return 0
-    lat = _as_lattice(kind, value)
-    if cfg.format == "text":
-        _emit(cfg, _lattice_text(lat))
-    else:
-        _emit(cfg, _json_text(lat.to_json()))
+def cmd_lattice(args) -> int:
+    kind, value = _load_input(args.input)
+    obj = value if kind == "pair" else _as_lattice(kind, value)
+    _render(args, _family_json(obj), lambda _: _family_text(obj))
     return 0
 
 
@@ -375,7 +351,7 @@ def _components_payload(lat: Lattice2, cap: int) -> dict:
     return payload
 
 
-def _components_text(payload: dict) -> list[str]:
+def _components_lines(payload: dict) -> list[str]:
     lines = []
     if payload["coned"]:
         lines.append(
@@ -388,34 +364,32 @@ def _components_text(payload: dict) -> list[str]:
         lines.append(f"essential: {census['essential']}")
     if census["flagged"]:
         lines.append(f"flagged (pairing form does not vanish): {census['flagged']}")
-    for comp in payload["components"]:
-        lines.append(_component_line(Component.from_json(comp)))
+    lines.extend(_component_line(comp) for comp in payload["components"])
     return lines
 
 
-def cmd_components(cfg: RunConfig, args) -> int:
-    if cfg.k != 1:
+def _components_text(payload: dict) -> str:
+    if "pair" in payload:
+        return "\n".join(
+            f"[{tag}] {line}"
+            for tag, part in zip("AB", payload["pair"])
+            for line in _components_lines(part)
+        )
+    return "\n".join(_components_lines(payload))
+
+
+def cmd_components(args) -> int:
+    if args.k != 1:
         raise ValidationError(
             "component enumeration is only available at depth k = 1; use "
             "'charvar member' to test depth-k membership of specific points"
         )
-    kind, value = _load_input(cfg.inputs[0])
-    cap = DEFAULT_CAP if cfg.cap is None else cfg.cap
+    kind, value = _load_input(args.input)
     if kind == "pair":
-        payloads = [_components_payload(lat, cap) for lat in value]
-        if cfg.format == "text":
-            lines = []
-            for tag, payload in zip("AB", payloads):
-                lines.extend(f"[{tag}] {line}" for line in _components_text(payload))
-            _emit(cfg, "\n".join(lines))
-        else:
-            _emit(cfg, _json_text({"pair": payloads}))
-        return 0
-    payload = _components_payload(_as_lattice(kind, value), cap)
-    if cfg.format == "text":
-        _emit(cfg, "\n".join(_components_text(payload)))
+        payload = {"pair": [_components_payload(lat, args.cap) for lat in value]}
     else:
-        _emit(cfg, _json_text(payload))
+        payload = _components_payload(_as_lattice(kind, value), args.cap)
+    _render(args, payload, _components_text)
     return 0
 
 
@@ -485,23 +459,20 @@ def _member_text(verdict: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_member(cfg: RunConfig, args) -> int:
-    if cfg.k < 1:
+def cmd_member(args) -> int:
+    if args.k < 1:
         raise ValidationError("depth k must be at least 1")
-    kind, value = _load_input(cfg.inputs[0])
+    kind, value = _load_input(args.input)
     coords = _parse_point(args.point)
     if kind == "monodromy":
-        verdict = _member_monodromy(value, coords, cfg.k)
+        verdict = _member_monodromy(value, coords, args.k)
     elif kind == "pair":
         raise ValidationError(
             "member needs a single input; split the pair file first"
         )
     else:
-        verdict = _member_lattice(_as_lattice(kind, value), coords, cfg.k)
-    if cfg.format == "text":
-        _emit(cfg, _member_text(verdict))
-    else:
-        _emit(cfg, _json_text(verdict))
+        verdict = _member_lattice(_as_lattice(kind, value), coords, args.k)
+    _render(args, verdict, _member_text)
     return 0
 
 
@@ -517,17 +488,20 @@ def _fixture_lattice(name: str, **kw) -> Lattice2:
     return _arrangement_lattice(obj)
 
 
-def _check_census(lat, total, by_dim, essential=None):
+def _check_census(lat, total, by_dim, essential):
     """by_dim maps dim -> (local, nonlocal)."""
     res = enumerate_first_resonance(lat, cap=20)
     census = _census(res, lat.n)
     got_by_dim = {
         row["dim"]: (row["local"], row["nonlocal"]) for row in census["by_dim"]
     }
-    ok = census["total"] == total and got_by_dim == by_dim and not census["flagged"]
-    if essential is not None:
-        ok = ok and census["essential"] == essential
-    ok = ok and all(comp.verified for comp in res.components)
+    ok = (
+        census["total"] == total
+        and got_by_dim == by_dim
+        and census["essential"] == essential
+        and not census["flagged"]
+        and all(comp.verified for comp in res.components)
+    )
     return ok, _census_line(census)
 
 
@@ -562,7 +536,7 @@ def _off_component_point(
             return point
 
 
-def _check_diamond_membership(cfg: RunConfig):
+def _check_diamond_membership(args):
     m = load_monodromy("diamond_monodromy")
     central = lattice_from_central3(gen_family("diamond"))
     res = enumerate_first_resonance(central)
@@ -575,27 +549,27 @@ def _check_diamond_membership(cfg: RunConfig):
     checks.append(inside(torsion, 2))
     ones = [Fraction(1)] * m.n
     checks.append(membership(m, ones, 1).delta)
-    rng = cfg.rng("diamond-membership")
+    rng = _rng(args, "diamond-membership")
     for comp in res.nonlocals:
-        for _ in range(cfg.samples):
+        for _ in range(args.samples):
             point = _component_point(comp, rng)
             checks.append(inside(point, 1))
             checks.append(not inside(point, 2))
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         point = _off_component_point(res.components, central.n, rng)
         checks.append(not inside(point, 1))
     ok = all(checks)
     return ok, (
-        f"torsion point at depth 2; {cfg.samples} points per non-local torus "
+        f"torsion point at depth 2; {args.samples} points per non-local torus "
         "at depth 1 only; seeded off-locus points excluded"
     )
 
 
-def _check_pencil_membership(cfg: RunConfig, n: int):
+def _check_pencil_membership(args, n: int):
     m = pencil_monodromy(n)
-    rng = cfg.rng(f"pencil-{n}")
+    rng = _rng(args, f"pencil-{n}")
     ok = True
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         t = [_random_fraction(rng) for _ in range(n - 1)]
         prod = Fraction(1)
         for v in t:
@@ -605,8 +579,8 @@ def _check_pencil_membership(cfg: RunConfig, n: int):
         off = t + [prod + 1 if prod != -1 else Fraction(7)]
         ok = ok and not membership(m, off, 1).delta
     return ok, (
-        f"{cfg.samples} points with coordinate product 1 at depth {n - 2}; "
-        f"{cfg.samples} with product != 1 outside depth 1"
+        f"{args.samples} points with coordinate product 1 at depth {n - 2}; "
+        f"{args.samples} with product != 1 outside depth 1"
     )
 
 
@@ -651,15 +625,15 @@ def _check_monodromy_identity_rank():
     return ok, "presentation rank at the identity equals b2: " + ", ".join(details)
 
 
-def _check_transpose(cfg: RunConfig, fixtures):
-    rng = cfg.rng("transpose")
+def _check_transpose(args, fixtures):
+    rng = _rng(args, "transpose")
     ok = True
     for _label, lat in fixtures:
-        for _ in range(cfg.samples):
+        for _ in range(args.samples):
             lam = [rng.randint(-5, 5) for _ in range(lat.n)]
             ok = ok and resonance_rank(lat, lam) == resonance_rank_os(lat, lam)
     return ok, (
-        f"{cfg.samples} seeded weights per fixture: stacked rank matches the "
+        f"{args.samples} seeded weights per fixture: stacked rank matches the "
         "multiplication-map rank"
     )
 
@@ -677,93 +651,57 @@ def _check_free_fitting():
     return ok, "free rank 3: top ideal generated by t_i - 1, lower ideals vanish"
 
 
-def _default_checks(cfg: RunConfig) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
+# expected census of each report fixture: (total, {dim: (local, nonlocal)},
+# essential)
+_REPORT_CENSUS = {
+    "braid(4)": (5, {2: (4, 1)}, 1),
+    "braid(5)": (15, {2: (10, 5)}, 0),
+    "diamond": (9, {2: (6, 3)}, 0),
+    "monomial(2,3)": (5, {2: (4, 1)}, 1),
+    "monomial(3,3)": (16, {2: (12, 4)}, 4),
+    "hessian": (64, {3: (9, 1), 2: (0, 54)}, 1),
+    "falk A": (4, {2: (4, 0)}, 0),
+    "falk B": (4, {2: (4, 0)}, 0),
+    "pencil(4)": (1, {3: (1, 0)}, 1),
+    "generic(4)": (0, {}, 0),
+}
+_TRANSPOSE_FIXTURES = ("braid(4)", "diamond", "falk A", "pencil(4)", "generic(4)")
+
+
+def _default_checks(args) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     falk_a, falk_b = gen_family("falk_pair")
-    bridge_fixtures = [
-        ("braid(4)", _fixture_lattice("braid", ell=4)),
-        ("braid(5)", _fixture_lattice("braid", ell=5)),
-        ("diamond", _fixture_lattice("diamond")),
-        ("monomial(2,3)", _fixture_lattice("monomial", r=2, l=3)),
-        ("monomial(3,3)", _fixture_lattice("monomial", r=3, l=3)),
-        ("hessian", _fixture_lattice("hessian")),
-        ("falk A", falk_a),
-        ("falk B", falk_b),
-        ("pencil(4)", _fixture_lattice("pencil", n=4)),
-        ("pencil(5)", _fixture_lattice("pencil", n=5)),
-        ("generic(4)", _fixture_lattice("generic", n=4)),
+    lattices = {
+        "braid(4)": _fixture_lattice("braid", ell=4),
+        "braid(5)": _fixture_lattice("braid", ell=5),
+        "diamond": _fixture_lattice("diamond"),
+        "monomial(2,3)": _fixture_lattice("monomial", r=2, l=3),
+        "monomial(3,3)": _fixture_lattice("monomial", r=3, l=3),
+        "hessian": _fixture_lattice("hessian"),
+        "falk A": falk_a,
+        "falk B": falk_b,
+        "pencil(4)": _fixture_lattice("pencil", n=4),
+        "pencil(5)": _fixture_lattice("pencil", n=5),
+        "generic(4)": _fixture_lattice("generic", n=4),
+    }
+    transpose = [(label, lattices[label]) for label in _TRANSPOSE_FIXTURES]
+    checks = [
+        (f"census {label}", lambda lat=lattices[label], w=want: _check_census(lat, *w))
+        for label, want in _REPORT_CENSUS.items()
     ]
-    transpose_fixtures = [
-        ("braid(4)", _fixture_lattice("braid", ell=4)),
-        ("diamond", _fixture_lattice("diamond")),
-        ("falk A", falk_a),
-        ("pencil(4)", _fixture_lattice("pencil", n=4)),
-        ("generic(4)", _fixture_lattice("generic", n=4)),
-    ]
-    return [
-        (
-            "census braid(4)",
-            lambda: _check_census(
-                _fixture_lattice("braid", ell=4), 5, {2: (4, 1)}, essential=1
-            ),
-        ),
-        (
-            "census braid(5)",
-            lambda: _check_census(
-                _fixture_lattice("braid", ell=5), 15, {2: (10, 5)}, essential=0
-            ),
-        ),
-        (
-            "census diamond",
-            lambda: _check_census(
-                _fixture_lattice("diamond"), 9, {2: (6, 3)}, essential=0
-            ),
-        ),
-        (
-            "census monomial(2,3)",
-            lambda: _check_census(
-                _fixture_lattice("monomial", r=2, l=3), 5, {2: (4, 1)}, essential=1
-            ),
-        ),
-        (
-            "census monomial(3,3)",
-            lambda: _check_census(
-                _fixture_lattice("monomial", r=3, l=3), 16, {2: (12, 4)}, essential=4
-            ),
-        ),
-        (
-            "census hessian",
-            lambda: _check_census(
-                _fixture_lattice("hessian"),
-                64,
-                {3: (9, 1), 2: (0, 54)},
-                essential=1,
-            ),
-        ),
-        ("census falk A", lambda: _check_census(falk_a, 4, {2: (4, 0)}, essential=0)),
-        ("census falk B", lambda: _check_census(falk_b, 4, {2: (4, 0)}, essential=0)),
-        (
-            "census pencil(4)",
-            lambda: _check_census(
-                _fixture_lattice("pencil", n=4), 1, {3: (1, 0)}, essential=1
-            ),
-        ),
-        (
-            "census generic(4)",
-            lambda: _check_census(_fixture_lattice("generic", n=4), 0, {}, essential=0),
-        ),
-        ("identity rank bridge", lambda: _check_identity_rank(bridge_fixtures)),
+    return checks + [
+        ("identity rank bridge", lambda: _check_identity_rank(lattices.items())),
         ("identity rank (monodromy)", _check_monodromy_identity_rank),
-        ("resonance transpose", lambda: _check_transpose(cfg, transpose_fixtures)),
-        ("membership diamond", lambda: _check_diamond_membership(cfg)),
-        ("membership pencil(4)", lambda: _check_pencil_membership(cfg, 4)),
-        ("membership pencil(5)", lambda: _check_pencil_membership(cfg, 5)),
+        ("resonance transpose", lambda: _check_transpose(args, transpose)),
+        ("membership diamond", lambda: _check_diamond_membership(args)),
+        ("membership pencil(4)", lambda: _check_pencil_membership(args, 4)),
+        ("membership pencil(5)", lambda: _check_pencil_membership(args, 5)),
         ("membership product", _check_product_membership),
         ("fitting ideals free rank 3", _check_free_fitting),
     ]
 
 
 def _file_checks(
-    cfg: RunConfig, path: str
+    args, path: str
 ) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     kind, value = _load_input(path)
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
@@ -778,12 +716,11 @@ def _file_checks(
         return checks
     lattices = value if kind == "pair" else (_as_lattice(kind, value),)
     tags = ("A", "B") if kind == "pair" else ("",)
-    cap = DEFAULT_CAP if cfg.cap is None else cfg.cap
     for tag, lat in zip(tags, lattices):
         label = f"{path}{' ' + tag if tag else ''}"
 
         def census_check(lat=lat):
-            res, coned_lat, _coned = _enumerate_with_cone(lat, cap)
+            res, coned_lat, _coned = _enumerate_with_cone(lat, args.cap)
             census = _census(res, coned_lat.n)
             ok = all(comp.verified for comp in res.components) and not census["flagged"]
             return ok, _census_line(census)
@@ -795,12 +732,12 @@ def _file_checks(
 
         def transpose_check(lat=lat, label=label):
             work = cone_lattice(lat) if lat.parallel_pairs else lat
-            rng = cfg.rng(f"transpose:{label}")
-            for _ in range(cfg.samples):
+            rng = _rng(args, f"transpose:{label}")
+            for _ in range(args.samples):
                 lam = [rng.randint(-5, 5) for _ in range(work.n)]
                 if resonance_rank(work, lam) != resonance_rank_os(work, lam):
                     return False, "stacked and multiplication-map ranks disagree"
-            return True, f"{cfg.samples} seeded weights agree"
+            return True, f"{args.samples} seeded weights agree"
 
         checks.append((f"{label}: census", census_check))
         checks.append((f"{label}: identity rank bridge", bridge_check))
@@ -808,38 +745,37 @@ def _file_checks(
     return checks
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
-    if cfg.inputs:
-        checks = []
-        for path in cfg.inputs:
-            checks.extend(_file_checks(cfg, path))
+def _report_text(report: dict) -> str:
+    lines = [
+        f"{'PASS' if r['pass'] else 'FAIL'}  {r['name']}: {r['detail']}"
+        for r in report["checks"]
+    ]
+    lines.append(
+        f"{report['passed']} of {report['total']} checks passed (seed {report['seed']})"
+    )
+    return "\n".join(lines)
+
+
+def cmd_report(args) -> int:
+    if args.samples < 1:
+        raise ValidationError("--samples must be at least 1")
+    if args.inputs:
+        checks = [check for path in args.inputs for check in _file_checks(args, path)]
     else:
-        checks = _default_checks(cfg)
+        checks = _default_checks(args)
     results = []
     for name, fn in checks:
         ok, detail = fn()
         results.append({"name": name, "pass": bool(ok), "detail": detail})
     passed = sum(1 for r in results if r["pass"])
-    if cfg.format == "json":
-        _emit(
-            cfg,
-            _json_text(
-                {
-                    "seed": cfg.seed,
-                    "samples": cfg.samples,
-                    "passed": passed,
-                    "total": len(results),
-                    "checks": results,
-                }
-            ),
-        )
-    else:
-        lines = [
-            f"{'PASS' if r['pass'] else 'FAIL'}  {r['name']}: {r['detail']}"
-            for r in results
-        ]
-        lines.append(f"{passed} of {len(results)} checks passed (seed {cfg.seed})")
-        _emit(cfg, "\n".join(lines))
+    report = {
+        "seed": args.seed,
+        "samples": args.samples,
+        "passed": passed,
+        "total": len(results),
+        "checks": results,
+    }
+    _render(args, report, _report_text)
     return 0 if passed == len(results) else 1
 
 
@@ -891,11 +827,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--l", type=int, help="size parameter (braid: points; monomial: coordinates)"
     )
     p_gen.add_argument("--n", type=int, help="line count (pencil and generic)")
+    p_gen.set_defaults(run=cmd_gen)
 
     p_lat = sub.add_parser(
         "lattice", parents=[out], help="rank-2 intersection data of an input"
     )
     p_lat.add_argument("input", help="arrangement, lattice, or monodromy JSON file")
+    p_lat.set_defaults(run=cmd_lattice)
 
     p_comp = sub.add_parser(
         "components",
@@ -909,8 +847,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument(
         "--cap",
         type=int,
+        default=DEFAULT_CAP,
         help=f"largest hyperplane count to enumerate (default {DEFAULT_CAP})",
     )
+    p_comp.set_defaults(run=cmd_components)
 
     p_mem = sub.add_parser(
         "member",
@@ -927,6 +867,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_mem.add_argument("--k", type=int, default=1, help="depth to test (default 1)")
+    p_mem.set_defaults(run=cmd_member)
 
     p_rep = sub.add_parser(
         "report",
@@ -941,12 +882,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--cap",
         type=int,
+        default=DEFAULT_CAP,
         help=f"enumeration cap for file checks (default {DEFAULT_CAP})",
     )
+    p_rep.set_defaults(run=cmd_report)
 
     return parser
 
 
+# read by `_render`, not set on the subparsers: argparse parents share their
+# action objects, so a `--format` default set on one subcommand would change
+# it for every subcommand built from the same parent
 _DEFAULT_FORMATS = {
     "gen": "json",
     "lattice": "json",
@@ -956,39 +902,10 @@ _DEFAULT_FORMATS = {
 }
 
 
-def _config_from_args(args) -> RunConfig:
-    inputs: tuple[str, ...] = ()
-    if hasattr(args, "input"):
-        inputs = (args.input,)
-    elif hasattr(args, "inputs"):
-        inputs = tuple(args.inputs)
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        output=getattr(args, "output", None),
-        k=getattr(args, "k", 1),
-        cap=getattr(args, "cap", None),
-        samples=getattr(args, "samples", 5),
-        seed=getattr(args, "seed", 0),
-        format=args.format or _DEFAULT_FORMATS[args.command],
-    )
-
-
-_DISPATCH = {
-    "gen": cmd_gen,
-    "lattice": cmd_lattice,
-    "components": cmd_components,
-    "member": cmd_member,
-    "report": cmd_report,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[cfg.command](cfg, args)
+        return args.run(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -401,10 +401,11 @@ def enumerate_first_resonance(
     flagged_raw: list[Component] = []
     for size in range(3, n + 1):
         for support in itertools.combinations(range(n), size):
-            sub = lat.restrict(support)
-            if len(sub.flats) == 1 and len(sub.flats[0]) == size:
+            if set(support) <= set(lat.flat_of_pair(*support[:2])):
                 # the support is a pencil: every admitted partition spans
-                # the local subspace of the surrounding flat
+                # the local subspace of the surrounding flat (two flats
+                # share at most one hyperplane, so the flat of the first
+                # pair is the only candidate)
                 continue
             for blocks in neighborly_partitions(lat, support):
                 blocks = tuple(sorted(blocks))

@@ -207,6 +207,8 @@ class ExactScalar:
         """Coefficients of self rewritten on the power basis of Q(zeta_order)."""
         if self.order == order:
             return list(self.coeffs)
+        if self.order == 1:
+            return [self.coeffs[0]] + [Fraction(0)] * (_euler_phi(order) - 1)
         step = order // self.order
         raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):

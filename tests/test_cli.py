@@ -20,7 +20,7 @@ from charvar.alexander import (
 )
 from charvar.arrangement import decone, gen_family
 from charvar.cli import main
-from charvar.components import DEFAULT_CAP
+from charvar.components import DEFAULT_CAP, Component, format_torus_equation
 from charvar.exactalg import modular_prime
 
 
@@ -142,6 +142,68 @@ def test_lattice_of_an_affine_arrangement_keeps_parallels(capsys, tmp_path):
     assert json.loads(out)["parallel_pairs"]
 
 
+def _zeta(order, *coeffs):
+    return {"order": order, "coeffs": [str(c) for c in coeffs]}
+
+
+@pytest.mark.parametrize(
+    "obj, code, out, err",
+    [
+        (
+            # the first four planes share one line
+            {
+                "flavor": "central",
+                "hyperplanes": [
+                    [_zeta(6, 0, -1), _zeta(6, 1, -1), _zeta(6, 0, -1), 0],
+                    [_zeta(3, 0, 1), -1, 2, 0],
+                    [_zeta(3, 0, -1), 1, 1, 0],
+                    [_zeta(3, 0, -1), 1, 0, 0],
+                    [1, 0, 0, 0],
+                ],
+            },
+            0,
+            "lattice: 5 hyperplanes, 1 flats of multiplicity >= 3, 0 parallel pairs\n"
+            "  flat {1,2,3,4}\n",
+            "",
+        ),
+        (
+            # lines 2 and 3 are one line, written at orders 3 and 6
+            {
+                "flavor": "affine",
+                "hyperplanes": [
+                    [_zeta(6, 0, 1), -1, 2],
+                    [_zeta(3, 0, -1), _zeta(3, 0, 1), _zeta(3, -1, -2)],
+                    [_zeta(6, 0, -1), _zeta(6, 0, 1), _zeta(6, -1, -1)],
+                    [1, 0, _zeta(3, 0, 1)],
+                ],
+            },
+            2,
+            "",
+            "error: duplicate hyperplane\n",
+        ),
+        (
+            # zeta_3 x + y and zeta_6^2 x + y, with zeta_6^2 = zeta_6 - 1
+            {
+                "flavor": "affine",
+                "hyperplanes": [[_zeta(3, 0, 1), 1, 0], [_zeta(6, -1, 1), 1, 0]],
+            },
+            2,
+            "",
+            "error: duplicate hyperplane\n",
+        ),
+    ],
+    ids=["central-one-flat", "affine-duplicate", "duplicate-pair"],
+)
+def test_lattice_of_coefficients_written_at_different_orders(
+    capsys, tmp_path, obj, code, out, err
+):
+    """Equal cyclotomic values computed at different orders (zeta_3 and
+    zeta_6^2) group together: one flat, or a duplicate refused."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "lattice", str(path), "--format", "text") == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
@@ -201,6 +263,71 @@ def test_components_on_a_pair_file(capsys, tmp_path):
     assert code == 0
     assert "[A] 4 components, dim 2: 4 (local 4, nonlocal 0)" in out
     assert "[B] 4 components, dim 2: 4 (local 4, nonlocal 0)" in out
+
+
+def _component_route_line(data: dict) -> str:
+    """A component's text line built through `Component` and its torus
+    equations, independently of the JSON's `monomial_equations`."""
+    comp = Component.from_json(data)
+    supp = "{" + ",".join(str(i + 1) for i in comp.support) + "}"
+    line = f"{comp.kind} dim {comp.dim} support {supp}"
+    eqs = comp.torus_equations()
+    if eqs:
+        line += "  " + "; ".join(format_torus_equation(eq) for eq in eqs)
+    return line
+
+
+_FALK_CENSUS = ["4 components, dim 2: 4 (local 4, nonlocal 0)"]
+
+
+@pytest.mark.parametrize(
+    "source, headers",
+    [
+        (
+            gen_family("hessian").to_json(),
+            [[
+                "64 components, dim 3: 10 (local 9, nonlocal 1), "
+                "dim 2: 54 (local 0, nonlocal 54)",
+                "essential: 1",
+            ]],
+        ),
+        (
+            gen_family("diamond").to_json(),
+            [["9 components, dim 2: 9 (local 6, nonlocal 3)"]],
+        ),
+        (
+            decone(gen_family("diamond"), at=1).arrangement.to_json(),
+            [[
+                "note: affine input; added the line at infinity as hyperplane 7 "
+                "before enumeration",
+                "9 components, dim 2: 9 (local 6, nonlocal 3)",
+            ]],
+        ),
+        (
+            {"pair": [lat.to_json() for lat in gen_family("falk_pair")]},
+            [_FALK_CENSUS, _FALK_CENSUS],
+        ),
+    ],
+    ids=["hessian", "diamond", "affine", "pair"],
+)
+def test_components_text_matches_the_component_route(capsys, tmp_path, source, headers):
+    """The text lines are the census header and, per component, the line
+    that `Component.torus_equations` gives for the JSON component."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(source))
+    code, text, _ = run(capsys, "components", str(path), "--format", "text")
+    assert code == 0
+    _, raw, _ = run(capsys, "components", str(path), "--format", "json")
+    payload = json.loads(raw)
+    if "pair" in payload:
+        parts, tags = payload["pair"], ["[A] ", "[B] "]
+    else:
+        parts, tags = [payload], [""]
+    want = []
+    for tag, part, header in zip(tags, parts, headers):
+        lines = header + [_component_route_line(c) for c in part["components"]]
+        want.extend(tag + line for line in lines)
+    assert text.splitlines() == want
 
 
 def test_components_default_cap_matches_the_library(capsys, tmp_path):
@@ -452,6 +579,13 @@ def test_report_default_battery_passes(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed (seed 0)")
     assert "census braid(5): 15 components, dim 2: 15 (local 10, nonlocal 5)" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_report_refuses_fewer_than_one_sample(capsys, samples):
+    code, out, err = run(capsys, "report", f"--samples={samples}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--samples" in err
 
 
 def test_report_is_byte_identical_under_a_fixed_seed(tmp_path, capsys):
