@@ -6,9 +6,10 @@ Fox calculus pushed through braid words (the Gassner action), the rows of
 the degree-two chain map attached to a conjugated full twist, the
 presentation matrix of the Alexander invariant (first homology of the
 universal abelian cover as a module over the character torus's coordinate
-ring), certified point membership in the depth-k characteristic varieties
-(`membership`, the one route for torus points), and Fitting-ideal
-generators for small presentations.
+ring), and certified point membership in the depth-k characteristic
+varieties (`membership`, the one route for torus points).  Every entry is
+built at a point, never symbolically: the paper's V_k, cut out by the k-th
+Fitting ideal, is decided as a rank at the point.
 
 Index and sign conventions.  The whole-matrix constructions that pin them
 (Gassner matrices, wedge squares, twist and monodromy chain maps) live in
@@ -55,7 +56,6 @@ from .exactalg import (
     ExactMatrix,
     ExactScalar,
     IntEchelon,
-    LaurentPoly,
     PrimeField,
     ResidueRing,
     _euler_phi,
@@ -63,8 +63,6 @@ from .exactalg import (
     prime_field,
 )
 
-SYMBOLIC_STRAND_CAP = 8
-MINOR_CAP = 4
 # Largest order (lcm of the coordinates' orders) of a torus point that the
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
@@ -103,9 +101,10 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 
 class _Ring:
     """Uniform scalar operations on the values of the t_i and their
-    inverses: symbolic Laurent or exact at a point (`_ring`), int residues
-    modulo a prime or a product of primes (`residue`), or majorants with
-    denominators (`majorant`).  The builders test zeros by truthiness."""
+    inverses: exact at a point (`_ring`), int residues modulo a prime or a
+    product of primes (`residue`), or majorants with denominators
+    (`majorant`).  The builders test zeros by truthiness and need only
+    ring operations, so the tests also run them on Laurent polynomials."""
 
     __slots__ = ("n", "one", "zero", "modulus", "_t", "_tinv", "_factors", "_pushed")
 
@@ -164,12 +163,8 @@ class _Ring:
         return rows
 
 
-def _ring(n: int, point: Sequence | None = None) -> _Ring:
-    """Symbolic Laurent scalars, or exact values at a torus point."""
-    if point is None:
-        t = [LaurentPoly.variable(i, n) for i in range(n)]
-        tinv = [LaurentPoly.variable(i, n, -1) for i in range(n)]
-        return _Ring(t, tinv, LaurentPoly.one(n), LaurentPoly.zero(n))
+def _ring(n: int, point: Sequence) -> _Ring:
+    """Exact values at a torus point."""
     t = _torus_coords(n, point)
     return _Ring(t, [c.inverse() for c in t], ExactScalar.one(), ExactScalar.zero())
 
@@ -454,15 +449,6 @@ def _resolution_differential(k: int, ring: _Ring) -> list[list]:
     return rows
 
 
-def resolution_differential(k: int, n: int, point: Sequence | None = None):
-    """Differential C(n,k) -> C(n,k-1) of the standard Koszul-type free
-    resolution over the Laurent ring; degree one is the positive column
-    (t_i - 1)."""
-    if not 1 <= k <= n:
-        raise ValidationError("differential degree must satisfy 1 <= k <= n")
-    return _resolution_differential(k, _ring(n, point))
-
-
 # ---------------------------------------------------------------------------
 # monodromy data
 # ---------------------------------------------------------------------------
@@ -663,22 +649,12 @@ def load_monodromy(name: str) -> MonodromyInput:
 # ---------------------------------------------------------------------------
 
 
-def presentation_matrix(
-    m: MonodromyInput,
-    point: Sequence | None = None,
-    cap: int = SYMBOLIC_STRAND_CAP,
-) -> list[list]:
-    """Presentation matrix of the Alexander invariant: the monodromy chain
-    map rows for all vertex-set strands except each set's largest, stacked
-    over the degree-three resolution differential.
-
-    Shape (b2 + C(n,3)) x C(n,2).  Symbolic entries unless a point is
-    given; symbolic assembly is capped in strand count.
+def presentation_matrix(m: MonodromyInput, point: Sequence) -> list[list]:
+    """Presentation matrix of the Alexander invariant evaluated at a torus
+    point: the monodromy chain map rows for all vertex-set strands except
+    each set's largest, stacked over the degree-three resolution
+    differential.  Shape (b2 + C(n,3)) x C(n,2).
     """
-    if point is None and m.n > cap:
-        raise CapExceeded(
-            f"symbolic presentation is limited to {cap} strands (got {m.n})"
-        )
     return _presentation_rows(m, _ring(m.n, point))
 
 
@@ -750,13 +726,12 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
     return pushed
 
 
-def relator_jacobian(
-    m: MonodromyInput, point: Sequence | None = None
-) -> list[list]:
-    """Abelianized Fox Jacobian of the monodromy relators: for each vertex
-    set, the rows (Gassner(generator) - identity) for all strands but the
-    largest.  Shape b2 x n.  Built as the presentation's chain-map rows
-    times the degree-two differential (see `_relator_rows`)."""
+def relator_jacobian(m: MonodromyInput, point: Sequence) -> list[list]:
+    """Abelianized Fox Jacobian of the monodromy relators evaluated at a
+    torus point: for each vertex set, the rows (Gassner(generator) -
+    identity) for all strands but the largest.  Shape b2 x n.  Built as the
+    presentation's chain-map rows times the degree-two differential (see
+    `_relator_rows`)."""
     return _relator_rows(m, _ring(m.n, point))
 
 
@@ -1022,59 +997,3 @@ def phi_one_matrix(lat: Lattice2) -> list[list[int]]:
 def phi_one_rank(lat: Lattice2) -> int:
     return IntEchelon(math.comb(lat.n, 2)).add_rows(phi_one_matrix(lat))
 
-
-# ---------------------------------------------------------------------------
-# Fitting ideals of small presentations
-# ---------------------------------------------------------------------------
-
-
-def _det(rows: list[list]):
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    total = None
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] - rows[0][0]
-    return total
-
-
-def _one_like(entry):
-    if isinstance(entry, LaurentPoly):
-        return LaurentPoly.one(entry.nvars)
-    return ExactScalar.one()
-
-
-def fitting_generators(matrix: Sequence[Sequence], k: int, cap: int = MINOR_CAP):
-    """Generators of the k-th Fitting ideal of the module presented by the
-    matrix (columns = module generators): all (q - k + 1)-minors.  Entries
-    are symbolic (LaurentPoly) or evaluated at a point (ExactScalar).
-
-    Returns [] for the zero ideal (k <= 0 or minors larger than the row
-    count) and [1] for the unit ideal (k > q).  Minor size is capped.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        raise ValidationError("fitting_generators needs a nonempty matrix")
-    p, q = len(rows), len(rows[0])
-    if k > q:
-        return [_one_like(rows[0][0])]
-    size = q - k + 1
-    if k <= 0 or size > p:
-        return []
-    if size > cap:
-        raise CapExceeded(f"minor size {size} exceeds cap {cap}")
-    gens = []
-    for rset in itertools.combinations(range(p), size):
-        for cset in itertools.combinations(range(q), size):
-            det = _det([[rows[i][j] for j in cset] for i in rset])
-            if not det.is_zero() and all(det != g for g in gens):
-                gens.append(det)
-    return gens

@@ -36,14 +36,12 @@ from typing import Callable, Sequence
 
 from .alexander import (
     MonodromyInput,
-    fitting_generators,
     grid_monodromy,
     lift_point,
     load_monodromy,
     membership,
     pencil_monodromy,
     phi_one_rank,
-    resolution_differential,
 )
 from .arrangement import (
     Arrangement,
@@ -63,7 +61,7 @@ from .components import (
     enumerate_first_resonance,
     resonance_to_json,
 )
-from .exactalg import ExactScalar, LaurentPoly
+from .exactalg import ExactScalar
 from .osres import resonance_rank, resonance_rank_os
 
 
@@ -638,19 +636,6 @@ def _check_transpose(args, fixtures):
     )
 
 
-def _check_free_fitting():
-    rows = resolution_differential(3, 3)
-    got = fitting_generators(rows, 3)
-    t = [LaurentPoly.variable(i, 3) for i in range(3)]
-    top = len(got) == 3 and all(
-        any(g == want or g == -want for g in got)
-        for want in (t[0] - 1, t[1] - 1, t[2] - 1)
-    )
-    lower = fitting_generators(rows, 2) == [] and fitting_generators(rows, 1) == []
-    ok = top and lower
-    return ok, "free rank 3: top ideal generated by t_i - 1, lower ideals vanish"
-
-
 # expected census of each report fixture: (total, {dim: (local, nonlocal)},
 # essential)
 _REPORT_CENSUS = {
@@ -696,7 +681,6 @@ def _default_checks(args) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         ("membership pencil(4)", lambda: _check_pencil_membership(args, 4)),
         ("membership pencil(5)", lambda: _check_pencil_membership(args, 5)),
         ("membership product", _check_product_membership),
-        ("fitting ideals free rank 3", _check_free_fitting),
     ]
 
 

@@ -47,6 +47,27 @@ def triple_list(n: int) -> list[tuple[int, int, int]]:
     return list(itertools.combinations(range(n), 3))
 
 
+@functools.cache
+def _pair_index(n: int) -> dict[tuple[int, int], int]:
+    """The column of each 2-subset in the lexicographic pair basis.  Built
+    once per n and shared, so callers only read it."""
+    return {p: c for c, p in enumerate(pair_list(n))}
+
+
+def _weights(n: int, lam: Sequence) -> list[int]:
+    """A weight vector on n hyperplanes scaled to integers, which leaves
+    every rank here unchanged."""
+    ints = clear_denominators(lam)
+    if len(ints) != n:
+        raise ValidationError("weight vector length must equal n")
+    return ints
+
+
+def _check_depth(k: int) -> None:
+    if k < 1:
+        raise ValidationError("resonance depth must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # no-broken-circuit basis and projection
 # ---------------------------------------------------------------------------
@@ -132,7 +153,7 @@ def flat_wedge_rows(lat: Lattice2) -> list[list[int]]:
 def _flat_wedge_entries(lat: Lattice2) -> list[dict[int, int]]:
     """The flat wedge rows as {pair column: entry} maps of their nonzero
     entries, in the same order."""
-    pair_pos = {p: c for c, p in enumerate(pair_list(lat.n))}
+    pair_pos = _pair_index(lat.n)
     rows = []
     for cls in lat.rank2_classes():
         for i in cls[1:]:
@@ -190,12 +211,9 @@ def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
     per triple), into a fraction-free integer echelon that stops once the
     rank reaches the number of pairs."""
     n = lat.n
-    ints = clear_denominators(lam)
-    if len(ints) != n:
-        raise ValidationError("weight vector length must equal n")
-    pairs = pair_list(n)
-    npairs = len(pairs)
-    pair_pos = {p: c for c, p in enumerate(pairs)}
+    ints = _weights(n, lam)
+    pair_pos = _pair_index(n)
+    npairs = len(pair_pos)
     ech = IntEchelon(npairs)
     ech.add_rows(_flat_wedge_entries(lat))
     for a, b, c in triple_list(n):
@@ -210,8 +228,7 @@ def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
 
 def in_resonance(lat: Lattice2, lam: Sequence, k: int = 1) -> bool:
     """Depth-k resonance membership of a weight vector."""
-    if k < 1:
-        raise ValidationError("resonance depth must be at least 1")
+    _check_depth(k)
     n = lat.n
     npairs = n * (n - 1) // 2
     return resonance_rank(lat, lam) <= npairs - k
@@ -225,14 +242,12 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
     resonance_rank; the two are linked by the identity
     h1 = (number of pairs) - resonance_rank.
     """
-    ints = clear_denominators(lam)
     n = lat.n
-    if len(ints) != n:
-        raise ValidationError("weight vector length must equal n")
+    ints = _weights(n, lam)
     if not any(ints):
         raise ValidationError("weight vector must be nonzero")
     basis = nbc_basis(lat)
-    pair_pos = {p: c for c, p in enumerate(pair_list(n))}
+    pair_pos = _pair_index(n)
     # wedge of the weight covector with each e_i, projected column by column
     mu_rows = []
     for i in range(n):
@@ -265,9 +280,7 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
     cross-check of the flat-row route.
     """
     n = lat.n
-    ints = clear_denominators(lam)
-    if len(ints) != n:
-        raise ValidationError("weight vector length must equal n")
+    ints = _weights(n, lam)
     basis = nbc_basis(lat)
     dim = basis.dimension
     triples = triple_list(n)
@@ -309,9 +322,8 @@ class ResonanceSampler:
         self.lat = lat
         n = lat.n
         self.n = n
-        pairs = pair_list(n)
-        self.npairs = len(pairs)
-        pair_pos = {p: c for c, p in enumerate(pairs)}
+        pair_pos = _pair_index(n)
+        self.npairs = len(pair_pos)
         basis = nbc_basis(lat)
         self.base_rank = basis.dimension
         pivots = [pair_pos[p] for p in basis.pairs]
@@ -330,9 +342,7 @@ class ResonanceSampler:
         ]
 
     def rank_at(self, lam: Sequence) -> int:
-        ints = clear_denominators(lam)
-        if len(ints) != self.n:
-            raise ValidationError("weight vector length must equal n")
+        ints = _weights(self.n, lam)
         q = self.quotient_dim
         if q == 0:
             return self.base_rank
@@ -354,6 +364,5 @@ class ResonanceSampler:
         return self.npairs - self.rank_at(lam)
 
     def in_resonance_at(self, lam: Sequence, k: int = 1) -> bool:
-        if k < 1:
-            raise ValidationError("resonance depth must be at least 1")
+        _check_depth(k)
         return self.rank_at(lam) <= self.npairs - k

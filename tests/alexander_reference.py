@@ -8,6 +8,12 @@ so these stay here as the oracle that pins its index and sign conventions:
 the tests check the identity "Gassner minus identity equals the degree-two
 differential composed with the twist chain map" on them, and the row
 builders against them entry by entry.
+
+Each construction is symbolic, over Laurent polynomials (`laurent`), when
+no point is given, and exact at the point otherwise.  The generators of a
+Fitting ideal, the paper's definition of V_k, live here too: the library
+decides V_k as a rank at a point, and the tests hold the two against each
+other.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+from charvar import alexander
 from charvar.alexander import (
     BraidWord,
     MonodromyGen,
@@ -22,7 +29,7 @@ from charvar.alexander import (
     _gradient,
     _product_gradient,
     _push,
-    _ring,
+    _resolution_differential,
     _Ring,
     _validated_strands,
     _wedge_vectors,
@@ -31,6 +38,22 @@ from charvar.alexander import (
     normalize_braid,
 )
 from charvar.arrangement import ValidationError
+from charvar.exactalg import ExactScalar
+from laurent import LaurentPoly, symbolic_ring
+
+
+def _ring(n: int, point: Sequence | None = None) -> _Ring:
+    """Symbolic Laurent scalars, or exact values at a torus point."""
+    return symbolic_ring(n) if point is None else alexander._ring(n, point)
+
+
+def resolution_differential(k: int, n: int, point: Sequence | None = None):
+    """Differential C(n,k) -> C(n,k-1) of the standard Koszul-type free
+    resolution over the Laurent ring; degree one is the positive column
+    (t_i - 1)."""
+    if not 1 <= k <= n:
+        raise ValidationError("differential degree must satisfy 1 <= k <= n")
+    return _resolution_differential(k, _ring(n, point))
 
 
 def fox_gradient(word: Iterable[int], ring: _Ring) -> list:
@@ -135,3 +158,58 @@ def monodromy_chain_map(
     Gassner of the conjugator."""
     _check_gen(gen, n)
     return _monodromy_chain_map(gen, _ring(n, point))
+
+
+# ---------------------------------------------------------------------------
+# Fitting ideals
+# ---------------------------------------------------------------------------
+
+
+def _det(rows: list[list]):
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    total = None
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = entry * _det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        return rows[0][0] - rows[0][0]
+    return total
+
+
+def _one_like(entry):
+    if isinstance(entry, LaurentPoly):
+        return LaurentPoly.one(entry.nvars)
+    return ExactScalar.one()
+
+
+def fitting_generators(matrix: Sequence[Sequence], k: int):
+    """Generators of the k-th Fitting ideal of the module presented by the
+    matrix (columns = module generators): all (q - k + 1)-minors.  Entries
+    are symbolic (LaurentPoly) or evaluated at a point (ExactScalar).
+
+    Returns [] for the zero ideal (k <= 0 or minors larger than the row
+    count) and [1] for the unit ideal (k > q).
+    """
+    rows = [list(r) for r in matrix]
+    if not rows or not rows[0]:
+        raise ValidationError("fitting_generators needs a nonempty matrix")
+    p, q = len(rows), len(rows[0])
+    if k > q:
+        return [_one_like(rows[0][0])]
+    size = q - k + 1
+    if k <= 0 or size > p:
+        return []
+    gens = []
+    for rset in itertools.combinations(range(p), size):
+        for cset in itertools.combinations(range(q), size):
+            det = _det([[rows[i][j] for j in cset] for i in rset])
+            if not det.is_zero() and all(det != g for g in gens):
+                gens.append(det)
+    return gens

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end checks, one test (and one pass/fail
+"""Acceptance suite: eleven end-to-end checks, one test (and one pass/fail
 line) each.
 
 Every expected value here is an exact integer or an exact vector pinned
@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from alexander_reference import gassner, monodromy_chain_map
+from alexander_reference import gassner, monodromy_chain_map, resolution_differential
 from charvar.alexander import (
     MonodromyGen,
     lift_point,
@@ -25,8 +25,6 @@ from charvar.alexander import (
     monodromy_braid,
     pencil_monodromy,
     phi_one_rank,
-    resolution_differential,
-    fitting_generators,
 )
 from charvar.arrangement import b2, gen_family, lattice_from_central3
 from charvar.cli import main
@@ -36,7 +34,6 @@ from charvar.components import (
     partition_tangent_space,
     saturated_span,
 )
-from charvar.exactalg import LaurentPoly
 from charvar.osres import resonance_rank, resonance_rank_os
 from test_components import MONOMIAL4_NETS
 
@@ -377,23 +374,7 @@ def test_central_pencil_membership_sampling():
 
 
 # ---------------------------------------------------------------------------
-# 11. Fitting ideals of the free presentation on three strands
-# ---------------------------------------------------------------------------
-
-
-def test_free_group_fitting_ideals():
-    rows = resolution_differential(3, 3)
-    got = fitting_generators(rows, 3)
-    t = [LaurentPoly.variable(i, 3) for i in range(3)]
-    assert len(got) == 3
-    for want in (t[0] - 1, t[1] - 1, t[2] - 1):
-        assert any(g == want or g == -want for g in got)
-    assert fitting_generators(rows, 2) == []
-    assert fitting_generators(rows, 1) == []
-
-
-# ---------------------------------------------------------------------------
-# 12. the decomposable pair: purely local depth-1 varieties
+# 11. the decomposable pair: purely local depth-1 varieties
 # ---------------------------------------------------------------------------
 
 

@@ -19,13 +19,10 @@ from hypothesis import strategies as st
 
 from charvar import alexander
 from charvar.alexander import (
-    MINOR_CAP,
     POINT_ORDER_CAP,
-    SYMBOLIC_STRAND_CAP,
     MonodromyGen,
     MonodromyInput,
     artin_apply,
-    fitting_generators,
     free_reduce,
     full_twist,
     generic_monodromy,
@@ -46,7 +43,6 @@ from charvar.alexander import (
     relator_jacobian,
     relator_rank,
     relator_route_limit,
-    resolution_differential,
     twist_generator_image,
     _certified_rank,
     _coordinate_bounds,
@@ -56,12 +52,14 @@ from charvar.alexander import (
     _relator_rows,
     _Residues,
     _Ring,
-    _ring,
 )
 from alexander_reference import (
+    _ring,
+    fitting_generators,
     fox_gradient,
     gassner,
     monodromy_chain_map,
+    resolution_differential,
     twist_chain_map,
     wedge_square,
 )
@@ -84,7 +82,6 @@ from charvar.exactalg import (
     MODULAR_PRIME_FLOOR,
     ExactMatrix,
     ExactScalar,
-    LaurentPoly,
     ResidueRing,
     _euler_phi as euler_phi,
     modp_rank,
@@ -92,6 +89,7 @@ from charvar.exactalg import (
     prime_field,
     root_of_unity,
 )
+from laurent import LaurentPoly
 
 
 def mat_mul(left, right):
@@ -745,18 +743,10 @@ def test_membership_without_lift_metadata_raises():
 
 
 def test_presentation_matrix_shape():
-    m = load_monodromy("diamond_monodromy")
-    rows = presentation_matrix(m, point=[1] * 6)
-    assert len(rows) == m.b2 + math.comb(6, 3)
-    assert all(len(row) == math.comb(6, 2) for row in rows)
-
-
-def test_symbolic_presentation_is_capped_by_strand_count():
-    m = generic_monodromy(SYMBOLIC_STRAND_CAP + 1)
-    with pytest.raises(CapExceeded):
-        presentation_matrix(m)
-    rows = presentation_matrix(m, point=[2] * m.n)
-    assert len(rows) == m.b2 + math.comb(m.n, 3)
+    for m, value in ((load_monodromy("diamond_monodromy"), 1), (generic_monodromy(9), 2)):
+        rows = presentation_matrix(m, point=[value] * m.n)
+        assert len(rows) == m.b2 + math.comb(m.n, 3)
+        assert all(len(row) == math.comb(m.n, 2) for row in rows)
 
 
 def test_presentation_rank_at_identity_equals_second_betti_number():
@@ -1432,22 +1422,50 @@ def test_fitting_edge_conventions():
         fitting_generators([], 1)
 
 
-def test_fitting_minor_size_is_capped():
-    n = MINOR_CAP + 2
-    one = LaurentPoly.one(n)
-    zero = LaurentPoly.zero(n)
-    big = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    with pytest.raises(CapExceeded):
-        fitting_generators(big, 1)
-    assert fitting_generators(big, 1, cap=n) == [one]
-
-
 def test_fitting_on_evaluated_entries():
     a = ExactScalar.from_rational(Fraction(2))
     b = ExactScalar.from_rational(Fraction(3))
     zero = ExactScalar.zero()
     got = fitting_generators([[a, zero], [zero, b]], 1)
     assert got == [ExactScalar.from_rational(Fraction(6))]
+
+
+def test_fitting_ideal_vanishes_exactly_where_membership_holds():
+    """The paper's definition against the library's route: every generator
+    of the k-th Fitting ideal of the symbolic presentation vanishes at a
+    point exactly when `membership` puts it in V_k.  The points are the
+    identity, seeded rational points with coordinate product 1 and seeded
+    generic rational points.  Three generic lines have an abelian group, so
+    their V_k is empty; the other inputs have points on both sides."""
+    inputs = {
+        "pencil(3)": pencil_monodromy(3),
+        "generic(3)": generic_monodromy(3),
+        "grid(1,2)": grid_monodromy(1, 2),
+        "pencil(4)": pencil_monodromy(4),
+        "grid(2,2)": grid_monodromy(2, 2),
+    }
+    rng = random.Random(20261019)
+
+    def coordinate():
+        return Fraction(rng.choice([-3, -2, -1, 2, 3, 5]), rng.randint(1, 4))
+
+    verdicts = {}
+    for label, m in inputs.items():
+        rows = _presentation_rows(m, _ring(m.n))
+        for k in (1, 2):
+            gens = fitting_generators(rows, k)
+            points = [[Fraction(1)] * m.n]
+            for _ in range(6):
+                head = [coordinate() for _ in range(m.n - 1)]
+                points.append(head + [1 / math.prod(head)])
+            points += [[coordinate() for _ in range(m.n)] for _ in range(6)]
+            for point in points:
+                at = [ExactScalar.from_rational(c) for c in point]
+                vanishes = all(g.evaluate(at).is_zero() for g in gens)
+                assert vanishes == membership(m, point, k).delta, (label, k, point)
+                verdicts.setdefault(label, set()).add(vanishes)
+    assert verdicts.pop("generic(3)") == {False}
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ checks stdout, stderr, exit codes, and written files.
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 from fractions import Fraction
@@ -579,6 +580,33 @@ def test_report_default_battery_passes(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed (seed 0)")
     assert "census braid(5): 15 components, dim 2: 15 (local 10, nonlocal 5)" in out
+
+
+def test_report_default_battery_names_are_pinned():
+    """The default battery, by name and in order, so that adding or removing
+    a check changes this list on purpose."""
+    import charvar.cli as cli
+
+    args = argparse.Namespace(seed=0, samples=1)
+    assert [name for name, _ in cli._default_checks(args)] == [
+        "census braid(4)",
+        "census braid(5)",
+        "census diamond",
+        "census monomial(2,3)",
+        "census monomial(3,3)",
+        "census hessian",
+        "census falk A",
+        "census falk B",
+        "census pencil(4)",
+        "census generic(4)",
+        "identity rank bridge",
+        "identity rank (monodromy)",
+        "resonance transpose",
+        "membership diamond",
+        "membership pencil(4)",
+        "membership pencil(5)",
+        "membership product",
+    ]
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

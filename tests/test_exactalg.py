@@ -15,7 +15,6 @@ from charvar.exactalg import (
     ExactMatrix,
     ExactScalar,
     IntEchelon,
-    LaurentPoly,
     _euler_phi,
     _is_prime,
     clear_denominators,
@@ -29,6 +28,7 @@ from charvar.exactalg import (
     rational_rref,
     root_of_unity,
 )
+from laurent import LaurentPoly
 
 # Frozen oracle: coefficient rows of a known incidence system on six
 # elements grouped in three families of two; its kernel is spanned by the
