@@ -743,10 +743,21 @@ def test_membership_without_lift_metadata_raises():
 
 
 def test_presentation_matrix_shape():
-    for m, value in ((load_monodromy("diamond_monodromy"), 1), (generic_monodromy(9), 2)):
-        rows = presentation_matrix(m, point=[value] * m.n)
-        assert len(rows) == m.b2 + math.comb(m.n, 3)
-        assert all(len(row) == math.comb(m.n, 2) for row in rows)
+    m = load_monodromy("diamond_monodromy")
+    rows = presentation_matrix(m, point=[1] * 6)
+    assert len(rows) == m.b2 + math.comb(6, 3)
+    assert all(len(row) == math.comb(6, 2) for row in rows)
+
+
+def test_symbolic_presentation_is_capped_by_strand_count():
+    # The presentation has no symbolic form at any strand count: without a
+    # point it is refused, with one it is built past the former cap of 8.
+    m = generic_monodromy(9)
+    with pytest.raises(TypeError):
+        presentation_matrix(m)
+    rows = presentation_matrix(m, point=[2] * m.n)
+    assert len(rows) == m.b2 + math.comb(m.n, 3)
+    assert all(len(row) == math.comb(m.n, 2) for row in rows)
 
 
 def test_presentation_rank_at_identity_equals_second_betti_number():
