@@ -394,16 +394,6 @@ def _push(braid: BraidWord, vectors: Iterable[Sequence], ring: _Ring) -> list[li
 # ---------------------------------------------------------------------------
 
 
-def _product_gradient(strands: Sequence[int], ring: _Ring) -> list:
-    """Gradient of the left-to-right product of the given generators."""
-    grad = [ring.zero] * ring.n
-    m = ring.one
-    for s in strands:
-        grad[s - 1] = m
-        m = m * ring.t(s - 1)
-    return grad
-
-
 def _wedge_vectors(u: Sequence, v: Sequence, pairs: Sequence[tuple[int, int]]):
     return [u[a] * v[b] - u[b] * v[a] for a, b in pairs]
 
@@ -699,7 +689,7 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
     if pushed is not None:
         return pushed
     X = gen.X
-    nabla = _product_gradient(X, ring)
+    nabla = _gradient(X, ring, 0, ring.n)
     units = _unit_rows(X[:-1], ring)
     if not gen.delta:
         pushed = ring._pushed[gen] = units, nabla
@@ -708,7 +698,7 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
     uppers = {}  # k -> (t_k - 1) nabla_{X>k}
     for k in range(X[0] + 1, X[-1]):
         if k not in members:
-            upper = _product_gradient([s for s in X if s > k], ring)
+            upper = _gradient([s for s in X if s > k], ring, 0, ring.n)
             uppers[k] = [(ring.t(k - 1) - ring.one) * c for c in upper]
     us = []
     for theta in _push(invert_braid(gen.delta), units, ring):
@@ -973,24 +963,13 @@ def lift_point(lift: dict | None, central_point: Sequence) -> list[ExactScalar]:
 
 def phi_one_matrix(lat: Lattice2) -> list[list[int]]:
     """Integer matrix of the stacked twist chain maps evaluated at the
-    identity character: one block per rank-2 class, rows indexed by the
-    class members except the largest.  Conjugators act trivially there, so
-    the matrix depends only on the lattice."""
-    pairs = list(itertools.combinations(range(lat.n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
+    identity character: one block of `_chain_map_rows` per rank-2 class,
+    rows indexed by the class members except the largest.  Conjugators act
+    trivially there, so the matrix depends only on the lattice."""
+    ring = _Ring([1] * lat.n, [1] * lat.n, 1, 0)
     rows = []
     for cls in lat.rank2_classes():
-        members = list(cls)
-        for i in members[:-1]:
-            row = [0] * len(pairs)
-            for j in members:
-                if j == i:
-                    continue
-                if i < j:
-                    row[index[(i, j)]] += 1
-                else:
-                    row[index[(j, i)]] -= 1
-            rows.append(row)
+        rows.extend(_chain_map_rows(MonodromyGen(tuple(c + 1 for c in cls)), ring))
     return rows
 
 

@@ -535,19 +535,16 @@ def product_components(
     n1: int,
     comps2: Sequence[Component],
     n2: int,
-    k: int = 1,
 ) -> list[Component]:
-    """Depth-k components of a product of two spaces, given each factor's.
+    """Components of a product of two spaces, given each factor's.
 
     The depth-k locus of a product is the union of each factor's locus
     with the other factor pinned at the identity character, so every input
     component is embedded in the n1 + n2 coordinates by zero-padding its
     tangent basis on the complementary block (equivalently, adding the
-    identity constraints t_j = 1 there).  `k` is the depth the input lists
-    describe; it does not change the embedding.
+    identity constraints t_j = 1 there), whatever the depth the input
+    lists describe.
     """
-    if k < 1:
-        raise ValidationError("depth k must be at least 1")
     out = []
     for comps, offset, n in ((comps1, 0, n1), (comps2, n1, n2)):
         for comp in comps:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .arrangement import Lattice2, ValidationError
@@ -82,8 +81,7 @@ class NbcBasis:
     hyperplanes (lexicographic); column c holds the coordinates of the
     image of the wedge basis vector e_c.  `columns[c]` lists the nonzero
     entries of column c as (basis row, coefficient): at most two, none for
-    a parallel pair, which projects to zero.  `projection` is the same map
-    as dense rows, built on first use.
+    a parallel pair, which projects to zero.
     """
 
     n: int
@@ -93,14 +91,6 @@ class NbcBasis:
     @property
     def dimension(self) -> int:
         return len(self.pairs)
-
-    @functools.cached_property
-    def projection(self) -> list[list[int]]:
-        rows = [[0] * len(self.columns) for _ in self.pairs]
-        for c, entries in enumerate(self.columns):
-            for r, v in entries:
-                rows[r][c] = v
-        return rows
 
 
 def nbc_basis(lat: Lattice2) -> NbcBasis:
@@ -133,26 +123,11 @@ def nbc_basis(lat: Lattice2) -> NbcBasis:
     return NbcBasis(n=n, pairs=basis_pairs, columns=columns)
 
 
-def flat_wedge_rows(lat: Lattice2) -> list[list[int]]:
-    """One integer row per (rank-2 flat X, element i of X past its minimum).
-
-    The row holds the coordinates of the wedge of e_i with the sum of e_j
-    over j in X, in the lexicographic pair basis.  The stack has full row
-    rank equal to the second Betti number of the complement.
-    """
-    npairs = lat.n * (lat.n - 1) // 2
-    rows = []
-    for entries in _flat_wedge_entries(lat):
-        row = [0] * npairs
-        for c, v in entries.items():
-            row[c] = v
-        rows.append(row)
-    return rows
-
-
 def _flat_wedge_entries(lat: Lattice2) -> list[dict[int, int]]:
-    """The flat wedge rows as {pair column: entry} maps of their nonzero
-    entries, in the same order."""
+    """One row per (rank-2 flat X, element i of X past its minimum): the
+    wedge of e_i with the sum of e_j over j in X, as a {pair column: entry}
+    map of its nonzero entries.  The stack has full row rank equal to the
+    second Betti number of the complement."""
     pair_pos = _pair_index(lat.n)
     rows = []
     for cls in lat.rank2_classes():
@@ -164,36 +139,6 @@ def _flat_wedge_entries(lat: Lattice2) -> list[dict[int, int]]:
                 elif j > i:
                     row[pair_pos[(i, j)]] = 1
             rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# linearized boundary matrices
-# ---------------------------------------------------------------------------
-
-
-def linearized_differential(k: int, n: int, lam: Sequence) -> list[list[Fraction]]:
-    """The weighted incidence matrix of k-subsets against (k-1)-subsets.
-
-    Row J (a k-subset, lexicographic) has entry (-1)^(r+1) lambda_{j_r} in
-    the column J minus its r-th smallest element.  Supported for k = 2
-    and k = 3, the degrees the resonance test needs.
-    """
-    if k not in (2, 3):
-        raise ValidationError("linearized differential supported for k in {2, 3}")
-    lam = [Fraction(v) for v in lam]
-    if len(lam) != n:
-        raise ValidationError("weight vector length must equal n")
-    cols = list(itertools.combinations(range(n), k - 1))
-    col_pos = {c: idx for idx, c in enumerate(cols)}
-    rows = []
-    for subset in itertools.combinations(range(n), k):
-        row = [Fraction(0)] * len(cols)
-        for r, element in enumerate(subset):
-            rest = tuple(x for x in subset if x != element)
-            sign = 1 if r % 2 == 0 else -1
-            row[col_pos[rest]] += sign * lam[element]
-        rows.append(row)
     return rows
 
 

@@ -27,7 +27,6 @@ from charvar.alexander import (
     MonodromyGen,
     _check_gen,
     _gradient,
-    _product_gradient,
     _push,
     _resolution_differential,
     _Ring,
@@ -105,7 +104,7 @@ def _mat_mul(left: Sequence[Sequence], right: Sequence[Sequence], ring: _Ring):
 def _twist_chain_map(X: tuple[int, ...], ring: _Ring) -> list[list]:
     n = ring.n
     pairs = list(itertools.combinations(range(n), 2))
-    nabla = _product_gradient(X, ring)
+    nabla = fox_gradient(X, ring)
     members = set(X)
     lo, hi = X[0], X[-1]
     rows = []
@@ -116,7 +115,7 @@ def _twist_chain_map(X: tuple[int, ...], ring: _Ring) -> list[list]:
             rows.append(_wedge_vectors(unit, nabla, pairs))
         elif lo < k < hi:
             upper = [s for s in X if s > k]
-            nabla_up = _product_gradient(upper, ring)
+            nabla_up = fox_gradient(upper, ring)
             factor = ring.t(k - 1) - ring.one
             rows.append(
                 [factor * c for c in _wedge_vectors(nabla, nabla_up, pairs)]

@@ -1,24 +1,27 @@
-#!/usr/bin/env python3
 """Derive and validate the packaged braid-monodromy fixtures.
 
-For each fixture this tool recomputes, in exact rational arithmetic, a
-real wiring diagram of the affine line set: lines are graphs of linear
-height functions over a sweep coordinate, strands are numbered bottom to
-top at a basepoint right of every intersection, and each intersection
-contributes one monodromy generator — the full twist on the positions it
-occupies, conjugated by the positive half twists of the intersections
-passed earlier on the way from the basepoint.
+A fixture is data: the rows of a rational central arrangement in C^3, the
+1-based plane sent to infinity, the shear c of the sweep coordinate
+s = u + c*v on the chart (u, v) that `charvar.arrangement.decone` gives,
+and any special points to check.  Everything else is derived, in exact
+rational arithmetic.  Every chart line is the graph of its height v over
+s (a vertical line is refused).  Strands are numbered bottom to top right
+of every intersection, which fixes the lift to the central arrangement.
+Each intersection contributes one monodromy generator: the full twist on
+the positions it occupies, conjugated by the positive half twists of the
+intersections passed earlier, on the sweep from right to left.  That is
+the one braid convention, which `triangle_pin_check` pins on three lines.
 
 Each positional generator is then rewritten in the package's native form
 (a full twist on a strand set conjugated by a short word of two-strand
 twists) by a breadth-first search over conjugator words, checked exactly
 against the wiring automorphism.  The assembled monodromy is accepted
-only if it reproduces the independently enumerated first-resonance
-census of the corresponding central arrangement: sample points of every
-component torus must test inside the depth-1 characteristic variety,
-random off-component points must test outside, and for the seven-line
-diamond the order-two point must lie at depth two while generic points
-of the non-local tori must not.
+only if its lattice is the central lattice restricted through the lift,
+and if it reproduces the first-resonance census of the central
+arrangement: samples of a component torus of dimension d must lie in
+V_{d-1} and not in V_d, the special points must test as listed, and
+random off-component points must test outside V_1.  A fixture that fails
+is an error.
 
 Run from the repository root after an editable install:
 
@@ -34,6 +37,7 @@ import json
 import random
 import sys
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,7 +52,7 @@ from charvar.alexander import (
     membership,
     monodromy_braid,
 )
-from charvar.arrangement import Lattice2, gen_family, lattice_from_central3
+from charvar.arrangement import Arrangement, Lattice2, decone, lattice_from_central3
 from charvar.components import enumerate_first_resonance
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "charvar" / "fixtures"
@@ -57,37 +61,85 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 # ---------------------------------------------------------------------------
+# fixture definitions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """A packaged monodromy as data.
+
+    `rows` are the coefficients of x, y, z of the central planes, `infinity`
+    is the 1-based plane sent to infinity, `shear` is c in the sweep
+    coordinate u + c*v, and `special` lists (central point, depth, expected
+    membership) triples to check besides the census.
+    """
+
+    name: str
+    rows: tuple[tuple[int, int, int], ...]
+    infinity: int
+    shear: Fraction
+    special: tuple = ()
+
+
+def diamond_fixture() -> Fixture:
+    torsion = (-1, 1, 1, -1, -1, 1, -1)
+    return Fixture(
+        name="diamond_monodromy",
+        rows=((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, -1, -1), (1, -1, 1), (1, 0, 0), (1, 1, -1)),
+        infinity=2,
+        shear=Fraction(-1, 4),
+        special=((torsion, 1, True), (torsion, 2, True)),
+    )
+
+
+def braid4_fixture() -> Fixture:
+    return Fixture(
+        name="braid4_affine_monodromy",
+        rows=((1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1)),
+        infinity=6,
+        shear=Fraction(3),
+    )
+
+
+# ---------------------------------------------------------------------------
 # wiring diagrams over exact rationals
 # ---------------------------------------------------------------------------
 
 
-def compute_wiring(lines, basepoint):
-    """Sweep the line set and return (strand_of_line, events).
+def sweep_lines(chart: Arrangement, shear: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Each chart line a*u + b*v + c = 0 as (slope, intercept) of its
+    height v over the sweep coordinate s = u + shear*v."""
+    lines = []
+    for label, row in zip(chart.labels, chart.hyperplanes):
+        a, b, c = (v.as_rational() for v in row)
+        run = b - a * shear
+        if run == 0:
+            raise ValueError(f"line {label} is vertical in the sweep")
+        lines.append((-a / run, -c / run))
+    return lines
 
-    `lines` maps 1-based printed labels to (slope, intercept); heights are
-    slope * s + intercept.  Strand i is the line with the i-th smallest
-    height at the basepoint.  Events come back in sweep order (decreasing
-    s) as (strand_set, position_interval) pairs, where the interval is the
-    1-based contiguous block of positions the strands occupy just before
-    they cross.
+
+def compute_wiring(lines):
+    """Sweep the lines and return (order, events).
+
+    `lines` lists (slope, intercept) pairs; heights are slope * s +
+    intercept.  Right of every intersection the heights are ordered by
+    (slope, intercept), and `order` lists the line indices bottom to top
+    there: strand i is line order[i - 1].  Events come back in sweep order
+    (decreasing s) as (strand_set, position_interval) pairs, where the
+    interval is the 1-based contiguous block of positions the strands
+    occupy just before they cross.
     """
-    labels = sorted(lines)
-    height = {k: (lambda s, m=lines[k][0], c=lines[k][1]: m * s + c) for k in labels}
-
     vertices = {}
-    for a, b in itertools.combinations(labels, 2):
-        ma, ca = lines[a]
-        mb, cb = lines[b]
+    for a, b in itertools.combinations(range(len(lines)), 2):
+        (ma, ca), (mb, cb) = lines[a], lines[b]
         if ma == mb:
             continue
         s = Fraction(cb - ca, ma - mb)
-        key = (s, height[a](s))
-        vertices.setdefault(key, set()).update((a, b))
-    for s, _ in vertices:
-        if s >= basepoint:
-            raise AssertionError("basepoint is not to the right of every vertex")
+        vertices.setdefault((s, ma * s + ca), set()).update((a, b))
 
-    order = sorted(labels, key=lambda k: height[k](basepoint))
+    order = sorted(range(len(lines)), key=lambda k: lines[k])
     strand_of_line = {line: pos + 1 for pos, line in enumerate(order)}
 
     current = list(order)
@@ -104,15 +156,14 @@ def compute_wiring(lines, basepoint):
     for through, _ in events:
         covered.update(itertools.combinations(sorted(through), 2))
     parallel = {
-        (strand_of_line[a], strand_of_line[b])
-        for a, b in itertools.combinations(labels, 2)
+        tuple(sorted((strand_of_line[a], strand_of_line[b])))
+        for a, b in itertools.combinations(range(len(lines)), 2)
         if lines[a][0] == lines[b][0]
     }
-    parallel = {tuple(sorted(p)) for p in parallel}
-    everything = set(itertools.combinations(range(1, len(labels) + 1), 2))
+    everything = set(itertools.combinations(range(1, len(lines) + 1), 2))
     if covered | parallel != everything or covered & parallel:
         raise AssertionError("wiring does not cross each non-parallel pair exactly once")
-    return strand_of_line, events
+    return order, events
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +171,11 @@ def compute_wiring(lines, basepoint):
 # ---------------------------------------------------------------------------
 
 
-def crossing_image(letter, k, chirality):
+def crossing_image(letter, k):
     """Image of generator k under one elementary crossing of positions
-    (i, i+1); `chirality` mirrors every crossing when set to "B"."""
+    (i, i+1), i = |letter|, positive when the letter is."""
     i = abs(letter)
-    positive = (letter > 0) == (chirality == "A")
-    if positive:
+    if letter > 0:
         if k == i:
             return (i, i + 1, -i)
         if k == i + 1:
@@ -138,12 +188,12 @@ def crossing_image(letter, k, chirality):
     return (k,)
 
 
-def apply_crossings(word, w, chirality):
+def apply_crossings(word, w):
     """Apply a crossing word to a free word, leftmost crossing first."""
     for letter in word:
         out = []
         for c in w:
-            img = crossing_image(letter, abs(c), chirality)
+            img = crossing_image(letter, abs(c))
             out.extend(img if c > 0 else invert_word(img))
         w = free_reduce(out)
     return w
@@ -166,55 +216,36 @@ def substitute(images, word):
     return free_reduce(out)
 
 
-def positional_generators(events, n, chirality, conj_side, conj_order):
+def positional_generators(events, n):
     """Automorphism images of every vertex monodromy generator.
 
     Generator k is the full twist on the k-th event's position interval,
-    conjugated by the half twists of events 1..k-1.  `conj_side` picks
-    which side of the twist the accumulated half twists multiply on, and
-    `conj_order` whether they accumulate first-event-first or reversed.
+    conjugated on the left by the half twists of events 1..k-1, first
+    event first.
     """
     result = []
     prefix = []
     for through, (a, b) in events:
-        blocks = prefix if conj_order == "forward" else prefix[::-1]
-        conj = list(itertools.chain.from_iterable(blocks))
-        twist = half_twist_word(a, b) * 2
-        if conj_side == "left":
-            word = conj + twist + [-c for c in conj[::-1]]
-        else:
-            word = [-c for c in conj[::-1]] + twist + conj
-        images = tuple(apply_crossings(word, (k,), chirality) for k in range(1, n + 1))
+        half = half_twist_word(a, b)
+        word = prefix + half * 2 + [-c for c in prefix[::-1]]
+        images = tuple(apply_crossings(word, (k,)) for k in range(1, n + 1))
         result.append((through, word, images))
-        prefix.append(half_twist_word(a, b))
+        prefix += half
     return result
 
 
-COMBOS = [
-    ("A", "left", "forward"),
-    ("A", "right", "forward"),
-    ("B", "left", "forward"),
-    ("B", "right", "forward"),
-    ("A", "left", "reversed"),
-    ("A", "right", "reversed"),
-    ("B", "left", "reversed"),
-    ("B", "right", "reversed"),
-]
-
-
 def triangle_pin_check():
-    """Regression anchor: on three pairwise-crossing lines the recipe with
-    the default combo must produce exactly the three classical words."""
-    lines = {1: (Fraction(-1), Fraction(0)), 2: (Fraction(0), Fraction(0)), 3: (Fraction(1), Fraction(-3))}
-    strand_of_line, events = compute_wiring(lines, Fraction(4))
-    assert strand_of_line == {1: 1, 2: 2, 3: 3}
+    """Regression anchor: on three pairwise-crossing lines the convention
+    must produce exactly the three classical words."""
+    lines = [(Fraction(-1), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(-3))]
+    order, events = compute_wiring(lines)
+    assert order == [0, 1, 2]
     assert [(set(e), iv) for e, iv in events] == [
         ({2, 3}, (2, 3)),
         ({1, 3}, (1, 2)),
         ({1, 2}, (2, 3)),
     ]
-    gens = positional_generators(events, 3, "A", "left", "forward")
-    words = [list(word) for _, word, _ in gens]
+    words = [list(word) for _, word, _ in positional_generators(events, 3)]
     assert words == [
         [2, 2],
         [2, 1, 1, -2],
@@ -271,18 +302,18 @@ def find_conjugator(n, strands, target_images, max_depth=4):
     return None
 
 
-def solve_generators(events, n, combo):
-    """Match every positional generator with a MonodromyGen, or None."""
-    chirality, conj_side, conj_order = combo
+def solve_generators(events, n):
+    """Match every positional generator with a MonodromyGen."""
     gens = []
-    for through, _, target in positional_generators(events, n, chirality, conj_side, conj_order):
-        delta = find_conjugator(n, sorted(through), target)
+    for through, _, target in positional_generators(events, n):
+        strands = tuple(sorted(through))
+        delta = find_conjugator(n, strands, target)
         if delta is None:
-            return None
-        gen = MonodromyGen(tuple(sorted(through)), delta)
+            raise ValueError(f"no conjugator within the depth bound for strands {list(strands)}")
+        gen = MonodromyGen(strands, delta)
         braid = monodromy_braid(gen)
         check = tuple(artin_apply(braid, (k,)) for k in range(1, n + 1))
-        assert check == target, f"conjugator verification failed for {sorted(through)}"
+        assert check == target, f"conjugator verification failed for {list(strands)}"
         gens.append(gen)
     return tuple(gens)
 
@@ -356,31 +387,29 @@ def central_in_vk(m: MonodromyInput, point, k: int) -> bool:
     return membership(m, lift_point(m.lift, point), k).delta
 
 
-def validate(m: MonodromyInput, census, torsion_checks, hard_depth2, label):
+def validate(m: MonodromyInput, census, special) -> list[str]:
+    """Failures of the monodromy against the census of its central
+    arrangement: the rank at the identity must be b2, two samples of each
+    component torus of dimension d must lie in V_{d-1} and not in V_d, the
+    special points must test as listed, and random off-component points
+    must test outside V_1."""
     failures = []
-    warnings = []
 
-    ones = [Fraction(1)] * m.n
-    rank1 = membership(m, ones, 1).rank
+    rank1 = membership(m, [Fraction(1)] * m.n, 1).rank
     if rank1 != m.b2:
         failures.append(f"rank at the identity is {rank1}, expected b2 = {m.b2}")
 
     for comp in census.components:
         for which in range(2):
             point = component_sample(comp, which)
-            if not central_in_vk(m, point, 1):
-                failures.append(
-                    f"{comp.kind} component {comp.support} sample {which} not at depth 1"
-                )
-            deep = central_in_vk(m, point, 2)
-            if deep:
-                msg = (
-                    f"{comp.kind} component {comp.support} sample {which} "
-                    "unexpectedly at depth 2"
-                )
-                (failures if hard_depth2 else warnings).append(msg)
+            for k, expected in ((comp.dim - 1, True), (comp.dim, False)):
+                if central_in_vk(m, point, k) != expected:
+                    failures.append(
+                        f"{comp.kind} component {comp.support} sample {which} "
+                        f"{'not ' if expected else ''}in V_{k}"
+                    )
 
-    for point, k, expected in torsion_checks:
+    for point, k, expected in special:
         got = central_in_vk(m, point, k)
         if got != expected:
             failures.append(f"special point {point} at depth {k}: {got}, expected {expected}")
@@ -389,130 +418,51 @@ def validate(m: MonodromyInput, census, torsion_checks, hard_depth2, label):
     for point in random_off_points(census.components, m.lift["central_n"], 5, rng):
         if central_in_vk(m, point, 1):
             failures.append(f"off-component point {point} tests inside depth 1")
-
-    for note in warnings:
-        print(f"  [{label}] note: {note}")
     return failures
 
 
 # ---------------------------------------------------------------------------
-# fixture definitions
+# deriving a fixture
 # ---------------------------------------------------------------------------
 
 
-def diamond_fixture():
-    F = Fraction
-    lines = {
-        1: (F(-4), F(0)),
-        2: (F(-4, 5), F(-4, 5)),
-        3: (F(-4, 5), F(4, 5)),
-        4: (F(0), F(0)),
-        5: (F(4, 3), F(-4, 3)),
-        6: (F(4, 3), F(4, 3)),
+def monodromy(fixture: Fixture) -> tuple[MonodromyInput, Lattice2]:
+    """The fixture's monodromy with its lift, and the lattice of its
+    central arrangement."""
+    central = Arrangement("central", [[*row, 0] for row in fixture.rows])
+    chart = decone(central, at=fixture.infinity - 1)
+    order, events = compute_wiring(sweep_lines(chart.arrangement, fixture.shear))
+    lift = {
+        "central_n": central.n,
+        "strand_to_central": [chart.line_to_central[line] + 1 for line in order],
+        "infinity": fixture.infinity,
     }
-    lift = {"central_n": 7, "strand_to_central": [6, 1, 7, 3, 4, 5], "infinity": 2}
-    central = lattice_from_central3(gen_family("diamond"))
-    torsion = [
-        ([F(-1), F(1), F(1), F(-1), F(-1), F(1), F(-1)], 1, True),
-        ([F(-1), F(1), F(1), F(-1), F(-1), F(1), F(-1)], 2, True),
-    ]
-    expected_events = [
-        ({3, 4, 5}, (3, 5)),
-        ({1, 2, 5}, (1, 3)),
-        ({1, 4}, (3, 4)),
-        ({1, 3, 6}, (4, 6)),
-        ({2, 4, 6}, (2, 4)),
-    ]
-    return {
-        "name": "diamond_monodromy",
-        "lines": lines,
-        "basepoint": F(2),
-        "lift": lift,
-        "central": central,
-        "strand_identity": True,
-        "expected_events": expected_events,
-        "torsion": torsion,
-        "hard_depth2": True,
-        "expected_b2": 9,
-    }
+    m = MonodromyInput(len(order), solve_generators(events, len(order)), lift)
+    return m, lattice_from_central3(central)
 
 
-def braid4_fixture():
-    F = Fraction
-    # Sheared chart of x=0; x+y=0; x+y+1=0; y=0; y=-1 with height y and
-    # sweep coordinate x+3y, where every line is a graph over the sweep.
-    lines = {
-        1: (F(1, 3), F(0)),
-        2: (F(1, 2), F(0)),
-        3: (F(1, 2), F(1, 2)),
-        4: (F(0), F(0)),
-        5: (F(0), F(-1)),
-    }
-    lift = {"central_n": 6, "strand_to_central": [5, 4, 1, 2, 3], "infinity": 6}
-    central = gen_family("braid", ell=4)
-    expected_events = [
-        ({2, 3, 4}, (2, 4)),
-        ({2, 5}, (4, 5)),
-        ({1, 4}, (1, 2)),
-        ({1, 3, 5}, (2, 4)),
-    ]
-    return {
-        "name": "braid4_affine_monodromy",
-        "lines": lines,
-        "basepoint": F(1),
-        "lift": lift,
-        "central": central,
-        "strand_identity": False,
-        "expected_events": expected_events,
-        "torsion": [],
-        "hard_depth2": False,
-        "expected_b2": 6,
-    }
-
-
-def derive(fixture):
-    name = fixture["name"]
-    print(f"== {name} ==")
-    strand_of_line, events = compute_wiring(fixture["lines"], fixture["basepoint"])
-    n = len(fixture["lines"])
-    if fixture["strand_identity"]:
-        assert strand_of_line == {k: k for k in fixture["lines"]}, strand_of_line
-    got_events = [(set(e), iv) for e, iv in events]
-    assert got_events == [
-        (set(e), iv) for e, iv in fixture["expected_events"]
-    ], got_events
-    print(f"  wiring: {len(events)} vertices, strands {strand_of_line}")
-
-    census = enumerate_first_resonance(fixture["central"])
+def derive(fixture: Fixture) -> str:
+    """The fixture's JSON text; a monodromy that fails a check raises
+    ValueError."""
+    print(f"== {fixture.name} ==")
+    m, central = monodromy(fixture)
+    print(
+        f"  wiring: {len(m.generators)} vertices, "
+        f"strands to central planes {m.lift['strand_to_central']}"
+    )
+    if not lattices_equal(m.lattice(), affine_lattice_from_lift(central, m.lift)):
+        raise ValueError("the monodromy lattice is not the central lattice through the lift")
+    census = enumerate_first_resonance(central)
     print(
         f"  census: {len(census.locals)} local, {len(census.nonlocals)} nonlocal components"
     )
-
-    for combo in COMBOS:
-        gens = solve_generators(events, n, combo)
-        if gens is None:
-            print(f"  combo {combo}: no conjugators within depth bound")
-            continue
-        m = MonodromyInput(n, gens, fixture["lift"])
-        if m.b2 != fixture["expected_b2"]:
-            print(f"  combo {combo}: b2 mismatch {m.b2}")
-            continue
-        predicted = affine_lattice_from_lift(fixture["central"], fixture["lift"])
-        if not lattices_equal(m.lattice(), predicted):
-            print(f"  combo {combo}: affine lattice mismatch")
-            continue
-        failures = validate(m, census, fixture["torsion"], fixture["hard_depth2"], name)
-        if failures:
-            print(f"  combo {combo}: membership validation failed:")
-            for f in failures:
-                print(f"    - {f}")
-            continue
-        print(f"  combo {combo}: validated")
-        for gen in gens:
-            print(f"    X={list(gen.X)} delta={list(gen.delta)}")
-        return json.dumps(m.to_json(), indent=2) + "\n"
-    print(f"  FAILED: no combo validates for {name}")
-    return None
+    failures = validate(m, census, fixture.special)
+    if failures:
+        raise ValueError("validation failed:" + "".join(f"\n    - {f}" for f in failures))
+    print("  validated")
+    for gen in m.generators:
+        print(f"    X={list(gen.X)} delta={list(gen.delta)}")
+    return json.dumps(m.to_json(), indent=2) + "\n"
 
 
 def main(argv=None) -> int:
@@ -526,11 +476,13 @@ def main(argv=None) -> int:
     triangle_pin_check()
     ok = True
     for fixture in (diamond_fixture(), braid4_fixture()):
-        text = derive(fixture)
-        if text is None:
+        try:
+            text = derive(fixture)
+        except ValueError as exc:
+            print(f"  FAILED: {exc}")
             ok = False
             continue
-        out = OUT_DIR / f"{fixture['name']}.json"
+        out = OUT_DIR / f"{fixture.name}.json"
         if not args.check:
             out.write_text(text)
             print(f"  wrote {out}")
