@@ -274,12 +274,20 @@ class Lattice2:
             flats = obj["flats"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"lattice JSON missing key: {exc}") from exc
+        unknown = sorted(set(obj) - {"n", "flats", "parallel_pairs"})
+        if unknown:
+            raise ValidationError(
+                f"unknown lattice key {', '.join(map(repr, unknown))}; expected "
+                "'n', 'flats' and optionally 'parallel_pairs'"
+            )
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValidationError("n must be an integer")
         def shift(seq):
             out = []
             for v in seq:
-                if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValidationError(f"index {v!r} is not an integer")
+                if not 1 <= v <= n:
                     raise ValidationError(f"index {v!r} out of range 1..{n}")
                 out.append(v - 1)
             return out

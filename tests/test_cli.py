@@ -20,7 +20,7 @@ from charvar.alexander import (
     relator_rank,
 )
 from charvar.arrangement import decone, gen_family
-from charvar.cli import main
+from charvar.cli import MEMBER_HYPERPLANE_CAP, main
 from charvar.components import DEFAULT_CAP, Component, format_torus_equation
 from charvar.exactalg import modular_prime
 
@@ -494,6 +494,48 @@ def test_member_weight_on_a_lattice_input(capsys, braid4_file):
     assert json.loads(out)["in_Vk"] is False
 
 
+def test_member_zero_weight_rank_is_b2(capsys, tmp_path):
+    """The zero weight has rank b2 = 39 on the hessian lattice, so it lies
+    in V_k exactly for k <= C(12,2) - 39 = 27; it is not read from
+    h1(A, 0) = 12, which would give rank 54."""
+    path = tmp_path / "hessian.json"
+    path.write_text(json.dumps(gen_family("hessian").to_json()))
+    zero = ",".join(["0"] * 12)
+    for k, inside in ((1, True), (27, True), (28, False)):
+        code, out, _ = run(capsys, "member", str(path), f"--point={zero}", "--k", str(k))
+        assert code == 0
+        verdict = json.loads(out)
+        assert (verdict["rank"], verdict["in_Vk"]) == (39, inside)
+
+
+def test_member_refuses_a_misspelt_lattice_key(capsys, tmp_path):
+    """Two parallel lines among four: read with its parallel pair the
+    weight e1 - e2 is resonant at rank 5; the misspelt key is refused
+    instead of read as a generic arrangement (rank 6, not resonant)."""
+    intended = tmp_path / "parallel.json"
+    intended.write_text(json.dumps({"n": 4, "flats": [], "parallel_pairs": [[1, 2]]}))
+    code, out, _ = run(capsys, "member", str(intended), "--point=1,-1,0,0", "--k", "1")
+    assert code == 0
+    assert (json.loads(out)["rank"], json.loads(out)["in_Vk"]) == (5, True)
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text(json.dumps({"n": 4, "flats": [], "parallel": [[1, 2]]}))
+    code, out, err = run(capsys, "member", str(misspelt), "--point=1,-1,0,0", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'parallel'" in err
+
+
+def test_member_refuses_a_large_lattice_quickly(capsys, tmp_path):
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({"n": 100000, "flats": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", str(path), "--point=1,-1", "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and f"{MEMBER_HYPERPLANE_CAP} hyperplanes" in err
+    assert "(got 100000)" in err
+
+
 def test_member_arity_mismatch_is_a_validation_error(capsys, monodromy_file):
     code, _, err = run(capsys, "member", monodromy_file, "--point=1,1,1")
     assert code == 2
@@ -708,7 +750,12 @@ _AFFINE_TRIANGLE = {
             "malformed lift metadata: expected an integer, got 3.0",
         ),
         ({"n": True, "flats": []}, "n must be an integer"),
-        ({"n": 3, "flats": [[1, True, 3]]}, "index True out of range"),
+        ({"n": 3, "flats": [[1, True, 3]]}, "index True is not an integer"),
+        ({"n": 4, "flats": [], "parallel": [[1, 2]]}, "unknown lattice key 'parallel'"),
+        (
+            {"pair": [{"n": 3, "flats": []}, {"n": 3, "flats": [], "labels": []}]},
+            "unknown lattice key 'labels'",
+        ),
         (_AFFINE_TRIANGLE | {"labels": 5}, "labels must be a list of strings"),
         (_AFFINE_TRIANGLE | {"labels": "abc"}, "labels must be a list of strings"),
         (
@@ -727,6 +774,8 @@ _AFFINE_TRIANGLE = {
         "float-lift-count",
         "boolean-n",
         "boolean-flat-index",
+        "misspelt-parallel-pairs",
+        "unknown-key-in-pair",
         "numeric-labels",
         "string-labels",
         "non-string-labels",

@@ -35,7 +35,12 @@ from charvar.osres import (
     resonance_rank_os,
     triple_list,
 )
-from osres_reference import flat_wedge_rows, linearized_differential, projection
+from osres_reference import (
+    flat_row_rank,
+    flat_wedge_rows,
+    linearized_differential,
+    projection,
+)
 
 # --- frozen membership oracles (hand-checked) ------------------------------
 
@@ -283,11 +288,6 @@ def test_affine_parallel_weight_resonant():
     assert in_resonance(lat, lam, k=1)
 
 
-def test_zero_weight_rank_is_b2():
-    lat = _braid4()
-    assert resonance_rank(lat, (0,) * 6) == lat.b2()
-
-
 def test_h1_rejects_zero_weight():
     lat = _braid4()
     with pytest.raises(ValidationError):
@@ -325,13 +325,24 @@ def test_two_rank_routes_agree(case):
 
 @settings(max_examples=40, deadline=None)
 @given(_lattice_and_weights())
+def test_direct_rank_matches_flat_row_reference(case):
+    """The n x b2 multiplication-map rank against the flat wedge rows
+    stacked over the triple rows, zero weights and zero entries included."""
+    lat, lam = case
+    assert resonance_rank(lat, lam) == flat_row_rank(lat, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lattice_and_weights())
 def test_h1_equals_pair_count_minus_rank(case):
+    """Koszul exactness: h1 read off the multiplication map is the pair
+    count minus the rank of the flat wedge rows over the triple rows."""
     lat, lam = case
     if all(v == 0 for v in lam):
         lam = list(lam)
         lam[0] = 1
     npairs = lat.n * (lat.n - 1) // 2
-    assert h1_dim(lat, lam) == npairs - resonance_rank(lat, lam)
+    assert h1_dim(lat, lam) == npairs - flat_row_rank(lat, lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,18 +427,28 @@ def _structured_weights(draw):
 @settings(max_examples=60, deadline=None)
 @given(_structured_weights())
 def test_four_rank_routes_agree_on_larger_lattices(case):
-    """The flat-row rank, the basis-projection rank, the sampler and
-    pairs - h1 agree on hessian, monomial(3,3), braid(5) and braid(7), on
-    and off the resonance variety."""
+    """The direct rank, the flat-row reference, the basis-projection rank,
+    the sampler and pairs - h1 agree on hessian, monomial(3,3), braid(5)
+    and braid(7), on and off the resonance variety."""
     lat, sampler, kind, lam = case
     npairs = lat.n * (lat.n - 1) // 2
     rank = resonance_rank(lat, lam)
+    assert flat_row_rank(lat, lam) == rank
     assert resonance_rank_os(lat, lam) == rank
     assert sampler.rank_at(lam) == rank
     if any(lam):
         assert npairs - h1_dim(lat, lam) == rank
         if kind != "random":
             assert rank <= npairs - 1
+
+
+def test_zero_weight_rank_is_b2():
+    """At the zero weight vector the rank is b2, as the flat-row reference
+    gives it, on the fixtures and the larger lattices."""
+    lattices = FIXTURE_LATTICES + [build() for build in ROUTE_LATTICES.values()]
+    for lat in lattices:
+        zero = (0,) * lat.n
+        assert resonance_rank(lat, zero) == flat_row_rank(lat, zero) == lat.b2()
 
 
 def test_sampler_precomputation_reused():
