@@ -51,12 +51,14 @@ from .arrangement import (
     gen_family,
     lattice_from_affine,
     lattice_from_central3,
+    _canonical_direction,
 )
 from .components import (
     DEFAULT_CAP,
     CapExceeded,
     Component,
     Resonance1,
+    check_cap,
     cone_lattice,
     enumerate_first_resonance,
     resonance_to_json,
@@ -75,11 +77,31 @@ def _rng(args, label: str) -> random.Random:
     return random.Random(f"{args.seed}:{label}")
 
 
+def _json_text(value, indent: str = "") -> str:
+    """JSON with two-space indentation, except that a list holding no list
+    or object stays on one line, e.g. ``[1, 1, 0, 0]``; it loads equal to
+    ``json.dumps(value, indent=2)``.  Object keys are strings, as in every
+    payload."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)) and any(
+        isinstance(v, (dict, list, tuple)) for v in value
+    ):
+        items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    body = ",\n".join(inner + item for item in items)
+    return f"{opening}\n{body}\n{indent}{closing}"
+
+
 def _render(args, payload, text: Callable[[object], str]) -> None:
-    """Write a command's one result: the payload as JSON, or `text(payload)`
-    under ``--format text``; to ``--output`` when given, else stdout."""
+    """Write a command's one result: the payload as JSON (`_json_text`), or
+    `text(payload)` under ``--format text``; to ``--output`` when given,
+    else stdout."""
     fmt = args.format or _DEFAULT_FORMATS[args.command]
-    out = text(payload) if fmt == "text" else json.dumps(payload, indent=2)
+    out = text(payload) if fmt == "text" else _json_text(payload)
     if not out.endswith("\n"):
         out += "\n"
     if args.output:
@@ -338,6 +360,17 @@ def _enumerate_with_cone(lat: Lattice2, cap: int) -> tuple[Resonance1, Lattice2,
     return enumerate_first_resonance(lat, cap=cap), lat, coned
 
 
+def _coned_size(arr: Arrangement) -> int:
+    """Hyperplanes the enumeration sees of an arrangement, one more when
+    parallel lines make it cone the input; read without building the
+    lattice, which costs C(n,2) exact solves."""
+    if arr.flavor == "central":
+        return arr.n
+    order = arr.field_order
+    directions = {_canonical_direction(row[:2], order) for row in arr.hyperplanes}
+    return arr.n + (len(directions) < arr.n)
+
+
 def _components_payload(lat: Lattice2, cap: int) -> dict:
     res, lat, coned = _enumerate_with_cone(lat, cap)
     payload = {
@@ -386,6 +419,8 @@ def cmd_components(args) -> int:
     if kind == "pair":
         payload = {"pair": [_components_payload(lat, args.cap) for lat in value]}
     else:
+        if kind == "arrangement":
+            check_cap(_coned_size(value), args.cap)
         payload = _components_payload(_as_lattice(kind, value), args.cap)
     _render(args, payload, _components_text)
     return 0

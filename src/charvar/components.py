@@ -16,6 +16,10 @@ every coordinate must vanish identically.  Candidates of dimension at
 least two whose form does not vanish are reported separately rather than
 silently dropped.
 
+Every emitted component is proved resonant on its whole span by an exact
+isotropy certificate: the Orlik-Solomon product u v vanishes in degree two
+for every pair of basis rows (see `is_isotropic`).
+
 Each component exponentiates to a subtorus of the character torus cut out
 by integer monomial equations; those are read off as the saturated
 integer kernel of the tangent basis, in Hermite normal form.
@@ -24,13 +28,12 @@ integer kernel of the tangent basis, in Hermite normal form.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .arrangement import Lattice2, ValidationError, _scalar, _union_classes
 from .exactalg import ExactScalar, IntEchelon, clear_denominators, integer_kernel
-from .osres import ResonanceSampler
+from .osres import NbcBasis, nbc_basis, pair_list
 
 
 class CapExceeded(Exception):
@@ -38,6 +41,12 @@ class CapExceeded(Exception):
 
 
 DEFAULT_CAP = 14
+
+
+def check_cap(n: int, cap: int) -> None:
+    """Refuse an enumeration over n hyperplanes when n exceeds the cap."""
+    if n > cap:
+        raise CapExceeded(f"arrangement has {n} hyperplanes, enumeration cap is {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +75,8 @@ class Component:
     bases.  `support` lists the hyperplanes with nonzero weight somewhere
     on the component.  For a nonlocal component `blocks` records the
     neighborly partition that produced it; local components carry the
-    empty tuple.  `verified` is set once the component has passed the
-    sampling check that random points of its span are resonant.
+    empty tuple.  `verified` is set once the isotropy certificate has
+    proved every point of the span resonant.
     """
 
     kind: str  # "local" or "nonlocal"
@@ -379,8 +388,8 @@ def enumerate_first_resonance(
     Local components come from the flats; nonlocal ones from neighborly
     partitions over every support of size at least three.  Subspaces
     contained in strictly larger ones are dropped, duplicates are merged,
-    and every surviving component is verified to be resonant at several
-    seeded random rational points of its span.  Candidates whose pairing
+    and every surviving component is proved resonant on its whole span by
+    the isotropy certificate (`is_isotropic`).  Candidates whose pairing
     form does not vanish are returned in `flagged` (unless contained in a
     verified component) and never counted as components.
     """
@@ -389,10 +398,7 @@ def enumerate_first_resonance(
             "component enumeration needs a central lattice; cone the "
             "arrangement first (see cone_lattice)"
         )
-    if lat.n > cap:
-        raise CapExceeded(
-            f"arrangement has {lat.n} hyperplanes, enumeration cap is {cap}"
-        )
+    check_cap(lat.n, cap)
     n = lat.n
     locals_ = local_components(lat)
     seen: dict[tuple, Component] = {}
@@ -493,34 +499,47 @@ def _filter_flagged(
     return out
 
 
-VERIFY_SAMPLES = 5
+def is_isotropic(basis: Sequence[Sequence[int]], nbc: NbcBasis) -> bool:
+    """Whether the Orlik-Solomon product u v is zero in degree two for
+    every pair of rows u, v of an integer basis.
+
+    The product has wedge coordinates u_i v_j - u_j v_i on the 2-subsets,
+    which the no-broken-circuit projection maps into A^2; every coordinate
+    of the image must vanish.  The product is bilinear and alternating, so
+    the span is then isotropic, and an isotropic subspace V of dimension at
+    least two lies in the first resonance variety: every nonzero a in V has
+    an independent b in V with a b = 0, so H^1(A, a) is nonzero.
+    """
+    pairs = pair_list(nbc.n)
+    for u, v in itertools.combinations(basis, 2):
+        image = [0] * nbc.dimension
+        for (i, j), column in zip(pairs, nbc.columns):
+            w = u[i] * v[j] - u[j] * v[i]
+            if w:
+                for r, coeff in column:
+                    image[r] += coeff * w
+        if any(image):
+            return False
+    return True
 
 
 def _verify_components(
     lat: Lattice2, components: list[Component]
 ) -> list[Component]:
-    """Check each component at seeded random points of its span; returns
-    copies marked verified.  Raises if any sampled point is not resonant,
-    since the enumeration must never emit a wrong component."""
+    """Certify each component resonant on its whole span: dimension at least
+    two and an isotropic basis.  Returns copies marked verified; raises if
+    any component fails, since the enumeration must never emit a wrong one."""
     if not components:
         return []
-    rng = random.Random(9181)
-    sampler = ResonanceSampler(lat)
+    nbc = nbc_basis(lat)
     out = []
     for comp in components:
-        for _ in range(VERIFY_SAMPLES):
-            coeffs = []
-            while not any(coeffs):
-                coeffs = [rng.randint(-9, 9) for _ in comp.basis]
-            point = [0] * lat.n
-            for c, row in zip(coeffs, comp.basis):
-                point = [a + c * b for a, b in zip(point, row)]
-            if not sampler.in_resonance_at(point, k=1):
-                raise RuntimeError(
-                    "internal error: enumerated component failed the "
-                    f"resonance check (kind={comp.kind}, "
-                    f"support={comp.support})"
-                )
+        if comp.dim < 2 or not is_isotropic(comp.basis, nbc):
+            raise RuntimeError(
+                "internal error: enumerated component failed the "
+                f"isotropy certificate (kind={comp.kind}, "
+                f"support={comp.support})"
+            )
         out.append(replace(comp, verified=True))
     return out
 

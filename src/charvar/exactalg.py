@@ -507,7 +507,9 @@ class IntEchelon:
                 if entry < 0:
                     g = -g
                 cols = sorted(work)
-                vals = tuple(work[c] // g for c in cols)
+                # from a list: a tuple built from a generator is resized,
+                # and freed ones piled up in CPython's tuple freelists
+                vals = tuple([work[c] // g for c in cols])
                 pivots[col] = (entry // g, tuple(cols), vals)
                 return True
             lead, cols, vals = pivot

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from charvar.alexander import (
     relator_rank,
 )
 from charvar.arrangement import decone, gen_family
-from charvar.cli import MEMBER_HYPERPLANE_CAP, main
+from charvar.cli import MEMBER_HYPERPLANE_CAP, _components_payload, _json_text, main
 from charvar.components import DEFAULT_CAP, Component, format_torus_equation
 from charvar.exactalg import modular_prime
 
@@ -329,6 +330,31 @@ def test_components_text_matches_the_component_route(capsys, tmp_path, source, h
         lines = header + [_component_route_line(c) for c in part["components"]]
         want.extend(tag + line for line in lines)
     assert text.splitlines() == want
+
+
+@pytest.mark.parametrize("flavor, n, counted", [("central", 300, 300), ("affine", 300, 301)])
+def test_components_refuses_a_large_arrangement_before_its_lattice(
+    capsys, tmp_path, flavor, n, counted
+):
+    # the lattice of 300 planes takes seconds to build; the cap is checked
+    # first, and an affine input with parallel lines counts the line at
+    # infinity that coning would add, as the enumeration's own check does
+    rng = random.Random(300)
+    planes = [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(n)]
+    if flavor == "central":
+        planes = [row + [0] for row in planes]
+    else:
+        planes[-1] = [2 * planes[0][0], 2 * planes[0][1], planes[0][2] + 1]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"flavor": flavor, "hyperplanes": planes}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "components", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: arrangement has {counted} hyperplanes, "
+        f"enumeration cap is {DEFAULT_CAP}\n"
+    )
 
 
 def test_components_default_cap_matches_the_library(capsys, tmp_path):
@@ -794,3 +820,43 @@ def test_console_entry_point_matches_main():
     from charvar.cli import main as script_main
 
     assert callable(script_main)
+
+
+# ---------------------------------------------------------------------------
+# JSON output format
+# ---------------------------------------------------------------------------
+
+
+def _scalar_lists(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        return
+    elif not any(isinstance(v, (dict, list, tuple)) for v in value):
+        yield value
+        return
+    for item in value:
+        yield from _scalar_lists(item)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _components_payload(gen_family("braid", ell=5), DEFAULT_CAP),
+        {"pair": [part.to_json() for part in gen_family("falk_pair")]},
+        decone(gen_family("diamond"), at=1).arrangement.to_json(),
+        {"a": [], "b": {}, "c": [[], {}], "d": ("x, y", None, True, 1.5), "e": [[1]]},
+    ],
+    ids=["components", "pair", "arrangement", "edge-cases"],
+)
+def test_json_text_loads_equal_with_scalar_lists_inline(payload):
+    text = _json_text(payload)
+    old = json.dumps(payload, indent=2)
+    assert json.loads(text) == json.loads(old)
+    lines = [line.strip().rstrip(",") for line in text.splitlines()]
+    for scalars in _scalar_lists(payload):
+        inline = json.dumps(scalars)
+        assert any(line == inline or line.endswith(": " + inline) for line in lines)
+    # objects and lists of containers keep the two-space layout
+    assert text.splitlines()[:2] == old.splitlines()[:2]
+    assert len(text.splitlines()) < len(old.splitlines())

@@ -5,9 +5,11 @@ family (block patterns forced by double points, tangent spaces solved
 exactly) and frozen here before being compared with the enumeration.
 """
 
+import functools
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from charvar.components import (
     cone_lattice,
     enumerate_first_resonance,
     format_torus_equation,
+    is_isotropic,
     local_components,
     neighborly_partitions,
     nonvanishing_block_pairs,
@@ -41,6 +44,7 @@ from charvar.components import (
     resonance_to_json,
     _union_classes,
     saturated_span,
+    _verify_components,
 )
 from charvar.exactalg import hermite_normal_form, rational_rref
 from charvar.osres import ResonanceSampler, h1_dim, nbc_basis, pair_list
@@ -854,6 +858,72 @@ def test_emitted_components_are_verified_with_generic_h1_one():
                     for i in range(lat.n)
                 ]
                 assert h1_dim(lat, lam) == 1
+
+
+# ---------------------------------------------------------------------------
+# the isotropy certificate
+# ---------------------------------------------------------------------------
+
+CENSUS_FIXTURES = {
+    "hessian": lambda: lat_of("hessian"),
+    "monomial(3,3)": lambda: lat_of("monomial", r=3),
+    "braid(5)": lambda: gen_family("braid", ell=5),
+    "diamond": lambda: lat_of("diamond"),
+}
+
+
+@functools.cache
+def _census(name):
+    lat = CENSUS_FIXTURES[name]()
+    return lat, enumerate_first_resonance(lat).components, ResonanceSampler(lat)
+
+
+@pytest.mark.parametrize("name", ["hessian", "braid(5)"])
+def test_certificate_rejects_a_perturbed_basis_row(name):
+    lat, comps, _ = _census(name)
+    nbc = nbc_basis(lat)
+    comp = next(c for c in comps if c.kind == "nonlocal")
+    assert is_isotropic(comp.basis, nbc)
+    _verify_components(lat, [comp])
+    first, *rest = comp.basis
+    for h in range(lat.n):
+        row = list(first)
+        row[h] += 1
+        mutated = replace(comp, basis=(tuple(row), *rest), verified=False)
+        assert not is_isotropic(mutated.basis, nbc), h
+        with pytest.raises(RuntimeError, match="internal error"):
+            _verify_components(lat, [comp, mutated])
+
+
+def test_certificate_refuses_a_line():
+    # a single row is trivially isotropic, but a line is resonant only when
+    # its point is, so the certificate needs dimension two
+    lat, comps, _ = _census("braid(5)")
+    line = replace(comps[0], basis=comps[0].basis[:1])
+    assert is_isotropic(line.basis, nbc_basis(lat))
+    with pytest.raises(RuntimeError, match="internal error"):
+        _verify_components(lat, [line])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_certified_spans_are_resonant_by_the_sampler(seed):
+    # the certificate proves every point of the span resonant; the sampler
+    # route and h1 check one seeded point of every census component
+    rng = random.Random(seed)
+    for name in CENSUS_FIXTURES:
+        lat, comps, sampler = _census(name)
+        for comp in comps:
+            assert comp.verified
+            coeffs = [0] * comp.dim
+            while not any(coeffs):
+                coeffs = [rng.randint(-9, 9) for _ in comp.basis]
+            lam = [
+                sum(c * row[i] for c, row in zip(coeffs, comp.basis))
+                for i in range(lat.n)
+            ]
+            assert sampler.in_resonance_at(lam, k=1), (name, comp.support, lam)
+            assert h1_dim(lat, lam) >= 1, (name, comp.support, lam)
 
 
 def test_enumeration_is_deterministic():
