@@ -16,6 +16,7 @@ with matching local data but different global structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -159,6 +160,14 @@ class Lattice2:
     no stored flat and no parallel pair is an implicit double point.
     `parallel_pairs` lists pairs of lines that never meet; it is empty for
     central arrangements.
+
+    Loading keeps, per hyperplane, a bitmask of the stored flats through
+    it, built in O(sum of flat sizes) bitmask operations.  It checks that
+    two flats share at most one hyperplane, and it answers `flat_of_pair`
+    and `doubles`: a pair lies in the flat its two bitmasks have in common.
+    No map over the C(|f|, 2) pairs of a flat is built, so a command's size
+    cap refuses a large lattice at once.  The bitmasks of the support scan
+    (`flat_masks`, `double_masks`) are built once, on first use.
     """
 
     n: int
@@ -170,24 +179,34 @@ class Lattice2:
             raise ValidationError("lattice needs at least one hyperplane")
         self.flats = [tuple(sorted(set(f))) for f in self.flats]
         self.parallel_pairs = [tuple(sorted(p)) for p in self.parallel_pairs]
-        pair_owner: dict[tuple[int, int], tuple[int, ...]] = {}
-        for flat in self.flats:
+        # hyperplane -> bitmask of the flats through it; a flat that reaches
+        # an earlier flat through two of its members shares their pair
+        through: dict[int, int] = {}
+        for fi, flat in enumerate(self.flats):
             if len(flat) < 3:
                 raise ValidationError("stored flats must have multiplicity >= 3")
             if flat[0] < 0 or flat[-1] >= self.n:
                 raise ValidationError("flat index out of range")
-            for pair in itertools.combinations(flat, 2):
-                if pair in pair_owner:
+            bit, met = 1 << fi, 0
+            for h in flat:
+                earlier = through.get(h, 0)
+                if met & earlier:
+                    pair = next(
+                        (a, b)
+                        for a, b in itertools.combinations(flat, 2)
+                        if through.get(a, 0) & through.get(b, 0) & ~bit
+                    )
                     raise ValidationError(
                         f"pair {pair} lies in two flats; rank-2 flats must "
                         "intersect in at most one hyperplane"
                     )
-                pair_owner[pair] = flat
+                met |= earlier
+                through[h] = earlier | bit
         parallel_set = set()
         for i, j in self.parallel_pairs:
             if not (0 <= i < j < self.n):
                 raise ValidationError("parallel pair index out of range")
-            if (i, j) in pair_owner:
+            if through.get(i, 0) & through.get(j, 0):
                 raise ValidationError("a pair cannot be both parallel and concurrent")
             parallel_set.add((i, j))
         if len(parallel_set) != len(self.parallel_pairs):
@@ -200,8 +219,31 @@ class Lattice2:
                         raise ValidationError(
                             "parallel pairs are not transitively closed"
                         )
-        self._pair_owner = pair_owner
         self._parallel_set = parallel_set
+        self._through = through
+
+    # -- bitmasks of the support scan ----------------------------------------
+
+    @functools.cached_property
+    def flat_masks(self) -> list[int]:
+        """One integer bitmask per stored flat (bit h set for hyperplane h),
+        in the order of `flats`."""
+        return [sum(1 << h for h in flat) for flat in self.flats]
+
+    @functools.cached_property
+    def double_masks(self) -> list[int]:
+        """One bitmask per hyperplane h of its implicit-double neighbours:
+        every other hyperplane that shares no stored flat with h and is not
+        parallel to it.  Built in O(sum of flat sizes + n) mask operations."""
+        blocked = [1 << h for h in range(self.n)]
+        for flat, mask in zip(self.flats, self.flat_masks):
+            for h in flat:
+                blocked[h] |= mask
+        for i, j in self.parallel_pairs:
+            blocked[i] |= 1 << j
+            blocked[j] |= 1 << i
+        full = (1 << self.n) - 1
+        return [full ^ b for b in blocked]
 
     # -- queries --------------------------------------------------------------
 
@@ -215,13 +257,16 @@ class Lattice2:
         pair = (i, j) if i < j else (j, i)
         if pair in self._parallel_set:
             return None
-        return self._pair_owner.get(pair, pair)
+        common = self._through.get(i, 0) & self._through.get(j, 0)
+        return self.flats[common.bit_length() - 1] if common else pair
 
     def doubles(self) -> list[tuple[int, int]]:
         """All implicit double points, as sorted pairs."""
+        through, parallel = self._through, self._parallel_set
         out = []
         for pair in itertools.combinations(range(self.n), 2):
-            if pair not in self._pair_owner and pair not in self._parallel_set:
+            i, j = pair
+            if not through.get(i, 0) & through.get(j, 0) and pair not in parallel:
                 out.append(pair)
         return out
 

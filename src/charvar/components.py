@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Lattice2, ValidationError, _scalar, _union_classes
 from .exactalg import ExactScalar, IntEchelon, clear_denominators, integer_kernel
@@ -241,6 +241,56 @@ def local_components(lat: Lattice2) -> list[Component]:
 # ---------------------------------------------------------------------------
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The bitmask with bit h set for each index h."""
+    mask = 0
+    for h in indices:
+        mask |= 1 << h
+    return mask
+
+
+def _restriction(
+    lat: Lattice2, support: Sequence[int]
+) -> tuple[list[set[int]], list[set[int]]]:
+    """The flats and the double-point atoms of the lattice restricted to the
+    support, in original indices, read off the lattice's bitmasks.
+
+    With S the support's mask, a stored flat f is a flat of the restriction
+    when f & S has at least three members and a double point joining its two
+    members when it has exactly two; the other double neighbours of h in the
+    restriction are `lat.double_masks[h] & S` (parallel pairs are in neither,
+    as in `Lattice2.doubles`).  The flats keep the order of `lat.flats`.  The
+    atoms are the connected components of that graph on S, each grown by a
+    bit-walk from the least member not yet placed, so they come in the order
+    `_union_classes` gives the restriction's classes: ordered by least member.
+    """
+    mask = _mask(support)
+    links = {h: lat.double_masks[h] & mask for h in support}
+    flats: list[set[int]] = []
+    for flat, fmask in zip(lat.flats, lat.flat_masks):
+        cut = fmask & mask
+        size = cut.bit_count()
+        if size >= 3:
+            flats.append({h for h in flat if cut >> h & 1})
+        elif size == 2:
+            i, j = (h for h in flat if cut >> h & 1)
+            links[i] |= 1 << j
+            links[j] |= 1 << i
+    atoms: list[set[int]] = []
+    rest = mask
+    while rest:
+        atom = frontier = rest & -rest
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = links[bit.bit_length() - 1] & ~atom
+            atom |= new
+            frontier |= new
+        rest &= ~atom
+        atoms.append({h for h in support if atom >> h & 1})
+    return flats, atoms
+
+
 def neighborly_partitions(
     lat: Lattice2, support: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -251,17 +301,17 @@ def neighborly_partitions(
     atoms.  Partial assignments are pruned as soon as some flat has all
     but one of its members in one block and a member in another.
     Partitions are yielded as sorted blocks of original indices.
+
+    The restricted lattice is not built: its flats and atoms come from the
+    lattice's bitmasks (`_restriction`), in the order that
+    `lat.restrict(support)` and `_union_classes` of its doubles give them,
+    so the partitions are yielded in that search's order.
     """
     support = tuple(sorted(support))
-    sub = lat.restrict(support)
-    atoms = _union_classes(sub.n, sub.doubles())
+    flats, atoms = _restriction(lat, support)
     if len(atoms) < 3:
         return
-    flats = [set(f) for f in sub.flats]
-    atom_flats: list[list[int]] = []
-    for atom in atoms:
-        touched = [fi for fi, f in enumerate(flats) if f & set(atom)]
-        atom_flats.append(touched)
+    atom_flats = [[fi for fi, f in enumerate(flats) if f & atom] for atom in atoms]
     blocks: list[set[int]] = []
 
     def violated(fi: int) -> bool:
@@ -277,11 +327,9 @@ def neighborly_partitions(
     def extend(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if k == len(atoms):
             if len(blocks) >= 3:
-                yield tuple(
-                    tuple(sorted(support[i] for i in b)) for b in blocks
-                )
+                yield tuple(tuple(sorted(b)) for b in blocks)
             return
-        atom = set(atoms[k])
+        atom = atoms[k]
         for b in range(len(blocks) + 1):
             fresh = b == len(blocks)
             if fresh:
@@ -460,8 +508,17 @@ def _is_subspace(comp: Component, ech: IntEchelon) -> bool:
 
 
 def _drop_contained(components: list[Component]) -> list[Component]:
+    """The components whose span lies in no other component's span.
+
+    A pair (c, d) is skipped before any echelon is cloned when c is nonzero
+    at a coordinate where d is not: every vector in the span of d is zero
+    wherever all of d's basis rows are, so c cannot lie in it."""
     keep = []
     echelons = {id(c): None for c in components}
+    nonzero = {
+        id(c): _mask(i for row in c.basis for i, v in enumerate(row) if v)
+        for c in components
+    }
     n = len(components[0].basis[0]) if components else 0
     for c in components:
         contained = False
@@ -469,6 +526,8 @@ def _drop_contained(components: list[Component]) -> list[Component]:
             if c is d or c.dim > d.dim:
                 continue
             if c.dim == d.dim and c.basis == d.basis:
+                continue
+            if nonzero[id(c)] & ~nonzero[id(d)]:
                 continue
             if echelons[id(d)] is None:
                 echelons[id(d)] = _span_echelon(d, n)

@@ -44,6 +44,53 @@ def test_lattice_validation_rejects_overlapping_flats():
         Lattice2(5, [(0, 1, 2), (0, 1, 3)])
 
 
+def test_lattice_validation_names_the_least_shared_pair():
+    # the fourth flat meets the first in (1, 2), the second in (5, 6) and
+    # the third in (0, 6): the message names the least pair it shares
+    with pytest.raises(ValidationError, match=r"pair \(0, 6\) lies in two flats"):
+        Lattice2(8, [(1, 2, 7), (4, 5, 6), (0, 3, 6), (0, 1, 2, 5, 6)])
+    with pytest.raises(ValidationError, match=r"pair \(1, 2\) lies in two flats"):
+        Lattice2(8, [(1, 2, 7), (4, 5, 6), (1, 2, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=3, max_size=5), max_size=5))
+def test_flat_bitmasks_agree_with_a_pair_map(flats):
+    # a pair-to-flat map meets shared pairs flat by flat, each flat's pairs
+    # in lexicographic order; the per-hyperplane flat bitmasks must refuse
+    # exactly the same inputs, name the same pair, and otherwise find the
+    # same flat of every pair
+    owner, shared = {}, None
+    for flat in map(tuple, map(sorted, flats)):
+        for pair in itertools.combinations(flat, 2):
+            if pair in owner:
+                shared = pair
+                break
+            owner[pair] = flat
+        if shared:
+            break
+    if shared is None:
+        lat = Lattice2(8, flats)
+        pairs = list(itertools.combinations(range(8), 2))
+        assert [lat.flat_of_pair(j, i) for i, j in pairs] == [
+            owner.get(pair, pair) for pair in pairs
+        ]
+        assert lat.doubles() == [pair for pair in pairs if pair not in owner]
+    else:
+        with pytest.raises(ValidationError) as excinfo:
+            Lattice2(8, flats)
+        assert str(excinfo.value).startswith(f"pair {shared} lies in two flats;")
+
+
+def test_lattice_masks_mark_flats_and_double_neighbours():
+    lat = Lattice2(5, [(0, 1, 2)], parallel_pairs=[(3, 4)])
+    assert lat.flat_masks == [0b00111]
+    assert lat.double_masks == [0b11000, 0b11000, 0b11000, 0b00111, 0b00111]
+    for h in range(lat.n):
+        partners = {j for pair in lat.doubles() if h in pair for j in pair if j != h}
+        assert {j for j in range(lat.n) if lat.double_masks[h] >> j & 1} == partners
+
+
 def test_lattice_validation_rejects_small_flats():
     with pytest.raises(ValidationError):
         Lattice2(4, [(0, 1)])

@@ -562,6 +562,38 @@ def test_member_refuses_a_large_lattice_quickly(capsys, tmp_path):
     assert "(got 100000)" in err
 
 
+def test_one_flat_of_every_line_is_refused_before_its_pairs_are_mapped(
+    capsys, tmp_path
+):
+    # one flat through all 2000 lines holds C(2000, 2) pairs; loading maps
+    # none of them, so both caps refuse at once
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"n": 2000, "flats": [list(range(1, 2001))]}))
+    refusals = {
+        ("member", str(path), "--point=1,-1"): (
+            f"error: member on arrangement or lattice input is limited to "
+            f"{MEMBER_HYPERPLANE_CAP} hyperplanes (got 2000)\n"
+        ),
+        ("components", str(path)): (
+            f"error: arrangement has 2000 hyperplanes, enumeration cap is {DEFAULT_CAP}\n"
+        ),
+    }
+    for argv, message in refusals.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv[0]
+        assert (code, out, err) == (3, "", message)
+
+
+def test_flats_sharing_a_pair_are_a_validation_error(capsys, tmp_path):
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps({"n": 4, "flats": [[1, 2, 3], [1, 2, 4]]}))
+    for command in ("lattice", "components"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "lies in two flats" in err
+
+
 def test_member_arity_mismatch_is_a_validation_error(capsys, monodromy_file):
     code, _, err = run(capsys, "member", monodromy_file, "--point=1,1,1")
     assert code == 2

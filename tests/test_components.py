@@ -42,6 +42,10 @@ from charvar.components import (
     product_components,
     resonance_from_json,
     resonance_to_json,
+    _drop_contained,
+    _is_subspace,
+    _restriction,
+    _span_echelon,
     _union_classes,
     saturated_span,
     _verify_components,
@@ -49,6 +53,9 @@ from charvar.components import (
 from charvar.exactalg import hermite_normal_form, rational_rref
 from charvar.osres import ResonanceSampler, h1_dim, nbc_basis, pair_list
 from osres_reference import projection
+
+import charvar.components as components_module
+import components_reference
 
 
 def lat_of(name, **kw):
@@ -292,8 +299,8 @@ def test_component_from_json_needs_equations():
 
 
 def test_union_classes_are_ascending_and_ordered_by_least_member():
-    # one helper builds the parallel classes of `cone_lattice` and the
-    # double-point atoms of `neighborly_partitions`, in this order
+    # one helper builds the parallel classes of `cone_lattice`; the
+    # double-point atoms of `neighborly_partitions` come in the same order
     assert _union_classes(7, [(4, 1), (6, 3), (3, 0), (5, 5)]) == [
         [0, 3, 6],
         [1, 4],
@@ -434,6 +441,159 @@ def test_partition_tangent_space_matches_rational_reference(name):
                 assert got == _reference_tangent_space(lat, blocks), blocks
                 count += 1
     assert count == REFERENCE_PARTITION_COUNTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the bitmask support scan against the restricted lattice
+# ---------------------------------------------------------------------------
+
+
+def _affine_diamond():
+    return lattice_from_affine(decone(gen_family("diamond"), at=1).arrangement)
+
+
+def _assert_scan_matches_restriction(lat, support):
+    support = sorted(support)
+    sub = lat.restrict(support)
+    flats, atoms = _restriction(lat, support)
+    assert flats == [{support[i] for i in f} for f in sub.flats], support
+    assert [sorted(a) for a in atoms] == components_reference.restricted_atoms(
+        lat, support
+    ), support
+    got = list(neighborly_partitions(lat, support))
+    assert got == list(components_reference.neighborly_partitions(lat, support)), support
+    return len(got)
+
+
+SCAN_FIXTURES = {
+    "diamond": lambda: lat_of("diamond"),
+    "braid(5)": lambda: gen_family("braid", ell=5),
+    "monomial(3,3)": lambda: lat_of("monomial", r=3),
+    "coned affine diamond": lambda: cone_lattice(_affine_diamond()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_support_scan_matches_the_restricted_lattice_on_every_support(name):
+    lat = SCAN_FIXTURES[name]()
+    yielded = 0
+    for size in range(1, lat.n + 1):
+        for support in itertools.combinations(range(lat.n), size):
+            yielded += _assert_scan_matches_restriction(lat, support)
+    assert yielded > 0
+
+
+@pytest.mark.parametrize("name", ["hessian", "monomial(4,3)"])
+def test_support_scan_matches_the_restricted_lattice_on_seeded_supports(name):
+    lat = lat_of("hessian") if name == "hessian" else lat_of("monomial", r=4)
+    rng = random.Random(f"scan:{name}")
+    yielded = 0
+    for _ in range(200):
+        # each hyperplane in or out with even odds: supports of every size,
+        # weighted as the census meets them
+        support = [h for h in range(lat.n) if rng.random() < 0.5]
+        yielded += _assert_scan_matches_restriction(lat, support)
+    assert yielded > 0
+
+
+def test_support_scan_keeps_parallel_pairs_apart():
+    # parallel lines meet nowhere: they are no double point, so they join no
+    # atom, exactly as `Lattice2.doubles` leaves them out
+    lat = _affine_diamond()
+    assert lat.parallel_pairs
+    yielded = 0
+    for size in range(1, lat.n + 1):
+        for support in itertools.combinations(range(lat.n), size):
+            yielded += _assert_scan_matches_restriction(lat, support)
+    assert yielded > 0
+    # the four lines of two parallel classes: no flat and no double among
+    # (0, 5) and (2, 3), and every cross pair a double, so one atom
+    flats, atoms = _restriction(lat, (0, 2, 3, 5))
+    assert (flats, atoms) == ([], [{0, 2, 3, 5}])
+    pair = Lattice2(4, [], parallel_pairs=[(0, 1), (2, 3)])
+    assert _restriction(pair, range(4)) == ([], [{0, 1, 2, 3}])
+    assert list(neighborly_partitions(pair, range(4))) == []
+
+
+def _nonzero(comp):
+    return {i for row in comp.basis for i, v in enumerate(row) if v}
+
+
+def _echelon_candidates(lat, monkeypatch):
+    """Every list of candidates the enumeration hands to `_drop_contained`."""
+    seen = []
+    original = components_module._drop_contained
+
+    def spy(candidates):
+        seen.append(list(candidates))
+        return original(candidates)
+
+    monkeypatch.setattr(components_module, "_drop_contained", spy)
+    enumerate_first_resonance(lat)
+    monkeypatch.undo()
+    return seen
+
+
+def test_containment_prefilter_is_sound_on_census_candidates(monkeypatch):
+    contained = skipped = 0
+    for lat in (
+        lat_of("hessian"),
+        gen_family("braid", ell=5),
+        lat_of("monomial", r=4),
+    ):
+        (candidates,) = _echelon_candidates(lat, monkeypatch)
+        for d in candidates:
+            echelon = _span_echelon(d, lat.n)
+            for c in candidates:
+                if c is d or c.dim > d.dim:
+                    continue
+                if _is_subspace(c, echelon):
+                    contained += 1
+                    assert _nonzero(c) <= _nonzero(d), (c.support, d.support)
+                elif not _nonzero(c) <= _nonzero(d):
+                    skipped += 1
+        assert _drop_contained(candidates) == components_reference.drop_contained(
+            candidates
+        )
+    assert contained > 0 and skipped > 0
+
+
+def test_containment_prefilter_is_sound_on_seeded_bases():
+    rng = random.Random(20261019)
+    n = 8
+    spans = []
+    for _ in range(60):
+        support = rng.sample(range(n), rng.randint(2, n))
+        dim = rng.randint(1, len(support) - 1)
+        rows = []
+        for _ in range(dim):
+            row = [0] * n
+            for h in support:
+                row[h] = rng.randint(-2, 2)
+            rows.append(row)
+        spans.append(rows)
+        # a subspace of it, so that containment happens
+        mix = [sum(rng.randint(-2, 2) * r[i] for r in rows) for i in range(n)]
+        spans.append([mix])
+    comps = [
+        Component(
+            kind="nonlocal",
+            support=tuple(sorted({i for r in rows for i, v in enumerate(r) if v})),
+            blocks=(),
+            basis=tuple(tuple(r) for r in saturated_span(rows, n)),
+        )
+        for rows in spans
+        if any(any(r) for r in rows)
+    ]
+    contained = 0
+    for d in comps:
+        echelon = _span_echelon(d, n)
+        for c in comps:
+            if _is_subspace(c, echelon):
+                contained += c is not d
+                assert _nonzero(c) <= _nonzero(d)
+    assert contained > 0
+    assert _drop_contained(comps) == components_reference.drop_contained(comps)
 
 
 # ---------------------------------------------------------------------------
