@@ -31,7 +31,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .alexander import (
@@ -535,20 +535,23 @@ def _fixture_lattice(name: str, **kw) -> Lattice2:
     return _arrangement_lattice(obj)
 
 
-def _check_census(lat, total, by_dim, essential):
-    """by_dim maps dim -> (local, nonlocal)."""
-    res = enumerate_first_resonance(lat, cap=20)
+def _check_census(lat, cap, want=None):
+    """Every component verified and none flagged; with `want` = (total,
+    {dim: (local, nonlocal)}, essential), also that census."""
+    res = enumerate_first_resonance(lat, cap=cap)
     census = _census(res, lat.n)
-    got_by_dim = {
-        row["dim"]: (row["local"], row["nonlocal"]) for row in census["by_dim"]
-    }
-    ok = (
-        census["total"] == total
-        and got_by_dim == by_dim
-        and census["essential"] == essential
-        and not census["flagged"]
-        and all(comp.verified for comp in res.components)
-    )
+    ok = not census["flagged"] and all(comp.verified for comp in res.components)
+    if want is not None:
+        total, by_dim, essential = want
+        got_by_dim = {
+            row["dim"]: (row["local"], row["nonlocal"]) for row in census["by_dim"]
+        }
+        ok = (
+            ok
+            and census["total"] == total
+            and got_by_dim == by_dim
+            and census["essential"] == essential
+        )
     return ok, _census_line(census)
 
 
@@ -656,13 +659,7 @@ def _check_identity_rank(fixtures):
     return ok, "rank at the identity equals b2: " + ", ".join(details)
 
 
-def _check_monodromy_identity_rank():
-    items = [
-        ("diamond", load_monodromy("diamond_monodromy")),
-        ("braid4_affine", load_monodromy("braid4_affine_monodromy")),
-        ("pencil(4)", pencil_monodromy(4)),
-        ("grid(2,2)", grid_monodromy(2, 2)),
-    ]
+def _check_monodromy_identity_rank(items):
     details = []
     ok = True
     for label, m in items:
@@ -672,8 +669,8 @@ def _check_monodromy_identity_rank():
     return ok, "presentation rank at the identity equals b2: " + ", ".join(details)
 
 
-def _check_transpose(args, fixtures):
-    rng = _rng(args, "transpose")
+def _check_transpose(args, fixtures, label):
+    rng = _rng(args, label)
     ok = True
     for _label, lat in fixtures:
         for _ in range(args.samples):
@@ -719,13 +716,23 @@ def _default_checks(args) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     }
     transpose = [(label, lattices[label]) for label in _TRANSPOSE_FIXTURES]
     checks = [
-        (f"census {label}", lambda lat=lattices[label], w=want: _check_census(lat, *w))
+        (f"census {label}", partial(_check_census, lattices[label], 20, want))
         for label, want in _REPORT_CENSUS.items()
     ]
     return checks + [
         ("identity rank bridge", lambda: _check_identity_rank(lattices.items())),
-        ("identity rank (monodromy)", _check_monodromy_identity_rank),
-        ("resonance transpose", lambda: _check_transpose(args, transpose)),
+        (
+            "identity rank (monodromy)",
+            lambda: _check_monodromy_identity_rank(
+                [
+                    ("diamond", load_monodromy("diamond_monodromy")),
+                    ("braid4_affine", load_monodromy("braid4_affine_monodromy")),
+                    ("pencil(4)", pencil_monodromy(4)),
+                    ("grid(2,2)", grid_monodromy(2, 2)),
+                ]
+            ),
+        ),
+        ("resonance transpose", lambda: _check_transpose(args, transpose, "transpose")),
         ("membership diamond", lambda: _check_diamond_membership(args)),
         ("membership pencil(4)", lambda: _check_pencil_membership(args, 4)),
         ("membership pencil(5)", lambda: _check_pencil_membership(args, 5)),
@@ -737,44 +744,24 @@ def _file_checks(
     args, path: str
 ) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     kind, value = _load_input(path)
-    checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     if kind == "monodromy":
-        m = value
-
-        def rank_check():
-            got = membership(m, [Fraction(1)] * m.n, 1).rank
-            return got == m.b2, f"rank {got}, b2 {m.b2}"
-
-        checks.append((f"{path}: identity rank", rank_check))
-        return checks
+        item = [(path, value)]
+        return [(f"{path}: identity rank", partial(_check_monodromy_identity_rank, item))]
     lattices = value if kind == "pair" else (_as_lattice(kind, value),)
     tags = ("A", "B") if kind == "pair" else ("",)
+    checks = []
     for tag, lat in zip(tags, lattices):
         label = f"{path}{' ' + tag if tag else ''}"
-
-        def census_check(lat=lat):
-            res, coned_lat, _coned = _enumerate_with_cone(lat, args.cap)
-            census = _census(res, coned_lat.n)
-            ok = all(comp.verified for comp in res.components) and not census["flagged"]
-            return ok, _census_line(census)
-
-        def bridge_check(lat=lat):
-            work = cone_lattice(lat) if lat.parallel_pairs else lat
-            got = phi_one_rank(work)
-            return got == b2(work), f"rank {got}, b2 {b2(work)}"
-
-        def transpose_check(lat=lat, label=label):
-            work = cone_lattice(lat) if lat.parallel_pairs else lat
-            rng = _rng(args, f"transpose:{label}")
-            for _ in range(args.samples):
-                lam = [rng.randint(-5, 5) for _ in range(work.n)]
-                if resonance_rank(work, lam) != resonance_rank_os(work, lam):
-                    return False, "stacked and multiplication-map ranks disagree"
-            return True, f"{args.samples} seeded weights agree"
-
-        checks.append((f"{label}: census", census_check))
-        checks.append((f"{label}: identity rank bridge", bridge_check))
-        checks.append((f"{label}: resonance transpose", transpose_check))
+        work = cone_lattice(lat) if lat.parallel_pairs else lat
+        item = [(label, work)]
+        checks += [
+            (f"{label}: census", partial(_check_census, work, args.cap)),
+            (f"{label}: identity rank bridge", partial(_check_identity_rank, item)),
+            (
+                f"{label}: resonance transpose",
+                partial(_check_transpose, args, item, f"transpose:{label}"),
+            ),
+        ]
     return checks
 
 

@@ -6,19 +6,22 @@ three or more contributes a local component: weights supported on the
 flat that sum to zero.  The remaining components come from neighborly
 partitions of subarrangements: a partition of a support set is neighborly
 when every block that contains all but one hyperplane of a flat of the
-restricted lattice contains the whole flat.  The candidate subspace of a
-neighborly partition is cut out by the total sum and by the sums over the
-polychrome flats (those meeting several blocks); it is kept when it has
-dimension at least two and the pairing form vanishes on it.  The pairing
-form is vector-valued: one alternating coordinate per pair of hyperplanes
-sharing a block, each a two-by-two determinant of weight entries, and
-every coordinate must vanish identically.  Candidates of dimension at
-least two whose form does not vanish are reported separately rather than
-silently dropped.
+restricted lattice contains the whole flat.  The restricted lattice is
+never built: each support's flats and double-point atoms are read off the
+lattice's bitmasks (`_restriction`), for the partition search and for the
+tangent solve alike.  The candidate subspace of a neighborly partition is
+cut out by the total sum and by the sums over the polychrome flats (those
+meeting several blocks); it is kept when it has dimension at least two and
+the pairing form vanishes on it.  The pairing form is vector-valued: one
+alternating coordinate per pair of hyperplanes sharing a block, each a
+two-by-two determinant of weight entries, and every coordinate must vanish
+identically.  Candidates of dimension at least two whose form does not
+vanish are reported separately rather than silently dropped.
 
 Every emitted component is proved resonant on its whole span by an exact
 isotropy certificate: the Orlik-Solomon product u v vanishes in degree two
-for every pair of basis rows (see `is_isotropic`).
+for every pair of basis rows, read off the multiplication map that also
+gives the resonance rank (see `is_isotropic`).
 
 Each component exponentiates to a subtorus of the character torus cut out
 by integer monomial equations; those are read off as the saturated
@@ -27,13 +30,14 @@ integer kernel of the tangent basis, in Hermite normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Lattice2, ValidationError, _scalar, _union_classes
 from .exactalg import ExactScalar, IntEchelon, clear_denominators, integer_kernel
-from .osres import NbcBasis, nbc_basis, pair_list
+from .osres import _multiplication_columns
 
 
 class CapExceeded(Exception):
@@ -88,6 +92,11 @@ class Component:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def _nonzero_mask(self) -> int:
+        """Bitmask of the coordinates where some basis row is nonzero."""
+        return _mask(i for row in self.basis for i, v in enumerate(row) if v)
 
     def torus_equations(self) -> list[list[int]]:
         """Integer exponent vectors cutting out the exponentiated subtorus.
@@ -215,7 +224,11 @@ def cone_lattice(lat: Lattice2) -> Lattice2:
 
 def local_components(lat: Lattice2) -> list[Component]:
     """One component per rank-2 flat of multiplicity at least three:
-    weights supported on the flat summing to zero."""
+    weights supported on the flat summing to zero.
+
+    The rows e_i - e_last, for i in the flat before its last member, have
+    unit pivots and zeros above every pivot, so they are already the
+    Hermite normal form of their saturated lattice."""
     out = []
     for flat in sorted(lat.flats):
         last = flat[-1]
@@ -224,14 +237,9 @@ def local_components(lat: Lattice2) -> list[Component]:
             row = [0] * lat.n
             row[i] = 1
             row[last] = -1
-            rows.append(row)
+            rows.append(tuple(row))
         out.append(
-            Component(
-                kind="local",
-                support=tuple(flat),
-                blocks=(),
-                basis=tuple(tuple(r) for r in saturated_span(rows, lat.n)),
-            )
+            Component(kind="local", support=tuple(flat), blocks=(), basis=tuple(rows))
         )
     return out
 
@@ -263,7 +271,11 @@ def _restriction(
     atoms are the connected components of that graph on S, each grown by a
     bit-walk from the least member not yet placed, so they come in the order
     `_union_classes` gives the restriction's classes: ordered by least member.
+    The support must be ascending; an index outside 0..n-1 is refused.
     """
+    if support and not (0 <= support[0] and support[-1] < lat.n):
+        bad = support[0] if support[0] < 0 else support[-1]
+        raise ValidationError(f"hyperplane index {bad} out of range 0..{lat.n - 1}")
     mask = _mask(support)
     links = {h: lat.double_masks[h] & mask for h in support}
     flats: list[set[int]] = []
@@ -352,38 +364,38 @@ def partition_tangent_space(
     """Tangent subspace of a neighborly partition, as canonical basis rows
     (Hermite normal form of the saturated integer lattice of the span).
 
-    The support is the union of the blocks.  Constraints: zero off the
-    support, total sum zero, and sum zero over every polychrome flat of
-    the restricted lattice.  All are 0/1 rows, so the tangent lattice is
-    their saturated integer kernel.  Raises if the partition is not
-    neighborly.
+    The support is the union of the blocks, restricted as in the partition
+    search (`_restriction`).  The partition is neighborly when every
+    double-point atom lies in one block (a split atom splits one of its
+    double points) and no restricted flat has all but one member in one
+    block and its last member in another; otherwise this raises.  The
+    constraints are the total sum and the sums over the polychrome flats,
+    0/1 rows on the support's columns, so the tangent lattice is their
+    saturated integer kernel there, padded with zeros off the support.  The
+    support is ascending, so the padded rows stay in Hermite normal form.
     """
     support = tuple(sorted(set(itertools.chain.from_iterable(blocks))))
     if len(support) != sum(len(b) for b in blocks):
         raise ValidationError("blocks must be disjoint")
-    sub = lat.restrict(support)
-    pos = {h: i for i, h in enumerate(support)}
-    block_sets = [set(pos[h] for h in b) for b in blocks]
-    classes = [set(f) for f in sub.flats] + [set(d) for d in sub.doubles()]
-    on_support = set(support)
-    constraints = [[1 if h in on_support else 0 for h in range(lat.n)]]
-    for h in range(lat.n):
-        if h not in on_support:
-            row = [0] * lat.n
-            row[h] = 1
-            constraints.append(row)
-    for cls in classes:
-        counts = [len(cls & b) for b in block_sets]
-        size = len(cls)
-        if max(counts) == size:
+    flats, atoms = _restriction(lat, support)
+    block_sets = [set(b) for b in blocks]
+    if not all(any(atom <= b for b in block_sets) for atom in atoms):
+        raise ValidationError("partition is not neighborly for this lattice")
+    constraints = [[1] * len(support)]
+    for flat in flats:
+        counts = [len(flat & b) for b in block_sets]
+        if max(counts) == len(flat):
             continue  # monochrome flat imposes nothing
-        if any(c >= size - 1 for c in counts):
+        if any(c >= len(flat) - 1 for c in counts):
             raise ValidationError("partition is not neighborly for this lattice")
-        row = [0] * lat.n
-        for i in cls:
-            row[support[i]] = 1
-        constraints.append(row)
-    return integer_kernel(constraints, lat.n)
+        constraints.append([int(h in flat) for h in support])
+    out = []
+    for row in integer_kernel(constraints, len(support)):
+        full = [0] * lat.n
+        for h, v in zip(support, row):
+            full[h] = v
+        out.append(full)
+    return out
 
 
 def _nonvanishing_pairs(
@@ -467,23 +479,13 @@ def enumerate_first_resonance(
                 if len(basis_rows) < 2:
                     continue
                 key = tuple(tuple(r) for r in basis_rows)
+                comp = Component(
+                    kind="nonlocal", support=support, blocks=blocks, basis=key
+                )
                 if pairing_form_vanishes(blocks, basis_rows):
-                    if key not in seen:
-                        seen[key] = Component(
-                            kind="nonlocal",
-                            support=support,
-                            blocks=blocks,
-                            basis=key,
-                        )
+                    seen.setdefault(key, comp)
                 else:
-                    flagged_raw.append(
-                        Component(
-                            kind="nonlocal",
-                            support=support,
-                            blocks=blocks,
-                            basis=key,
-                        )
-                    )
+                    flagged_raw.append(comp)
     survivors = _verify_components(lat, _drop_contained(list(seen.values())))
     locals_out = [c for c in survivors if c.kind == "local"]
     nonlocals_out = sorted(
@@ -507,78 +509,68 @@ def _is_subspace(comp: Component, ech: IntEchelon) -> bool:
     return probe.add_rows([list(r) for r in comp.basis]) == 0
 
 
-def _drop_contained(components: list[Component]) -> list[Component]:
-    """The components whose span lies in no other component's span.
+def _lies_in(c: Component, d: Component, echelons: dict[int, IntEchelon]) -> bool:
+    """Whether the span of c lies in the span of d.
 
-    A pair (c, d) is skipped before any echelon is cloned when c is nonzero
-    at a coordinate where d is not: every vector in the span of d is zero
-    wherever all of d's basis rows are, so c cannot lie in it."""
-    keep = []
-    echelons = {id(c): None for c in components}
-    nonzero = {
-        id(c): _mask(i for row in c.basis for i, v in enumerate(row) if v)
+    The pair is ruled out before any echelon is built when c has the larger
+    dimension or is nonzero at a coordinate where d is not: every vector in
+    the span of d is zero wherever all of d's basis rows are.  Otherwise d's
+    span echelon is built once, into `echelons` by id, and cloned."""
+    if c.dim > d.dim or c._nonzero_mask & ~d._nonzero_mask:
+        return False
+    if id(d) not in echelons:
+        echelons[id(d)] = _span_echelon(d, len(d.basis[0]))
+    return _is_subspace(c, echelons[id(d)])
+
+
+def _drop_contained(components: list[Component]) -> list[Component]:
+    """The components whose span lies in no other component's span."""
+    echelons: dict[int, IntEchelon] = {}
+    return [
+        c
         for c in components
-    }
-    n = len(components[0].basis[0]) if components else 0
-    for c in components:
-        contained = False
-        for d in components:
-            if c is d or c.dim > d.dim:
-                continue
-            if c.dim == d.dim and c.basis == d.basis:
-                continue
-            if nonzero[id(c)] & ~nonzero[id(d)]:
-                continue
-            if echelons[id(d)] is None:
-                echelons[id(d)] = _span_echelon(d, n)
-            if _is_subspace(c, echelons[id(d)]):
-                contained = True
-                break
-        if not contained:
-            keep.append(c)
-    return keep
+        if not any(
+            d is not c and _lies_in(c, d, echelons) and c.basis != d.basis
+            for d in components
+        )
+    ]
 
 
 def _filter_flagged(
     flagged: list[Component], survivors: list[Component]
 ) -> list[Component]:
-    if not flagged:
-        return []
-    n = len(flagged[0].basis[0])
-    echelons = [_span_echelon(c, n) for c in survivors]
+    """The flagged candidates, once per basis, that lie in no survivor."""
+    echelons: dict[int, IntEchelon] = {}
     out = []
     seen_keys = set()
     for cand in flagged:
         if cand.basis in seen_keys:
             continue
-        if any(_is_subspace(cand, ech) for ech in echelons):
+        if any(_lies_in(cand, d, echelons) for d in survivors):
             continue
         seen_keys.add(cand.basis)
         out.append(cand)
     return out
 
 
-def is_isotropic(basis: Sequence[Sequence[int]], nbc: NbcBasis) -> bool:
+def is_isotropic(lat: Lattice2, basis: Sequence[Sequence[int]]) -> bool:
     """Whether the Orlik-Solomon product u v is zero in degree two for
     every pair of rows u, v of an integer basis.
 
-    The product has wedge coordinates u_i v_j - u_j v_i on the 2-subsets,
-    which the no-broken-circuit projection maps into A^2; every coordinate
-    of the image must vanish.  The product is bilinear and alternating, so
-    the span is then isotropic, and an isotropic subspace V of dimension at
-    least two lies in the first resonance variety: every nonzero a in V has
-    an independent b in V with a b = 0, so H^1(A, a) is nonzero.
+    Each column of the multiplication map by u (`_multiplication_columns`,
+    the map `resonance_rank` ranks) holds one no-broken-circuit coordinate
+    of u e_i for every hyperplane i, so its pairing with v is that
+    coordinate of u v; every one must vanish.  The product is bilinear and
+    alternating, so the span is then isotropic, and an isotropic subspace V
+    of dimension at least two lies in the first resonance variety: every
+    nonzero a in V has an independent b in V with a b = 0, so H^1(A, a) is
+    nonzero.
     """
-    pairs = pair_list(nbc.n)
-    for u, v in itertools.combinations(basis, 2):
-        image = [0] * nbc.dimension
-        for (i, j), column in zip(pairs, nbc.columns):
-            w = u[i] * v[j] - u[j] * v[i]
-            if w:
-                for r, coeff in column:
-                    image[r] += coeff * w
-        if any(image):
-            return False
+    for k, u in enumerate(basis[:-1]):
+        for col in _multiplication_columns(lat, u):
+            for v in basis[k + 1 :]:
+                if sum(entry * v[h] for h, entry in col.items()):
+                    return False
     return True
 
 
@@ -588,12 +580,9 @@ def _verify_components(
     """Certify each component resonant on its whole span: dimension at least
     two and an isotropic basis.  Returns copies marked verified; raises if
     any component fails, since the enumeration must never emit a wrong one."""
-    if not components:
-        return []
-    nbc = nbc_basis(lat)
     out = []
     for comp in components:
-        if comp.dim < 2 or not is_isotropic(comp.basis, nbc):
+        if comp.dim < 2 or not is_isotropic(lat, comp.basis):
             raise RuntimeError(
                 "internal error: enumerated component failed the "
                 f"isotropy certificate (kind={comp.kind}, "

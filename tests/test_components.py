@@ -55,6 +55,7 @@ from charvar.osres import ResonanceSampler, h1_dim, nbc_basis, pair_list
 from osres_reference import projection
 
 import charvar.components as components_module
+import charvar.osres as osres_module
 import components_reference
 
 
@@ -365,9 +366,24 @@ def test_partition_tangent_space_matches_component():
 
 def test_partition_tangent_space_rejects_non_neighborly():
     lat = lat_of("diamond")
-    # flat (0, 3, 5) has two members in the first block and one outside
-    with pytest.raises(ValidationError, match="neighborly"):
-        partition_tangent_space(lat, ((0, 3), (5,), (1, 2, 4, 6)))
+    for blocks in (
+        # flat (0, 3, 5) has two members in the first block and one outside
+        ((0, 3), (5,), (1, 2, 4, 6)),
+        # (1, 2) is a double point of the restriction to {0, 1, 2, 3, 4, 6},
+        # split across two blocks; every triple point there is polychrome
+        ((0, 3), (1,), (2,), (4, 6)),
+    ):
+        with pytest.raises(ValidationError, match="neighborly"):
+            partition_tangent_space(lat, blocks)
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_support_indices_out_of_range_are_refused(bad):
+    lat = lat_of("diamond")
+    with pytest.raises(ValidationError, match=f"index {bad} out of range"):
+        list(neighborly_partitions(lat, (0, 1, 2, 3, 4, bad)))
+    with pytest.raises(ValidationError, match=f"index {bad} out of range"):
+        partition_tangent_space(lat, ((0, 3), (1, 2), (4, bad)))
 
 
 def test_partition_tangent_space_rejects_overlapping_blocks():
@@ -920,12 +936,13 @@ def _net_span(blocks, n: int) -> tuple[list[int], list[int]]:
     return [a - b for a, b in zip(u[0], u[1])], [a - b for a, b in zip(u[1], u[2])]
 
 
-def _wedge_in_os_degree_two(lat: Lattice2, v, w) -> list[int]:
-    """v ^ w in the Orlik-Solomon algebra, in no-broken-circuit coordinates."""
+def _wedge_in_os_degree_two(lat: Lattice2, v, w, proj=None) -> list[int]:
+    """v ^ w in the Orlik-Solomon algebra, in no-broken-circuit coordinates;
+    `proj` is `projection(nbc_basis(lat))`, built here when not given."""
     wedge = [v[i] * w[j] - v[j] * w[i] for i, j in pair_list(lat.n)]
-    return [
-        sum(c * x for c, x in zip(row, wedge)) for row in projection(nbc_basis(lat))
-    ]
+    if proj is None:
+        proj = projection(nbc_basis(lat))
+    return [sum(c * x for c, x in zip(row, wedge)) for row in proj]
 
 
 def test_monomial4_nets_are_certified_components():
@@ -1041,18 +1058,78 @@ def _census(name):
 @pytest.mark.parametrize("name", ["hessian", "braid(5)"])
 def test_certificate_rejects_a_perturbed_basis_row(name):
     lat, comps, _ = _census(name)
-    nbc = nbc_basis(lat)
     comp = next(c for c in comps if c.kind == "nonlocal")
-    assert is_isotropic(comp.basis, nbc)
+    assert is_isotropic(lat, comp.basis)
     _verify_components(lat, [comp])
     first, *rest = comp.basis
     for h in range(lat.n):
         row = list(first)
         row[h] += 1
         mutated = replace(comp, basis=(tuple(row), *rest), verified=False)
-        assert not is_isotropic(mutated.basis, nbc), h
+        assert not is_isotropic(lat, mutated.basis), h
         with pytest.raises(RuntimeError, match="internal error"):
             _verify_components(lat, [comp, mutated])
+
+
+@pytest.mark.parametrize("name", ["hessian", "braid(5)", "diamond"])
+def test_certificate_agrees_with_the_projected_wedge(name):
+    # the multiplication-map product of `is_isotropic` against the wedge
+    # projected through the no-broken-circuit basis, on every pair of basis
+    # rows of every component and on each single-entry perturbation of it
+    lat, comps, _ = _census(name)
+    proj = projection(nbc_basis(lat))
+    verdicts = []
+    for comp in comps:
+        assert is_isotropic(lat, comp.basis)
+        for u, v in itertools.combinations(comp.basis, 2):
+            pairs = [(u, v)]
+            for h in range(lat.n):
+                bumped = [list(u), list(v)]
+                for row in bumped:
+                    row[h] += 1
+                pairs += [(bumped[0], v), (u, bumped[1])]
+            for a, b in pairs:
+                want = not any(_wedge_in_os_degree_two(lat, a, b, proj))
+                assert is_isotropic(lat, [a, b]) == want, (comp.support, a, b)
+                verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+# every family with a flat of multiplicity three (generic lines have none)
+LOCAL_FAMILIES = {
+    "braid(4)": lambda: gen_family("braid", ell=4),
+    "braid(5)": lambda: gen_family("braid", ell=5),
+    "monomial(3,3)": lambda: lat_of("monomial", r=3),
+    "monomial(4,3)": lambda: lat_of("monomial", r=4),
+    "full_monomial(2,3)": lambda: lat_of("full_monomial", r=2),
+    "hessian": lambda: lat_of("hessian"),
+    "diamond": lambda: lat_of("diamond"),
+    "pencil(5)": lambda: gen_family("pencil", n=5),
+    "falk A": lambda: gen_family("falk_pair")[0],
+    "falk B": lambda: gen_family("falk_pair")[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_FAMILIES))
+def test_local_bases_are_saturated_hermite_forms(name):
+    lat = LOCAL_FAMILIES[name]()
+    assert lat.flats
+    for comp in local_components(lat):
+        rows = [list(r) for r in comp.basis]
+        assert saturated_span(rows, lat.n) == rows, comp.support
+
+
+def test_census_builds_no_restriction_projection_or_second_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called during the census")
+
+    lat = lat_of("hessian")
+    monkeypatch.setattr(Lattice2, "restrict", refuse)
+    monkeypatch.setattr(osres_module, "nbc_basis", refuse)
+    monkeypatch.setattr(components_module, "saturated_span", refuse)
+    assert not hasattr(components_module, "nbc_basis")
+    res = enumerate_first_resonance(lat)
+    assert len(res.components) == 64 and not res.flagged
 
 
 def test_certificate_refuses_a_line():
@@ -1060,7 +1137,7 @@ def test_certificate_refuses_a_line():
     # its point is, so the certificate needs dimension two
     lat, comps, _ = _census("braid(5)")
     line = replace(comps[0], basis=comps[0].basis[:1])
-    assert is_isotropic(line.basis, nbc_basis(lat))
+    assert is_isotropic(lat, line.basis)
     with pytest.raises(RuntimeError, match="internal error"):
         _verify_components(lat, [line])
 
