@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactalg import ExactScalar, root_of_unity
+from .exactalg import (
+    ExactScalar,
+    clear_denominators,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 
 
 class ValidationError(ValueError):
@@ -39,30 +44,6 @@ def _scalar(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
     return ExactScalar.from_rational(Fraction(value))
-
-
-def _value_key(values: Iterable[ExactScalar], order: int) -> tuple:
-    """A hashable key, equal for equal values whose orders divide `order`.
-
-    ExactScalar keeps no canonical order (zeta_3 is stored at order 3, the
-    computed zeta_6^2 at order 6), so each value is written on the power
-    basis of Q(zeta_order), where its coordinates are unique.
-    """
-    return tuple(tuple(v._promoted(order)) for v in values)
-
-
-def _canonical_direction(vec: Sequence[ExactScalar], order: int) -> tuple:
-    """A hashable canonical form of a nonzero vector up to scaling, for
-    entries whose orders divide `order`."""
-    lead = None
-    for v in vec:
-        if not v.is_zero():
-            lead = v
-            break
-    if lead is None:
-        raise ValidationError("zero vector has no direction")
-    inv = lead.inverse()
-    return _value_key([v * inv for v in vec], order)
 
 
 @dataclass
@@ -92,13 +73,11 @@ class Arrangement:
                 raise ValidationError("hyperplane has a zero linear part")
             if self.flavor == "central" and not row[-1].is_zero():
                 raise ValidationError("central arrangement has a nonzero constant term")
-        seen = set()
-        order = self.field_order
-        for row in self.hyperplanes:
-            key = _canonical_direction(row, order)
-            if key in seen:
-                raise ValidationError("duplicate hyperplane")
-            seen.add(key)
+        self._ring = _integer_ring(self.field_order)
+        self._rows = [self._ring.entries(row) for row in self.hyperplanes]
+        keys = self.direction_keys()
+        if len(set(keys)) < len(keys):
+            raise ValidationError("duplicate hyperplane")
         if not self.labels:
             self.labels = [f"H{i + 1}" for i in range(len(self.hyperplanes))]
         if len(self.labels) != len(self.hyperplanes):
@@ -114,9 +93,17 @@ class Arrangement:
 
     @property
     def field_order(self) -> int:
-        """The lcm M of the coefficient orders: every value computed from
-        the coefficients lies in Q(zeta_M), so `_value_key` keys on M."""
+        """The lcm M of the coefficient orders: every coefficient lies in
+        Q(zeta_M), so each row is kept as integer vectors on its power basis."""
         return math.lcm(*(v.order for row in self.hyperplanes for v in row))
+
+    def direction_keys(self, width: int | None = None) -> list[tuple]:
+        """One exact key per hyperplane for the direction of its first
+        `width` coefficients (all of them by default): two rows get equal
+        keys exactly when those coefficients are proportional.  With
+        `width` = dim the linear parts are compared, so equal keys mark
+        parallel hyperplanes."""
+        return [self._ring.key(row[:width]) for row in self._rows]
 
     def to_json(self) -> dict:
         return {
@@ -133,6 +120,16 @@ class Arrangement:
             rows = obj["hyperplanes"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"arrangement JSON missing key: {exc}") from exc
+        unknown = sorted(set(obj) - {"flavor", "dim", "hyperplanes", "labels"})
+        if unknown:
+            raise ValidationError(
+                f"unknown arrangement key {', '.join(map(repr, unknown))}; "
+                "expected 'flavor', 'hyperplanes' and optionally 'dim' and 'labels'"
+            )
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValidationError(
+                "arrangement hyperplanes must be a list of coefficient lists"
+            )
         try:
             hyperplanes = [[ExactScalar.from_json(v) for v in row] for row in rows]
         except (ValueError, TypeError, KeyError) as exc:
@@ -374,6 +371,147 @@ def _union_classes(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # lattices from coordinates
 # ---------------------------------------------------------------------------
+#
+# Every coordinate lies in Q(zeta_M), M the arrangement's `field_order`.  A
+# row is kept as integer vectors on the power basis of Z[zeta_M], cleared of
+# denominators once (scaling a normal does not move its hyperplane), so a
+# cross product is plain int arithmetic modulo the monic Phi_M and a
+# direction has an exact integer key.
+
+
+class _Integers:
+    """Z, the ring of integral rows when every coefficient is rational:
+    an entry is an int."""
+
+    zero = 0
+
+    @staticmethod
+    def entries(row: Sequence[ExactScalar]) -> list[int]:
+        return clear_denominators(v.as_rational() for v in row)
+
+    @staticmethod
+    def cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+        return (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+
+    @staticmethod
+    def key(vec: Sequence[int]) -> tuple[int, ...]:
+        """The primitive integer vector on the line of `vec`, its first
+        nonzero entry positive."""
+        g = math.gcd(*vec)
+        if not g:
+            raise ValidationError("zero vector has no direction")
+        if next(c for c in vec if c) < 0:
+            g = -g
+        return tuple(c // g for c in vec)
+
+
+class _CyclotomicIntegers:
+    """Z[zeta_M] for M > 1: an entry is a tuple of phi(M) ints, its
+    coefficients on the power basis 1, zeta, ..., zeta^(phi(M)-1)."""
+
+    def __init__(self, order: int):
+        self.order = order
+        # Phi_M without its leading 1: zeta^phi = -(fold . (1, ..., zeta^(phi-1)))
+        self.fold = cyclotomic_polynomial(order)[:-1]
+        self.phi = len(self.fold)
+        self.zero = (0,) * self.phi
+        # the exponents k of the automorphisms zeta -> zeta^k other than 1
+        self.galois = [k for k in range(2, order) if math.gcd(k, order) == 1]
+
+    def entries(self, row: Sequence[ExactScalar]) -> list[tuple[int, ...]]:
+        phi = self.phi
+        flat = clear_denominators(c for v in row for c in v._promoted(self.order))
+        return [tuple(flat[i : i + phi]) for i in range(0, len(flat), phi)]
+
+    def _reduce(self, raw: list[int]) -> tuple[int, ...]:
+        """A polynomial in zeta (low degree first) on the power basis,
+        folding each top coefficient back through the monic Phi_M."""
+        phi, fold = self.phi, self.fold
+        for j in range(len(raw) - 1, phi - 1, -1):
+            c = raw[j]
+            if c:
+                for t, f in enumerate(fold, j - phi):
+                    raw[t] -= c * f
+        return tuple(raw[:phi])
+
+    def _det2(self, a, d, b, c) -> tuple[int, ...]:
+        """a d - b c, reduced once."""
+        raw = [0] * (2 * self.phi - 1)
+        for x, y, sign in ((a, d, 1), (b, c, -1)):
+            for i, xi in enumerate(x):
+                if xi:
+                    xi *= sign
+                    for j, yj in enumerate(y):
+                        raw[i + j] += xi * yj
+        return self._reduce(raw)
+
+    def mul(self, a, b) -> tuple[int, ...]:
+        return self._det2(a, b, self.zero, self.zero)
+
+    def cross(self, u, v) -> tuple[tuple[int, ...], ...]:
+        det2 = self._det2
+        return (
+            det2(u[1], v[2], u[2], v[1]),
+            det2(u[2], v[0], u[0], v[2]),
+            det2(u[0], v[1], u[1], v[0]),
+        )
+
+    def key(self, vec) -> tuple[int, ...]:
+        """An integer key of the line of `vec`: equal for two vectors
+        exactly when one is a Q(zeta_M)-multiple of the other.
+
+        Times the adjugate prod_{sigma != 1} sigma(lead) of its first
+        nonzero entry, `vec` becomes N(lead) (vec / lead): its lead turns
+        into the integer norm and every entry into an integral multiple of
+        its ratio to the lead.  The ratios depend only on the line, so the
+        primitive integer vector of those coefficients, its first nonzero
+        coefficient (the norm's) positive, is the key.  A rational lead
+        needs no adjugate, since vec is then a rational multiple of
+        vec / lead already."""
+        lead = next((e for e in vec if e != self.zero), None)
+        if lead is None:
+            raise ValidationError("zero vector has no direction")
+        if any(lead[1:]):
+            adj = (1,) + self.zero[1:]
+            for k in self.galois:
+                adj = self.mul(adj, self._conjugate(lead, k))
+            vec = [self.mul(e, adj) for e in vec]
+        return _Integers.key([c for e in vec for c in e])
+
+    def _conjugate(self, a, k: int) -> tuple[int, ...]:
+        """The image of a under zeta -> zeta^k."""
+        raw = [0] * self.order
+        for i, c in enumerate(a):
+            raw[i * k % self.order] += c
+        return self._reduce(raw)
+
+
+def _integer_ring(order: int) -> _Integers | _CyclotomicIntegers:
+    return _Integers() if order == 1 else _CyclotomicIntegers(order)
+
+
+def _lattice_from_rows(arr: Arrangement, affine: bool) -> Lattice2:
+    """Group the hyperplane pairs by the line their first three integral
+    coefficients span: the normals of central planes in C^3, or the
+    homogenized rows (a, b, c) of affine lines in C^2.  Affine lines whose
+    cross product ends in zero meet only at infinity and are listed as
+    parallel pairs, in pair order."""
+    ring = arr._ring
+    rows = [row[:3] for row in arr._rows]
+    groups: dict[tuple, set[int]] = {}
+    parallels: list[tuple[int, int]] = []
+    for i, j in itertools.combinations(range(arr.n), 2):
+        direction = ring.cross(rows[i], rows[j])
+        if affine and direction[2] == ring.zero:
+            parallels.append((i, j))
+            continue
+        groups.setdefault(ring.key(direction), set()).update((i, j))
+    flats = sorted(tuple(sorted(g)) for g in groups.values() if len(g) >= 3)
+    return Lattice2(arr.n, flats, parallels)
 
 
 def lattice_from_central3(arr: Arrangement) -> Lattice2:
@@ -385,56 +523,14 @@ def lattice_from_central3(arr: Arrangement) -> Lattice2:
     """
     if arr.flavor != "central" or arr.dim != 3:
         raise ValidationError("expected a central arrangement in dimension 3")
-    normals = [row[:3] for row in arr.hyperplanes]
-    order = arr.field_order
-    groups: dict[tuple, set[int]] = {}
-    for i, j in itertools.combinations(range(arr.n), 2):
-        direction = _cross(normals[i], normals[j])
-        key = _canonical_direction(direction, order)
-        groups.setdefault(key, set()).update((i, j))
-    flats = sorted(
-        tuple(sorted(g)) for g in groups.values() if len(g) >= 3
-    )
-    return Lattice2(arr.n, flats)
+    return _lattice_from_rows(arr, affine=False)
 
 
 def lattice_from_affine(arr: Arrangement) -> Lattice2:
     """Group the lines of an affine arrangement in C^2 by intersection point."""
     if arr.flavor != "affine" or arr.dim != 2:
         raise ValidationError("expected an affine arrangement in dimension 2")
-    order = arr.field_order
-    points: dict[tuple, set[int]] = {}
-    parallels: list[tuple[int, int]] = []
-    for i, j in itertools.combinations(range(arr.n), 2):
-        a1, b1, c1 = arr.hyperplanes[i]
-        a2, b2, c2 = arr.hyperplanes[j]
-        det = a1 * b2 - a2 * b1
-        if det.is_zero():
-            parallels.append((i, j))
-            continue
-        inv = det.inverse()
-        # solve a x + b y + c = 0 for both lines
-        x = (b1 * c2 - b2 * c1) * inv
-        y = (a2 * c1 - a1 * c2) * inv
-        key = _value_key((x, y), order)
-        points.setdefault(key, set()).update((i, j))
-    flats = sorted(tuple(sorted(g)) for g in points.values() if len(g) >= 3)
-    return Lattice2(arr.n, flats, parallels)
-
-
-def _cross_raw(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> list[ExactScalar]:
-    return [
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ]
-
-
-def _cross(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> list[ExactScalar]:
-    out = _cross_raw(u, v)
-    if all(c.is_zero() for c in out):
-        raise ValidationError("proportional normals; duplicate hyperplane?")
-    return out
+    return _lattice_from_rows(arr, affine=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +571,8 @@ def decone(arr: Arrangement, at: int | None = None) -> DeconeResult:
         e = [ExactScalar.from_rational(1 if i == k else 0) for i in range(3)]
         candidate = basis + [e]
         if len(candidate) == 2:
-            if not all(c.is_zero() for c in _cross_raw(f, e)):
+            # e is a second direction unless f is a multiple of it
+            if any(not f[i].is_zero() for i in range(3) if i != k):
                 basis = candidate
         else:
             if not _det3(candidate).is_zero():

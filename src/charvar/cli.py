@@ -51,7 +51,6 @@ from .arrangement import (
     gen_family,
     lattice_from_affine,
     lattice_from_central3,
-    _canonical_direction,
 )
 from .components import (
     DEFAULT_CAP,
@@ -363,12 +362,10 @@ def _enumerate_with_cone(lat: Lattice2, cap: int) -> tuple[Resonance1, Lattice2,
 def _coned_size(arr: Arrangement) -> int:
     """Hyperplanes the enumeration sees of an arrangement, one more when
     parallel lines make it cone the input; read without building the
-    lattice, which costs C(n,2) exact solves."""
+    lattice, which costs C(n,2) cross products."""
     if arr.flavor == "central":
         return arr.n
-    order = arr.field_order
-    directions = {_canonical_direction(row[:2], order) for row in arr.hyperplanes}
-    return arr.n + (len(directions) < arr.n)
+    return arr.n + (len(set(arr.direction_keys(arr.dim))) < arr.n)
 
 
 def _components_payload(lat: Lattice2, cap: int) -> dict:
@@ -433,8 +430,8 @@ def cmd_components(args) -> int:
 # Largest hyperplane count `member` takes on arrangement or lattice input.
 # At n = 200 a lattice call takes at most 0.06 s at small integer weights
 # (the pencil, at generic weights) and 0.25 s at rational weights with
-# six-digit denominators; a central arrangement of 200 generic planes
-# takes 1.3 s, nearly all of it the lattice build (2-core Intel Xeon,
+# six-digit denominators; a central arrangement of 200 random integer
+# planes takes 0.15 s, 0.09 s of it the lattice build (2-core Intel Xeon,
 # Python 3.11).  A larger input is refused before its lattice or any pair
 # list is built.
 MEMBER_HYPERPLANE_CAP = 200

@@ -1,7 +1,10 @@
 """Tests for arrangements, rank-2 lattices, family generators, and deconing."""
 
 import itertools
+import math
+import random
 
+import arrangement_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from charvar.arrangement import (
     lattice_from_affine,
     lattice_from_central3,
 )
+from charvar.cli import _coned_size
 from charvar.exactalg import ExactScalar, root_of_unity
 
 # Frozen oracle lattices, worked out by hand from the defining equations
@@ -389,3 +393,145 @@ def test_monomial_b2_formula(r):
     # r^2 triples plus three families of r concurrent planes
     expected = r * r * 2 + (3 * (r - 1) if r >= 3 else 3)
     assert b2(lat) == expected
+
+
+# ---------------------------------------------------------------------------
+# integer-keyed lattices against the ExactScalar reference
+# ---------------------------------------------------------------------------
+
+# every coordinate family, over Q and over Q(zeta_r) for r = 3, 4, 5
+COORDINATE_FAMILIES = (
+    [("diamond", {}), ("hessian", {})]
+    + [("monomial", {"r": r}) for r in range(2, 6)]
+    + [("full_monomial", {"r": r}) for r in range(2, 5)]
+)
+FAMILY_IDS = [f"{name}{kw.get('r', '')}" for name, kw in COORDINATE_FAMILIES]
+
+
+def _assert_matches_reference(arr):
+    if arr.flavor == "central":
+        got, want = lattice_from_central3(arr), reference.lattice_from_central3(arr)
+    else:
+        got, want = lattice_from_affine(arr), reference.lattice_from_affine(arr)
+    assert got.flats == want.flats
+    # the parallel pairs keep the reference's pair order, not just its set
+    assert got.parallel_pairs == want.parallel_pairs
+    assert _coned_size(arr) == reference.coned_size(arr)
+    return got
+
+
+@pytest.mark.parametrize("name, params", COORDINATE_FAMILIES, ids=FAMILY_IDS)
+def test_family_lattices_match_the_reference_centrally_and_at_every_chart(
+    name, params
+):
+    arr = gen_family(name, **params)
+    central = _assert_matches_reference(arr)
+    assert central.flats
+    for at in range(arr.n):
+        _assert_matches_reference(decone(arr, at=at).arrangement)
+
+
+def _zeta12_scalar(rng):
+    return sum(
+        (rng.randint(-2, 2) * root_of_unity(12, i) for i in range(4)),
+        ExactScalar.zero(),
+    )
+
+
+def _zeta12_transform(rng):
+    """A seeded invertible 3 x 3 matrix over Q(zeta_12)."""
+    while True:
+        m = [[_zeta12_scalar(rng) for _ in range(3)] for _ in range(3)]
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        if not det.is_zero():
+            return m
+
+
+def _transformed(rows, m):
+    """Each normal a sent to a m: the planes of the image of the
+    arrangement under x -> m^-1 x, with the same incidences."""
+    return [
+        [sum((row[i] * m[i][k] for i in range(3)), ExactScalar.zero()) for k in range(3)]
+        + [ExactScalar.zero()]
+        for row in rows
+    ]
+
+
+# families whose field order divides 12, so the images stay over Q(zeta_12)
+ZETA12_FAMILIES = [
+    ("diamond", {}),
+    ("hessian", {}),
+    ("monomial", {"r": 4}),
+    ("monomial", {"r": 6}),
+    ("full_monomial", {"r": 3}),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "name, params",
+    ZETA12_FAMILIES,
+    ids=[f"{name}{kw.get('r', '')}" for name, kw in ZETA12_FAMILIES],
+)
+def test_seeded_subarrangements_under_zeta12_transforms_match_the_reference(
+    name, params, seed
+):
+    rng = random.Random(f"{name}{params}:{seed}")
+    arr = gen_family(name, **params)
+    lattice = lattice_from_central3(arr)
+    support = sorted(rng.sample(range(arr.n), rng.randint(5, min(arr.n, 10))))
+    rows = _transformed([arr.hyperplanes[i] for i in support], _zeta12_transform(rng))
+    image = Arrangement("central", rows)
+    assert image.field_order == 12
+    got = _assert_matches_reference(image)
+    # a linear change of coordinates keeps every incidence
+    assert got.flats == sorted(lattice.restrict(support).flats)
+    at = rng.randrange(image.n)
+    _assert_matches_reference(decone(image, at=at).arrangement)
+
+
+@pytest.mark.parametrize("flavor", ["central", "affine"])
+def test_proportional_rows_at_different_orders_are_refused(flavor):
+    z3, z6 = root_of_unity(3), root_of_unity(6)
+    # zeta_3 is stored at order 3, the computed zeta_6^2 at order 6
+    assert z6 * z6 == z3 and (z6 * z6).order == 6
+    one, two = ExactScalar.one(), ExactScalar.from_rational(2)
+    tail = [ExactScalar.zero()] if flavor == "central" else []
+    first = [z3, one, two] + tail
+    other = [one, ExactScalar.zero(), one] + tail
+    rng = random.Random(flavor)
+    copies = [[z6 * z6, one, two] + tail] + [
+        [v * scale for v in first]
+        for scale in (z6, two * z6 * z6, root_of_unity(12, 5) - one, _zeta12_scalar(rng))
+    ]
+    for again in copies:
+        for rows in ([first, other, again], [again, other, first]):
+            order = math.lcm(*(v.order for row in rows for v in row))
+            assert reference.has_duplicate(rows, order)
+            with pytest.raises(ValidationError, match="duplicate hyperplane"):
+                Arrangement(flavor, rows)
+    # the entries of z3^2 * first, with the last one at the wrong power
+    near = [one, z3 * z3, two * z3] + tail
+    assert not reference.has_duplicate([first, near, other], 3)
+    assert Arrangement(flavor, [first, near, other]).n == 3
+
+
+def test_lattice_build_runs_without_exact_scalar_products(monkeypatch):
+    families = [("hessian", {}), ("monomial", {"r": 4})]
+    want = [
+        reference.lattice_from_central3(gen_family(name, **kw)).flats
+        for name, kw in families
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ExactScalar product or inverse in the lattice build")
+
+    monkeypatch.setattr(ExactScalar, "__mul__", refuse)
+    monkeypatch.setattr(ExactScalar, "__rmul__", refuse)
+    monkeypatch.setattr(ExactScalar, "inverse", refuse)
+    got = [lattice_from_central3(gen_family(name, **kw)).flats for name, kw in families]
+    assert got == want

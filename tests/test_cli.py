@@ -336,8 +336,8 @@ def test_components_text_matches_the_component_route(capsys, tmp_path, source, h
 def test_components_refuses_a_large_arrangement_before_its_lattice(
     capsys, tmp_path, flavor, n, counted
 ):
-    # the lattice of 300 planes takes seconds to build; the cap is checked
-    # first, and an affine input with parallel lines counts the line at
+    # the lattice of 300 planes takes C(300, 2) cross products; the cap is
+    # checked first, and an affine input with parallel lines counts the line at
     # infinity that coning would add, as the enumeration's own check does
     rng = random.Random(300)
     planes = [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(n)]
@@ -820,6 +820,22 @@ _AFFINE_TRIANGLE = {
             _AFFINE_TRIANGLE | {"labels": [1, None, {"x": 1}]},
             "labels must be a list of strings",
         ),
+        (
+            _AFFINE_TRIANGLE | {"label": ["a", "b", "c"]},
+            "unknown arrangement key 'label'",
+        ),
+        (
+            _AFFINE_TRIANGLE | {"flats": [], "n": 3},
+            "unknown arrangement key 'flats', 'n'",
+        ),
+        (
+            {"flavor": "affine", "hyperplanes": "abc"},
+            "hyperplanes must be a list of coefficient lists",
+        ),
+        (
+            {"flavor": "affine", "hyperplanes": [[1, 0, 0], 5, [1, 1, 1]]},
+            "hyperplanes must be a list of coefficient lists",
+        ),
     ],
     ids=[
         "generator-without-X",
@@ -837,6 +853,10 @@ _AFFINE_TRIANGLE = {
         "numeric-labels",
         "string-labels",
         "non-string-labels",
+        "misspelt-labels",
+        "lattice-keys-in-arrangement",
+        "string-hyperplanes",
+        "non-list-hyperplane-row",
     ],
 )
 def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, message):
