@@ -67,9 +67,9 @@ from .exactalg import (
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.02-0.04 s as a unit point (23-37 primes) and 0.04-0.9 s as a
+# takes 0.01-0.04 s as a unit point (23-37 primes) and 0.02-0.8 s as a
 # point (a/b) * zeta_120^e (69-333 primes), on one core of a 2-core Intel
-# Xeon, Python 3.11.  A point of larger order is refused before any
+# Xeon, Python 3.11 (seeds 0-3, depths 1 and 2, four runs).  A point of larger order is refused before any
 # cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 

@@ -130,7 +130,7 @@ def _load_input(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected a JSON object at the top level")
@@ -177,7 +177,7 @@ def _parse_point(text: str) -> list[ExactScalar]:
     if stripped.startswith("["):
         try:
             entries = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ValidationError(f"point is not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise ValidationError("a JSON point must be an array")
@@ -189,7 +189,7 @@ def _parse_point(text: str) -> list[ExactScalar]:
     for entry in entries:
         try:
             coords.append(ExactScalar.from_json(entry))
-        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise ValidationError(f"bad coordinate {entry!r}: {exc}") from exc
     return coords
 

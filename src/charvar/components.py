@@ -35,13 +35,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import Lattice2, ValidationError, _scalar, _union_classes
+from .arrangement import CapExceeded, Lattice2, ValidationError, _scalar, _union_classes
 from .exactalg import ExactScalar, IntEchelon, clear_denominators, integer_kernel
 from .osres import _multiplication_columns
-
-
-class CapExceeded(Exception):
-    """The arrangement is larger than the enumeration size cap allows."""
 
 
 DEFAULT_CAP = 14

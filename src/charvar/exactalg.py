@@ -3,6 +3,11 @@
 Scalars live in cyclotomic extensions of the rationals: every value is
 either a rational number or an element of Q(zeta_m) written on the power
 basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
+Their arithmetic is one kernel on coefficient lists (ints or Fractions) by
+ring operations only: `_fold` onto the power basis through the monic Phi_m,
+`_mul`, the Galois action `_galois`, and `_adjugate`, prod_{sigma != 1}
+sigma(a), so 1/a = adj(a) / N(a).  Scalars, the direction keys of
+`charvar.arrangement` and the zeta-shift of the cyclotomic rank use it.
 Linear algebra has one kernel per job: a sparse fraction-free integer
 echelon for every exact rank (each pivot row kept as its nonzero entries
 divided by its content, and a row scaled only when a pivot's lead does
@@ -22,14 +27,15 @@ same inputs always produce the same pivots, ranks, and basis vectors.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and polynomial helpers (dense Fraction coefficient
-# lists, lowest degree first)
+# the Z[zeta_m] kernel: power-basis coefficient lists (ints or Fractions,
+# lowest degree first) under ring operations only
 # ---------------------------------------------------------------------------
 
 
@@ -37,79 +43,84 @@ from functools import lru_cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, low to high."""
     assert m >= 1, "order must be positive"
-    if m == 1:
-        return (-1, 1)
-    # divide x^m - 1 by the cyclotomic polynomials of the proper divisors
-    num = [Fraction(0)] * (m + 1)
-    num[0] = Fraction(-1)
-    num[m] = Fraction(1)
+    # x^m - 1 divided exactly by the monic Phi_d of every proper divisor d
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert all(c == 0 for c in rem)
-    coeffs = tuple(int(c) for c in num)
-    assert all(Fraction(c) == num[i] for i, c in enumerate(coeffs))
-    return coeffs
+            den = cyclotomic_polynomial(d)
+            quot = [0] * (len(num) - len(den) + 1)
+            for shift in range(len(quot) - 1, -1, -1):
+                c = quot[shift] = num[shift + len(den) - 1]
+                if c:
+                    for i, f in enumerate(den, shift):
+                        num[i] -= c * f
+            assert not any(num), "cyclotomic division left a remainder"
+            num = quot
+    return tuple(num)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+@lru_cache(maxsize=None)
+def _fold_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(m) and the nonzero terms (t, f) of Phi_m below its leading 1."""
+    poly = cyclotomic_polynomial(m)
+    return len(poly) - 1, tuple((t, f) for t, f in enumerate(poly[:-1]) if f)
 
 
-def _poly_divmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    assert den, "division by the zero polynomial"
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = num
-    dlead = den[-1]
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = rem[-1] / dlead
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            rem[shift + i] -= factor * c
-        _poly_trim(rem)
-    return quot, rem
+def _fold(m: int, raw: list) -> list:
+    """A polynomial in zeta_m on the power basis, computed in place: its
+    exponents are folded modulo m (zeta^m = 1), then each top coefficient
+    is folded back through the monic Phi_m, which keeps integers integral.
+    Returns `raw`, cut or padded to phi(m) coefficients."""
+    phi, terms = _fold_terms(m)
+    n = len(raw)
+    if n > m:
+        for i in range(m, n):
+            if raw[i]:
+                raw[i % m] += raw[i]
+        del raw[m:]
+        n = m
+    for j in range(n - 1, phi - 1, -1):
+        c = raw[j]
+        if c:
+            base = j - phi
+            for t, f in terms:
+                raw[base + t] -= c * f
+    del raw[phi:]
+    raw += [0] * (phi - n)
+    return raw
 
 
-def _poly_mod_inverse(a: Sequence[Fraction], f: Sequence[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo f via the extended Euclidean algorithm."""
-    # invariants: r0 = s0*a mod f, r1 = s1*a mod f (the f-cofactors are not kept)
-    r0, r1 = _poly_trim(list(f)), _poly_trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    assert len(r0) == 1, "element is not invertible modulo an irreducible polynomial"
-    inv_lead = 1 / r0[0]
-    return [c * inv_lead for c in s0]
+def _mul(a: Sequence, b: Sequence, acc: list | None = None) -> list:
+    """The product of two coefficient lists as polynomials, not folded;
+    added into `acc` in place when given (at least len(a) + len(b) - 1
+    long), so a sum of products folds once."""
+    if acc is None:
+        acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+    return acc
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
+def _galois(m: int, a: Sequence, k: int) -> list:
+    """The image of a under the automorphism zeta_m -> zeta_m^k (k prime
+    to m) of Q(zeta_m)."""
+    raw = [0] * m
     for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
+        raw[i * k % m] += c
+    return _fold(m, raw)
+
+
+def _adjugate(m: int, a: Sequence) -> list:
+    """prod_{sigma != 1} sigma(a) over the automorphisms of Q(zeta_m), m > 2:
+    a times it is the norm N(a), a rational, integral when a is."""
+    adj = None
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            image = _galois(m, a, k)
+            adj = image if adj is None else _fold(m, _mul(adj, image))
+    return adj
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -174,10 +185,7 @@ class ExactScalar:
     def root_of_unity(cls, m: int, k: int = 1) -> "ExactScalar":
         """The primitive m-th root of unity raised to the power k."""
         assert m >= 1, "order must be positive"
-        k %= m
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
-        return cls(m, _reduce_mod_cyclotomic(m, raw))
+        return cls(m, _fold(m, [0] * (k % m) + [1]))
 
     # -- predicates and conversions ----------------------------------------
 
@@ -199,17 +207,17 @@ class ExactScalar:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _promoted(self, order: int) -> list[Fraction]:
-        """Coefficients of self rewritten on the power basis of Q(zeta_order)."""
+    def _promoted(self, order: int) -> list:
+        """Coefficients of self rewritten on the power basis of Q(zeta_order),
+        Fractions and int zeros."""
         if self.order == order:
             return list(self.coeffs)
         if self.order == 1:
-            return [self.coeffs[0]] + [Fraction(0)] * (_euler_phi(order) - 1)
+            return [self.coeffs[0]] + [0] * (_euler_phi(order) - 1)
         step = order // self.order
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            raw[i * step] += c
-        return _reduce_mod_cyclotomic(order, raw)
+        raw = [0] * ((len(self.coeffs) - 1) * step + 1)
+        raw[::step] = self.coeffs
+        return _fold(order, raw)
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         other = _coerce(other)
@@ -231,24 +239,29 @@ class ExactScalar:
         if self.order == 1 and other.order == 1:
             return ExactScalar(1, (self.coeffs[0] * other.coeffs[0],))
         m = math.lcm(self.order, other.order)
-        prod = _poly_mul(self._promoted(m), other._promoted(m))
-        return ExactScalar(m, _reduce_mod_cyclotomic(m, prod))
+        # the product of the integral multiples da * self and db * other
+        a, da = _integral(self._promoted(m))
+        b, db = _integral(other._promoted(m))
+        den = da * db
+        return ExactScalar(m, [Fraction(c, den) for c in _fold(m, _mul(a, b))])
 
     def inverse(self) -> "ExactScalar":
+        """adj(a) / N(a) (see `_adjugate`), computed on the integral
+        multiple den * a, den the lcm of the coefficient denominators."""
         assert not self.is_zero(), "zero has no inverse"
         if self.order == 1:
             return ExactScalar(1, (1 / self.coeffs[0],))
-        f = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_mod_inverse(list(self.coeffs), f)
-        return ExactScalar(self.order, _reduce_mod_cyclotomic(self.order, inv))
+        m = self.order
+        a, den = _integral(self.coeffs)
+        adj = _adjugate(m, a)
+        norm, *rest = _fold(m, _mul(a, adj))
+        assert not any(rest), "a times its adjugate must be rational"
+        return ExactScalar(m, [Fraction(c * den, norm) for c in adj])
 
     def conjugate(self) -> "ExactScalar":
         """The image under zeta -> 1/zeta, which is complex conjugation at
         every embedding of Q(zeta_m) in C."""
-        raw = [Fraction(0)] * self.order
-        for i, c in enumerate(self.coeffs):
-            raw[-i % self.order] += c
-        return ExactScalar(self.order, _reduce_mod_cyclotomic(self.order, raw))
+        return ExactScalar(self.order, _galois(self.order, self.coeffs, -1))
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         return self * _coerce(other).inverse()
@@ -316,10 +329,24 @@ class ExactScalar:
 
 
 def _json_rational(value) -> Fraction:
-    """An exact rational from JSON: an integer or a rational string."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"cannot parse a rational from {value!r}")
-    return Fraction(value)
+    """An exact rational from JSON: an int, or a string [-]digits[/digits]
+    with a nonzero denominator (so no exponent asks for a huge integer)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    match = isinstance(value, str) and re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value)
+    if not match or match[2] and not int(match[2]):
+        raise ValueError(
+            f"cannot parse a rational from {value!r}: expected an integer or "
+            "a string [-]digits[/digits] with a nonzero denominator"
+        )
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
+def _integral(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The integer coefficients of den * a, and den, the lcm of the
+    coefficient denominators of a."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _coerce(value) -> ExactScalar:
@@ -328,20 +355,6 @@ def _coerce(value) -> ExactScalar:
     if isinstance(value, (int, Fraction)):
         return ExactScalar.from_rational(value)
     raise TypeError(f"cannot treat {value!r} as a scalar")
-
-
-def _reduce_mod_cyclotomic(m: int, raw: Sequence[Fraction]) -> list[Fraction]:
-    """Reduce a coefficient list to the power basis of Q(zeta_m)."""
-    phi = _euler_phi(m)
-    coeffs = [Fraction(0)] * max(len(raw), phi)
-    # zeta^m = 1, so fold exponents modulo m before dividing
-    for i, c in enumerate(raw):
-        if c:
-            coeffs[i % m] += c
-    f = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    _, rem = _poly_divmod(coeffs, f)
-    rem += [Fraction(0)] * (phi - len(rem))
-    return rem[:phi]
 
 
 def _normalize(order: int, coeffs: Sequence[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
@@ -398,14 +411,13 @@ class ExactMatrix:
         down).  The span stays closed under zeta, so a row that depends on
         it over Q does so over Q(zeta_M) and its multiples are skipped.
         Multiplying by zeta shifts each entry's coefficients up by one and
-        folds the top one back through the monic integer Phi_M, so rows
-        stay integral.  Rational rows have d = 1.  The echelon stops at
+        folds the top one back through the monic integer Phi_M (`_fold`),
+        so rows stay integral.  Rational rows have d = 1.  The echelon stops at
         full rank."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
         order = math.lcm(*(e.order for row in self.entries for e in row))
         d = _euler_phi(order)
-        fold = cyclotomic_polynomial(order)[:-1]
         rows = [
             clear_denominators([c for e in row for c in e._promoted(order)])
             for row in self.entries
@@ -419,11 +431,7 @@ class ExactMatrix:
             for _ in range(d - 1):
                 shifted = []
                 for start in range(0, len(vec), d):
-                    top = vec[start + d - 1]
-                    block = [0] + vec[start : start + d - 1]
-                    if top:
-                        block = [b - top * f for b, f in zip(block, fold)]
-                    shifted += block
+                    shifted += _fold(order, [0] + vec[start : start + d])
                 vec = shifted
                 echelon.add_row(vec)
         return echelon.rank // d

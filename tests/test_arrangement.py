@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charvar.arrangement import (
+    FIELD_ORDER_CAP,
     Arrangement,
+    CapExceeded,
     Lattice2,
     ValidationError,
     affine_to_central_point,
@@ -282,6 +284,20 @@ def test_arrangement_rejects_duplicates_and_bad_central():
         Arrangement("central", [[1, 0, 0, 5]])
     with pytest.raises(ValidationError):
         Arrangement("affine", [[0, 0, 3]])
+
+
+def test_field_order_cap_holds_on_the_lcm_of_the_coefficient_orders():
+    # zeta_8 and zeta_15 span Q(zeta_120), at the cap; zeta_11 and zeta_13
+    # span Q(zeta_143), above it
+    def planes(p, q):
+        return [[1, 0, 0, 0], [0, 1, 0, 0], [root_of_unity(p), root_of_unity(q), 1, 0]]
+
+    assert FIELD_ORDER_CAP == 120
+    assert Arrangement("central", planes(8, 15)).field_order == 120
+    with pytest.raises(CapExceeded, match="field order 120 [(]got 143[)]"):
+        Arrangement("central", planes(11, 13))
+    with pytest.raises(CapExceeded):
+        gen_family("monomial", r=121)
 
 
 def test_arrangement_json_round_trip():

@@ -206,6 +206,61 @@ def test_lattice_of_coefficients_written_at_different_orders(
     assert run(capsys, "lattice", str(path), "--format", "text") == (code, out, err)
 
 
+# five planes, one coefficient zeta_2310 on its power basis (phi = 480): a
+# file of about 1 KB whose lattice build, uncapped, runs for minutes
+_FIELD_ORDER_2310 = {
+    "flavor": "central",
+    "hyperplanes": [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 1, 0],
+        [1, 1, 1, 0],
+        [{"order": 2310, "coeffs": ["0", "1"] + ["0"] * 478}, 2, 3, 0],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice"], ["components"], ["member", "--point=1,1,1,1,1"]],
+    ids=["lattice", "components", "member"],
+)
+def test_arrangement_of_large_field_order_is_refused_quickly(capsys, tmp_path, argv):
+    path = tmp_path / "order2310.json"
+    path.write_text(json.dumps(_FIELD_ORDER_2310))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "field order 120 (got 2310)" in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('"1/0"', "nonzero denominator"),
+        ('{"order": 3, "coeffs": ["1", "1/0"]}', "nonzero denominator"),
+        ('"1e30000000"', "cannot parse a rational"),
+        ("1" * 4301, "not valid JSON"),
+    ],
+    ids=["zero-denominator", "zero-denominator-in-coeffs", "exponent", "4301-digits"],
+)
+def test_arrangement_scalars_take_only_their_documented_forms(
+    capsys, tmp_path, entry, message
+):
+    """A scalar is an int or a string [-]digits[/digits]: a zero
+    denominator, an exponent or an int past Python's digit limit is a
+    validation error, and read no further."""
+    path = tmp_path / "bad.json"
+    rows = "[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, %s, 0]" % entry
+    path.write_text('{"flavor": "central", "hyperplanes": [%s]}' % rows)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 # ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
@@ -660,6 +715,24 @@ def test_member_rejects_inexact_scalar_coefficients(capsys, zeta):
     code, out, err = run(capsys, "member", "fixture:diamond_monodromy", "--point", point)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "bad coordinate" in err
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("1/0,1,1,1,1,1", "nonzero denominator"),
+        ('["1/0", 1, 1, 1, 1, 1]', "nonzero denominator"),
+        ('[{"order": 3, "coeffs": ["1", "1/0"]}, 1, 1, 1, 1, 1]', "nonzero denominator"),
+        ("1e30000000,1,1,1,1,1", "cannot parse a rational"),
+        ("[%s, 1, 1, 1, 1, 1]" % ("1" * 4301), "not valid JSON"),
+    ],
+    ids=["zero-denominator", "json-zero-denominator", "zero-denominator-in-coeffs",
+         "exponent", "4301-digits"],
+)
+def test_member_point_scalars_take_only_their_documented_forms(capsys, point, message):
+    code, out, err = run(capsys, "member", "fixture:diamond_monodromy", f"--point={point}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_member_rejects_unknown_fixture(capsys):

@@ -3,6 +3,7 @@ forms, Laurent polynomials, and the reduction of scalars and integer rows
 modulo a prime."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -15,8 +16,11 @@ from charvar.exactalg import (
     ExactMatrix,
     ExactScalar,
     IntEchelon,
+    _adjugate,
     _euler_phi,
+    _fold,
     _is_prime,
+    _mul,
     clear_denominators,
     cyclotomic_polynomial,
     hermite_normal_form,
@@ -28,6 +32,7 @@ from charvar.exactalg import (
     rational_rref,
     root_of_unity,
 )
+import exactalg_reference as reference
 from laurent import LaurentPoly
 
 # Frozen oracle: coefficient rows of a known incidence system on six
@@ -180,6 +185,77 @@ def test_all_roots_multiply_to_unity_polynomial(m):
     assert poly[m] == ExactScalar.one()
     for i in range(1, m):
         assert poly[i].is_zero()
+
+
+# -- the Z[zeta_m] kernel against the Fraction long-division reference --------
+
+
+def _dense(rng, order):
+    """A seeded element of Q(zeta_order), every power-basis coefficient
+    drawn from -2..2 over 1..2 and the top one nonzero."""
+    coeffs = [
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(_euler_phi(order))
+    ]
+    coeffs[-1] = coeffs[-1] or Fraction(1)
+    return ExactScalar(order, coeffs)
+
+
+def test_cyclotomic_polynomials_match_the_fraction_reference():
+    for m in range(1, 211):
+        assert cyclotomic_polynomial(m) == reference.cyclotomic_polynomial(m)
+    # Phi_105 is the first with a coefficient other than 0 and +-1
+    assert min(cyclotomic_polynomial(105)) == -2
+
+
+def test_fold_matches_long_division():
+    rng = random.Random(2)
+    for m in range(1, 121):
+        # ints past 2m (exponents folded mod m first), Fractions short of m
+        # (only the top folded through Phi_m) and of phi(m) (padded)
+        for size, den in ((2 * m + 3, 1), (m, 3), (_euler_phi(m) // 2 + 1, 3)):
+            raw = [Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(size)]
+            if den == 1:
+                raw = [int(c) for c in raw]
+            assert _fold(m, list(raw)) == reference.reduce(m, raw)
+
+
+def test_products_promotion_and_conjugates_match_the_reference_at_every_order():
+    rng = random.Random(3)
+    for m in range(1, 121):
+        # b of any order d with lcm(m, d) <= 120
+        d = rng.choice([d for d in range(1, 121) if math.lcm(m, d) <= 120])
+        a, b = _dense(rng, m), _dense(rng, d)
+        # order 2 is stored as order 1 (zeta_2 = -1), so read the orders back
+        lcm = math.lcm(a.order, b.order)
+        promoted = [reference.promote(v.order, v.coeffs, lcm) for v in (a, b)]
+        assert [v._promoted(lcm) for v in (a, b)] == promoted
+        want = reference.reduce(lcm, reference.mul_poly(*promoted))
+        assert (a * b).order in (1, lcm) and (a * b)._promoted(lcm) == want
+        assert (a + b)._promoted(lcm) == [x + y for x, y in zip(*promoted)]
+        assert a.conjugate()._promoted(m) == reference.galois(m, a.coeffs, -1)
+        assert a.conjugate().conjugate() == a
+
+
+def test_inverses_match_the_reference_at_every_order():
+    rng = random.Random(5)
+    for m in range(1, 121):
+        a = _dense(rng, m)
+        inv = a.inverse()
+        assert (a * inv).is_one()
+        # the extended Euclidean algorithm is slow beyond small degree
+        if _euler_phi(m) <= 24 or m in (105, 120):
+            assert inv._promoted(m) == reference.inverse(m, a.coeffs)
+
+
+def test_adjugate_times_the_element_is_its_integer_norm():
+    rng = random.Random(6)
+    for m in (3, 4, 5, 12, 15, 105):
+        a = [rng.randint(-3, 3) for _ in range(_euler_phi(m))]
+        a[-1] = a[-1] or 1
+        adj = _adjugate(m, a)
+        norm, *rest = _fold(m, _mul(a, adj))
+        assert norm and not any(rest)
+        assert all(isinstance(c, int) for c in adj)
 
 
 # ---------------------------------------------------------------------------
