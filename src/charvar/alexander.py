@@ -59,7 +59,12 @@ from .exactalg import (
     PrimeField,
     ResidueRing,
     _euler_phi,
+    _fold,
+    _galois,
+    _integral,
+    _mul,
     modp_rank,
+    modp_ranks,
     prime_field,
 )
 
@@ -67,11 +72,26 @@ from .exactalg import (
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.01-0.04 s as a unit point (23-37 primes) and 0.02-0.8 s as a
+# takes 0.004-0.008 s as a unit point (23-37 primes) and 0.01-0.19 s as a
 # point (a/b) * zeta_120^e (69-333 primes), on one core of a 2-core Intel
-# Xeon, Python 3.11 (seeds 0-3, depths 1 and 2, four runs).  A point of larger order is refused before any
-# cyclotomic polynomial is built.
+# Xeon, Python 3.11 (seeds 0-3, depths 1 and 2, best of four runs; ranking
+# each prime by its own elimination took 0.01-0.04 s and 0.02-0.62 s).  A
+# point of larger order is refused before any cyclotomic polynomial is
+# built.
 POINT_ORDER_CAP = 120
+
+# Largest length, in unit twists, of a braid word (`normalize_braid`), so
+# of a generator's conjugator.  Every factor of the conjugator is pushed
+# through in each evaluation ring, and the majorant bounds, so the primes,
+# grow with its length: one double point on 6 strands conjugated by a
+# twist to the power L takes, at an order-120 point (a/b) * zeta_120^e,
+# 0.06 s for L = 10 (162 primes), 0.25 s for L = 30 (359 primes), 0.86 s
+# for L = 50 (557 primes) and 4.1 s for L = 100 (1051 primes), and did not
+# end within 60 s for L = 300; on 12 strands 3.5 s for L = 50; at a
+# rational point 0.01 s for L = 100 and 0.04 s for L = 300 (2-core Intel
+# Xeon, Python 3.11).  The packaged fixtures' conjugators have at most 3.
+# Without the cap a factor ["A", 1, 2, 10**10] hung every command on load.
+BRAID_LENGTH_CAP = 50
 
 FreeWord = tuple[int, ...]
 TwistFactor = tuple[int, int, int]  # (i, j, exponent) with 1 <= i < j
@@ -102,7 +122,7 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 class _Ring:
     """Uniform scalar operations on the values of the t_i and their
     inverses: exact at a point (`_ring`), int residues modulo a prime or a
-    product of primes (`residue`), or majorants with denominators
+    product of primes (`_Residues`), or majorants with denominators
     (`majorant`).  The builders test zeros by truthiness and need only
     ring operations, so the tests also run them on Laurent polynomials."""
 
@@ -115,25 +135,13 @@ class _Ring:
         self._pushed: dict[MonodromyGen, tuple[list[list], list]] = {}
 
     @classmethod
-    def residue(
-        cls, coords: list[ExactScalar], field: PrimeField | ResidueRing
-    ) -> "_Ring":
-        """Evaluation at the point's image in F_p or in Z/(p_1 ... p_j) (see
-        `PrimeField`, `ResidueRing`), on ints modulo N = field.p, the ring's
-        `modulus`, at primes that apply (`_Residues.field`), where every
-        coordinate's image is a unit.  Entries are built on integer
-        representatives, which `_push` reduces mod N to keep them small."""
-        modulus = field.p
-        images = [field.reduce(c) for c in coords]
-        return cls(images, [pow(v, -1, modulus) for v in images], 1, 0, modulus)
-
-    @classmethod
-    def majorant(cls, coords: list[ExactScalar]) -> "_Ring":
+    def majorant(cls, cleared: list[_Cleared]) -> "_Ring":
         """Evaluation at majorants of t_i and 1/t_i (see `_Majorant`,
         `_coordinate_bounds`), so that the builders return, for every entry
         e, a denominator d with d * e in Z[zeta_M] and an integer bound on
-        every |sigma(d * e)| over the embeddings sigma of Q(zeta_M) in C."""
-        bounds = [_coordinate_bounds(c) for c in coords]
+        every |sigma(d * e)| over the embeddings sigma of Q(zeta_M) in C;
+        from the coordinates as `_clear` gives them."""
+        bounds = [_coordinate_bounds(c) for c in cleared]
         t = [_Majorant(*b) for b, _ in bounds]
         tinv = [_Majorant(*b) for _, b in bounds]
         return cls(t, tinv, _Majorant(1, 1), _Majorant(0, 1))
@@ -205,22 +213,27 @@ class _Majorant:
         return not self.is_zero()
 
 
-def _coordinate_bounds(c: ExactScalar) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The majorants (bound, den) of c and of 1/c (see `_Majorant`): den is
-    the lcm of the power-basis coefficient denominators, and as
-    |sigma(zeta^i)| = 1 the sum of |den * coefficient| bounds every
-    |sigma(den * c)|.  When c * conj(c) = 1, as for roots of unity and +-1,
-    every |sigma(c)| is 1 and 1/c = conj(c) has the same denominators, so
-    both get (den, den)."""
-    bound, den = _cleared(c)
-    if (c * c.conjugate()).is_one():
+# a coordinate c as (c, a, den): den the lcm of its power-basis coefficient
+# denominators, a the integer coefficients of den * c
+_Cleared = tuple[ExactScalar, list[int], int]
+
+
+def _clear(c: ExactScalar) -> _Cleared:
+    return (c, *_integral(c.coeffs))
+
+
+def _coordinate_bounds(cleared: _Cleared) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The majorants (bound, den) of c and of 1/c (see `_Majorant`), from
+    (c, a, den) as `_clear` gives it: as |sigma(zeta^i)| = 1 the sum of the
+    |a_i| bounds every |sigma(den * c)|.  When c * conj(c) = 1, that is
+    a * conj(a) = den^2 on ints (conj the Galois map zeta -> 1/zeta), as
+    for roots of unity and +-1, every |sigma(c)| is 1 and 1/c = conj(c) has
+    the same denominators, so both get (den, den)."""
+    c, a, den = cleared
+    if _fold(c.order, _mul(a, _galois(c.order, a, -1))) == [den * den] + [0] * (len(a) - 1):
         return (den, den), (den, den)
-    return (bound, den), _cleared(c.inverse())
-
-
-def _cleared(c: ExactScalar) -> tuple[int, int]:
-    den = math.lcm(*(v.denominator for v in c.coeffs))
-    return sum(abs(v.numerator) * (den // v.denominator) for v in c.coeffs), den
+    b, inverse_den = _integral(c.inverse().coeffs)
+    return (sum(map(abs, a)), den), (sum(map(abs, b)), inverse_den)
 
 
 def _cleared_norms(rows: list[list[_Majorant]]) -> list[int]:
@@ -259,17 +272,23 @@ def invert_word(word: Iterable[int]) -> FreeWord:
 
 
 def normalize_braid(factors: Iterable[Sequence[int]]) -> BraidWord:
-    """Flatten twist factors to unit exponents, validating indices."""
-    out: list[TwistFactor] = []
+    """Flatten twist factors to unit exponents, validating indices.  A word
+    of more than BRAID_LENGTH_CAP unit factors is refused before it is
+    expanded."""
+    checked: list[TwistFactor] = []
     for factor in factors:
         i, j, e = (int(v) for v in factor)
         if not 1 <= i < j:
             raise ValidationError(f"twist factor needs strands 1 <= i < j, got ({i}, {j})")
         if e == 0:
             raise ValidationError("twist exponent must be nonzero")
-        step = 1 if e > 0 else -1
-        out.extend((i, j, step) for _ in range(abs(e)))
-    return tuple(out)
+        checked.append((i, j, e))
+    length = sum(abs(e) for _, _, e in checked)
+    if length > BRAID_LENGTH_CAP:
+        raise CapExceeded(
+            f"braid words are limited to {BRAID_LENGTH_CAP} unit twists (got {length})"
+        )
+    return tuple((i, j, 1 if e > 0 else -1) for i, j, e in checked for _ in range(abs(e)))
 
 
 def invert_braid(braid: Iterable[Sequence[int]]) -> BraidWord:
@@ -812,8 +831,10 @@ def membership(
       matter).  Primes are taken until p_1 * ... * p_j > H^phi(M); then
       D' = 0, so D = 0, and s = r exactly.  The primes that this rule needs
       at the current s are built together, once, modulo their product (see
-      `ResidueRing`), and ranked one by one in order; a larger s asks for
-      another batch.
+      `ResidueRing`), and ranked at all of them by one elimination modulo
+      that product (`modp_ranks`, in runs of at most MODULUS_BITS bits);
+      their ranks are then taken in order under the rule above, and a
+      larger s asks for another batch.
 
     Both criteria are built in each ring from one push per generator (see
     `_pushed_vectors`): the presentation rows are x_s ^ y, and the relator
@@ -825,8 +846,8 @@ def membership(
     In a residue ring the builders compute on integer representatives and
     reduce them mod N = p_1 ... p_j only to keep them small; Z -> Z/N is a
     ring map, so every entry is the residue of the entry built in Z/N, and
-    `modp_rank` reduces it mod each p_i.  The certificate names the primes
-    used.
+    `modp_ranks` eliminates modulo N, which is an elimination in every
+    F_{p_i} at once.  The certificate names the primes used.
 
     This is the one route by which the library decides a torus point: the
     depth-k verdict is `.delta` (rank at most C(n,2) - k), `.partial2` is
@@ -858,43 +879,66 @@ def membership(
 class _Residues:
     """A torus point's evaluation rings at the successive primes that apply
     (see `field`), each built on first use and shared by both criteria,
-    rings modulo products of consecutive ones, and its majorant ring."""
+    rings modulo products of consecutive ones, and its majorant ring.  Each
+    coordinate is cleared to an integer vector over one denominator once
+    (`_clear`), and its image at each prime is computed once from it."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
-        self.coords = _torus_coords(n, point)
-        self.order = point_order(self.coords)
+        coords = _torus_coords(n, point)
+        self.order = point_order(coords)
+        self.cleared = [_clear(c) for c in coords]
         self.floor = floor
         self.fields: list[PrimeField] = []
+        # per prime, the coordinates' images and their inverses
+        self.images: list[list[int]] = []
+        self.inverses: list[list[int]] = []
         self.rings: list[_Ring] = []
 
     def field(self, i: int) -> PrimeField:
         """The i-th prime that applies: a prime p = 1 (mod the order) above
         the floor that divides no coordinate denominator and maps every
-        coordinate to a unit (`reduce` gives None or 0 otherwise).  Only
-        the primes dividing a denominator or the norm of a coordinate fail,
-        so the search ends."""
+        coordinate to a unit (`reduce_integral` gives None or 0 otherwise).
+        Only the primes dividing a denominator or the norm of a coordinate
+        fail, so the search ends."""
         while len(self.fields) <= i:
             field = prime_field(self.order, self.floor)
             self.floor = field.p
-            if all(map(field.reduce, self.coords)):
+            images = [field.reduce_integral(c.order, a, den) for c, a, den in self.cleared]
+            if all(images):
                 self.fields.append(field)
+                self.images.append(images)
+                self.inverses.append([pow(v, -1, field.p) for v in images])
         return self.fields[i]
 
     def ring(self, i: int) -> _Ring:
         while len(self.rings) <= i:
-            self.rings.append(_Ring.residue(self.coords, self.field(len(self.rings))))
+            self.rings.append(self._residue_ring(len(self.rings), len(self.rings) + 1))
         return self.rings[i]
 
     def product_ring(self, start: int, stop: int) -> _Ring:
         """The evaluation ring modulo the product of primes start..stop-1."""
         if stop - start == 1:
             return self.ring(start)
-        fields = [self.field(i) for i in range(start, stop)]
-        return _Ring.residue(self.coords, ResidueRing(fields))
+        return self._residue_ring(start, stop)
+
+    def _residue_ring(self, start: int, stop: int) -> _Ring:
+        """Evaluation at the point's image in Z/N, N = p_start ... p_stop-1,
+        the ring's `modulus` (see `PrimeField`, `ResidueRing`): the images
+        and inverses at those primes, where every image is a unit, combined
+        by the Chinese remainder theorem.  Entries are built on integer
+        representatives, which `_push` reduces mod N to keep them small."""
+        crt = ResidueRing([self.field(i) for i in range(start, stop)])
+        return _Ring(
+            [crt.combine(v) for v in zip(*self.images[start:stop])],
+            [crt.combine(v) for v in zip(*self.inverses[start:stop])],
+            1,
+            0,
+            crt.p,
+        )
 
     @cached_property
     def majorant(self) -> _Ring:
-        return _Ring.majorant(self.coords)
+        return _Ring.majorant(self.cleared)
 
 
 def _certified_rank(
@@ -902,7 +946,9 @@ def _certified_rank(
 ) -> tuple[int, str]:
     """The rank of build's matrix at the point from modular ranks, with the
     primes used (see `membership`): the exact rank, or a modular rank above
-    threshold."""
+    threshold.  The primes after the first come in batches, each built and
+    ranked at all of its primes at once (`modp_ranks`), and are walked in
+    order until the rule stops."""
     ring = residues.ring(0)
     rows = build(m, ring)
     full = min(len(rows), ncols)
@@ -921,12 +967,12 @@ def _certified_rank(
                     batch *= residues.field(stop).p
                     stop += 1
                 ring = residues.product_ring(start, stop)
-                # reduced once, so that each prime reduces ints below the product
-                values = [[v % ring.modulus for v in row] for row in build(m, ring)]
+                batch_primes = [residues.field(i).p for i in range(start, stop)]
+                ranks = iter(modp_ranks(build(m, ring), ncols, batch_primes))
             p = residues.field(len(primes)).p
             primes.append(p)
             product *= p
-            r = modp_rank(values, ncols, p)
+            r = next(ranks)
             if r > rank:
                 rank = r
                 if rank == full or rank > threshold:

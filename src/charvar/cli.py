@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -182,7 +183,10 @@ def _parse_point(text: str) -> list[ExactScalar]:
         if not isinstance(entries, list):
             raise ValidationError("a JSON point must be an array")
     else:
-        entries = [tok.strip() for tok in stripped.split(",") if tok.strip()]
+        entries = [tok.strip() for tok in stripped.split(",")] if stripped else []
+        for position, entry in enumerate(entries, 1):
+            if not entry:
+                raise ValidationError(f"coordinate {position} of the point is empty")
     if not entries:
         raise ValidationError("the point has no coordinates")
     coords = []
@@ -359,13 +363,18 @@ def _enumerate_with_cone(lat: Lattice2, cap: int) -> tuple[Resonance1, Lattice2,
     return enumerate_first_resonance(lat, cap=cap), lat, coned
 
 
-def _coned_size(arr: Arrangement) -> int:
-    """Hyperplanes the enumeration sees of an arrangement, one more when
-    parallel lines make it cone the input; read without building the
-    lattice, which costs C(n,2) cross products."""
-    if arr.flavor == "central":
-        return arr.n
-    return arr.n + (len(set(arr.direction_keys(arr.dim))) < arr.n)
+def _coned_size(value: Arrangement | MonodromyInput) -> int:
+    """Hyperplanes the enumeration sees of an arrangement or a monodromy,
+    one more when parallel lines make it cone the input; read without
+    building the lattice, which costs C(n,2) cross products or pairs.  A
+    monodromy has parallels when its vertex sets, which share no pair,
+    cover fewer than C(n,2) pairs."""
+    if isinstance(value, MonodromyInput):
+        covered = sum(math.comb(len(gen.X), 2) for gen in value.generators)
+        return value.n + (covered < math.comb(value.n, 2))
+    if value.flavor == "central":
+        return value.n
+    return value.n + (len(set(value.direction_keys(value.dim))) < value.n)
 
 
 def _components_payload(lat: Lattice2, cap: int) -> dict:
@@ -416,7 +425,7 @@ def cmd_components(args) -> int:
     if kind == "pair":
         payload = {"pair": [_components_payload(lat, args.cap) for lat in value]}
     else:
-        if kind == "arrangement":
+        if kind in ("arrangement", "monodromy"):
             check_cap(_coned_size(value), args.cap)
         payload = _components_payload(_as_lattice(kind, value), args.cap)
     _render(args, payload, _components_text)
@@ -435,6 +444,17 @@ def cmd_components(args) -> int:
 # Python 3.11).  A larger input is refused before its lattice or any pair
 # list is built.
 MEMBER_HYPERPLANE_CAP = 200
+
+# Largest strand count `member` takes on monodromy input.  One double point
+# on n strands is the costliest shape measured: its group is nearly free,
+# so most points lie deep in the locus and the certificate needs many
+# primes.  At an order-120 point (a/b) * zeta_120^e it takes 0.54 s on 12
+# strands (375 primes), 0.96 s on 13, 1.7 s on 14 and 3.9 s on 16; at a
+# unit point of order 5 0.02 s on 12 strands and 2.3 s on 30 (52 MiB), and
+# 12 s on 40 (152 MiB); at a rational point 0.02 s on 12 and 1.5 s on 30
+# (2-core Intel Xeon, Python 3.11).  A larger input is refused before any
+# ring is built.
+MEMBER_STRAND_CAP = 12
 
 
 def _member_monodromy(m: MonodromyInput, coords: list[ExactScalar], k: int) -> dict:
@@ -504,6 +524,11 @@ def cmd_member(args) -> int:
     kind, value = _load_input(args.input)
     coords = _parse_point(args.point)
     if kind == "monodromy":
+        if value.n > MEMBER_STRAND_CAP:
+            raise CapExceeded(
+                "member on monodromy input is limited to "
+                f"{MEMBER_STRAND_CAP} strands (got {value.n})"
+            )
         verdict = _member_monodromy(value, coords, args.k)
     elif kind == "pair":
         raise ValidationError(

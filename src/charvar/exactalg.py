@@ -13,9 +13,10 @@ echelon for every exact rank (each pivot row kept as its nonzero entries
 divided by its content, and a row scaled only when a pivot's lead does
 not divide the entry it clears; clones share the immutable pivot rows),
 which ranks rows over Q(zeta_m) by restriction of scalars to Q; a sparse
-elimination over F_p for the certified modular rank (rows of int residues
-built once modulo a product of primes, by the Chinese remainder theorem,
-serve every one of them); a rational reduced echelon form; and one
+elimination modulo a product of primes for the certified modular ranks
+(rows of int residues built once modulo the product, by the Chinese
+remainder theorem, are ranked at every one of the primes at once); a
+rational reduced echelon form; and one
 unimodular reduction behind the Hermite normal form and the saturated
 integer kernel.  There are no symbolic (Laurent polynomial) entries:
 the library decides a torus point by ranks of matrices evaluated there.
@@ -358,7 +359,7 @@ def _coerce(value) -> ExactScalar:
 
 
 def _normalize(order: int, coeffs: Sequence[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     phi = _euler_phi(order)
     assert len(coeffs) == phi, "coefficient list must have length phi(order)"
     if order == 2:
@@ -695,28 +696,32 @@ class PrimeField:
     def reduce(self, value: ExactScalar) -> int | None:
         """The image of an exact scalar, or None when p divides one of its
         coefficient denominators."""
-        assert self.order % value.order == 0, "scalar order must divide the field order"
+        return self.reduce_integral(value.order, *_integral(value.coeffs))
+
+    def reduce_integral(self, order: int, ints: Sequence[int], den: int) -> int | None:
+        """The image of the scalar of order `order` whose multiple den * a
+        has the power-basis coefficients `ints` (see `_integral`), or None
+        when p divides den."""
+        assert self.order % order == 0, "scalar order must divide the field order"
         p = self.p
-        step = pow(self.omega, self.order // value.order, p)
-        acc, power = 0, 1
-        for c in value.coeffs:
-            if c:
-                if c.denominator % p == 0:
-                    return None
-                acc += c.numerator * pow(c.denominator, -1, p) * power
-            power = power * step % p
-        return acc % p
+        if den % p == 0:
+            return None
+        step = pow(self.omega, self.order // order, p)
+        acc = 0
+        for c in reversed(ints):
+            acc = (acc * step + c) % p
+        return acc * pow(den, -1, p) % p
 
 
 class ResidueRing:
     """Z/(p_1 ... p_j) for the distinct primes of some `PrimeField`s, which
     the Chinese remainder theorem identifies with the product of the fields.
 
-    `reduce` sends a scalar to the residue (an int in [0, p_1 ... p_j))
-    whose image mod each p_i is its image in the i-th field.  Reduction mod
-    p_i is a ring map onto F_{p_i}, so anything built from such residues by
-    ring operations reduces mod p_i to the same thing built in F_{p_i}: one
-    build serves every p_i.
+    `combine` sends the images of a scalar in the fields to its residue
+    (an int in [0, p_1 ... p_j)), whose image mod each p_i is its image in
+    the i-th field.  Reduction mod p_i is a ring map onto F_{p_i}, so
+    anything built from such residues by ring operations reduces mod p_i
+    to the same thing built in F_{p_i}: one build serves every p_i.
     """
 
     __slots__ = ("fields", "p", "_idempotents")
@@ -730,12 +735,8 @@ class ResidueRing:
             for field in self.fields
         ]
 
-    def reduce(self, value: ExactScalar) -> int | None:
-        """The residue of an exact scalar, or None when one of the primes
-        divides one of its coefficient denominators."""
-        images = [field.reduce(value) for field in self.fields]
-        if None in images:
-            return None
+    def combine(self, images: Sequence[int]) -> int:
+        """The residue whose image mod each p_i is images[i]."""
         return sum(e * v for e, v in zip(self._idempotents, images)) % self.p
 
 
@@ -794,38 +795,89 @@ def _element_of_order(order: int, p: int) -> int:
     raise AssertionError("F_p has no element of the requested order")
 
 
-def modp_rank(rows: Iterable[Sequence[int]], ncols: int, p: int) -> int:
-    """Rank over F_p of integer rows, by sparse elimination that stops at
-    full rank.
+# Largest modulus, in bits, of one elimination in `modp_ranks`.  Python's
+# integer division is quadratic: modulo the 9991-bit product of 333 primes
+# above 2^30 one product-and-reduce takes 0.27 ms and one inverse 10 ms, so
+# a long batch is eliminated in runs of primes whose product stays below
+# this, each run once.  Over the 32 order-120 queries of the
+# `POINT_ORDER_CAP` comment (up to 333 primes) one elimination per batch
+# took 1.21 s, runs of 1024 bits 0.78 s, of 512 bits 0.77 s and of 128 bits
+# 1.20 s; one double point on 30 strands at a unit point of order 5 (98
+# primes, 4060 rows) took 2.0, 1.8 and 3.8 s at the first three (best of
+# two or three runs, 2-core Intel Xeon, Python 3.11).  The batches of the
+# benchmark's member queries (at most 11 primes, 341 bits) stay one run.
+MODULUS_BITS = 1024
 
-    Rows are reduced mod p and kept as {column: value} dicts of their
+
+def modp_rank(rows: Iterable[Sequence[int]], ncols: int, p: int) -> int:
+    """Rank over F_p of integer rows (`modp_ranks` with the one prime p)."""
+    return modp_ranks(rows, ncols, (p,))[0]
+
+
+def modp_ranks(
+    rows: Iterable[Sequence[int]], ncols: int, primes: Sequence[int]
+) -> list[int]:
+    """Rank over F_p of integer rows at each of some distinct primes, by one
+    sparse elimination modulo their product N that stops at full rank (one
+    per run of primes whose product has at most MODULUS_BITS bits).
+
+    Rows are reduced mod N and kept as {column: value} dicts of their
     nonzero entries.  Each step takes the remaining row with the fewest
     nonzeros as the pivot row, pivots on its first stored column, and
     clears that column from every other remaining row; rows that become
-    zero are dropped.
+    zero are dropped.  A lead prime to N is a unit mod every p, so each
+    step is a step of the elimination over every F_p at once (Z/N is the
+    product of the F_p), and the pivots counted are each prime's rank.  A
+    nonzero lead that is not prime to N vanishes mod some of the primes:
+    then the rows as they stand are ranked at each prime alone, where
+    every nonzero lead is a unit.
 
     Reduction modulo p is a ring map, so every minor that survives it was
-    nonzero before: the result never exceeds the rank over the rationals.
+    nonzero before: no rank exceeds the rank over the rationals.
     """
-    work = [{c: r for c, v in enumerate(row) if (r := v % p)} for row in rows]
+    rows = list(rows)
+    ranks: list[int] = []
+    start = 0
+    while start < len(primes):
+        stop, n = start + 1, primes[start]
+        while stop < len(primes) and (n * primes[stop]).bit_length() <= MODULUS_BITS:
+            n *= primes[stop]
+            stop += 1
+        work = [{c: r for c, v in enumerate(row) if (r := v % n)} for row in rows]
+        ranks += _modular_ranks(work, ncols, primes[start:stop], n, 0)
+        start = stop
+    return ranks
+
+
+def _modular_ranks(
+    work: list[dict[int, int]], ncols: int, primes: Sequence[int], n: int, found: int
+) -> list[int]:
+    """The ranks of `modp_ranks`: `found` pivots taken, `work` the remaining
+    rows mod n, the product of the primes."""
     work = [row for row in work if row]
-    full = min(len(work), ncols)
-    rank_found = 0
-    while work and rank_found < full:
+    while work and found < ncols:
         pivot = min(work, key=len)
         col, lead = next(iter(pivot.items()))
-        inv = pow(lead, -1, p)
+        if math.gcd(lead, n) != 1:
+            return [
+                _modular_ranks(
+                    [{c: r for c, v in row.items() if (r := v % p)} for row in work],
+                    ncols, (p,), p, found,
+                )[0]
+                for p in primes
+            ]
+        inv = pow(lead, -1, n)
         for row in work:
             a = row.get(col)
             if a is None or row is pivot:
                 continue
-            factor = a * inv % p
+            factor = a * inv % n
             for c, b in pivot.items():
-                v = (row.get(c, 0) - factor * b) % p
+                v = (row.get(c, 0) - factor * b) % n
                 if v:
                     row[c] = v
                 else:
                     del row[c]
         work = [row for row in work if row and row is not pivot]
-        rank_found += 1
-    return rank_found
+        found += 1
+    return [found] * len(primes)

@@ -13,12 +13,14 @@ Each construction is symbolic, over Laurent polynomials (`laurent`), when
 no point is given, and exact at the point otherwise.  The generators of a
 Fitting ideal, the paper's definition of V_k, live here too: the library
 decides V_k as a rank at a point, and the tests hold the two against each
-other.
+other.  So does the certified rank loop that ranks each prime of a batch
+by its own elimination (`certified_rank`, `membership`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 from charvar import alexander
@@ -26,6 +28,7 @@ from charvar.alexander import (
     BraidWord,
     MonodromyGen,
     _check_gen,
+    _cleared_norms,
     _gradient,
     _push,
     _resolution_differential,
@@ -37,7 +40,7 @@ from charvar.alexander import (
     normalize_braid,
 )
 from charvar.arrangement import ValidationError
-from charvar.exactalg import ExactScalar
+from charvar.exactalg import MODULAR_PRIME_FLOOR, ExactScalar, _euler_phi, modp_rank
 from laurent import LaurentPoly, symbolic_ring
 
 
@@ -212,3 +215,59 @@ def fitting_generators(matrix: Sequence[Sequence], k: int):
             if not det.is_zero() and all(det != g for g in gens):
                 gens.append(det)
     return gens
+
+
+def certified_rank(m, residues, build, ncols: int, threshold: int) -> tuple[int, str]:
+    """The certified rank loop with one elimination per prime: each batch of
+    primes is built once modulo their product and then ranked at its
+    primes one by one (`modp_rank`), under the stop rule of `membership`.
+    The library ranks a batch at all its primes in one elimination
+    (`modp_ranks`); this is the loop it replaced, kept as the reference
+    its ranks and certificates are held against."""
+    ring = residues.ring(0)
+    rows = build(m, ring)
+    full = min(len(rows), ncols)
+    primes = [ring.modulus]
+    rank = modp_rank(rows, ncols, ring.modulus)
+    if rank < full and rank <= threshold:
+        norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
+        phi = _euler_phi(residues.order)
+        bound = math.prod(norms[: rank + 1]) ** phi
+        product, stop = primes[0], 1
+        while product ** 2 <= bound:
+            if len(primes) == stop:
+                start, batch = stop, product
+                while batch ** 2 <= bound:
+                    batch *= residues.field(stop).p
+                    stop += 1
+                ring = residues.product_ring(start, stop)
+                values = [[v % ring.modulus for v in row] for row in build(m, ring)]
+            p = residues.field(len(primes)).p
+            primes.append(p)
+            product *= p
+            r = modp_rank(values, ncols, p)
+            if r > rank:
+                rank = r
+                if rank == full or rank > threshold:
+                    break
+                bound = math.prod(norms[: rank + 1]) ** phi
+    return rank, "mod " + "*".join(map(str, primes))
+
+
+def membership(m, point: Sequence, k: int, prime_floor: int = MODULAR_PRIME_FLOOR):
+    """`charvar.alexander.membership` on the reference loop `certified_rank`:
+    the same `Membership`, rank, verdicts and certificates."""
+    residues = alexander._Residues(m.n, point, prime_floor)
+    ncols = math.comb(m.n, 2)
+    rank, delta_route = certified_rank(
+        m, residues, alexander._presentation_rows, ncols, ncols
+    )
+    partial2, partial2_route = None, None
+    if k <= alexander.relator_route_limit(m):
+        relator, partial2_route = certified_rank(
+            m, residues, alexander._relator_rows, m.n, m.n - k - 1
+        )
+        partial2 = relator <= m.n - k - 1
+    return alexander.Membership(
+        rank, rank <= ncols - k, partial2, {"delta": delta_route, "partial2": partial2_route}
+    )

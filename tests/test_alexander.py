@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charvar import alexander
+from charvar import alexander, exactalg
 from charvar.alexander import (
     POINT_ORDER_CAP,
     MonodromyGen,
@@ -45,6 +45,7 @@ from charvar.alexander import (
     relator_route_limit,
     twist_generator_image,
     _certified_rank,
+    _clear,
     _coordinate_bounds,
     _Majorant,
     _presentation_rows,
@@ -59,6 +60,8 @@ from alexander_reference import (
     fox_gradient,
     gassner,
     monodromy_chain_map,
+    certified_rank as reference_certified_rank,
+    membership as reference_membership,
     resolution_differential,
     twist_chain_map,
     wedge_square,
@@ -338,7 +341,7 @@ def test_factor_rows_are_fox_gradients_of_memoized_image_words(monkeypatch):
         monkeypatch.setattr(
             alexander, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
-    rings = [_ring(n), _ring(n, point), _Ring.majorant(point)]
+    rings = [_ring(n), _ring(n, point), _Ring.majorant(list(map(_clear, point)))]
     got = [[entries(ring.factor_rows(f)) for f in factors] for ring in rings]
     assert calls == []
     monkeypatch.undo()
@@ -502,9 +505,11 @@ def test_row_builders_match_the_reference_construction(drawn, kind, rng):
     ring, image, built = _ring(n, point), lambda e: e, lambda e: e
     if kind.startswith("mod"):
         field = prime_field(12)
-        if kind == "mod p1*p2":
-            field = ResidueRing([field, prime_field(12, field.p)])
-        ring, image = _Ring.residue(point, field), field.reduce
+        fields = [field, prime_field(12, field.p)] if kind == "mod p1*p2" else [field]
+        crt = ResidueRing(fields)
+        image = lambda e: crt.combine([f.reduce(e) for f in fields])  # noqa: E731
+        images = [image(c) for c in point]
+        ring = _Ring(images, [pow(v, -1, crt.p) for v in images], 1, 0, crt.p)
         # residue rows hold integer representatives: compare them mod N
         built = lambda e: e % ring.modulus  # noqa: E731
     chain = monodromy_chain_map(gen, n, point)
@@ -532,8 +537,11 @@ def test_pushed_vectors_stay_below_the_modulus_of_a_residue_ring(drawn, rng):
     n, gen = drawn
     point = [root_of_unity(12, rng.randrange(12)) for _ in range(n)]
     field = prime_field(12)
-    for residues in (field, ResidueRing([field, prime_field(12, field.p)])):
-        ring = _Ring.residue(point, residues)
+    for fields in ([field], [field, prime_field(12, field.p)]):
+        residues = ResidueRing(fields)
+        images = [residues.combine([f.reduce(c) for f in fields]) for c in point]
+        inverses = [pow(v, -1, residues.p) for v in images]
+        ring = _Ring(images, inverses, 1, 0, residues.p)
         assert ring.modulus == residues.p
         xs, y = _pushed_vectors(gen, ring)
         assert all(0 <= e < ring.modulus for v in xs + [y] for e in v)
@@ -1076,7 +1084,7 @@ def test_certified_route_agrees_with_the_exact_route():
         rank, delta, partial2 = _exact_membership(m, point, k)
         got = membership(m, point, k, prime_floor=floor)
         assert (got.rank, got.delta, got.partial2) == (rank, delta, partial2)
-        majorant = _Ring.majorant(point)
+        majorant = _Ring.majorant(list(map(_clear, point)))
         routes = [
             (got.certificate["delta"], _presentation_rows, math.comb(m.n, 2), math.comb(m.n, 2)),
             (got.certificate["partial2"], _relator_rows, m.n, m.n - k - 1),
@@ -1117,6 +1125,46 @@ def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
 
     assert _certified_rank(None, residues, build, 3, 3) == (2, "mod 11*31*41")
     assert _certified_rank(None, residues, build, 3, 1) == (2, "mod 11*31")
+
+
+def test_certified_rank_walks_each_batch_in_prime_order():
+    """Scripted 4 x 4 matrices whose rank mod each prime is drawn, at a
+    point of order 5 above the floor 10 (primes 11, 31, 41, 61, ...), with
+    majorant bounds that make batches of several primes: the certified rank
+    and certificate equal those of the reference loop, which ranks each
+    prime of a batch by its own elimination, and some batch walked primes
+    of different ranks."""
+    primes = [modular_prime(5, 10)]
+    while len(primes) < 400:
+        primes.append(modular_prime(5, primes[-1]))
+    seen = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=400, max_size=400),
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def check(script, bound, threshold):
+        def build(_m, ring):
+            if ring.modulus is None:
+                return [[_Majorant(bound, 1)] * 4 for _ in range(4)]
+            n = ring.modulus
+            batch = [i for i, p in enumerate(primes) if n % p == 0]
+            if len({script[i] for i in batch}) > 1:
+                seen.add("a batch of primes of different ranks")
+            # diagonal entry j is 1 mod p_i when j < script[i], else 0
+            units = {i: n // primes[i] * pow(n // primes[i], -1, primes[i]) for i in batch}
+            diagonal = [sum(units[i] for i in batch if j < script[i]) % n for j in range(4)]
+            return [[diagonal[j] * (j == c) for c in range(4)] for j in range(4)]
+
+        point = [root_of_unity(5)] * 2
+        got = _certified_rank(None, _Residues(2, point, 10), build, 4, threshold)
+        want = reference_certified_rank(None, _Residues(2, point, 10), build, 4, threshold)
+        assert got == want
+
+    check()
+    assert seen == {"a batch of primes of different ranks"}
 
 
 def _sequential_rank(m, residues, build, ncols, threshold):
@@ -1210,6 +1258,46 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch
     }
 
 
+def test_membership_matches_the_loop_with_one_elimination_per_prime(monkeypatch):
+    """On seeded points of the four benchmark member inputs, on a component
+    and off the components, rational, of unit orders 4 and 12 and of the
+    non-unit order 12 ((a/b) * zeta_12^e), at depths 1 and 2, with the
+    default prime floor and a floor of 10: `membership`, which ranks a batch
+    of primes in one elimination, gives the rank, verdicts and certificate
+    strings of the reference loop that ranks each prime by itself.  At the
+    floor of 10 some batch split at a lead that one of its primes divides,
+    and some certificate needed several primes."""
+    seen = set()
+    real = exactalg._modular_ranks
+    depth = []
+
+    def spy(work, ncols, primes, n, found):
+        if depth:
+            seen.add("a batch split")
+        depth.append(len(primes))
+        try:
+            return real(work, ncols, primes, n, found)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(exactalg, "_modular_ranks", spy)
+    kinds = [(None, False), (4, False), (12, False), (12, True)]
+    for seed, (name, on, (order, scaled), floor) in enumerate(
+        itertools.product(
+            sorted(GATE_INPUTS), (True, False), kinds, (MODULAR_PRIME_FLOOR, 10)
+        )
+    ):
+        m, _ = _gate_input(name)
+        point = _gate_point(name, on, order, seed, scaled)
+        k = 1 + seed % 2
+        got = membership(m, point, k, prime_floor=floor)
+        want = reference_membership(m, point, k, prime_floor=floor)
+        assert got == want, (name, on, order, scaled, floor, seed)
+        if "*" in got.certificate["delta"]:
+            seen.add("several primes")
+    assert seen == {"a batch split", "several primes"}
+
+
 def test_majorants_bound_every_embedding():
     """At rational points, unit points of order 1..12 and non-unit points
     (a/b) * zeta_d^e, the majorant build gives every entry e of the
@@ -1232,7 +1320,7 @@ def test_majorants_bound_every_embedding():
     def check(name, on, order, scaled, seed):
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed, scaled)
-        majorant = _Ring.majorant(point)
+        majorant = _Ring.majorant(list(map(_clear, point)))
         order = point_order(point)
         embeddings = [j for j in range(1, order + 1) if math.gcd(j, order) == 1]
         for build, exact in (
@@ -1248,18 +1336,18 @@ def test_majorants_bound_every_embedding():
                         assert value <= b.bound / b.den * (1 + 1e-9), (e, b.bound, b.den, a)
 
     check()
-    assert _coordinate_bounds(root_of_unity(11, 10)) == ((1, 1), (1, 1))
-    assert _coordinate_bounds(ExactScalar.from_rational(-1)) == ((1, 1), (1, 1))
+    assert _coordinate_bounds(_clear(root_of_unity(11, 10))) == ((1, 1), (1, 1))
+    assert _coordinate_bounds(_clear(ExactScalar.from_rational(-1))) == ((1, 1), (1, 1))
     # 1/(1 + z5) = -z5 - z5^3
-    assert _coordinate_bounds(1 + root_of_unity(5)) == ((2, 1), (2, 1))
-    assert _coordinate_bounds(ExactScalar.from_rational(2)) == ((2, 1), (1, 2))
-    assert _coordinate_bounds(ExactScalar.from_rational(Fraction(1, 2))) == ((1, 2), (2, 1))
+    assert _coordinate_bounds(_clear(1 + root_of_unity(5))) == ((2, 1), (2, 1))
+    assert _coordinate_bounds(_clear(ExactScalar.from_rational(2))) == ((2, 1), (1, 2))
+    assert _coordinate_bounds(_clear(ExactScalar.from_rational(Fraction(1, 2)))) == ((1, 2), (2, 1))
     # 2 + z3 has norm 3, and 1/(2 + z3) = (1 - z3)/3
-    assert _coordinate_bounds(2 + root_of_unity(3)) == ((3, 1), (2, 3))
+    assert _coordinate_bounds(_clear(2 + root_of_unity(3))) == ((3, 1), (2, 3))
     # (3 + 4i)/5 has absolute value 1 at both embeddings but is no
     # algebraic integer: c and 1/c = conj(c) keep the denominator 5
     c = ExactScalar(4, [Fraction(3, 5), Fraction(4, 5)])
-    assert _coordinate_bounds(c) == ((5, 5), (5, 5))
+    assert _coordinate_bounds(_clear(c)) == ((5, 5), (5, 5))
 
 
 def test_relator_certificate_needs_no_more_primes_than_the_presentation():
@@ -1347,7 +1435,7 @@ def test_certified_route_skips_primes_that_do_not_apply():
         assert got.certificate == {"delta": delta, "partial2": partial2}
         assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
         point = [_scalar(c) for c in point]
-        majorant = _Ring.majorant(point)
+        majorant = _Ring.majorant(list(map(_clear, point)))
         seen = {}
         for (build, ncols, threshold), (rows, rank), route in zip(
             criteria, _exact_ranks(m, point, 1), (delta, partial2)

@@ -15,13 +15,20 @@ from fractions import Fraction
 import pytest
 
 from charvar.alexander import (
+    BRAID_LENGTH_CAP,
     load_monodromy,
     pencil_monodromy,
     presentation_rank,
     relator_rank,
 )
 from charvar.arrangement import decone, gen_family
-from charvar.cli import MEMBER_HYPERPLANE_CAP, _components_payload, _json_text, main
+from charvar.cli import (
+    MEMBER_HYPERPLANE_CAP,
+    MEMBER_STRAND_CAP,
+    _components_payload,
+    _json_text,
+    main,
+)
 from charvar.components import DEFAULT_CAP, Component, format_torus_equation
 from charvar.exactalg import modular_prime
 
@@ -640,6 +647,70 @@ def test_one_flat_of_every_line_is_refused_before_its_pairs_are_mapped(
         assert (code, out, err) == (3, "", message)
 
 
+@pytest.mark.parametrize("n", [MEMBER_STRAND_CAP + 1, 40])
+def test_member_refuses_a_monodromy_of_many_strands_quickly(capsys, tmp_path, n):
+    # one double point on 40 strands takes 12 s and 152 MiB at a unit point
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({"n": n, "generators": [{"X": [1, 2]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", str(path), "--point=" + ",".join(["2"] * n))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: member on monodromy input is limited to {MEMBER_STRAND_CAP} "
+        f"strands (got {n})\n"
+    )
+    path.write_text(json.dumps({"n": MEMBER_STRAND_CAP, "generators": [{"X": [1, 2]}]}))
+    point = "--point=" + ",".join(["2"] * MEMBER_STRAND_CAP)
+    assert run(capsys, "member", str(path), point)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "n, generators, counted",
+    [(2000, [{"X": [1, 2]}], 2001), (DEFAULT_CAP + 1, [{"X": list(range(1, 16))}], 15)],
+    ids=["parallels", "pencil"],
+)
+def test_components_refuses_a_large_monodromy_before_its_lattice(
+    capsys, tmp_path, n, generators, counted
+):
+    # the lattice of 2000 strands lists C(2000, 2) pairs (3.2 s, 480 MiB);
+    # the cap is checked first, counting the line at infinity that coning
+    # adds when some pair lies in no vertex set
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "generators": generators}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "components", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: arrangement has {counted} hyperplanes, enumeration cap is {DEFAULT_CAP}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice"], ["components"], ["member", "--point=2,3,5,7,11,13"]],
+    ids=["lattice", "components", "member"],
+)
+def test_a_long_conjugator_is_refused_before_it_is_expanded(capsys, tmp_path, argv):
+    # the exponent 10^10 was expanded into as many unit twists on load
+    obj = load_monodromy("diamond_monodromy").to_json()
+    obj["generators"][0]["delta"] = [["A", 1, 2, 10**10]]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: braid words are limited to {BRAID_LENGTH_CAP} unit twists "
+        "(got 10000000000)\n"
+    )
+    obj["generators"][0]["delta"] = [["A", 1, 2, BRAID_LENGTH_CAP]]
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "lattice", str(path))[0] == 0
+
+
 def test_flats_sharing_a_pair_are_a_validation_error(capsys, tmp_path):
     path = tmp_path / "overlap.json"
     path.write_text(json.dumps({"n": 4, "flats": [[1, 2, 3], [1, 2, 4]]}))
@@ -659,6 +730,19 @@ def test_member_bad_coordinate_is_a_validation_error(capsys, braid4_file):
     code, _, err = run(capsys, "member", braid4_file, "--point=1,oops")
     assert code == 2
     assert "bad coordinate" in err
+
+
+@pytest.mark.parametrize(
+    "arg, position",
+    [("1,2,,4,5,6,7", 3), (",1,1,1,1,1,1", 1), ("1,1,1,1,1,1,", 7), ("1,1, ,1,1,1", 3)],
+    ids=["inner", "leading", "trailing", "blank"],
+)
+def test_member_refuses_an_empty_field_in_the_point(capsys, arg, position):
+    """An empty field is refused, not dropped: without the check,
+    1,2,,4,5,6,7 was answered as the diamond point (1,2,4,5,6,7)."""
+    code, out, err = run(capsys, "member", "fixture:diamond_monodromy", f"--point={arg}")
+    assert (code, out) == (2, "")
+    assert err == f"error: coordinate {position} of the point is empty\n"
 
 
 def test_member_text_format(capsys, monodromy_file):

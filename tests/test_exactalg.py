@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charvar import exactalg
 from charvar.exactalg import (
     MODULAR_PRIME_FLOOR,
+    MODULUS_BITS,
     ExactMatrix,
     ExactScalar,
     IntEchelon,
@@ -26,6 +28,7 @@ from charvar.exactalg import (
     hermite_normal_form,
     integer_kernel,
     modp_rank,
+    modp_ranks,
     modular_prime,
     nullspace,
     prime_field,
@@ -729,6 +732,100 @@ def test_sparse_modular_rank_matches_a_dense_elimination(case):
     rank = modp_rank(rows, ncols, p)
     assert rank == _dense_modp_rank(rows, ncols, p)
     assert rank <= IntEchelon(ncols).add_rows(rows)
+
+
+_BATCH_PRIMES = (3, 5, 7, 11, 13, modular_prime(1), modular_prime(1, modular_prime(1)))
+
+
+@st.composite
+def _rows_mod_batch(draw):
+    """Two to four distinct primes and seeded integer rows, with zero rows,
+    integer combinations, rows that vanish modulo exactly one of the
+    primes, one-entry rows whose lead exactly one of the primes divides,
+    and unit rows that can make the rank full before the rows run out."""
+    primes = draw(st.lists(st.sampled_from(_BATCH_PRIMES), min_size=2, max_size=4, unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    ncols = rng.randint(1, 6)
+    rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(["zero", "combination", "vanishing", "lead", "unit"])
+        p, col = rng.choice(primes), rng.randrange(ncols)
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination":
+            coeffs = [rng.randint(-3, 3) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        elif kind == "vanishing":
+            rows.append([p * v for v in rng.choice(rows)])
+        else:
+            rows.append([(p if kind == "lead" else 1) * (j == col) for j in range(ncols)])
+    rng.shuffle(rows)
+    return rows, ncols, primes
+
+
+def test_batched_modular_ranks_match_the_rank_at_each_prime(monkeypatch):
+    """`modp_ranks` gives, in one elimination modulo the product of a batch
+    of primes, the rank of `modp_rank` and of the dense elimination at each
+    prime.  Among the batches, a row vanished modulo one prime only, a lead
+    that one prime divides split the batch, the ranks differed between
+    primes, and the rank was full with rows left over."""
+    seen = set()
+    real = exactalg._modular_ranks
+    depth = []
+
+    def spy(work, ncols, primes, n, found):
+        if depth:
+            seen.add("a batch split")
+        depth.append(len(primes))
+        try:
+            return real(work, ncols, primes, n, found)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(exactalg, "_modular_ranks", spy)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rows_mod_batch())
+    def check(case):
+        rows, ncols, primes = case
+        ranks = modp_ranks(rows, ncols, primes)
+        assert ranks == [modp_rank(rows, ncols, p) for p in primes]
+        assert ranks == [_dense_modp_rank(rows, ncols, p) for p in primes]
+        n = math.prod(primes)
+        if any(
+            any(v % n for v in row) and not any(v % p for v in row)
+            for row in rows
+            for p in primes
+        ):
+            seen.add("a row vanishing modulo one prime only")
+        if len(set(ranks)) > 1:
+            seen.add("ranks that differ between primes")
+        if min(ranks) == ncols < sum(any(v % n for v in row) for row in rows):
+            seen.add("full rank with rows left over")
+
+    check()
+    assert seen == {
+        "a row vanishing modulo one prime only",
+        "a batch split",
+        "ranks that differ between primes",
+        "full rank with rows left over",
+    }
+    # the one-entry row 11 e_1 is the first pivot; its lead vanishes mod 11
+    seen.clear()
+    assert modp_ranks([[11, 0], [1, 1]], 2, (11, 13)) == [1, 2]
+    assert seen == {"a batch split"}
+    # 40 primes above 2^30 pass MODULUS_BITS, so they are eliminated in
+    # runs; a row that the 26th prime divides lowers the rank there only
+    primes = [modular_prime(1)]
+    while len(primes) < 40:
+        primes.append(modular_prime(1, primes[-1]))
+    assert math.prod(primes).bit_length() > MODULUS_BITS
+    rng = random.Random(40)
+    rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
+    rows.append([primes[25] * rng.randint(-9, 9) for _ in range(5)])
+    ranks = modp_ranks(rows, 5, primes)
+    assert ranks == [4] * 25 + [3] + [4] * 14
+    assert ranks == [modp_rank(rows, 5, p) for p in primes]
 
 
 # ---------------------------------------------------------------------------
