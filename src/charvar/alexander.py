@@ -61,7 +61,6 @@ from .exactalg import (
     _euler_phi,
     _fold,
     _galois,
-    _integral,
     _mul,
     modp_rank,
     modp_ranks,
@@ -135,13 +134,12 @@ class _Ring:
         self._pushed: dict[MonodromyGen, tuple[list[list], list]] = {}
 
     @classmethod
-    def majorant(cls, cleared: list[_Cleared]) -> "_Ring":
+    def majorant(cls, coords: Sequence[ExactScalar]) -> "_Ring":
         """Evaluation at majorants of t_i and 1/t_i (see `_Majorant`,
         `_coordinate_bounds`), so that the builders return, for every entry
         e, a denominator d with d * e in Z[zeta_M] and an integer bound on
-        every |sigma(d * e)| over the embeddings sigma of Q(zeta_M) in C;
-        from the coordinates as `_clear` gives them."""
-        bounds = [_coordinate_bounds(c) for c in cleared]
+        every |sigma(d * e)| over the embeddings sigma of Q(zeta_M) in C."""
+        bounds = [_coordinate_bounds(c) for c in coords]
         t = [_Majorant(*b) for b, _ in bounds]
         tinv = [_Majorant(*b) for _, b in bounds]
         return cls(t, tinv, _Majorant(1, 1), _Majorant(0, 1))
@@ -213,27 +211,18 @@ class _Majorant:
         return not self.is_zero()
 
 
-# a coordinate c as (c, a, den): den the lcm of its power-basis coefficient
-# denominators, a the integer coefficients of den * c
-_Cleared = tuple[ExactScalar, list[int], int]
-
-
-def _clear(c: ExactScalar) -> _Cleared:
-    return (c, *_integral(c.coeffs))
-
-
-def _coordinate_bounds(cleared: _Cleared) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The majorants (bound, den) of c and of 1/c (see `_Majorant`), from
-    (c, a, den) as `_clear` gives it: as |sigma(zeta^i)| = 1 the sum of the
-    |a_i| bounds every |sigma(den * c)|.  When c * conj(c) = 1, that is
-    a * conj(a) = den^2 on ints (conj the Galois map zeta -> 1/zeta), as
-    for roots of unity and +-1, every |sigma(c)| is 1 and 1/c = conj(c) has
-    the same denominators, so both get (den, den)."""
-    c, a, den = cleared
+def _coordinate_bounds(c: ExactScalar) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The majorants (bound, den) of c and of 1/c (see `_Majorant`): as
+    |sigma(zeta^i)| = 1 the sum of the |a_i|, a = c.ints, bounds every
+    |sigma(c.den * c)|, and likewise for c.inverse().  When c * conj(c) = 1,
+    that is a * conj(a) = den^2 on ints (conj the Galois map zeta -> 1/zeta),
+    as for roots of unity and +-1, every |sigma(c)| is 1 and 1/c = conj(c)
+    has the same denominator: both get (den, den), with no inverse built."""
+    a, den = c.ints, c.den
     if _fold(c.order, _mul(a, _galois(c.order, a, -1))) == [den * den] + [0] * (len(a) - 1):
         return (den, den), (den, den)
-    b, inverse_den = _integral(c.inverse().coeffs)
-    return (sum(map(abs, a)), den), (sum(map(abs, b)), inverse_den)
+    inverse = c.inverse()
+    return (sum(map(abs, a)), den), (sum(map(abs, inverse.ints)), inverse.den)
 
 
 def _cleared_norms(rows: list[list[_Majorant]]) -> list[int]:
@@ -877,68 +866,58 @@ def membership(
 
 
 class _Residues:
-    """A torus point's evaluation rings at the successive primes that apply
-    (see `field`), each built on first use and shared by both criteria,
-    rings modulo products of consecutive ones, and its majorant ring.  Each
-    coordinate is cleared to an integer vector over one denominator once
-    (`_clear`), and its image at each prime is computed once from it."""
+    """A torus point's evaluation rings modulo products of consecutive
+    primes that apply (see `field`), each built on first use and shared by
+    both criteria, and its majorant ring.  Each coordinate's image at each
+    prime is computed once, from its `ints` and `den` (`PrimeField.reduce`)."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
-        coords = _torus_coords(n, point)
-        self.order = point_order(coords)
-        self.cleared = [_clear(c) for c in coords]
+        self.coords = _torus_coords(n, point)
+        self.order = point_order(self.coords)
         self.floor = floor
         self.fields: list[PrimeField] = []
         # per prime, the coordinates' images and their inverses
         self.images: list[list[int]] = []
         self.inverses: list[list[int]] = []
-        self.rings: list[_Ring] = []
+        self.rings: dict[tuple[int, int], _Ring] = {}
 
     def field(self, i: int) -> PrimeField:
         """The i-th prime that applies: a prime p = 1 (mod the order) above
         the floor that divides no coordinate denominator and maps every
-        coordinate to a unit (`reduce_integral` gives None or 0 otherwise).
-        Only the primes dividing a denominator or the norm of a coordinate
-        fail, so the search ends."""
+        coordinate to a unit (`reduce` gives None or 0 otherwise).  Only the
+        primes dividing a denominator or the norm of a coordinate fail, so
+        the search ends."""
         while len(self.fields) <= i:
             field = prime_field(self.order, self.floor)
             self.floor = field.p
-            images = [field.reduce_integral(c.order, a, den) for c, a, den in self.cleared]
+            images = [field.reduce(c) for c in self.coords]
             if all(images):
                 self.fields.append(field)
                 self.images.append(images)
                 self.inverses.append([pow(v, -1, field.p) for v in images])
         return self.fields[i]
 
-    def ring(self, i: int) -> _Ring:
-        while len(self.rings) <= i:
-            self.rings.append(self._residue_ring(len(self.rings), len(self.rings) + 1))
-        return self.rings[i]
-
-    def product_ring(self, start: int, stop: int) -> _Ring:
-        """The evaluation ring modulo the product of primes start..stop-1."""
-        if stop - start == 1:
-            return self.ring(start)
-        return self._residue_ring(start, stop)
-
-    def _residue_ring(self, start: int, stop: int) -> _Ring:
+    def ring(self, start: int, stop: int) -> _Ring:
         """Evaluation at the point's image in Z/N, N = p_start ... p_stop-1,
         the ring's `modulus` (see `PrimeField`, `ResidueRing`): the images
         and inverses at those primes, where every image is a unit, combined
         by the Chinese remainder theorem.  Entries are built on integer
         representatives, which `_push` reduces mod N to keep them small."""
-        crt = ResidueRing([self.field(i) for i in range(start, stop)])
-        return _Ring(
-            [crt.combine(v) for v in zip(*self.images[start:stop])],
-            [crt.combine(v) for v in zip(*self.inverses[start:stop])],
-            1,
-            0,
-            crt.p,
-        )
+        ring = self.rings.get((start, stop))
+        if ring is None:
+            crt = ResidueRing([self.field(i) for i in range(start, stop)])
+            ring = self.rings[start, stop] = _Ring(
+                [crt.combine(v) for v in zip(*self.images[start:stop])],
+                [crt.combine(v) for v in zip(*self.inverses[start:stop])],
+                1,
+                0,
+                crt.p,
+            )
+        return ring
 
     @cached_property
     def majorant(self) -> _Ring:
-        return _Ring.majorant(self.cleared)
+        return _Ring.majorant(self.coords)
 
 
 def _certified_rank(
@@ -949,7 +928,7 @@ def _certified_rank(
     threshold.  The primes after the first come in batches, each built and
     ranked at all of its primes at once (`modp_ranks`), and are walked in
     order until the rule stops."""
-    ring = residues.ring(0)
+    ring = residues.ring(0, 1)
     rows = build(m, ring)
     full = min(len(rows), ncols)
     primes = [ring.modulus]
@@ -966,7 +945,7 @@ def _certified_rank(
                 while batch ** 2 <= bound:
                     batch *= residues.field(stop).p
                     stop += 1
-                ring = residues.product_ring(start, stop)
+                ring = residues.ring(start, stop)
                 batch_primes = [residues.field(i).p for i in range(start, stop)]
                 ranks = iter(modp_ranks(build(m, ring), ncols, batch_primes))
             p = residues.field(len(primes)).p

@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactalg import (
@@ -29,7 +28,7 @@ from .exactalg import (
     _euler_phi,
     _fold,
     _mul,
-    clear_denominators,
+    clear_scalars,
     root_of_unity,
 )
 
@@ -59,7 +58,7 @@ FIELD_ORDER_CAP = 120
 def _scalar(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
-    return ExactScalar.from_rational(Fraction(value))
+    return ExactScalar.from_rational(value)
 
 
 @dataclass
@@ -409,7 +408,7 @@ class _Integers:
 
     @staticmethod
     def entries(row: Sequence[ExactScalar]) -> list[int]:
-        return clear_denominators(v.as_rational() for v in row)
+        return clear_scalars(row, 1)
 
     @staticmethod
     def cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
@@ -443,7 +442,7 @@ class _CyclotomicIntegers:
 
     def entries(self, row: Sequence[ExactScalar]) -> list[tuple[int, ...]]:
         phi = self.phi
-        flat = clear_denominators(c for v in row for c in v._promoted(self.order))
+        flat = clear_scalars(row, self.order)
         return [tuple(flat[i : i + phi]) for i in range(0, len(flat), phi)]
 
     def cross(self, u, v) -> tuple[tuple[int, ...], ...]:

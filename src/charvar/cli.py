@@ -158,14 +158,28 @@ def _arrangement_lattice(arr: Arrangement) -> Lattice2:
     return lattice_from_affine(arr)
 
 
+# Largest hyperplane or strand count of an arrangement or monodromy input
+# that a lattice is built from (`_as_lattice`, so every command).  The build
+# visits all C(n,2) pairs: n strands in no vertex set (all lines parallel)
+# take 0.21 s and 37 MiB at n = 300, with 0.69 MB of `lattice` output,
+# 0.63 s and 71 MiB at 500, and 2.8 s, 240 MiB and 7.9 MB at 1000; n random
+# planes of a central arrangement 0.22 s at 300 and 2.2 s and 224 MiB at
+# 1000 (2-core Intel Xeon, Python 3.11).  A larger input is refused before
+# any pair is visited.
+LATTICE_INPUT_CAP = 300
+
+
 def _as_lattice(kind: str, value) -> Lattice2:
     if kind == "lattice":
         return value
-    if kind == "arrangement":
-        return _arrangement_lattice(value)
-    if kind == "monodromy":
-        return value.lattice()
-    raise ValidationError("this command needs a single arrangement or lattice")
+    if kind == "pair":
+        raise ValidationError("this command needs a single arrangement or lattice")
+    if value.n > LATTICE_INPUT_CAP:
+        raise CapExceeded(
+            f"lattices are built from at most {LATTICE_INPUT_CAP} hyperplanes "
+            f"or strands (got {value.n})"
+        )
+    return _arrangement_lattice(value) if kind == "arrangement" else value.lattice()
 
 
 def _parse_point(text: str) -> list[ExactScalar]:
@@ -205,7 +219,7 @@ def _rational_weights(coords: Sequence[ExactScalar]) -> list[Fraction]:
             raise ValidationError(
                 "weight vectors on a lattice input must have rational entries"
             )
-        out.append(c.coeffs[0])
+        out.append(c.as_rational())
     return out
 
 
@@ -445,16 +459,26 @@ def cmd_components(args) -> int:
 # list is built.
 MEMBER_HYPERPLANE_CAP = 200
 
-# Largest strand count `member` takes on monodromy input.  One double point
-# on n strands is the costliest shape measured: its group is nearly free,
-# so most points lie deep in the locus and the certificate needs many
-# primes.  At an order-120 point (a/b) * zeta_120^e it takes 0.54 s on 12
-# strands (375 primes), 0.96 s on 13, 1.7 s on 14 and 3.9 s on 16; at a
-# unit point of order 5 0.02 s on 12 strands and 2.3 s on 30 (52 MiB), and
-# 12 s on 40 (152 MiB); at a rational point 0.02 s on 12 and 1.5 s on 30
-# (2-core Intel Xeon, Python 3.11).  A larger input is refused before any
-# ring is built.
+# Largest strand count `member` and `report` take on monodromy input.  One
+# double point on n strands is the costliest shape measured: its group is
+# nearly free, so most points lie deep in the locus and the certificate
+# needs many primes.  At an order-120 point (a/b) * zeta_120^e it takes
+# 0.54 s on 12 strands (375 primes), 0.96 s on 13, 1.7 s on 14 and 3.9 s on
+# 16; at a unit point of order 5 0.02 s on 12 strands and 2.3 s on 30
+# (52 MiB), and 12 s on 40 (152 MiB); at a rational point 0.02 s on 12 and
+# 1.5 s on 30.  `report`'s rank at the identity takes 0.01 s on 12 strands,
+# 0.04 s on 20 and 1.8 s and 139 MiB on 40 (2-core Intel Xeon, Python
+# 3.11).  A larger input is refused before any ring is built.
 MEMBER_STRAND_CAP = 12
+
+
+def _check_strands(command: str, m: MonodromyInput) -> None:
+    """Refuse a monodromy above MEMBER_STRAND_CAP, before `membership`."""
+    if m.n > MEMBER_STRAND_CAP:
+        raise CapExceeded(
+            f"{command} on monodromy input is limited to "
+            f"{MEMBER_STRAND_CAP} strands (got {m.n})"
+        )
 
 
 def _member_monodromy(m: MonodromyInput, coords: list[ExactScalar], k: int) -> dict:
@@ -524,11 +548,7 @@ def cmd_member(args) -> int:
     kind, value = _load_input(args.input)
     coords = _parse_point(args.point)
     if kind == "monodromy":
-        if value.n > MEMBER_STRAND_CAP:
-            raise CapExceeded(
-                "member on monodromy input is limited to "
-                f"{MEMBER_STRAND_CAP} strands (got {value.n})"
-            )
+        _check_strands("member", value)
         verdict = _member_monodromy(value, coords, args.k)
     elif kind == "pair":
         raise ValidationError(
@@ -767,8 +787,11 @@ def _file_checks(
 ) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     kind, value = _load_input(path)
     if kind == "monodromy":
+        _check_strands("report", value)
         item = [(path, value)]
         return [(f"{path}: identity rank", partial(_check_monodromy_identity_rank, item))]
+    if kind == "arrangement":
+        check_cap(_coned_size(value), args.cap)
     lattices = value if kind == "pair" else (_as_lattice(kind, value),)
     tags = ("A", "B") if kind == "pair" else ("",)
     checks = []

@@ -2,12 +2,13 @@
 
 Scalars live in cyclotomic extensions of the rationals: every value is
 either a rational number or an element of Q(zeta_m) written on the power
-basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial.
-Their arithmetic is one kernel on coefficient lists (ints or Fractions) by
-ring operations only: `_fold` onto the power basis through the monic Phi_m,
-`_mul`, the Galois action `_galois`, and `_adjugate`, prod_{sigma != 1}
-sigma(a), so 1/a = adj(a) / N(a).  Scalars, the direction keys of
-`charvar.arrangement` and the zeta-shift of the cyclotomic rank use it.
+basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic polynomial,
+as integer coefficients over one denominator (`ExactScalar`).  Their
+arithmetic is one kernel on int coefficient lists by ring operations only:
+`_fold` onto the power basis through the monic Phi_m, `_mul`, the Galois
+action `_galois`, and `_adjugate`, prod_{sigma != 1} sigma(a), so
+1/a = adj(a) / N(a).  Scalars, the direction keys of `charvar.arrangement`
+and the zeta-shift of the cyclotomic rank use it.
 Linear algebra has one kernel per job: a sparse fraction-free integer
 echelon for every exact rank (each pivot row kept as its nonzero entries
 divided by its content, and a row scaled only when a pivot's lead does
@@ -35,8 +36,8 @@ from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
-# the Z[zeta_m] kernel: power-basis coefficient lists (ints or Fractions,
-# lowest degree first) under ring operations only
+# the Z[zeta_m] kernel: power-basis coefficient lists (lowest degree
+# first) under ring operations only
 # ---------------------------------------------------------------------------
 
 
@@ -153,34 +154,41 @@ def _euler_phi(m: int) -> int:
 
 
 class ExactScalar:
-    """An exact number: rational, or a power-basis element of Q(zeta_m).
+    """An exact number: rational, or an element of Q(zeta_m).
 
-    The representation is a pair (order, coeffs) where coeffs has length
-    phi(order) and coeffs[i] multiplies zeta_order^i.  Rational values are
-    normalized to order 1.  Mixed-order arithmetic promotes both operands
-    to the least common multiple of their orders.
+    The representation is (order, ints, den) with den * value =
+    sum_i ints[i] * zeta_order^i, len(ints) = phi(order), den > 0 and
+    gcd(den, *ints) = 1: one form per value and order, den the lcm of the
+    power-basis coefficients' denominators.  Order 1 holds exactly the
+    rationals (zeta_2 = -1 among them).  Mixed-order arithmetic promotes
+    both operands to the lcm of their orders, which keeps the form.  The
+    constructor brings any ints over a nonzero den to that form; `coeffs`
+    is the Fraction view ints[i] / den, for printing and JSON.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "ints", "den")
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction]):
-        order, coeffs = _normalize(order, coeffs)
-        self.order = order
-        self.coeffs = coeffs
+    def __init__(self, order: int, ints: Sequence[int], den: int = 1):
+        assert den, "zero denominator"
+        assert len(ints) == _euler_phi(order), "coefficient list must have length phi(order)"
+        if order > 1 and not any(ints[1:]):  # a rational; phi(2) = 1
+            order, ints = 1, ints[:1]
+        g = math.gcd(den, *ints) if den > 0 else -math.gcd(den, *ints)
+        self.order, self.den = order, den // g
+        self.ints = tuple([c // g for c in ints] if g != 1 else ints)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def from_coeffs(cls, order: int, coeffs: Sequence[int | Fraction]) -> "ExactScalar":
+        """The value sum_i coeffs[i] * zeta_order^i, coeffs ints or Fractions."""
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return cls(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
     def from_rational(cls, value: int | Fraction) -> "ExactScalar":
-        return cls(1, (Fraction(value),))
-
-    @classmethod
-    def zero(cls) -> "ExactScalar":
-        return cls.from_rational(0)
-
-    @classmethod
-    def one(cls) -> "ExactScalar":
-        return cls.from_rational(1)
+        value = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return cls(1, (value.numerator,), value.denominator)
 
     @classmethod
     def root_of_unity(cls, m: int, k: int = 1) -> "ExactScalar":
@@ -188,81 +196,87 @@ class ExactScalar:
         assert m >= 1, "order must be positive"
         return cls(m, _fold(m, [0] * (k % m) + [1]))
 
+    @classmethod
+    def zero(cls) -> "ExactScalar":
+        return cls(1, (0,))
+
+    @classmethod
+    def one(cls) -> "ExactScalar":
+        return cls(1, (1,))
+
     # -- predicates and conversions ----------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
     def is_zero(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 0
+        return self.order == 1 and self.ints[0] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_one(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 1
+        return self.order == 1 and self.ints[0] == 1 and self.den == 1
 
     def is_rational(self) -> bool:
         return self.order == 1
 
     def as_rational(self) -> Fraction:
         assert self.order == 1, "scalar is not rational"
-        return self.coeffs[0]
+        return Fraction(self.ints[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _promoted(self, order: int) -> list:
-        """Coefficients of self rewritten on the power basis of Q(zeta_order),
-        Fractions and int zeros."""
+    def _promoted(self, order: int) -> list[int]:
+        """`ints` on the power basis of Q(zeta_order), over the same `den`."""
         if self.order == order:
-            return list(self.coeffs)
+            return list(self.ints)
+        assert order % self.order == 0, "scalar order must divide the target order"
         if self.order == 1:
-            return [self.coeffs[0]] + [0] * (_euler_phi(order) - 1)
+            return [self.ints[0]] + [0] * (_euler_phi(order) - 1)
         step = order // self.order
-        raw = [0] * ((len(self.coeffs) - 1) * step + 1)
-        raw[::step] = self.coeffs
+        raw = [0] * ((len(self.ints) - 1) * step + 1)
+        raw[::step] = self.ints
         return _fold(order, raw)
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         other = _coerce(other)
         m = math.lcm(self.order, other.order)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         a, b = self._promoted(m), other._promoted(m)
-        return ExactScalar(m, [x + y for x, y in zip(a, b)])
+        return ExactScalar(m, [x * sa + y * sb for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        other = _coerce(other)
-        m = math.lcm(self.order, other.order)
-        a, b = self._promoted(m), other._promoted(m)
-        return ExactScalar(m, [x - y for x, y in zip(a, b)])
+        return self + -_coerce(other)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(self.order, [-c for c in self.coeffs])
+        return ExactScalar(self.order, [-c for c in self.ints], self.den)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         other = _coerce(other)
+        den = self.den * other.den
         if self.order == 1 and other.order == 1:
-            return ExactScalar(1, (self.coeffs[0] * other.coeffs[0],))
+            return ExactScalar(1, (self.ints[0] * other.ints[0],), den)
         m = math.lcm(self.order, other.order)
-        # the product of the integral multiples da * self and db * other
-        a, da = _integral(self._promoted(m))
-        b, db = _integral(other._promoted(m))
-        den = da * db
-        return ExactScalar(m, [Fraction(c, den) for c in _fold(m, _mul(a, b))])
+        return ExactScalar(m, _fold(m, _mul(self._promoted(m), other._promoted(m))), den)
 
     def inverse(self) -> "ExactScalar":
-        """adj(a) / N(a) (see `_adjugate`), computed on the integral
-        multiple den * a, den the lcm of the coefficient denominators."""
+        """den * adj(a) / N(a), a = den * self integral (see `_adjugate`)."""
         assert not self.is_zero(), "zero has no inverse"
         if self.order == 1:
-            return ExactScalar(1, (1 / self.coeffs[0],))
+            return ExactScalar(1, (self.den,), self.ints[0])
         m = self.order
-        a, den = _integral(self.coeffs)
-        adj = _adjugate(m, a)
-        norm, *rest = _fold(m, _mul(a, adj))
+        adj = _adjugate(m, self.ints)
+        norm, *rest = _fold(m, _mul(self.ints, adj))
         assert not any(rest), "a times its adjugate must be rational"
-        return ExactScalar(m, [Fraction(c * den, norm) for c in adj])
+        return ExactScalar(m, [c * self.den for c in adj], norm)
 
     def conjugate(self) -> "ExactScalar":
         """The image under zeta -> 1/zeta, which is complex conjugation at
         every embedding of Q(zeta_m) in C."""
-        return ExactScalar(self.order, _galois(self.order, self.coeffs, -1))
+        return ExactScalar(self.order, _galois(self.order, self.ints, -1), self.den)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         return self * _coerce(other).inverse()
@@ -289,11 +303,11 @@ class ExactScalar:
         if not isinstance(other, ExactScalar):
             return NotImplemented
         m = math.lcm(self.order, other.order)
-        return self._promoted(m) == other._promoted(m)
+        return self.den == other.den and self._promoted(m) == other._promoted(m)
 
     def __repr__(self) -> str:
         if self.order == 1:
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         sym = f"z{self.order}"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -310,7 +324,7 @@ class ExactScalar:
 
     def to_json(self):
         if self.order == 1:
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
@@ -325,7 +339,7 @@ class ExactScalar:
             # phi(m) >= sqrt(m / 2), so a short list is refused before factoring m
             if 2 * len(coeffs) ** 2 < order or len(coeffs) != _euler_phi(order):
                 raise ValueError("coefficient list length must equal phi(order)")
-            return cls(order, [_json_rational(c) for c in coeffs])
+            return cls.from_coeffs(order, [_json_rational(c) for c in coeffs])
         return cls.from_rational(_json_rational(obj))
 
 
@@ -343,31 +357,12 @@ def _json_rational(value) -> Fraction:
     return Fraction(int(match[1]), int(match[2] or 1))
 
 
-def _integral(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The integer coefficients of den * a, and den, the lcm of the
-    coefficient denominators of a."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _coerce(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
     if isinstance(value, (int, Fraction)):
         return ExactScalar.from_rational(value)
     raise TypeError(f"cannot treat {value!r} as a scalar")
-
-
-def _normalize(order: int, coeffs: Sequence[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    phi = _euler_phi(order)
-    assert len(coeffs) == phi, "coefficient list must have length phi(order)"
-    if order == 2:
-        # zeta_2 = -1 lives in the rationals already
-        return 1, (coeffs[0],)
-    if order > 1 and all(c == 0 for c in coeffs[1:]):
-        return 1, (coeffs[0],)
-    return order, tuple(coeffs)
 
 
 def root_of_unity(m: int, k: int = 1) -> ExactScalar:
@@ -419,10 +414,7 @@ class ExactMatrix:
             return 0
         order = math.lcm(*(e.order for row in self.entries for e in row))
         d = _euler_phi(order)
-        rows = [
-            clear_denominators([c for e in row for c in e._promoted(order)])
-            for row in self.entries
-        ]
+        rows = [clear_scalars(row, order) for row in self.entries]
         echelon = IntEchelon(d * self.ncols)
         for vec in sorted(rows, key=lambda vec: max(map(abs, vec))):
             if echelon.rank == echelon.ncols:
@@ -442,8 +434,18 @@ def nullspace(matrix: ExactMatrix) -> list[list[int]]:
     """Basis of the saturated integer kernel of a rational matrix, in
     Hermite form (see `integer_kernel`).  No library code calls it; the
     traced benchmark (perfbench/spans.py) wraps it by name."""
-    rows = [clear_denominators([e.as_rational() for e in row]) for row in matrix.entries]
+    rows = [clear_scalars(row, 1) for row in matrix.entries]
     return integer_kernel(rows, matrix.ncols)
+
+
+def clear_scalars(values: Sequence[ExactScalar], order: int) -> list[int]:
+    """The power-basis coefficients on Q(zeta_order) of scalars whose
+    orders divide `order`, concatenated and scaled by the one positive
+    factor that makes them coprime integers (see `clear_denominators`)."""
+    den = math.lcm(*(v.den for v in values))
+    flat = [c * (den // v.den) for v in values for c in v._promoted(order)]
+    g = math.gcd(*flat)
+    return [c // g for c in flat] if g > 1 else flat
 
 
 def clear_denominators(values: Iterable) -> list[int]:
@@ -676,10 +678,10 @@ class PrimeField:
     polynomial mod p, so zeta_M -> omega extends to a ring map from
     Z[zeta_M] onto F_p with kernel a prime ideal P above p.  The map
     extends to the local ring of P: every a/b with b outside P, in
-    particular every scalar whose power-basis coefficients have
-    denominators prime to p.  `reduce` evaluates that map (a scalar of
-    order d dividing M sends zeta_d to omega^(M/d), matching how scalars
-    are promoted), and declines when p divides a denominator.
+    particular every scalar whose denominator `den` is prime to p.
+    `reduce` evaluates that map on a scalar's `ints` and divides by `den`
+    mod p (a scalar of order d dividing M sends zeta_d to omega^(M/d),
+    matching how scalars are promoted), and declines when p divides `den`.
 
     Residues are plain ints in [0, p).  Z -> Z/p is a ring map, so sums
     and products of residues computed in Z and reduced mod p (at any
@@ -694,23 +696,17 @@ class PrimeField:
         self.omega = _element_of_order(order, self.p)
 
     def reduce(self, value: ExactScalar) -> int | None:
-        """The image of an exact scalar, or None when p divides one of its
-        coefficient denominators."""
-        return self.reduce_integral(value.order, *_integral(value.coeffs))
-
-    def reduce_integral(self, order: int, ints: Sequence[int], den: int) -> int | None:
-        """The image of the scalar of order `order` whose multiple den * a
-        has the power-basis coefficients `ints` (see `_integral`), or None
-        when p divides den."""
-        assert self.order % order == 0, "scalar order must divide the field order"
+        """The image of an exact scalar of order dividing M: that of
+        value.ints over value.den, or None when p divides value.den."""
+        assert self.order % value.order == 0, "scalar order must divide the field order"
         p = self.p
-        if den % p == 0:
+        if value.den % p == 0:
             return None
-        step = pow(self.omega, self.order // order, p)
+        step = pow(self.omega, self.order // value.order, p)
         acc = 0
-        for c in reversed(ints):
+        for c in reversed(value.ints):
             acc = (acc * step + c) % p
-        return acc * pow(den, -1, p) % p
+        return acc * pow(value.den, -1, p) % p
 
 
 class ResidueRing:
@@ -877,7 +873,8 @@ def _modular_ranks(
                 if v:
                     row[c] = v
                 else:
-                    del row[c]
+                    # factor * b can vanish mod n where the row has no entry
+                    row.pop(c, None)
         work = [row for row in work if row and row is not pivot]
         found += 1
     return [found] * len(primes)

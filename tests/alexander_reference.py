@@ -224,7 +224,7 @@ def certified_rank(m, residues, build, ncols: int, threshold: int) -> tuple[int,
     The library ranks a batch at all its primes in one elimination
     (`modp_ranks`); this is the loop it replaced, kept as the reference
     its ranks and certificates are held against."""
-    ring = residues.ring(0)
+    ring = residues.ring(0, 1)
     rows = build(m, ring)
     full = min(len(rows), ncols)
     primes = [ring.modulus]
@@ -240,7 +240,7 @@ def certified_rank(m, residues, build, ncols: int, threshold: int) -> tuple[int,
                 while batch ** 2 <= bound:
                     batch *= residues.field(stop).p
                     stop += 1
-                ring = residues.product_ring(start, stop)
+                ring = residues.ring(start, stop)
                 values = [[v % ring.modulus for v in row] for row in build(m, ring)]
             p = residues.field(len(primes)).p
             primes.append(p)

@@ -22,9 +22,11 @@ def value_key(values: Iterable[ExactScalar], order: int) -> tuple:
 
     ExactScalar keeps no canonical order (zeta_3 is stored at order 3, the
     computed zeta_6^2 at order 6), so each value is written on the power
-    basis of Q(zeta_order), where its coordinates are unique.
+    basis of Q(zeta_order), where its integer coefficients over its
+    denominator are unique; the key holds both, since the coefficients
+    alone are the same for a value and its multiples by rationals.
     """
-    return tuple(tuple(v._promoted(order)) for v in values)
+    return tuple((v.den, tuple(v._promoted(order))) for v in values)
 
 
 def canonical_direction(vec: Sequence[ExactScalar], order: int) -> tuple:

@@ -45,7 +45,6 @@ from charvar.alexander import (
     relator_route_limit,
     twist_generator_image,
     _certified_rank,
-    _clear,
     _coordinate_bounds,
     _Majorant,
     _presentation_rows,
@@ -341,7 +340,7 @@ def test_factor_rows_are_fox_gradients_of_memoized_image_words(monkeypatch):
         monkeypatch.setattr(
             alexander, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
-    rings = [_ring(n), _ring(n, point), _Ring.majorant(list(map(_clear, point)))]
+    rings = [_ring(n), _ring(n, point), _Ring.majorant(point)]
     got = [[entries(ring.factor_rows(f)) for f in factors] for ring in rings]
     assert calls == []
     monkeypatch.undo()
@@ -1084,7 +1083,7 @@ def test_certified_route_agrees_with_the_exact_route():
         rank, delta, partial2 = _exact_membership(m, point, k)
         got = membership(m, point, k, prime_floor=floor)
         assert (got.rank, got.delta, got.partial2) == (rank, delta, partial2)
-        majorant = _Ring.majorant(list(map(_clear, point)))
+        majorant = _Ring.majorant(point)
         routes = [
             (got.certificate["delta"], _presentation_rows, math.comb(m.n, 2), math.comb(m.n, 2)),
             (got.certificate["partial2"], _relator_rows, m.n, m.n - k - 1),
@@ -1171,7 +1170,7 @@ def _sequential_rank(m, residues, build, ncols, threshold):
     """The prime loop with one build per prime: after p_1, take the next
     prime while the rank is neither full nor above threshold and the
     primes' product squared is at most H^phi(M)."""
-    ring = residues.ring(0)
+    ring = residues.ring(0, 1)
     rows = build(m, ring)
     full = min(len(rows), ncols)
     primes = [ring.modulus]
@@ -1184,7 +1183,7 @@ def _sequential_rank(m, residues, build, ncols, threshold):
             and rank <= threshold
             and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi
         ):
-            ring = residues.ring(len(primes))
+            ring = residues.ring(len(primes), len(primes) + 1)
             rank = max(rank, modp_rank(build(m, ring), ncols, ring.modulus))
             primes.append(ring.modulus)
     return rank, "mod " + "*".join(map(str, primes))
@@ -1199,13 +1198,13 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch
     modulo their product, a rank rose within a batch so that another batch
     followed, and a batch was cut short at the prime where the loop stops."""
     batches = []
-    product_ring = _Residues.product_ring
+    ring = _Residues.ring
 
     def spy(self, start, stop):
         batches.append((start, stop))
-        return product_ring(self, start, stop)
+        return ring(self, start, stop)
 
-    monkeypatch.setattr(_Residues, "product_ring", spy)
+    monkeypatch.setattr(_Residues, "ring", spy)
     seen = set()
 
     @settings(max_examples=40, deadline=None)
@@ -1320,7 +1319,7 @@ def test_majorants_bound_every_embedding():
     def check(name, on, order, scaled, seed):
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed, scaled)
-        majorant = _Ring.majorant(list(map(_clear, point)))
+        majorant = _Ring.majorant(point)
         order = point_order(point)
         embeddings = [j for j in range(1, order + 1) if math.gcd(j, order) == 1]
         for build, exact in (
@@ -1336,18 +1335,18 @@ def test_majorants_bound_every_embedding():
                         assert value <= b.bound / b.den * (1 + 1e-9), (e, b.bound, b.den, a)
 
     check()
-    assert _coordinate_bounds(_clear(root_of_unity(11, 10))) == ((1, 1), (1, 1))
-    assert _coordinate_bounds(_clear(ExactScalar.from_rational(-1))) == ((1, 1), (1, 1))
+    assert _coordinate_bounds(root_of_unity(11, 10)) == ((1, 1), (1, 1))
+    assert _coordinate_bounds(ExactScalar.from_rational(-1)) == ((1, 1), (1, 1))
     # 1/(1 + z5) = -z5 - z5^3
-    assert _coordinate_bounds(_clear(1 + root_of_unity(5))) == ((2, 1), (2, 1))
-    assert _coordinate_bounds(_clear(ExactScalar.from_rational(2))) == ((2, 1), (1, 2))
-    assert _coordinate_bounds(_clear(ExactScalar.from_rational(Fraction(1, 2)))) == ((1, 2), (2, 1))
+    assert _coordinate_bounds(1 + root_of_unity(5)) == ((2, 1), (2, 1))
+    assert _coordinate_bounds(ExactScalar.from_rational(2)) == ((2, 1), (1, 2))
+    assert _coordinate_bounds(ExactScalar.from_rational(Fraction(1, 2))) == ((1, 2), (2, 1))
     # 2 + z3 has norm 3, and 1/(2 + z3) = (1 - z3)/3
-    assert _coordinate_bounds(_clear(2 + root_of_unity(3))) == ((3, 1), (2, 3))
+    assert _coordinate_bounds(2 + root_of_unity(3)) == ((3, 1), (2, 3))
     # (3 + 4i)/5 has absolute value 1 at both embeddings but is no
     # algebraic integer: c and 1/c = conj(c) keep the denominator 5
-    c = ExactScalar(4, [Fraction(3, 5), Fraction(4, 5)])
-    assert _coordinate_bounds(_clear(c)) == ((5, 5), (5, 5))
+    c = ExactScalar.from_coeffs(4, [Fraction(3, 5), Fraction(4, 5)])
+    assert _coordinate_bounds(c) == ((5, 5), (5, 5))
 
 
 def test_relator_certificate_needs_no_more_primes_than_the_presentation():
@@ -1435,7 +1434,7 @@ def test_certified_route_skips_primes_that_do_not_apply():
         assert got.certificate == {"delta": delta, "partial2": partial2}
         assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
         point = [_scalar(c) for c in point]
-        majorant = _Ring.majorant(list(map(_clear, point)))
+        majorant = _Ring.majorant(point)
         seen = {}
         for (build, ncols, threshold), (rows, rank), route in zip(
             criteria, _exact_ranks(m, point, 1), (delta, partial2)

@@ -23,6 +23,7 @@ from charvar.alexander import (
 )
 from charvar.arrangement import decone, gen_family
 from charvar.cli import (
+    LATTICE_INPUT_CAP,
     MEMBER_HYPERPLANE_CAP,
     MEMBER_STRAND_CAP,
     _components_payload,
@@ -711,6 +712,31 @@ def test_a_long_conjugator_is_refused_before_it_is_expanded(capsys, tmp_path, ar
     assert run(capsys, "lattice", str(path))[0] == 0
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1000, "generators": []},
+        {"n": 1000, "generators": [{"X": [1, 2]}]},
+        {"flavor": "affine", "hyperplanes": [[1, i, i * i] for i in range(1000)]},
+        {"flavor": "central", "hyperplanes": [[1, i, i * i, 0] for i in range(1000)]},
+    ],
+    ids=["parallels", "double-point", "affine", "central"],
+)
+def test_lattice_refuses_a_large_input_before_its_pairs(capsys, tmp_path, obj):
+    # 1000 parallel strands took 2.8 s, 240 MiB and 7.9 MB of output, and
+    # one double point among them 0.65 s before the parallels were refused
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: lattices are built from at most {LATTICE_INPUT_CAP} hyperplanes "
+        "or strands (got 1000)\n"
+    )
+
+
 def test_flats_sharing_a_pair_are_a_validation_error(capsys, tmp_path):
     path = tmp_path / "overlap.json"
     path.write_text(json.dumps({"n": 4, "flats": [[1, 2, 3], [1, 2, 4]]}))
@@ -894,6 +920,37 @@ def test_report_on_files_checks_each_input(capsys, braid4_file, monodromy_file):
     assert code == 0
     assert f"PASS  {braid4_file}: census" in out
     assert f"PASS  {monodromy_file}: identity rank" in out
+
+
+@pytest.mark.parametrize("n", [MEMBER_STRAND_CAP + 1, 80])
+def test_report_refuses_a_monodromy_of_many_strands_quickly(capsys, tmp_path, n):
+    # the rank at the identity of one double point on 40 strands takes
+    # 1.8 s and 139 MiB; `report` shares `member`'s strand cap
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({"n": n, "generators": [{"X": [1, 2]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: report on monodromy input is limited to {MEMBER_STRAND_CAP} "
+        f"strands (got {n})\n"
+    )
+    path.write_text(json.dumps({"n": MEMBER_STRAND_CAP, "generators": [{"X": [1, 2]}]}))
+    assert run(capsys, "report", str(path))[0] == 0
+
+
+def test_report_refuses_a_large_arrangement_before_its_lattice(capsys, tmp_path):
+    # `report` built the lattice of these 1000 lines, no two parallel, in
+    # 1.7 s and 208 MiB before refusing; the count is now read first
+    path = tmp_path / "lines.json"
+    rows = [[1, i, i * i] for i in range(1000)]
+    path.write_text(json.dumps({"flavor": "affine", "hyperplanes": rows}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: arrangement has 1000 hyperplanes, enumeration cap is {DEFAULT_CAP}\n"
 
 
 def test_report_corrupted_file_is_a_validation_error(capsys, tmp_path):

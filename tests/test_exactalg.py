@@ -87,13 +87,13 @@ def test_root_of_unity_order_two_is_rational():
 
 def test_root_of_unity_cube_power_two():
     s = root_of_unity(3, 2)
-    expected = ExactScalar(3, [Fraction(-1), Fraction(-1)])
+    expected = ExactScalar.from_coeffs(3, [Fraction(-1), Fraction(-1)])
     assert s == expected
 
 
 def test_cube_root_squares_to_reduced_form():
     z = root_of_unity(3)
-    assert z * z == ExactScalar(3, [Fraction(-1), Fraction(-1)])
+    assert z * z == ExactScalar.from_coeffs(3, [Fraction(-1), Fraction(-1)])
 
 
 def test_cross_order_equality():
@@ -101,7 +101,11 @@ def test_cross_order_equality():
     z6 = root_of_unity(6)
     z3 = root_of_unity(3)
     assert z6 * z6 * z6 == ExactScalar.from_rational(-1)
-    assert z6 * z6 == z3
+    assert z6 * z6 == z3 and z3 == z6 * z6 and (z6 * z6).order == 6
+    assert root_of_unity(12, 4) == z3
+    # equal ints over different denominators are different values
+    half_z6 = ExactScalar.from_coeffs(6, [0, Fraction(1, 2)])
+    assert half_z6 != z6 and half_z6 * 2 == z6
 
 
 def test_scalar_inverse_and_division():
@@ -200,7 +204,13 @@ def _dense(rng, order):
         Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(_euler_phi(order))
     ]
     coeffs[-1] = coeffs[-1] or Fraction(1)
-    return ExactScalar(order, coeffs)
+    return ExactScalar.from_coeffs(order, coeffs)
+
+
+def _fractions(v, order):
+    """v on the power basis of Q(zeta_order), as the Fractions the
+    reference computes: its promoted ints over its denominator."""
+    return [Fraction(c, v.den) for c in v._promoted(order)]
 
 
 def test_cyclotomic_polynomials_match_the_fraction_reference():
@@ -231,11 +241,11 @@ def test_products_promotion_and_conjugates_match_the_reference_at_every_order():
         # order 2 is stored as order 1 (zeta_2 = -1), so read the orders back
         lcm = math.lcm(a.order, b.order)
         promoted = [reference.promote(v.order, v.coeffs, lcm) for v in (a, b)]
-        assert [v._promoted(lcm) for v in (a, b)] == promoted
+        assert [_fractions(v, lcm) for v in (a, b)] == promoted
         want = reference.reduce(lcm, reference.mul_poly(*promoted))
-        assert (a * b).order in (1, lcm) and (a * b)._promoted(lcm) == want
-        assert (a + b)._promoted(lcm) == [x + y for x, y in zip(*promoted)]
-        assert a.conjugate()._promoted(m) == reference.galois(m, a.coeffs, -1)
+        assert (a * b).order in (1, lcm) and _fractions(a * b, lcm) == want
+        assert _fractions(a + b, lcm) == [x + y for x, y in zip(*promoted)]
+        assert _fractions(a.conjugate(), m) == reference.galois(m, a.coeffs, -1)
         assert a.conjugate().conjugate() == a
 
 
@@ -247,7 +257,80 @@ def test_inverses_match_the_reference_at_every_order():
         assert (a * inv).is_one()
         # the extended Euclidean algorithm is slow beyond small degree
         if _euler_phi(m) <= 24 or m in (105, 120):
-            assert inv._promoted(m) == reference.inverse(m, a.coeffs)
+            assert _fractions(inv, m) == reference.inverse(m, a.coeffs)
+
+
+def _is_canonical(v):
+    """(order, ints, den) in the one form `ExactScalar` keeps: phi(order)
+    ints, den > 0 and coprime to them, order 1 exactly for rationals."""
+    return (
+        len(v.ints) == _euler_phi(v.order)
+        and all(isinstance(c, int) for c in v.ints + (v.den,))
+        and v.den > 0
+        and math.gcd(v.den, *v.ints) == 1
+        and v.order != 2
+        and (v.order == 1) == (not any(v.ints[1:]))
+    )
+
+
+@st.composite
+def _scalars(draw):
+    """Two scalars of orders d1, d2 <= 120 with lcm(d1, d2) <= 120 (order 2
+    among them), as Fraction coefficients: ints in -9..9, often 0, over a
+    denominator in 1..12."""
+    d1 = draw(st.one_of(st.just(2), st.integers(min_value=1, max_value=120)))
+    d2 = draw(st.sampled_from([d for d in range(1, 121) if math.lcm(d1, d) <= 120]))
+    drawn = []
+    for d in (d1, d2):
+        entry = st.sampled_from([0, 0, 0] + list(range(-9, 10)))
+        ints = draw(st.lists(entry, min_size=_euler_phi(d), max_size=_euler_phi(d)))
+        den = draw(st.integers(min_value=1, max_value=12))
+        drawn.append((d, [Fraction(c, den) for c in ints]))
+    return drawn
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(), st.booleans())
+def test_scalars_stay_in_their_canonical_form(drawn, p_in_den):
+    """Every result of +, -, *, inverse and conjugate is canonical and
+    agrees with the Fraction long-division reference, read as
+    Fraction(c, v.den); from_coeffs gives back its coefficients whenever
+    it keeps the order; a value promoted to a multiple of its order
+    compares equal to itself; and the reduction mod p declines exactly
+    when p divides den."""
+    (d1, c1), (d2, c2) = drawn
+    a, b = ExactScalar.from_coeffs(d1, c1), ExactScalar.from_coeffs(d2, c2)
+    for v, (d, c) in ((a, drawn[0]), (b, drawn[1])):
+        assert _is_canonical(v)
+        if v.order == d:
+            assert v.coeffs == tuple(c)
+        assert v.coeffs == tuple(Fraction(x, v.den) for x in v.ints)
+    m = math.lcm(a.order, b.order)
+    promoted = [reference.promote(v.order, v.coeffs, m) for v in (a, b)]
+    results = {
+        "+": (a + b, [x + y for x, y in zip(*promoted)]),
+        "-": (a - b, [x - y for x, y in zip(*promoted)]),
+        "*": (a * b, reference.reduce(m, reference.mul_poly(*promoted))),
+        "conjugate": (a.conjugate(), reference.galois(m, promoted[0], -1)),
+    }
+    if not a.is_zero():
+        want = None
+        if _euler_phi(a.order) <= 24:
+            want = reference.promote(a.order, reference.inverse(a.order, a.coeffs), m)
+        results["inverse"] = (a.inverse(), want)
+    for name, (v, want) in results.items():
+        assert _is_canonical(v), name
+        if want is not None:
+            assert _fractions(v, m) == want, name
+    # the same value written at a multiple of its order
+    wide = ExactScalar(m, a._promoted(m), a.den)
+    assert wide == a and a == wide and not wide != a
+    assert (wide.order, wide.den) == ((1, a.den) if a.order == 1 else (m, a.den))
+    field = prime_field(m, 10)
+    for v in (a, b, a * b):
+        if p_in_den:
+            v = v / field.p
+        assert (field.reduce(v) is None) == (v.den % field.p == 0)
 
 
 def test_adjugate_times_the_element_is_its_integer_norm():
@@ -611,7 +694,7 @@ def _scalar(draw, order):
             max_size=_euler_phi(order),
         )
     )
-    return ExactScalar(order, coeffs)
+    return ExactScalar.from_coeffs(order, coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -814,6 +897,9 @@ def test_batched_modular_ranks_match_the_rank_at_each_prime(monkeypatch):
     seen.clear()
     assert modp_ranks([[11, 0], [1, 1]], 2, (11, 13)) == [1, 2]
     assert seen == {"a batch split"}
+    # clearing column 0 of 5 e_0 + e_5 by e_0 + 3 e_2 subtracts 15 e_2,
+    # which is 0 mod 15 in a column where the row held nothing
+    assert modp_ranks([[1, 0, 3, 0, 0, 0], [5, 0, 0, 0, 0, 1]], 6, (3, 5)) == [2, 2]
     # 40 primes above 2^30 pass MODULUS_BITS, so they are eliminated in
     # runs; a row that the 26th prime divides lowers the rank there only
     primes = [modular_prime(1)]
