@@ -62,7 +62,6 @@ from .exactalg import (
     _fold,
     _galois,
     _mul,
-    modp_rank,
     modp_ranks,
     prime_field,
 )
@@ -71,26 +70,40 @@ from .exactalg import (
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.004-0.008 s as a unit point (23-37 primes) and 0.01-0.19 s as a
+# takes 0.002-0.005 s as a unit point (23-37 primes) and 0.007-0.14 s as a
 # point (a/b) * zeta_120^e (69-333 primes), on one core of a 2-core Intel
-# Xeon, Python 3.11 (seeds 0-3, depths 1 and 2, best of four runs; ranking
-# each prime by its own elimination took 0.01-0.04 s and 0.02-0.62 s).  A
-# point of larger order is refused before any cyclotomic polynomial is
-# built.
+# Xeon, Python 3.11 (the tests' `_gate_point`, seeds 0-3, depths 1 and 2,
+# best of four runs).  A point of larger order is refused before any
+# cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 
 # Largest length, in unit twists, of a braid word (`normalize_braid`), so
 # of a generator's conjugator.  Every factor of the conjugator is pushed
 # through in each evaluation ring, and the majorant bounds, so the primes,
-# grow with its length: one double point on 6 strands conjugated by a
-# twist to the power L takes, at an order-120 point (a/b) * zeta_120^e,
-# 0.06 s for L = 10 (162 primes), 0.25 s for L = 30 (359 primes), 0.86 s
-# for L = 50 (557 primes) and 4.1 s for L = 100 (1051 primes), and did not
-# end within 60 s for L = 300; on 12 strands 3.5 s for L = 50; at a
-# rational point 0.01 s for L = 100 and 0.04 s for L = 300 (2-core Intel
-# Xeon, Python 3.11).  The packaged fixtures' conjugators have at most 3.
-# Without the cap a factor ["A", 1, 2, 10**10] hung every command on load.
+# grow with its length: the double point (1, 2) on 6 strands conjugated by
+# (2, 3)^L takes, at the point (2/3) * zeta_120^(7+i), 0.016 s for L = 10
+# (144 primes), 0.11 s for L = 30 (355 primes) and 0.38 s for L = 50 (567
+# primes), and 0.73 s for L = 50 on 12 strands (716 primes).  Past the
+# cap, L = 100 takes 2.8 s (1095 primes, past CERTIFICATE_PRIME_CAP too),
+# and at the rational point ((i+2)/(i+1)) 0.005 s for L = 100 and 0.06 s
+# for L = 300 (2-core Intel Xeon, Python 3.11, best of three).  The
+# packaged fixtures' conjugators have at most 3.  Without the cap a factor
+# ["A", 1, 2, 10**10] hung every command on load.
 BRAID_LENGTH_CAP = 50
+
+# Largest number of primes that a membership certificate is predicted to
+# need (`_checked_bound`), checked each time the stop rule's bound is set,
+# before the primes it asks for are built.  The costs of the strand, braid
+# and order caps multiply here: the double point (3, 7) on 12 strands
+# conjugated by (1,12)^25 (2,11)^25, within all three, needs 1654 primes
+# at the point (2/3) * zeta_120^(7+i) and took 19.6 s; it is refused in
+# 0.02 s.  Near the cap, the double point (1, 2) on 6 strands conjugated
+# by (2, 3)^100 needs 1095 primes (2.8 s) and by (1, 6)^30 1016 primes
+# (3.2 s).  The queries within the caps that the order, braid and strand
+# cap comments quote need at most 716 primes, the tests' other queries at
+# most 438 and the benchmark's member queries at most 12 (2-core Intel
+# Xeon, Python 3.11).
+CERTIFICATE_PRIME_CAP = 1000
 
 FreeWord = tuple[int, ...]
 TwistFactor = tuple[int, int, int]  # (i, j, exponent) with 1 <= i < j
@@ -800,7 +813,32 @@ def membership(
     `PrimeField`), so every entry of the presentation matrix and of the
     relator Jacobian (an integer polynomial in the t_i and their inverses)
     lies in that ring, and reducing modulo P_i is a ring map that commutes
-    with minors.  Hence the rank r_i mod p_i is at most the true rank r.  So
+    with minors.  Hence the rank r_i mod p_i is at most the true rank r.
+
+    Both criteria's ranks mod p_i come from the relator rows alone.  The
+    presentation is [Phi; d_3], Phi the stacked chain-map rows x_s ^ y and
+    d_3 the degree-three Koszul differential on the (t_j - 1); the relator
+    Jacobian is R = Phi d_2, whose rows eps(y) x_s - eps(x_s) y are built
+    from the same pushes (see `_pushed_vectors`, `_relator_rows`).  Let
+    t' be the point's image in F_{p_i}.
+
+    - If some t'_j != 1, then t'_j - 1 is a unit and the Koszul complex on
+      the (t'_j - 1) is exact: the rows of d_3 span the left kernel of d_2,
+      of dimension C(n,2) - (n - 1) = C(n-1,2), and d_2 maps the row space
+      of [Phi; d_3] onto that of R with exactly that kernel.  So the
+      presentation has rank C(n-1,2) + rank R mod p_i.
+    - If t' = 1, then d_3 vanishes and row s of Phi is e_s ^ (sum of e_j,
+      j in X), the only row holding the pair (s, max X), as no strand pair
+      lies in two vertex sets.  So the presentation has rank b2 mod p_i.
+
+    So each prime's relator rows are built and eliminated once per query,
+    for both criteria: the primes of each new range are built together,
+    once, modulo their product N = p_start ... p_stop-1 (see `ResidueRing`),
+    and ranked at all of them by one elimination modulo N (`modp_ranks`, in
+    runs of at most MODULUS_BITS bits).  Z -> Z/N is a ring map, so every
+    entry is the residue of the entry built in Z/N, and an elimination
+    modulo N is one in every F_{p_i} at once.  The presentation rows are
+    built only on the majorant ring, for the stop rule:
 
     - a rank mod p_1 equal to min(rows, columns) is the exact rank, and a
       relator rank mod p_1 above n - k - 1 proves `partial2` false;
@@ -818,25 +856,11 @@ def membership(
       D' lies in P_i for every prime taken, and p_1 * ... * p_j divides
       N(D'), as the P_i are distinct (that primes were skipped does not
       matter).  Primes are taken until p_1 * ... * p_j > H^phi(M); then
-      D' = 0, so D = 0, and s = r exactly.  The primes that this rule needs
-      at the current s are built together, once, modulo their product (see
-      `ResidueRing`), and ranked at all of them by one elimination modulo
-      that product (`modp_ranks`, in runs of at most MODULUS_BITS bits);
-      their ranks are then taken in order under the rule above, and a
-      larger s asks for another batch.
-
-    Both criteria are built in each ring from one push per generator (see
-    `_pushed_vectors`): the presentation rows are x_s ^ y, and the relator
-    rows are those rows times the degree-two differential,
-    eps(y) x_s - eps(x_s) y.  The majorant ring follows the same
-    expressions, so its bounds hold for the entries as built, and the
-    relator majorants come from the same short pushes as the
-    presentation's instead of a push through the whole conjugated twist.
-    In a residue ring the builders compute on integer representatives and
-    reduce them mod N = p_1 ... p_j only to keep them small; Z -> Z/N is a
-    ring map, so every entry is the residue of the entry built in Z/N, and
-    `modp_ranks` eliminates modulo N, which is an elimination in every
-    F_{p_i} at once.  The certificate names the primes used.
+      D' = 0, so D = 0, and s = r exactly.  The primes this rule needs at
+      the current s are taken as one range, a larger s asks for another,
+      and a rule that predicts more than CERTIFICATE_PRIME_CAP primes is
+      refused before its range is built.  The certificate names the primes
+      used.
 
     This is the one route by which the library decides a torus point: the
     depth-k verdict is `.delta` (rank at most C(n,2) - k), `.partial2` is
@@ -844,19 +868,41 @@ def membership(
     `relator_route_limit`, and `.rank` at the point 1 is the presentation
     rank there, b2.  A central point goes through `lift_point` first.  The
     tests hold it against the exact Q(zeta_M) ranks `presentation_rank`
-    and `relator_rank`.
+    and `relator_rank`, and against a reference that ranks the
+    presentation rows themselves.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
     residues = _Residues(m.n, point, prime_floor)
+    relator: list[int] = []  # the relator rank mod each prime so far
+
+    def relator_ranks(start: int, stop: int) -> list[int]:
+        begin = len(relator)
+        if begin < stop:
+            rows = _relator_rows(m, residues.ring(begin, stop))
+            primes = [residues.field(i).p for i in range(begin, stop)]
+            relator.extend(modp_ranks(rows, m.n, primes))
+        return relator[start:stop]
+
+    kernel = math.comb(m.n - 1, 2)
+
+    def presentation_ranks(start: int, stop: int) -> list[int]:
+        return [
+            m.b2 if all(v == 1 for v in residues.images[i]) else kernel + r
+            for i, r in enumerate(relator_ranks(start, stop), start)
+        ]
+
     ncols = math.comb(m.n, 2)
-    rank, delta_route = _certified_rank(m, residues, _presentation_rows, ncols, ncols)
+    full = min(m.b2 + math.comb(m.n, 3), ncols)
+    rank, delta_route = _certified_rank(
+        m, residues, _presentation_rows, presentation_ranks, full, ncols
+    )
     partial2, partial2_route = None, None
     if k <= relator_route_limit(m):
-        relator, partial2_route = _certified_rank(
-            m, residues, _relator_rows, m.n, m.n - k - 1
+        r, partial2_route = _certified_rank(
+            m, residues, _relator_rows, relator_ranks, min(m.b2, m.n), m.n - k - 1
         )
-        partial2 = relator <= m.n - k - 1
+        partial2 = r <= m.n - k - 1
     return Membership(
         rank,
         rank <= ncols - k,
@@ -867,9 +913,9 @@ def membership(
 
 class _Residues:
     """A torus point's evaluation rings modulo products of consecutive
-    primes that apply (see `field`), each built on first use and shared by
-    both criteria, and its majorant ring.  Each coordinate's image at each
-    prime is computed once, from its `ints` and `den` (`PrimeField.reduce`)."""
+    primes that apply (see `field`), and its majorant ring, shared by both
+    criteria.  Each coordinate's image at each prime is computed once, from
+    its `ints` and `den` (`PrimeField.reduce`)."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
         self.coords = _torus_coords(n, point)
@@ -879,7 +925,6 @@ class _Residues:
         # per prime, the coordinates' images and their inverses
         self.images: list[list[int]] = []
         self.inverses: list[list[int]] = []
-        self.rings: dict[tuple[int, int], _Ring] = {}
 
     def field(self, i: int) -> PrimeField:
         """The i-th prime that applies: a prime p = 1 (mod the order) above
@@ -903,17 +948,14 @@ class _Residues:
         and inverses at those primes, where every image is a unit, combined
         by the Chinese remainder theorem.  Entries are built on integer
         representatives, which `_push` reduces mod N to keep them small."""
-        ring = self.rings.get((start, stop))
-        if ring is None:
-            crt = ResidueRing([self.field(i) for i in range(start, stop)])
-            ring = self.rings[start, stop] = _Ring(
-                [crt.combine(v) for v in zip(*self.images[start:stop])],
-                [crt.combine(v) for v in zip(*self.inverses[start:stop])],
-                1,
-                0,
-                crt.p,
-            )
-        return ring
+        crt = ResidueRing([self.field(i) for i in range(start, stop)])
+        return _Ring(
+            [crt.combine(v) for v in zip(*self.images[start:stop])],
+            [crt.combine(v) for v in zip(*self.inverses[start:stop])],
+            1,
+            0,
+            crt.p,
+        )
 
     @cached_property
     def majorant(self) -> _Ring:
@@ -921,49 +963,65 @@ class _Residues:
 
 
 def _certified_rank(
-    m: MonodromyInput, residues: _Residues, build, ncols: int, threshold: int
+    m: MonodromyInput, residues: _Residues, build, ranks, full: int, threshold: int
 ) -> tuple[int, str]:
-    """The rank of build's matrix at the point from modular ranks, with the
-    primes used (see `membership`): the exact rank, or a modular rank above
-    threshold.  The primes after the first come in batches, each built and
-    ranked at all of its primes at once (`modp_ranks`), and are walked in
-    order until the rule stops."""
-    ring = residues.ring(0, 1)
-    rows = build(m, ring)
-    full = min(len(rows), ncols)
-    primes = [ring.modulus]
-    rank = modp_rank(rows, ncols, ring.modulus)
+    """The rank at the point of build's matrix, which has rank at most
+    `full`, with the primes used (see `membership`): the exact rank, or a
+    modular rank above threshold.  `ranks(start, stop)` gives the matrix's
+    rank mod p_start .. p_stop-1, and build runs only on the majorant ring,
+    for the norms of the stop rule.  The primes after the first are asked
+    for in ranges, each as long as the rule needs at the current rank, and
+    walked in order until the rule stops."""
+    primes = [residues.field(0).p]
+    rank = ranks(0, 1)[0]
     if rank < full and rank <= threshold:
         norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
         phi = _euler_phi(residues.order)
-        bound = math.prod(norms[: rank + 1]) ** phi
+        bound = _checked_bound(norms[: rank + 1], phi, primes[0])
         product, stop = primes[0], 1
         while product ** 2 <= bound:
             if len(primes) == stop:
-                # the primes the rule needs at the current rank, in one build
+                # the primes the rule needs at the current rank, in one range
                 start, batch = stop, product
                 while batch ** 2 <= bound:
                     batch *= residues.field(stop).p
                     stop += 1
-                ring = residues.ring(start, stop)
-                batch_primes = [residues.field(i).p for i in range(start, stop)]
-                ranks = iter(modp_ranks(build(m, ring), ncols, batch_primes))
+                batch_ranks = iter(ranks(start, stop))
             p = residues.field(len(primes)).p
             primes.append(p)
             product *= p
-            r = next(ranks)
+            r = next(batch_ranks)
             if r > rank:
                 rank = r
                 if rank == full or rank > threshold:
                     break
-                bound = math.prod(norms[: rank + 1]) ** phi
+                bound = _checked_bound(norms[: rank + 1], phi, primes[0])
     return rank, "mod " + "*".join(map(str, primes))
+
+
+def _checked_bound(norms: list[int], phi: int, p: int) -> int:
+    """The stop rule's bound H^phi, H the product of the norms, refused when
+    it predicts more than CERTIFICATE_PRIME_CAP primes.  Every prime taken
+    is at least p >= 2^(b-1), b = p.bit_length(), so primes are taken until
+    their product squared passes the bound after at most
+    ceil(bound.bit_length() / (2 (b - 1))) of them."""
+    bound = math.prod(norms) ** phi
+    predicted = -(-bound.bit_length() // (2 * (p.bit_length() - 1)))
+    if predicted > CERTIFICATE_PRIME_CAP:
+        raise CapExceeded(
+            f"membership certificates are limited to {CERTIFICATE_PRIME_CAP} primes "
+            f"(this point may need {predicted})"
+        )
+    return bound
 
 
 def relator_route_limit(m: MonodromyInput) -> int:
     """Largest depth for which the relator-Jacobian criterion is valid:
-    min(n, C(n,2) - b2)."""
-    return min(m.n, math.comb(m.n, 2) - m.b2)
+    min(n - 1, C(n,2) - b2).  At the point 1 the relator Jacobian vanishes,
+    so its criterion, rank at most n - k - 1, fails for every k >= n, while
+    the presentation there has rank b2 <= C(n,2) - k for every k up to
+    C(n,2) - b2."""
+    return min(m.n - 1, math.comb(m.n, 2) - m.b2)
 
 
 def lift_point(lift: dict | None, central_point: Sequence) -> list[ExactScalar]:

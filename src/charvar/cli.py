@@ -462,13 +462,14 @@ MEMBER_HYPERPLANE_CAP = 200
 # Largest strand count `member` and `report` take on monodromy input.  One
 # double point on n strands is the costliest shape measured: its group is
 # nearly free, so most points lie deep in the locus and the certificate
-# needs many primes.  At an order-120 point (a/b) * zeta_120^e it takes
-# 0.54 s on 12 strands (375 primes), 0.96 s on 13, 1.7 s on 14 and 3.9 s on
-# 16; at a unit point of order 5 0.02 s on 12 strands and 2.3 s on 30
-# (52 MiB), and 12 s on 40 (152 MiB); at a rational point 0.02 s on 12 and
-# 1.5 s on 30.  `report`'s rank at the identity takes 0.01 s on 12 strands,
-# 0.04 s on 20 and 1.8 s and 139 MiB on 40 (2-core Intel Xeon, Python
-# 3.11).  A larger input is refused before any ring is built.
+# needs many primes.  At the point (2/3) * zeta_120^(7+i) it takes 0.023 s
+# on 12 strands (190 primes), 0.031 s on 13, 0.059 s on 14 and 0.065 s on
+# 16 (356 primes); at the unit point zeta_5^i 0.002 s on 12 strands, 0.17 s
+# on 30 (31 MiB peak) and 0.73 s on 40 (79 MiB); at the rational point
+# ((i+2)/(i+1)) 0.002 s on 12 and 0.17 s on 30.  `report`'s rank at the
+# identity takes 0.002 s on 12 strands, 0.019 s on 20 and 0.70 s and 78 MiB
+# on 40 (2-core Intel Xeon, Python 3.11, best of three).  A larger input is
+# refused before any ring is built.
 MEMBER_STRAND_CAP = 12
 
 

@@ -218,12 +218,14 @@ def fitting_generators(matrix: Sequence[Sequence], k: int):
 
 
 def certified_rank(m, residues, build, ncols: int, threshold: int) -> tuple[int, str]:
-    """The certified rank loop with one elimination per prime: each batch of
-    primes is built once modulo their product and then ranked at its
-    primes one by one (`modp_rank`), under the stop rule of `membership`.
-    The library ranks a batch at all its primes in one elimination
-    (`modp_ranks`); this is the loop it replaced, kept as the reference
-    its ranks and certificates are held against."""
+    """The certified rank loop on build's own rows with one elimination per
+    prime: each batch of primes is built once modulo their product and then
+    ranked at its primes one by one (`modp_rank`), under the stop rule of
+    `membership`.  The library ranks only the relator rows, a batch at all
+    its primes in one elimination (`modp_ranks`), and reads the
+    presentation's ranks from them; this loop ranks the presentation rows
+    themselves, the reference its ranks and certificates are held
+    against."""
     ring = residues.ring(0, 1)
     rows = build(m, ring)
     full = min(len(rows), ncols)
@@ -255,8 +257,9 @@ def certified_rank(m, residues, build, ncols: int, threshold: int) -> tuple[int,
 
 
 def membership(m, point: Sequence, k: int, prime_floor: int = MODULAR_PRIME_FLOOR):
-    """`charvar.alexander.membership` on the reference loop `certified_rank`:
-    the same `Membership`, rank, verdicts and certificates."""
+    """`charvar.alexander.membership` on the reference loop `certified_rank`,
+    which builds and ranks each criterion's own rows: the same
+    `Membership`, rank, verdicts and certificates."""
     residues = alexander._Residues(m.n, point, prime_floor)
     ncols = math.comb(m.n, 2)
     rank, delta_route = certified_rank(

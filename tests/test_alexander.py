@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from charvar import alexander, exactalg
 from charvar.alexander import (
+    CERTIFICATE_PRIME_CAP,
     POINT_ORDER_CAP,
     MonodromyGen,
     MonodromyInput,
@@ -864,7 +866,29 @@ def test_relator_jacobian_shape_and_identity_rank():
 def test_relator_route_limit_value():
     assert relator_route_limit(pencil_monodromy(4)) == 3
     assert relator_route_limit(load_monodromy("braid4_affine_monodromy")) == 4
-    assert relator_route_limit(load_monodromy("diamond_monodromy")) == 6
+    # min(n - 1, C(n,2) - b2) = min(5, 8): at k = n = 6 the relator
+    # criterion fails at the point 1, where the presentation's holds
+    assert relator_route_limit(load_monodromy("diamond_monodromy")) == 5
+
+
+def test_the_identity_is_consistent_at_every_depth_of_the_relator_window():
+    """At the point 1 the relator Jacobian vanishes and the presentation
+    has rank b2, so both criteria hold at every depth up to
+    `relator_route_limit`, on every packaged fixture and on pencil, generic
+    and grid inputs; beyond it `partial2` is not decided."""
+    inputs = [load_monodromy("diamond_monodromy"), load_monodromy("braid4_affine_monodromy")]
+    inputs += [pencil_monodromy(n) for n in range(2, 7)]
+    inputs += [generic_monodromy(n) for n in range(2, 6)]
+    inputs += [grid_monodromy(a, b) for a, b in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))]
+    for m in inputs:
+        limit = relator_route_limit(m)
+        for k in range(1, limit + 2):
+            got = membership(m, [1] * m.n, k)
+            assert got.rank == m.b2
+            if k <= limit:
+                assert got.delta and got.partial2, (m, k)
+            else:
+                assert got.partial2 is None
 
 
 def test_both_membership_routes_agree_within_the_valid_depth_window():
@@ -1105,9 +1129,9 @@ def test_certified_route_agrees_with_the_exact_route():
 
 
 def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
-    """The prime loop on a scripted 3x3 matrix at a point of order 5
-    (phi = 4, primes 11, 31, 41, 61 above 10) whose rank mod p is 1, 2, 1,
-    3 and whose majorant rows have norm^2 3: the rank is the maximum over
+    """The prime loop on scripted ranks of a 3x3 matrix at a point of order
+    5 (phi = 4, primes 11, 31, 41, 61 above 10), 1, 2, 1, 3 mod those
+    primes, whose majorant rows have norm^2 3: the rank is the maximum over
     the primes taken, and primes are taken until their product squared
     passes the product of the rank + 1 largest norms^2, to the power phi.
     After 11 the rank is 1 and 11^2 <= 9^4; after 31 it is 2 and
@@ -1117,22 +1141,24 @@ def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
     script = {11: 1, 31: 2, 41: 1, 61: 3}
 
     def build(_m, ring):
-        if ring is residues.majorant:
-            return [[_Majorant(1, 1)] * 3 for _ in range(3)]
-        p = ring.modulus
-        return [[int(i == j < script[p]) for j in range(3)] for i in range(3)]
+        assert ring is residues.majorant
+        return [[_Majorant(1, 1)] * 3 for _ in range(3)]
 
-    assert _certified_rank(None, residues, build, 3, 3) == (2, "mod 11*31*41")
-    assert _certified_rank(None, residues, build, 3, 1) == (2, "mod 11*31")
+    def ranks(start, stop):
+        return [script[residues.field(i).p] for i in range(start, stop)]
+
+    assert _certified_rank(None, residues, build, ranks, 3, 3) == (2, "mod 11*31*41")
+    assert _certified_rank(None, residues, build, ranks, 3, 1) == (2, "mod 11*31")
 
 
 def test_certified_rank_walks_each_batch_in_prime_order():
-    """Scripted 4 x 4 matrices whose rank mod each prime is drawn, at a
-    point of order 5 above the floor 10 (primes 11, 31, 41, 61, ...), with
-    majorant bounds that make batches of several primes: the certified rank
-    and certificate equal those of the reference loop, which ranks each
-    prime of a batch by its own elimination, and some batch walked primes
-    of different ranks."""
+    """Scripted ranks of a 4 x 4 matrix, drawn for each prime, at a point
+    of order 5 above the floor 10 (primes 11, 31, 41, 61, ...), with
+    majorant bounds that make ranges of several primes: the certified rank
+    and certificate equal those of the reference loop, which builds
+    diagonal matrices of those ranks for each batch and ranks each prime
+    of a batch by its own elimination, and some range walked primes of
+    different ranks."""
     primes = [modular_prime(5, 10)]
     while len(primes) < 400:
         primes.append(modular_prime(5, primes[-1]))
@@ -1150,15 +1176,18 @@ def test_certified_rank_walks_each_batch_in_prime_order():
                 return [[_Majorant(bound, 1)] * 4 for _ in range(4)]
             n = ring.modulus
             batch = [i for i, p in enumerate(primes) if n % p == 0]
-            if len({script[i] for i in batch}) > 1:
-                seen.add("a batch of primes of different ranks")
             # diagonal entry j is 1 mod p_i when j < script[i], else 0
             units = {i: n // primes[i] * pow(n // primes[i], -1, primes[i]) for i in batch}
             diagonal = [sum(units[i] for i in batch if j < script[i]) % n for j in range(4)]
             return [[diagonal[j] * (j == c) for c in range(4)] for j in range(4)]
 
+        def ranks(start, stop):
+            if len(set(script[start:stop])) > 1:
+                seen.add("a batch of primes of different ranks")
+            return script[start:stop]
+
         point = [root_of_unity(5)] * 2
-        got = _certified_rank(None, _Residues(2, point, 10), build, 4, threshold)
+        got = _certified_rank(None, _Residues(2, point, 10), build, ranks, 4, threshold)
         want = reference_certified_rank(None, _Residues(2, point, 10), build, 4, threshold)
         assert got == want
 
@@ -1189,22 +1218,15 @@ def _sequential_rank(m, residues, build, ncols, threshold):
     return rank, "mod " + "*".join(map(str, primes))
 
 
-def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch):
+def test_batched_primes_give_the_certificates_of_one_build_per_prime():
     """At unit points of order 1..12 on the gate inputs, with the default
     floor and with a floor of 10 (where ranks mod small primes drop), each
-    criterion's certified rank and primes, and so `membership`'s rank,
-    verdicts and certificates, equal those of the loop that builds once per
-    prime.  Among the queries, the primes after p_1 were built together
-    modulo their product, a rank rose within a batch so that another batch
-    followed, and a batch was cut short at the prime where the loop stops."""
-    batches = []
-    ring = _Residues.ring
-
-    def spy(self, start, stop):
-        batches.append((start, stop))
-        return ring(self, start, stop)
-
-    monkeypatch.setattr(_Residues, "ring", spy)
+    criterion's certified rank and primes, walked over ranks that
+    `_certified_rank` asks for in ranges of primes, and so `membership`'s
+    rank, verdicts and certificates, equal those of the loop that builds
+    once per prime.  Among the queries, the primes after p_1 were asked for
+    together, a rank rose within a range so that another range followed,
+    and a range was cut short at the prime where the loop stops."""
     seen = set()
 
     @settings(max_examples=40, deadline=None)
@@ -1232,8 +1254,17 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime(monkeypatch
         routes = []
         for build, width, threshold in criteria:
             want = _sequential_rank(m, _Residues(m.n, point, floor), build, width, threshold)
-            batches.clear()
-            got = _certified_rank(m, _Residues(m.n, point, floor), build, width, threshold)
+            residues, batches = _Residues(m.n, point, floor), []
+
+            def ranks(start, stop):
+                batches.append((start, stop))
+                return [
+                    modp_rank(build(m, residues.ring(i, i + 1)), width, residues.field(i).p)
+                    for i in range(start, stop)
+                ]
+
+            full = min(len(build(m, residues.ring(0, 1))), width)
+            got = _certified_rank(m, residues, build, ranks, full, threshold)
             assert got == want
             if any(stop - start > 1 for start, stop in batches):
                 seen.add("several primes in one build")
@@ -1261,11 +1292,13 @@ def test_membership_matches_the_loop_with_one_elimination_per_prime(monkeypatch)
     """On seeded points of the four benchmark member inputs, on a component
     and off the components, rational, of unit orders 4 and 12 and of the
     non-unit order 12 ((a/b) * zeta_12^e), at depths 1 and 2, with the
-    default prime floor and a floor of 10: `membership`, which ranks a batch
-    of primes in one elimination, gives the rank, verdicts and certificate
-    strings of the reference loop that ranks each prime by itself.  At the
-    floor of 10 some batch split at a lead that one of its primes divides,
-    and some certificate needed several primes."""
+    default prime floor and a floor of 10: `membership`, which ranks only
+    the relator rows, each batch of primes in one elimination, gives the
+    rank, verdicts and certificate strings of the reference loop that ranks
+    each criterion's rows at each prime by itself.  At the floor of 10 some
+    batch split at a lead that one of its primes divides (the relator batch
+    of the last query, off pencil(6)'s component at a non-unit point of
+    order 12), and some certificate needed several primes."""
     seen = set()
     real = exactalg._modular_ranks
     depth = []
@@ -1281,20 +1314,123 @@ def test_membership_matches_the_loop_with_one_elimination_per_prime(monkeypatch)
 
     monkeypatch.setattr(exactalg, "_modular_ranks", spy)
     kinds = [(None, False), (4, False), (12, False), (12, True)]
-    for seed, (name, on, (order, scaled), floor) in enumerate(
-        itertools.product(
-            sorted(GATE_INPUTS), (True, False), kinds, (MODULAR_PRIME_FLOOR, 10)
+    queries = [
+        (name, on, order, scaled, floor, seed, 1 + seed % 2)
+        for seed, (name, on, (order, scaled), floor) in enumerate(
+            itertools.product(
+                sorted(GATE_INPUTS), (True, False), kinds, (MODULAR_PRIME_FLOOR, 10)
+            )
         )
-    ):
+    ]
+    queries.append(("pencil6", False, 12, True, 10, 0, 1))
+    for name, on, order, scaled, floor, seed, k in queries:
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed, scaled)
-        k = 1 + seed % 2
         got = membership(m, point, k, prime_floor=floor)
         want = reference_membership(m, point, k, prime_floor=floor)
         assert got == want, (name, on, order, scaled, floor, seed)
         if "*" in got.certificate["delta"]:
             seen.add("several primes")
     assert seen == {"a batch split", "several primes"}
+
+
+def test_presentation_ranks_mod_p_follow_from_the_relator_ranks():
+    """At each prime p that applies, with t' the point's image in F_p, the
+    presentation rows have rank C(n-1,2) plus the relator rows' rank when
+    t' != 1 (the Koszul complex on the t'_j - 1 is exact) and b2 when
+    t' = 1 (d_3 vanishes), on seeded points of the gate inputs at the
+    default prime floor and at 10, and at the point whose coordinates are
+    all 1 + p_1, p_1 the first prime that applies to it: a point other than
+    1 whose image at p_1 is 1.  On each point `membership`, which reads
+    both criteria from the relator ranks, equals the reference, which ranks
+    the presentation rows themselves."""
+    seen = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(sorted(GATE_INPUTS)),
+        st.booleans(),
+        st.sampled_from([None, None] + list(range(1, 13))),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([10, MODULAR_PRIME_FLOOR]),
+        st.booleans(),
+        st.integers(min_value=1, max_value=2),
+    )
+    @example("diamond", True, None, False, 0, 10, True, 1)
+    @example("grid33", False, None, False, 0, MODULAR_PRIME_FLOOR, True, 2)
+    @example("pencil6", True, 12, True, 0, 10, False, 1)
+    def check(name, on, order, scaled, seed, floor, shifted, k):
+        m, _ = _gate_input(name)
+        if shifted:
+            point = [1 + modular_prime(1, floor)] * m.n
+        else:
+            point = _gate_point(name, on, order, seed, scaled)
+        residues = _Residues(m.n, point, floor)
+        for i in range(4):
+            ring, p = residues.ring(i, i + 1), residues.field(i).p
+            relator = modp_rank(_relator_rows(m, ring), m.n, p)
+            presentation = modp_rank(_presentation_rows(m, ring), math.comb(m.n, 2), p)
+            if all(v == 1 for v in residues.images[i]):
+                assert (presentation, relator) == (m.b2, 0)
+                seen.add("t' = 1 at a point other than 1")
+            else:
+                assert presentation == math.comb(m.n - 1, 2) + relator
+                seen.add("t' != 1")
+        got = membership(m, point, k, prime_floor=floor)
+        assert got == reference_membership(m, point, k, prime_floor=floor)
+
+    check()
+    assert seen == {"t' = 1 at a point other than 1", "t' != 1"}
+
+
+def test_membership_ranks_each_prime_once_and_builds_presentations_on_majorants(
+    monkeypatch,
+):
+    """`membership` builds the presentation rows only on the majorant ring,
+    and eliminates each prime's relator rows once per query for both
+    criteria: the `modp_ranks` calls rank relator rows (n columns) at
+    distinct primes, in order, that begin with those of the longer
+    certificate.  Off the locus (decided at p_1) no majorant is built."""
+    built, ranked = [], []
+    presentation_rows, ranks = alexander._presentation_rows, alexander.modp_ranks
+
+    def build(m, ring):
+        built.append(ring)
+        return presentation_rows(m, ring)
+
+    def rank(rows, ncols, primes):
+        ranked.append((ncols, list(primes)))
+        return ranks(rows, ncols, primes)
+
+    monkeypatch.setattr(alexander, "_presentation_rows", build)
+    monkeypatch.setattr(alexander, "modp_ranks", rank)
+    queries = [
+        ("diamond", True, None, False, MODULAR_PRIME_FLOOR),
+        ("diamond", True, 5, False, 10),
+        ("pencil6", True, 12, True, MODULAR_PRIME_FLOOR),
+        ("grid33", True, 4, False, 10),
+        ("braid4_affine", False, None, False, MODULAR_PRIME_FLOOR),
+    ]
+    for name, on, order, scaled, floor in queries:
+        m, _ = _gate_input(name)
+        point = _gate_point(name, on, order, 0, scaled)
+        want = reference_membership(m, point, 1, prime_floor=floor)
+        built.clear()
+        ranked.clear()
+        got = membership(m, point, 1, prime_floor=floor)
+        assert got == want
+        primes = [p for _, batch in ranked for p in batch]
+        longest = max(
+            (route.removeprefix("mod ").split("*") for route in got.certificate.values()),
+            key=len,
+        )
+        assert primes == sorted(set(primes))
+        assert primes[: len(longest)] == [int(p) for p in longest]
+        assert all(ncols == m.n for ncols, _ in ranked)
+        assert all(ring is built[0] and ring.modulus is None for ring in built)
+        assert all(isinstance(ring.t(0), _Majorant) for ring in built)
+        assert len(built) == (1 if len(longest) > 1 else 0), name
 
 
 def test_majorants_bound_every_embedding():
@@ -1462,6 +1598,73 @@ def test_points_above_the_order_cap_are_refused():
         presentation_rank(
             m, [root_of_unity(8), root_of_unity(POINT_ORDER_CAP - 1)] + [1] * 4
         )
+
+
+def _long_conjugated_double_point():
+    """One double point (3, 7) on 12 strands conjugated by
+    (1,12)^25 (2,11)^25, at the order-120 point (2/3) * zeta_120^(7+i): its
+    certificate needs 1654 primes."""
+    m = MonodromyInput(12, (MonodromyGen((3, 7), ((1, 12, 25), (2, 11, 25))),))
+    point = [Fraction(2, 3) * root_of_unity(120, 7 + i) for i in range(12)]
+    return m, point
+
+
+def test_a_certificate_predicted_past_the_prime_cap_is_refused_first(monkeypatch):
+    """The query of `_long_conjugated_double_point` is refused before any
+    prime after the first is built, in well under a second."""
+    rings = []
+    ring = _Residues.ring
+
+    def spy(self, start, stop):
+        rings.append((start, stop))
+        return ring(self, start, stop)
+
+    monkeypatch.setattr(_Residues, "ring", spy)
+    m, point = _long_conjugated_double_point()
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"limited to {CERTIFICATE_PRIME_CAP} primes"):
+        membership(m, point, 1)
+    assert time.perf_counter() - start < 1.0
+    assert rings == [(0, 1)]
+
+
+def test_the_prime_cap_is_checked_each_time_the_bound_is_set(monkeypatch):
+    """At an order-5 point on a component of diamond, above the floor 10,
+    the presentation rank mod 11 is 9 and later primes raise it to 14, so
+    the bound, and the primes it predicts, rise during the walk (at a depth
+    beyond the relator window, so that only this criterion runs).  Each prediction is
+    ceil(bits of the bound / (2 (bits of p_1 - 1))), at least the primes the
+    rule takes at that bound.  A cap below the first prediction refuses
+    before any prime after p_1 is built, a cap below the last one refuses
+    after some were walked, and a cap at the last one changes nothing."""
+    m, _ = _gate_input("diamond")
+    point, k = _gate_point("diamond", True, 5, 0), relator_route_limit(m) + 1
+    bounds, rings = [], []
+    checked, ring = alexander._checked_bound, _Residues.ring
+
+    def spy_bound(norms, phi, p):
+        bounds.append((math.prod(norms) ** phi, p))
+        return checked(norms, phi, p)
+
+    def spy_ring(self, start, stop):
+        rings.append(start)
+        return ring(self, start, stop)
+
+    monkeypatch.setattr(alexander, "_checked_bound", spy_bound)
+    monkeypatch.setattr(_Residues, "ring", spy_ring)
+    want = membership(m, point, k, prime_floor=10)
+    predicted = [-(-b.bit_length() // (2 * (p.bit_length() - 1))) for b, p in bounds]
+    assert predicted == sorted(predicted)
+    assert predicted[0] < predicted[-1] < CERTIFICATE_PRIME_CAP
+    assert want.certificate["delta"].count("*") + 1 <= predicted[-1]
+    for cap, walked in ((predicted[0] - 1, False), (predicted[-1] - 1, True)):
+        monkeypatch.setattr(alexander, "CERTIFICATE_PRIME_CAP", cap)
+        rings.clear()
+        with pytest.raises(CapExceeded, match=f"limited to {cap} primes"):
+            membership(m, point, k, prime_floor=10)
+        assert (max(rings) > 0) == walked
+    monkeypatch.setattr(alexander, "CERTIFICATE_PRIME_CAP", predicted[-1])
+    assert membership(m, point, k, prime_floor=10) == want
 
 
 # ---------------------------------------------------------------------------

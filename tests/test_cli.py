@@ -16,6 +16,7 @@ import pytest
 
 from charvar.alexander import (
     BRAID_LENGTH_CAP,
+    CERTIFICATE_PRIME_CAP,
     load_monodromy,
     pencil_monodromy,
     presentation_rank,
@@ -31,7 +32,7 @@ from charvar.cli import (
     main,
 )
 from charvar.components import DEFAULT_CAP, Component, format_torus_equation
-from charvar.exactalg import modular_prime
+from charvar.exactalg import modular_prime, root_of_unity
 
 
 def run(capsys, *argv):
@@ -459,6 +460,35 @@ def test_member_torsion_point_via_packaged_fixture(capsys):
     p1 = modular_prime(1)
     p2 = modular_prime(1, p1)
     assert verdict["certificate"] == {"delta": f"mod {p1}*{p2}", "partial2": f"mod {p1}"}
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_member_at_the_identity_is_consistent_at_every_depth(capsys, k):
+    # at k = n = 6 the relator criterion (rank 0 <= n - k - 1) fails at
+    # the point 1, so it is not applied there: partial2 is n/a
+    code, out, _ = run(
+        capsys, "member", "fixture:diamond_monodromy", "--point=[1,1,1,1,1,1]", "--k", str(k)
+    )
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["in_Vk"] is True and verdict["consistent"] is True
+    assert verdict["criteria"]["partial2"] is (True if k == 5 else None)
+
+
+def test_member_refuses_a_certificate_of_too_many_primes_quickly(capsys, tmp_path):
+    # one double point on 12 strands conjugated by 50 unit twists: at this
+    # order-120 point its certificate needs 1654 primes (18 s uncapped)
+    path = tmp_path / "twisted.json"
+    generator = {"X": [3, 7], "delta": [["A", 1, 12, 25], ["A", 2, 11, 25]]}
+    path.write_text(json.dumps({"n": 12, "generators": [generator]}))
+    point = [(Fraction(2, 3) * root_of_unity(120, 7 + i)).to_json() for i in range(12)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", str(path), f"--point={json.dumps(point)}")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        f"error: membership certificates are limited to {CERTIFICATE_PRIME_CAP} primes"
+    )
 
 
 def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
