@@ -70,8 +70,8 @@ from .exactalg import (
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.002-0.005 s as a unit point (23-37 primes) and 0.007-0.14 s as a
-# point (a/b) * zeta_120^e (69-333 primes), on one core of a 2-core Intel
+# takes 0.001-0.004 s as a unit point (9-30 primes) and 0.006-0.07 s as a
+# point (a/b) * zeta_120^e (42-254 primes), on one core of a 2-core Intel
 # Xeon, Python 3.11 (the tests' `_gate_point`, seeds 0-3, depths 1 and 2,
 # best of four runs).  A point of larger order is refused before any
 # cyclotomic polynomial is built.
@@ -80,28 +80,30 @@ POINT_ORDER_CAP = 120
 # Largest length, in unit twists, of a braid word (`normalize_braid`), so
 # of a generator's conjugator.  Every factor of the conjugator is pushed
 # through in each evaluation ring, and the majorant bounds, so the primes,
-# grow with its length: the double point (1, 2) on 6 strands conjugated by
-# (2, 3)^L takes, at the point (2/3) * zeta_120^(7+i), 0.016 s for L = 10
-# (144 primes), 0.11 s for L = 30 (355 primes) and 0.38 s for L = 50 (567
-# primes), and 0.73 s for L = 50 on 12 strands (716 primes).  Past the
-# cap, L = 100 takes 2.8 s (1095 primes, past CERTIFICATE_PRIME_CAP too),
-# and at the rational point ((i+2)/(i+1)) 0.005 s for L = 100 and 0.06 s
-# for L = 300 (2-core Intel Xeon, Python 3.11, best of three).  The
-# packaged fixtures' conjugators have at most 3.  Without the cap a factor
-# ["A", 1, 2, 10**10] hung every command on load.
+# grow with its length.  The triple point (1, 2, 3) on 6 strands conjugated
+# by (1, 6)^L, at the point (a, b, 1/(ab), 1, 1, 1) of its local component
+# with a = (2/3) * zeta_120^7 and b = (2/3) * zeta_120^8, takes 0.25 s for
+# L = 10 (462 primes) and 1.4 s for L = 20 (892 primes); on 12 strands,
+# conjugated by (1, 12)^L, 0.30 s and 1.7 s.  From L = 24 on it passes
+# CERTIFICATE_PRIME_CAP; uncapped, L = 30 takes 5.0 s (1321 primes) and
+# L = 50 20 s (2180 primes, 36 MiB).  At the rational point
+# (2, 3/2, 1/3, 1, 1, 1) it takes 0.013 s for L = 50 (36 primes), and past
+# the cap 0.038 s for L = 100 and 0.46 s for L = 300 (213 primes) (2-core
+# Intel Xeon, Python 3.11, best of three).  The packaged fixtures'
+# conjugators have at most 3.  Without the cap a factor ["A", 1, 2, 10**10]
+# hung every command on load.
 BRAID_LENGTH_CAP = 50
 
 # Largest number of primes that a membership certificate is predicted to
 # need (`_checked_bound`), checked each time the stop rule's bound is set,
-# before the primes it asks for are built.  The costs of the strand, braid
-# and order caps multiply here: the double point (3, 7) on 12 strands
-# conjugated by (1,12)^25 (2,11)^25, within all three, needs 1654 primes
-# at the point (2/3) * zeta_120^(7+i) and took 19.6 s; it is refused in
-# 0.02 s.  Near the cap, the double point (1, 2) on 6 strands conjugated
-# by (2, 3)^100 needs 1095 primes (2.8 s) and by (1, 6)^30 1016 primes
-# (3.2 s).  The queries within the caps that the order, braid and strand
-# cap comments quote need at most 716 primes, the tests' other queries at
-# most 438 and the benchmark's member queries at most 12 (2-core Intel
+# before the primes it asks for are built.  The costs of the braid and
+# order caps multiply here: the triple point of BRAID_LENGTH_CAP's comment
+# conjugated by (1,6)^25 (2,5)^25, within both, needs 1617 primes at that
+# order-120 point and took 9.9 s; it is refused in 0.006 s.  Near the cap,
+# conjugated by (1, 6)^22 it needs 978 primes (2.0 s), and by (1, 6)^24 it
+# is refused (1064 predicted).  The other queries that the order, braid and
+# strand cap comments quote need at most 892 primes, the tests' queries at
+# most 130 and the benchmark's member queries at most 10 (2-core Intel
 # Xeon, Python 3.11).
 CERTIFICATE_PRIME_CAP = 1000
 
@@ -138,13 +140,12 @@ class _Ring:
     (`majorant`).  The builders test zeros by truthiness and need only
     ring operations, so the tests also run them on Laurent polynomials."""
 
-    __slots__ = ("n", "one", "zero", "modulus", "_t", "_tinv", "_factors", "_pushed")
+    __slots__ = ("n", "one", "zero", "modulus", "_t", "_tinv", "_factors")
 
     def __init__(self, t: list, tinv: list, one, zero, modulus: int | None = None):
         self.n, self._t, self._tinv, self.one, self.zero = len(t), t, tinv, one, zero
         self.modulus = modulus
         self._factors: dict[TwistFactor, list] = {}
-        self._pushed: dict[MonodromyGen, tuple[list[list], list]] = {}
 
     @classmethod
     def majorant(cls, coords: Sequence[ExactScalar]) -> "_Ring":
@@ -695,8 +696,8 @@ def _chain_map_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
 
 def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
     """The vectors x_s = u_s Theta, s in X[:-1], and y = nabla Theta whose
-    wedges x_s ^ y are the rows of the monodromy chain map, so that both
-    criteria are built from them; computed once per ring.
+    wedges x_s ^ y are the rows of the monodromy chain map, and from which
+    the relator rows are built too.
 
     Row k of Phi_X is e_k ^ nabla for k in X (nabla the gradient of the
     product of the X generators), (t_k - 1) nabla ^ nabla_{X>k} for
@@ -706,15 +707,11 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
     - sum_{X_0 < k < X_last, k not in X} theta_s[k] (t_k - 1) nabla_{X>k};
     and (u ^ w) wedge^2(Theta) = (u Theta) ^ (w Theta).
     """
-    pushed = ring._pushed.get(gen)
-    if pushed is not None:
-        return pushed
     X = gen.X
     nabla = _gradient(X, ring, 0, ring.n)
     units = _unit_rows(X[:-1], ring)
     if not gen.delta:
-        pushed = ring._pushed[gen] = units, nabla
-        return pushed
+        return units, nabla
     members = set(X)
     uppers = {}  # k -> (t_k - 1) nabla_{X>k}
     for k in range(X[0] + 1, X[-1]):
@@ -733,8 +730,7 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
                     u[c] = u[c] - a * x
         us.append(u)
     *xs, y = _push(gen.delta, us + [nabla], ring)
-    pushed = ring._pushed[gen] = xs, y
-    return pushed
+    return xs, y
 
 
 def relator_jacobian(m: MonodromyInput, point: Sequence) -> list[list]:
@@ -790,8 +786,9 @@ def relator_rank(m: MonodromyInput, point: Sequence) -> int:
 class Membership:
     """A depth-k verdict at a torus point: the exact presentation rank,
     both criteria (`partial2` is None beyond the relator window), and the
-    primes that decided each criterion, "mod <p1>*<p2>*..." (None for
-    `partial2` beyond the window)."""
+    primes that certified the relator rank both are read from,
+    "mod <p1>*<p2>*..." under each criterion's name (None for `partial2`
+    beyond the window)."""
 
     rank: int
     delta: bool
@@ -802,52 +799,57 @@ class Membership:
 def membership(
     m: MonodromyInput, point: Sequence, k: int, prime_floor: int = MODULAR_PRIME_FLOOR
 ) -> Membership:
-    """Depth-k membership of a torus point, by certified modular ranks.
+    """Depth-k membership of a torus point, read from one certified rank.
 
-    Let M be the point's order and p_1 < p_2 < ... the primes that apply:
-    the primes p = 1 (mod M) above prime_floor that divide no coordinate
-    denominator and map no coordinate to 0 (a prime that does not apply is
-    skipped for the next; only those dividing a denominator or the norm of
-    a coordinate fail, so finitely many).  At p_i every coordinate is a
-    unit of the local ring of Z[zeta_M] at a prime P_i above p_i (see
-    `PrimeField`), so every entry of the presentation matrix and of the
-    relator Jacobian (an integer polynomial in the t_i and their inverses)
-    lies in that ring, and reducing modulo P_i is a ring map that commutes
-    with minors.  Hence the rank r_i mod p_i is at most the true rank r.
+    Let M be the point's order and K = Q(zeta_M).  The presentation of the
+    Alexander invariant at the point is [Phi; d_3]: Phi the stacked
+    chain-map rows x_s ^ y, d_3 the degree-three Koszul differential on the
+    (t_j - 1).  The relator Jacobian is R = Phi d_2, whose rows
+    eps(y) x_s - eps(x_s) y are built from the same pushes (see
+    `_pushed_vectors`, `_relator_rows`).  Over K:
 
-    Both criteria's ranks mod p_i come from the relator rows alone.  The
-    presentation is [Phi; d_3], Phi the stacked chain-map rows x_s ^ y and
-    d_3 the degree-three Koszul differential on the (t_j - 1); the relator
-    Jacobian is R = Phi d_2, whose rows eps(y) x_s - eps(x_s) y are built
-    from the same pushes (see `_pushed_vectors`, `_relator_rows`).  Let
-    t' be the point's image in F_{p_i}.
+    - If some t_j != 1, then t_j - 1 is a unit of K and the Koszul complex
+      on the (t_j - 1) is exact: the rows of d_3 span the left kernel of
+      d_2, of dimension C(n,2) - (n - 1) = C(n-1,2).  As d_3 d_2 = 0, right
+      multiplication by d_2 maps the row space of [Phi; d_3] onto that of R
+      with exactly that kernel.  So the presentation has rank
+      C(n-1,2) + rank R.
+    - If t = 1, then d_3 and R vanish, and row s of Phi is e_s ^ (sum of
+      e_j, j in X), the only row holding the pair (s, max X), as no strand
+      pair lies in two vertex sets.  So the presentation has rank b2.
 
-    - If some t'_j != 1, then t'_j - 1 is a unit and the Koszul complex on
-      the (t'_j - 1) is exact: the rows of d_3 span the left kernel of d_2,
-      of dimension C(n,2) - (n - 1) = C(n-1,2), and d_2 maps the row space
-      of [Phi; d_3] onto that of R with exactly that kernel.  So the
-      presentation has rank C(n-1,2) + rank R mod p_i.
-    - If t' = 1, then d_3 vanishes and row s of Phi is e_s ^ (sum of e_j,
-      j in X), the only row holding the pair (s, max X), as no strand pair
-      lies in two vertex sets.  So the presentation has rank b2 mod p_i.
+    So only r = rank R is certified, and `.rank` is b2 at the point 1 and
+    C(n-1,2) + r elsewhere.  The depth-k verdict `.delta` is
+    rank <= C(n,2) - k, and `.partial2`, within `relator_route_limit`, is
+    r <= n - k - 1; away from 1 the two are the same inequality.  R has at
+    most b2 rows, and they lie in the row space of d_2, of rank at most
+    n - 1 (d_2 d_1 = 0, and d_1 != 0 unless t = 1, where d_2 = 0), so
+    r <= full = min(b2, n - 1).
 
-    So each prime's relator rows are built and eliminated once per query,
-    for both criteria: the primes of each new range are built together,
-    once, modulo their product N = p_start ... p_stop-1 (see `ResidueRing`),
-    and ranked at all of them by one elimination modulo N (`modp_ranks`, in
-    runs of at most MODULUS_BITS bits).  Z -> Z/N is a ring map, so every
-    entry is the residue of the entry built in Z/N, and an elimination
-    modulo N is one in every F_{p_i} at once.  The presentation rows are
-    built only on the majorant ring, for the stop rule:
+    r is certified by modular ranks.  Let p_1 < p_2 < ... be the primes
+    that apply: the primes p = 1 (mod M) above prime_floor that divide no
+    coordinate denominator and map no coordinate to 0 (a prime that does
+    not apply is skipped for the next; only those dividing a denominator or
+    the norm of a coordinate fail, so finitely many).  At p_i every
+    coordinate is a unit of the local ring of Z[zeta_M] at a prime P_i
+    above p_i (see `PrimeField`), so every entry of R (an integer
+    polynomial in the t_i and their inverses) lies in that ring, and
+    reducing modulo P_i is a ring map that commutes with minors.  Hence the
+    rank r_i mod p_i is at most r.  The primes of each new range are built
+    together, once, modulo their product N = p_start ... p_stop-1 (see
+    `ResidueRing`), and ranked at all of them by one elimination modulo N
+    (`modp_ranks`, in runs of at most MODULUS_BITS bits).  Z -> Z/N is a
+    ring map, so every entry is the residue of the entry built in Z/N, and
+    an elimination modulo N is one in every F_{p_i} at once.  The stop rule
+    (`_certified_rank`):
 
-    - a rank mod p_1 equal to min(rows, columns) is the exact rank, and a
-      relator rank mod p_1 above n - k - 1 proves `partial2` false;
+    - a rank mod p_1 equal to full is r;
     - otherwise let s = max r_i over the primes taken.  The `_Ring.majorant`
-      build gives each entry e a denominator d_e with d_e * e in Z[zeta_M]
-      and a bound B_e on every |sigma(d_e * e)| over the embeddings sigma
-      of Q(zeta_M) in C (at a unit point, where every coordinate and its
-      inverse has integer power-basis coefficients, every d_e is 1).
-      Scale row r by L_r, the lcm of its entries' d_e; its entries are
+      build of R gives each entry e a denominator d_e with d_e * e in
+      Z[zeta_M] and a bound B_e on every |sigma(d_e * e)| over the
+      embeddings sigma of K in C (at a unit point, where every coordinate
+      and its inverse has integer power-basis coefficients, every d_e is
+      1).  Scale row r by L_r, the lcm of its entries' d_e; its entries are
       then bounded by B_e * L_r / d_e.  Let H be the product of the s + 1
       largest of these cleared row norms.  For an (s+1)-minor D, the
       matching minor D' = (prod L_r) * D of the cleared rows lies in
@@ -859,63 +861,41 @@ def membership(
       D' = 0, so D = 0, and s = r exactly.  The primes this rule needs at
       the current s are taken as one range, a larger s asks for another,
       and a rule that predicts more than CERTIFICATE_PRIME_CAP primes is
-      refused before its range is built.  The certificate names the primes
-      used.
+      refused before its range is built.
 
-    This is the one route by which the library decides a torus point: the
-    depth-k verdict is `.delta` (rank at most C(n,2) - k), `.partial2` is
-    the relator criterion (rank at most n - k - 1) within
-    `relator_route_limit`, and `.rank` at the point 1 is the presentation
-    rank there, b2.  A central point goes through `lift_point` first.  The
-    tests hold it against the exact Q(zeta_M) ranks `presentation_rank`
-    and `relator_rank`, and against a reference that ranks the
-    presentation rows themselves.
+    Both certificate entries name the primes of that one walk.  This is
+    the one route by which the library decides a torus point; a central
+    point goes through `lift_point` first.  The tests hold it against the
+    exact K-ranks `presentation_rank` and `relator_rank`, and against a
+    reference that ranks the presentation rows themselves at each prime.
     """
     if k < 1:
         raise ValidationError("depth k must be at least 1")
     residues = _Residues(m.n, point, prime_floor)
-    relator: list[int] = []  # the relator rank mod each prime so far
 
-    def relator_ranks(start: int, stop: int) -> list[int]:
-        begin = len(relator)
-        if begin < stop:
-            rows = _relator_rows(m, residues.ring(begin, stop))
-            primes = [residues.field(i).p for i in range(begin, stop)]
-            relator.extend(modp_ranks(rows, m.n, primes))
-        return relator[start:stop]
+    def ranks(start: int, stop: int) -> list[int]:
+        rows = _relator_rows(m, residues.ring(start, stop))
+        return modp_ranks(rows, m.n, [residues.field(i).p for i in range(start, stop)])
 
-    kernel = math.comb(m.n - 1, 2)
-
-    def presentation_ranks(start: int, stop: int) -> list[int]:
-        return [
-            m.b2 if all(v == 1 for v in residues.images[i]) else kernel + r
-            for i, r in enumerate(relator_ranks(start, stop), start)
-        ]
-
-    ncols = math.comb(m.n, 2)
-    full = min(m.b2 + math.comb(m.n, 3), ncols)
-    rank, delta_route = _certified_rank(
-        m, residues, _presentation_rows, presentation_ranks, full, ncols
-    )
+    r, route = _certified_rank(m, residues, ranks, min(m.b2, m.n - 1))
+    at_one = all(c == 1 for c in residues.coords)
+    rank = m.b2 if at_one else math.comb(m.n - 1, 2) + r
     partial2, partial2_route = None, None
     if k <= relator_route_limit(m):
-        r, partial2_route = _certified_rank(
-            m, residues, _relator_rows, relator_ranks, min(m.b2, m.n), m.n - k - 1
-        )
-        partial2 = r <= m.n - k - 1
+        partial2, partial2_route = r <= m.n - k - 1, route
     return Membership(
         rank,
-        rank <= ncols - k,
+        rank <= math.comb(m.n, 2) - k,
         partial2,
-        {"delta": delta_route, "partial2": partial2_route},
+        {"delta": route, "partial2": partial2_route},
     )
 
 
 class _Residues:
     """A torus point's evaluation rings modulo products of consecutive
-    primes that apply (see `field`), and its majorant ring, shared by both
-    criteria.  Each coordinate's image at each prime is computed once, from
-    its `ints` and `den` (`PrimeField.reduce`)."""
+    primes that apply (see `field`), and its majorant ring.  Each
+    coordinate's image at each prime is computed once, from its `ints` and
+    `den` (`PrimeField.reduce`)."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
         self.coords = _torus_coords(n, point)
@@ -963,19 +943,18 @@ class _Residues:
 
 
 def _certified_rank(
-    m: MonodromyInput, residues: _Residues, build, ranks, full: int, threshold: int
+    m: MonodromyInput, residues: _Residues, ranks, full: int
 ) -> tuple[int, str]:
-    """The rank at the point of build's matrix, which has rank at most
-    `full`, with the primes used (see `membership`): the exact rank, or a
-    modular rank above threshold.  `ranks(start, stop)` gives the matrix's
-    rank mod p_start .. p_stop-1, and build runs only on the majorant ring,
-    for the norms of the stop rule.  The primes after the first are asked
-    for in ranges, each as long as the rule needs at the current rank, and
-    walked in order until the rule stops."""
+    """The rank at the point of the relator rows, which is at most `full`,
+    with the primes used (see `membership`).  `ranks(start, stop)` gives
+    their rank mod p_start .. p_stop-1, and the rows are built on the
+    majorant ring only for the norms of the stop rule.  The primes after
+    the first are asked for in ranges, each as long as the rule needs at
+    the current rank, and walked in order until the rule stops."""
     primes = [residues.field(0).p]
     rank = ranks(0, 1)[0]
-    if rank < full and rank <= threshold:
-        norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
+    if rank < full:
+        norms = sorted(_cleared_norms(_relator_rows(m, residues.majorant)), reverse=True)
         phi = _euler_phi(residues.order)
         bound = _checked_bound(norms[: rank + 1], phi, primes[0])
         product, stop = primes[0], 1
@@ -993,7 +972,7 @@ def _certified_rank(
             r = next(batch_ranks)
             if r > rank:
                 rank = r
-                if rank == full or rank > threshold:
+                if rank == full:
                     break
                 bound = _checked_bound(norms[: rank + 1], phi, primes[0])
     return rank, "mod " + "*".join(map(str, primes))
@@ -1044,18 +1023,23 @@ def lift_point(lift: dict | None, central_point: Sequence) -> list[ExactScalar]:
 # ---------------------------------------------------------------------------
 
 
-def phi_one_matrix(lat: Lattice2) -> list[list[int]]:
+def phi_one_matrix(lat: Lattice2 | MonodromyInput) -> list[list[int]]:
     """Integer matrix of the stacked twist chain maps evaluated at the
-    identity character: one block of `_chain_map_rows` per rank-2 class,
-    rows indexed by the class members except the largest.  Conjugators act
-    trivially there, so the matrix depends only on the lattice."""
+    identity character: one block of `_chain_map_rows` per vertex set, rows
+    indexed by the set's members except the largest.  Conjugators act
+    trivially there, so the matrix depends only on the vertex sets: a
+    lattice's rank-2 classes, or a monodromy's own, whose strand pairs in
+    no vertex set need not form a lattice."""
     ring = _Ring([1] * lat.n, [1] * lat.n, 1, 0)
+    if isinstance(lat, MonodromyInput):
+        vertex_sets = [gen.X for gen in lat.generators]
+    else:
+        vertex_sets = [tuple(c + 1 for c in cls) for cls in lat.rank2_classes()]
     rows = []
-    for cls in lat.rank2_classes():
-        rows.extend(_chain_map_rows(MonodromyGen(tuple(c + 1 for c in cls)), ring))
+    for X in vertex_sets:
+        rows.extend(_chain_map_rows(MonodromyGen(X), ring))
     return rows
 
 
-def phi_one_rank(lat: Lattice2) -> int:
+def phi_one_rank(lat: Lattice2 | MonodromyInput) -> int:
     return IntEchelon(math.comb(lat.n, 2)).add_rows(phi_one_matrix(lat))
-

@@ -332,10 +332,12 @@ class Lattice2:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Lattice2":
+        if not isinstance(obj, dict):
+            raise ValidationError("a lattice must be a JSON object")
         try:
             n = obj["n"]
             flats = obj["flats"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise ValidationError(f"lattice JSON missing key: {exc}") from exc
         unknown = sorted(set(obj) - {"n", "flats", "parallel_pairs"})
         if unknown:

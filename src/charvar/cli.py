@@ -459,17 +459,21 @@ def cmd_components(args) -> int:
 # list is built.
 MEMBER_HYPERPLANE_CAP = 200
 
-# Largest strand count `member` and `report` take on monodromy input.  One
-# double point on n strands is the costliest shape measured: its group is
-# nearly free, so most points lie deep in the locus and the certificate
-# needs many primes.  At the point (2/3) * zeta_120^(7+i) it takes 0.023 s
-# on 12 strands (190 primes), 0.031 s on 13, 0.059 s on 14 and 0.065 s on
-# 16 (356 primes); at the unit point zeta_5^i 0.002 s on 12 strands, 0.17 s
-# on 30 (31 MiB peak) and 0.73 s on 40 (79 MiB); at the rational point
-# ((i+2)/(i+1)) 0.002 s on 12 and 0.17 s on 30.  `report`'s rank at the
-# identity takes 0.002 s on 12 strands, 0.019 s on 20 and 0.70 s and 78 MiB
-# on 40 (2-core Intel Xeon, Python 3.11, best of three).  A larger input is
-# refused before any ring is built.
+# Largest strand count `member` and `report` take on monodromy input.  A
+# pencil, one vertex set of all n strands, is the costliest shape measured:
+# on its component (coordinate product 1) the relator rank stays below its
+# largest possible value, so the certificate needs many primes.  At the
+# point (2/3) * zeta_120^(7+i), i < n - 1, completed to product 1, it takes
+# 0.036 s on 12 strands (71 primes), 0.085 s on 16, 0.23 s on 20, 1.8 s on
+# 30 (188 primes, 27 MiB peak) and 7.8 s on 40 (274 primes, 54 MiB); at the
+# unit point zeta_5^i so completed 0.001 s on 12 strands and 0.006 s on 40;
+# at the rational point ((i+2)/(i+1)) so completed 0.001 s on 12 and 0.03 s
+# on 40.  One double point on n strands, at those points without the
+# completion, is decided at the first prime, in under 0.001 s up to 40
+# strands.  `report`'s rank at the identity, read from the vertex sets
+# (`phi_one_rank`), takes under 0.001 s on 40 strands (2-core Intel Xeon,
+# Python 3.11, best of three).  A larger input is refused before any ring
+# is built.
 MEMBER_STRAND_CAP = 12
 
 
@@ -679,11 +683,10 @@ def _check_pencil_membership(args, n: int):
 
 def _check_product_membership():
     m = grid_monodromy(2, 2)
-    ones = [Fraction(1)] * 4
     factor = [Fraction(3), Fraction(5), Fraction(1), Fraction(1)]
     mixed = [Fraction(3), Fraction(5), Fraction(7), Fraction(11)]
     ok = (
-        membership(m, ones, 1).rank == m.b2
+        phi_one_rank(m) == m.b2
         and membership(m, factor, 1).delta
         and not membership(m, factor, 2).delta
         and not membership(m, mixed, 1).delta
@@ -706,7 +709,7 @@ def _check_monodromy_identity_rank(items):
     details = []
     ok = True
     for label, m in items:
-        got = membership(m, [Fraction(1)] * m.n, 1).rank
+        got = phi_one_rank(m)
         ok = ok and got == m.b2
         details.append(f"{label}={got}")
     return ok, "presentation rank at the identity equals b2: " + ", ".join(details)

@@ -991,21 +991,16 @@ def _point_kind(point):
     return "rational" if point_order(point) == 1 else "non-unit cyclotomic"
 
 
-def _exact_ranks(m, point, k):
-    """The exact presentation rows and rank, and the relator rows and rank
-    (None beyond the relator window)."""
-    rows = presentation_matrix(m, point)
-    out = [(rows, ExactMatrix(rows, math.comb(m.n, 2)).rank())]
-    if k <= relator_route_limit(m):
-        rows = relator_jacobian(m, point)
-        out.append((rows, ExactMatrix(rows, m.n).rank()))
-    return out
+def _exact_ranks(m, point):
+    """The exact presentation rank, and the relator rows and their rank."""
+    rows = relator_jacobian(m, point)
+    return presentation_rank(m, point), rows, ExactMatrix(rows, m.n).rank()
 
 
 def _exact_membership(m, point, k):
-    ranks = [rank for _, rank in _exact_ranks(m, point, k)] + [None]
-    partial2 = None if ranks[1] is None else ranks[1] <= m.n - k - 1
-    return ranks[0], ranks[0] <= math.comb(m.n, 2) - k, partial2
+    rank, _, relator = _exact_ranks(m, point)
+    partial2 = relator <= m.n - k - 1 if k <= relator_route_limit(m) else None
+    return rank, rank <= math.comb(m.n, 2) - k, partial2
 
 
 def _row_norms(rows):
@@ -1019,22 +1014,42 @@ def _row_norms(rows):
     return norms
 
 
-def _check_certificate(route, point, floor, rows, rank, ncols, threshold, norms, seen):
-    """A criterion's certificate against the exact matrix (rows, rank) and
+def _reference_certificate(m, point, k, floor):
+    """The certificate that `membership` gives, from the reference loop
+    `certified_rank` on the relator rows: it walks while the rank is below
+    min(b2, n - 1), the relator rows' largest possible rank, so under the
+    threshold min(b2, n - 1) - 1.  Both criteria name its primes
+    (`partial2` only within the relator window)."""
+    full = min(m.b2, m.n - 1)
+    residues = _Residues(m.n, point, floor)
+    _, route = reference_certified_rank(m, residues, _relator_rows, m.n, full - 1)
+    return {"delta": route, "partial2": route if k <= relator_route_limit(m) else None}
+
+
+def _assert_matches_the_references(got, m, point, k, floor):
+    """`membership`'s rank and verdicts equal those of the reference, which
+    ranks the presentation rows themselves at each prime, and its
+    certificate that of the reference loop on the relator rows."""
+    want = reference_membership(m, point, k, prime_floor=floor)
+    assert (got.rank, got.delta, got.partial2) == (want.rank, want.delta, want.partial2)
+    assert got.certificate == _reference_certificate(m, point, k, floor)
+
+
+def _check_certificate(m, route, point, floor, rows, rank, seen):
+    """The relator certificate against the exact relator rows and rank and
     the cleared majorant row norms^2.  Let p_1, p_2, ... be the successive
     primes that apply, from the floor: the primes p = 1 (mod the point's
     order M) above it at which every coordinate maps to a unit (p divides
     no denominator, and no coordinate maps to 0).  Let s_i be the largest
-    rank mod p_1..p_i, deficient mean neither full nor above threshold,
-    and bound(s) = (product of the s + 1 largest norms)^phi(M).
+    rank mod p_1..p_i, deficient meaning below min(b2, n - 1), and
+    bound(s) = (product of the s + 1 largest norms)^phi(M).
 
     The route names p_1..p_j; it goes on exactly while s_i is deficient and
-    (p_1 * ... * p_i)^2 <= bound(s_i), and its s_j is the exact rank or
-    above threshold."""
+    (p_1 * ... * p_i)^2 <= bound(s_i), and its s_j is the exact rank."""
     order = point_order(point)
-    full = min(len(rows), ncols)
+    full = min(m.b2, m.n - 1)
     phi = euler_phi(order)
-    ordered = sorted(norms, reverse=True)
+    ordered = sorted(_row_norms(_relator_rows(m, _Ring.majorant(point))), reverse=True)
     primes = [int(p) for p in route.removeprefix("mod ").split("*")]
     fields, candidate = [], None
     while len(fields) < len(primes):
@@ -1047,13 +1062,13 @@ def _check_certificate(route, point, floor, rows, rank, ncols, threshold, norms,
     assert primes == [f.p for f in fields]
     s = 0
     for i, f in enumerate(fields):
-        s = max(s, modp_rank([[f.reduce(e) for e in row] for row in rows], ncols, f.p))
+        s = max(s, modp_rank([[f.reduce(e) for e in row] for row in rows], m.n, f.p))
         if i == 0 and s < rank:
             seen["rank rose past the first prime"] = True
         bound = math.prod(ordered[: s + 1]) ** phi
-        undecided = s < full and s <= threshold and math.prod(primes[: i + 1]) ** 2 <= bound
+        undecided = s < full and math.prod(primes[: i + 1]) ** 2 <= bound
         assert undecided == (i < len(primes) - 1)
-    assert s == rank or s > threshold
+    assert s == rank
     if len(primes) > 1:
         seen[f"several primes at a {_point_kind(point)} point"] = True
 
@@ -1063,14 +1078,19 @@ def test_certified_route_agrees_with_the_exact_route():
     points (a/b) * zeta_d^e of order d <= 12, on and off the components,
     at depths 1..3, with the default prime and with small primes (above
     10, 30 or 60) at which ranks drop: every certified rank and verdict
-    equals the exact one, every certificate is checked by
-    `_check_certificate` against row norms cleared here, a rational point,
-    a unit point and a non-unit cyclotomic point each needed several
-    primes, and at least one point had a rank mod p_1 below the true
-    rank.  `skip` = +-1 or +-2 multiplies the first parameter by
-    (p_1 ... p_|skip|)^(+-1), the first primes = 1 (mod M) above the floor,
-    so that they divide a coordinate's numerator or denominator and do not
-    apply; some certificate skipped a prime."""
+    equals the exact one, the certificate, which both criteria name, is
+    checked by `_check_certificate` against relator row norms cleared here,
+    a rational point, a unit point and a non-unit cyclotomic point each
+    needed several primes, and at least one point had a relator rank mod
+    p_1 below the true rank.  `skip` = +-1 or +-2 multiplies the first
+    parameter by (p_1 ... p_|skip|)^(+-1), the first primes = 1 (mod M)
+    above the floor, so that they divide a coordinate's numerator or
+    denominator and do not apply; some certificate skipped a prime.
+
+    At a point other than 1 the exact ranks obey the Koszul identity
+    rank = C(n-1,2) + relator rank over Q(zeta_M), so `partial2 == delta`
+    at every depth up to `relator_route_limit`, and `delta` is false at
+    every depth k >= n."""
     seen = {}
 
     @settings(max_examples=40, deadline=None)
@@ -1087,8 +1107,8 @@ def test_certified_route_agrees_with_the_exact_route():
     # the point (3/2, 5/2, 1, 8/7, 2, 8) is off the pencil's component, but
     # its coordinate product 480/7 is 1 modulo 11, so its ranks drop mod 11
     @example("pencil6", False, None, False, 1, 1, 10, 0)
-    # at this order-5 point on a component the ranks mod 11 are 9 (delta,
-    # true rank 14) and 0 (relator, true rank 4); later primes raise both
+    # at this order-5 point on a component the relator rank mod 11 is 0
+    # (true rank 4); later primes raise it
     @example("diamond", True, 5, False, 0, 1, 10, 0)
     @example("diamond", True, None, False, 0, 1, MODULAR_PRIME_FLOOR, 0)
     @example("diamond", True, 12, True, 0, 1, MODULAR_PRIME_FLOOR, 0)
@@ -1103,20 +1123,20 @@ def test_certified_route_agrees_with_the_exact_route():
         if skip:
             factor = _skipping_factor(point, floor, skip)
             point = _gate_point(name, on, order, seed, scaled, factor)
-        exact = _exact_ranks(m, point, k)
-        rank, delta, partial2 = _exact_membership(m, point, k)
+        rank, rows, relator = _exact_ranks(m, point)
         got = membership(m, point, k, prime_floor=floor)
-        assert (got.rank, got.delta, got.partial2) == (rank, delta, partial2)
-        majorant = _Ring.majorant(point)
-        routes = [
-            (got.certificate["delta"], _presentation_rows, math.comb(m.n, 2), math.comb(m.n, 2)),
-            (got.certificate["partial2"], _relator_rows, m.n, m.n - k - 1),
-        ]
-        if partial2 is None:
-            assert got.certificate["partial2"] is None
-        for (route, build, ncols, threshold), (rows, exact_rank) in zip(routes, exact):
-            norms = _row_norms(build(m, majorant))
-            _check_certificate(route, point, floor, rows, exact_rank, ncols, threshold, norms, seen)
+        assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, k)
+        route = got.certificate["delta"]
+        within = k <= relator_route_limit(m)
+        assert got.certificate["partial2"] == (route if within else None)
+        _check_certificate(m, route, point, floor, rows, relator, seen)
+        if any(c != 1 for c in point):
+            assert rank == math.comb(m.n - 1, 2) + relator
+            for depth in range(1, relator_route_limit(m) + 1):
+                verdict = membership(m, point, depth, prime_floor=floor)
+                assert verdict.partial2 == verdict.delta
+            for depth in (m.n, m.n + 1, math.comb(m.n, 2)):
+                assert not membership(m, point, depth, prime_floor=floor).delta
 
     check()
     assert seen == {
@@ -1128,15 +1148,15 @@ def test_certified_route_agrees_with_the_exact_route():
     }
 
 
-def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
+def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound(monkeypatch):
     """The prime loop on scripted ranks of a 3x3 matrix at a point of order
     5 (phi = 4, primes 11, 31, 41, 61 above 10), 1, 2, 1, 3 mod those
     primes, whose majorant rows have norm^2 3: the rank is the maximum over
     the primes taken, and primes are taken until their product squared
     passes the product of the rank + 1 largest norms^2, to the power phi.
     After 11 the rank is 1 and 11^2 <= 9^4; after 31 it is 2 and
-    (11*31)^2 <= 27^4; after 41 the product passes 27^4.  A threshold of 1
-    stops the loop as soon as a rank above it appears."""
+    (11*31)^2 <= 27^4; after 41 the product passes 27^4.  A largest
+    possible rank of 2 stops the loop as soon as a rank 2 appears."""
     residues = _Residues(2, [root_of_unity(5)] * 2, 10)
     script = {11: 1, 31: 2, 41: 1, 61: 3}
 
@@ -1147,39 +1167,47 @@ def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound():
     def ranks(start, stop):
         return [script[residues.field(i).p] for i in range(start, stop)]
 
-    assert _certified_rank(None, residues, build, ranks, 3, 3) == (2, "mod 11*31*41")
-    assert _certified_rank(None, residues, build, ranks, 3, 1) == (2, "mod 11*31")
+    monkeypatch.setattr(alexander, "_relator_rows", build)
+    assert _certified_rank(None, residues, ranks, 3) == (2, "mod 11*31*41")
+    assert _certified_rank(None, residues, ranks, 2) == (2, "mod 11*31")
 
 
-def test_certified_rank_walks_each_batch_in_prime_order():
+def test_certified_rank_walks_each_batch_in_prime_order(monkeypatch):
     """Scripted ranks of a 4 x 4 matrix, drawn for each prime, at a point
     of order 5 above the floor 10 (primes 11, 31, 41, 61, ...), with
     majorant bounds that make ranges of several primes: the certified rank
-    and certificate equal those of the reference loop, which builds
-    diagonal matrices of those ranks for each batch and ranks each prime
-    of a batch by its own elimination, and some range walked primes of
-    different ranks."""
+    and certificate, for a largest possible rank `full`, equal those of the
+    reference loop under the threshold full - 1, which builds diagonal
+    matrices of those ranks for each batch and ranks each prime of a batch
+    by its own elimination, and some range walked primes of different
+    ranks."""
     primes = [modular_prime(5, 10)]
     while len(primes) < 400:
         primes.append(modular_prime(5, primes[-1]))
     seen = set()
+    script, bound = [], []
+
+    def build(_m, ring):
+        if ring.modulus is None:
+            return [[_Majorant(bound[0], 1)] * 4 for _ in range(4)]
+        n = ring.modulus
+        batch = [i for i, p in enumerate(primes) if n % p == 0]
+        # diagonal entry j is 1 mod p_i when j < script[i], else 0
+        units = {i: n // primes[i] * pow(n // primes[i], -1, primes[i]) for i in batch}
+        diagonal = [sum(units[i] for i in batch if j < script[i]) % n for j in range(4)]
+        return [[diagonal[j] * (j == c) for c in range(4)] for j in range(4)]
+
+    monkeypatch.setattr(alexander, "_relator_rows", build)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(min_value=0, max_value=4), min_size=400, max_size=400),
         st.integers(min_value=1, max_value=10**4),
-        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=4),
     )
-    def check(script, bound, threshold):
-        def build(_m, ring):
-            if ring.modulus is None:
-                return [[_Majorant(bound, 1)] * 4 for _ in range(4)]
-            n = ring.modulus
-            batch = [i for i, p in enumerate(primes) if n % p == 0]
-            # diagonal entry j is 1 mod p_i when j < script[i], else 0
-            units = {i: n // primes[i] * pow(n // primes[i], -1, primes[i]) for i in batch}
-            diagonal = [sum(units[i] for i in batch if j < script[i]) % n for j in range(4)]
-            return [[diagonal[j] * (j == c) for c in range(4)] for j in range(4)]
+    def check(drawn, drawn_bound, full):
+        # a rank mod p never exceeds the largest possible rank
+        script[:], bound[:] = [min(r, full) for r in drawn], [drawn_bound]
 
         def ranks(start, stop):
             if len(set(script[start:stop])) > 1:
@@ -1187,46 +1215,42 @@ def test_certified_rank_walks_each_batch_in_prime_order():
             return script[start:stop]
 
         point = [root_of_unity(5)] * 2
-        got = _certified_rank(None, _Residues(2, point, 10), build, ranks, 4, threshold)
-        want = reference_certified_rank(None, _Residues(2, point, 10), build, 4, threshold)
+        got = _certified_rank(None, _Residues(2, point, 10), ranks, full)
+        want = reference_certified_rank(None, _Residues(2, point, 10), build, 4, full - 1)
         assert got == want
 
     check()
     assert seen == {"a batch of primes of different ranks"}
 
 
-def _sequential_rank(m, residues, build, ncols, threshold):
-    """The prime loop with one build per prime: after p_1, take the next
-    prime while the rank is neither full nor above threshold and the
-    primes' product squared is at most H^phi(M)."""
+def _sequential_rank(m, residues, full):
+    """The prime loop on the relator rows with one build per prime: after
+    p_1, take the next prime while the rank is below `full` and the primes'
+    product squared is at most H^phi(M)."""
     ring = residues.ring(0, 1)
-    rows = build(m, ring)
-    full = min(len(rows), ncols)
     primes = [ring.modulus]
-    rank = modp_rank(rows, ncols, primes[0])
-    if rank < full and rank <= threshold:
-        norms = sorted(_row_norms(build(m, residues.majorant)), reverse=True)
+    rank = modp_rank(_relator_rows(m, ring), m.n, primes[0])
+    if rank < full:
+        norms = sorted(_row_norms(_relator_rows(m, residues.majorant)), reverse=True)
         phi = euler_phi(residues.order)
-        while (
-            rank < full
-            and rank <= threshold
-            and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi
-        ):
+        while rank < full and math.prod(primes) ** 2 <= math.prod(norms[: rank + 1]) ** phi:
             ring = residues.ring(len(primes), len(primes) + 1)
-            rank = max(rank, modp_rank(build(m, ring), ncols, ring.modulus))
+            rank = max(rank, modp_rank(_relator_rows(m, ring), m.n, ring.modulus))
             primes.append(ring.modulus)
     return rank, "mod " + "*".join(map(str, primes))
 
 
 def test_batched_primes_give_the_certificates_of_one_build_per_prime():
     """At unit points of order 1..12 on the gate inputs, with the default
-    floor and with a floor of 10 (where ranks mod small primes drop), each
-    criterion's certified rank and primes, walked over ranks that
-    `_certified_rank` asks for in ranges of primes, and so `membership`'s
-    rank, verdicts and certificates, equal those of the loop that builds
-    once per prime.  Among the queries, the primes after p_1 were asked for
-    together, a rank rose within a range so that another range followed,
-    and a range was cut short at the prime where the loop stops."""
+    floor and with a floor of 10 (where ranks mod small primes drop), the
+    certified relator rank and primes, walked over ranks that
+    `_certified_rank` asks for in ranges of primes, equal those of the loop
+    that builds once per prime, and so does `membership`'s certificate; its
+    rank and verdicts equal the reference's, which ranks the presentation
+    rows themselves.  Among the queries, the primes after p_1 were asked
+    for together, a rank rose within a range so that another range
+    followed, and a range was cut short at the prime where the loop
+    stops."""
     seen = set()
 
     @settings(max_examples=40, deadline=None)
@@ -1239,7 +1263,7 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime():
         st.sampled_from([10, MODULAR_PRIME_FLOOR]),
     )
     @example("diamond", True, 3, 0, 1, MODULAR_PRIME_FLOOR)
-    # mod 11 the ranks are 9 (delta, true rank 14) and 0 (relator, true 4)
+    # mod 11 the relator rank is 0 (true rank 4)
     @example("diamond", True, 5, 0, 2, 10)
     # off the locus the rank mod 31 is full and ends a batch built at the
     # rank mod 11
@@ -1247,38 +1271,28 @@ def test_batched_primes_give_the_certificates_of_one_build_per_prime():
     def check(name, on, order, seed, k, floor):
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed)
-        ncols = math.comb(m.n, 2)
-        criteria = [(_presentation_rows, ncols, ncols)]
-        if k <= relator_route_limit(m):
-            criteria.append((_relator_rows, m.n, m.n - k - 1))
-        routes = []
-        for build, width, threshold in criteria:
-            want = _sequential_rank(m, _Residues(m.n, point, floor), build, width, threshold)
-            residues, batches = _Residues(m.n, point, floor), []
+        full = min(m.b2, m.n - 1)
+        want = _sequential_rank(m, _Residues(m.n, point, floor), full)
+        residues, batches = _Residues(m.n, point, floor), []
 
-            def ranks(start, stop):
-                batches.append((start, stop))
-                return [
-                    modp_rank(build(m, residues.ring(i, i + 1)), width, residues.field(i).p)
-                    for i in range(start, stop)
-                ]
+        def ranks(start, stop):
+            batches.append((start, stop))
+            return [
+                modp_rank(_relator_rows(m, residues.ring(i, i + 1)), m.n, residues.field(i).p)
+                for i in range(start, stop)
+            ]
 
-            full = min(len(build(m, residues.ring(0, 1))), width)
-            got = _certified_rank(m, residues, build, ranks, full, threshold)
-            assert got == want
-            if any(stop - start > 1 for start, stop in batches):
-                seen.add("several primes in one build")
-            if any(start > 1 for start, _ in batches):
-                seen.add("another batch after a rank rose")
-            if batches and batches[-1][1] > got[1].count("*") + 1:
-                seen.add("a batch cut short")
-            routes.append(want)
+        got = _certified_rank(m, residues, ranks, full)
+        assert got == want
+        if any(stop - start > 1 for start, stop in batches):
+            seen.add("several primes in one build")
+        if any(start > 1 for start, _ in batches):
+            seen.add("another batch after a rank rose")
+        if batches and batches[-1][1] > got[1].count("*") + 1:
+            seen.add("a batch cut short")
         got = membership(m, point, k, prime_floor=floor)
-        rank = routes[0][0]
-        partial2 = routes[1][0] <= m.n - k - 1 if len(routes) > 1 else None
-        assert (got.rank, got.delta, got.partial2) == (rank, rank <= ncols - k, partial2)
-        routes.append((None, None))
-        assert got.certificate == {"delta": routes[0][1], "partial2": routes[1][1]}
+        _assert_matches_the_references(got, m, point, k, floor)
+        assert got.certificate["delta"] == want[1]
 
     check()
     assert seen == {
@@ -1294,11 +1308,12 @@ def test_membership_matches_the_loop_with_one_elimination_per_prime(monkeypatch)
     non-unit order 12 ((a/b) * zeta_12^e), at depths 1 and 2, with the
     default prime floor and a floor of 10: `membership`, which ranks only
     the relator rows, each batch of primes in one elimination, gives the
-    rank, verdicts and certificate strings of the reference loop that ranks
-    each criterion's rows at each prime by itself.  At the floor of 10 some
+    rank and verdicts of the reference loop that ranks each criterion's
+    rows at each prime by itself.  At the floor of 10 some
     batch split at a lead that one of its primes divides (the relator batch
     of the last query, off pencil(6)'s component at a non-unit point of
-    order 12), and some certificate needed several primes."""
+    order 12), and some certificate needed several primes.  Its certificate
+    is that of the reference loop on the relator rows."""
     seen = set()
     real = exactalg._modular_ranks
     depth = []
@@ -1327,8 +1342,7 @@ def test_membership_matches_the_loop_with_one_elimination_per_prime(monkeypatch)
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, seed, scaled)
         got = membership(m, point, k, prime_floor=floor)
-        want = reference_membership(m, point, k, prime_floor=floor)
-        assert got == want, (name, on, order, scaled, floor, seed)
+        _assert_matches_the_references(got, m, point, k, floor)
         if "*" in got.certificate["delta"]:
             seen.add("several primes")
     assert seen == {"a batch split", "several primes"}
@@ -1342,8 +1356,8 @@ def test_presentation_ranks_mod_p_follow_from_the_relator_ranks():
     default prime floor and at 10, and at the point whose coordinates are
     all 1 + p_1, p_1 the first prime that applies to it: a point other than
     1 whose image at p_1 is 1.  On each point `membership`, which reads
-    both criteria from the relator ranks, equals the reference, which ranks
-    the presentation rows themselves."""
+    both criteria from the certified relator rank, agrees with the
+    reference, which ranks the presentation rows themselves."""
     seen = set()
 
     @settings(max_examples=30, deadline=None)
@@ -1378,33 +1392,19 @@ def test_presentation_ranks_mod_p_follow_from_the_relator_ranks():
                 assert presentation == math.comb(m.n - 1, 2) + relator
                 seen.add("t' != 1")
         got = membership(m, point, k, prime_floor=floor)
-        assert got == reference_membership(m, point, k, prime_floor=floor)
+        _assert_matches_the_references(got, m, point, k, floor)
 
     check()
     assert seen == {"t' = 1 at a point other than 1", "t' != 1"}
 
 
-def test_membership_ranks_each_prime_once_and_builds_presentations_on_majorants(
-    monkeypatch,
-):
-    """`membership` builds the presentation rows only on the majorant ring,
-    and eliminates each prime's relator rows once per query for both
-    criteria: the `modp_ranks` calls rank relator rows (n columns) at
-    distinct primes, in order, that begin with those of the longer
-    certificate.  Off the locus (decided at p_1) no majorant is built."""
-    built, ranked = [], []
-    presentation_rows, ranks = alexander._presentation_rows, alexander.modp_ranks
-
-    def build(m, ring):
-        built.append(ring)
-        return presentation_rows(m, ring)
-
-    def rank(rows, ncols, primes):
-        ranked.append((ncols, list(primes)))
-        return ranks(rows, ncols, primes)
-
-    monkeypatch.setattr(alexander, "_presentation_rows", build)
-    monkeypatch.setattr(alexander, "modp_ranks", rank)
+def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkeypatch):
+    """`membership` never builds presentation rows, on any ring, and
+    eliminates each prime's relator rows once per query: the `modp_ranks`
+    calls rank relator rows (n columns) at distinct primes, in order, that
+    begin with those of the certificate.  The relator rows are built once
+    per residue ring, and once on the majorant ring when primes after p_1
+    are taken; off the locus (decided at p_1) no majorant is built."""
     queries = [
         ("diamond", True, None, False, MODULAR_PRIME_FLOOR),
         ("diamond", True, 5, False, 10),
@@ -1412,25 +1412,45 @@ def test_membership_ranks_each_prime_once_and_builds_presentations_on_majorants(
         ("grid33", True, 4, False, 10),
         ("braid4_affine", False, None, False, MODULAR_PRIME_FLOOR),
     ]
+    wants = []
     for name, on, order, scaled, floor in queries:
         m, _ = _gate_input(name)
         point = _gate_point(name, on, order, 0, scaled)
         want = reference_membership(m, point, 1, prime_floor=floor)
+        certificate = _reference_certificate(m, point, 1, floor)
+        wants.append((m, point, floor, (want.rank, want.delta, want.partial2), certificate))
+    built, ranked = [], []
+    relator_rows, ranks = alexander._relator_rows, alexander.modp_ranks
+
+    def presentation(m, ring):
+        raise AssertionError("membership built presentation rows")
+
+    def build(m, ring):
+        built.append(ring)
+        return relator_rows(m, ring)
+
+    def rank(rows, ncols, primes):
+        ranked.append((ncols, list(primes)))
+        return ranks(rows, ncols, primes)
+
+    monkeypatch.setattr(alexander, "_presentation_rows", presentation)
+    monkeypatch.setattr(alexander, "_relator_rows", build)
+    monkeypatch.setattr(alexander, "modp_ranks", rank)
+    for (name, *_), (m, point, floor, verdicts, certificate) in zip(queries, wants):
         built.clear()
         ranked.clear()
         got = membership(m, point, 1, prime_floor=floor)
-        assert got == want
+        assert (got.rank, got.delta, got.partial2) == verdicts
+        assert got.certificate == certificate
         primes = [p for _, batch in ranked for p in batch]
-        longest = max(
-            (route.removeprefix("mod ").split("*") for route in got.certificate.values()),
-            key=len,
-        )
+        route = [int(p) for p in certificate["delta"].removeprefix("mod ").split("*")]
         assert primes == sorted(set(primes))
-        assert primes[: len(longest)] == [int(p) for p in longest]
+        assert primes[: len(route)] == route
         assert all(ncols == m.n for ncols, _ in ranked)
-        assert all(ring is built[0] and ring.modulus is None for ring in built)
-        assert all(isinstance(ring.t(0), _Majorant) for ring in built)
-        assert len(built) == (1 if len(longest) > 1 else 0), name
+        majorants = [ring for ring in built if ring.modulus is None]
+        assert len(built) - len(majorants) == len(ranked)
+        assert all(isinstance(ring.t(0), _Majorant) for ring in majorants)
+        assert len(majorants) == (1 if len(route) > 1 else 0), name
 
 
 def test_majorants_bound_every_embedding():
@@ -1488,24 +1508,27 @@ def test_majorants_bound_every_embedding():
 def test_relator_certificate_needs_no_more_primes_than_the_presentation():
     """The relator rows are the chain-map rows times the degree-two
     differential, so their majorants stay as tight as the presentation's:
-    at a non-unit point (a/b) * zeta_12^e on pencil(6)'s component,
-    pushing unit rows through the whole conjugated twist gave `partial2`
-    57 primes against 20 for `delta`."""
+    at a non-unit point (a/b) * zeta_12^e on pencil(6)'s component, the
+    certificate, which both criteria name, needs 7 primes, where the
+    reference loop on the presentation rows needs 20."""
     m, _ = _gate_input("pencil6")
     point = _gate_point("pencil6", True, 12, 0, scaled=True)
     got = membership(m, point, 1)
-    primes = {name: route.count("*") + 1 for name, route in got.certificate.items()}
-    assert primes["delta"] == 20
-    assert primes["partial2"] <= primes["delta"]
+    route = got.certificate["delta"]
+    assert got.certificate == {"delta": route, "partial2": route}
+    ncols = math.comb(m.n, 2)
+    residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
+    _, presentation = reference_certified_rank(m, residues, _presentation_rows, ncols, ncols)
+    assert (route.count("*") + 1, presentation.count("*") + 1) == (7, 20)
     assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
 
 
 def test_both_criteria_share_one_push_per_generator_and_ring(monkeypatch):
     """`membership` pushes each generator's vectors through its inverse
     conjugator and its conjugator once per evaluation ring, and both
-    criteria are built from them: at a point off the locus (decided at
-    p_1) and at one on a component (several primes and the majorant
-    ring)."""
+    criteria are read from the one relator rank built from them: at a
+    point off the locus (decided at p_1) and at one on a component
+    (several primes and the majorant ring)."""
     pushes = {}
     push = alexander._push
 
@@ -1537,47 +1560,31 @@ def test_certified_route_skips_primes_that_do_not_apply():
     a prime that divides a coordinate's denominator or maps a coordinate
     to 0 is skipped for the next prime that applies: off the locus a
     coordinate 1/11 or 11/2 is decided mod 13; on the pencil's component
-    (coordinate product 1), where the rank mod 11 is deficient and more
-    primes are needed, a coordinate with 13 in its denominator drops 13
-    from the primes, while one with 7 there keeps 11, 13, ...  At order 3
-    the primes = 1 (mod 3) above 10 are 13, 19, 31, ..., and a coordinate
-    13 * zeta_3 moves them to 19, 31, ..."""
+    (coordinate product 1), where the relator rank mod 11 is deficient and
+    more primes are needed, a coordinate with 13 in its denominator drops
+    13 from the primes, while one with 7 there keeps 11, 13, ...  At order
+    3 the primes = 1 (mod 3) above 10 are 13, 19, 31, ..., and a coordinate
+    13 * zeta_3 moves them to 19, 31, ...  Both criteria name the one
+    certificate."""
     m = pencil_monodromy(4)
-    criteria = [(_presentation_rows, 6, 6), (_relator_rows, 4, 2)]
     z = root_of_unity(3)
     cases = [
-        ([2, 3, 5, Fraction(1, 11)], "mod 13", "mod 13"),
-        ([Fraction(11, 2), 3, 5, 7], "mod 13", "mod 13"),
-        (
-            [Fraction(2, 13), Fraction(13, 2), 1, 1],
-            "mod 11*17*19*23*29*31*37*41",
-            "mod 11*17*19*23*29",
-        ),
-        (
-            [Fraction(2, 7), Fraction(7, 2), 1, 1],
-            "mod 11*13*17*19*23*29*31",
-            "mod 11*13*17*19*23",
-        ),
-        ([z * 13, z.inverse(), 1, 1], "mod 19", "mod 19"),
-        (
-            [z * 13, z.inverse() / 13, 1, 1],
-            "mod 19*31*37*43*61*67*73*79*97*103*109*127",
-            "mod 19*31*37*43*61*67*73*79*97",
-        ),
+        ([2, 3, 5, Fraction(1, 11)], "mod 13"),
+        ([Fraction(11, 2), 3, 5, 7], "mod 13"),
+        ([Fraction(2, 13), Fraction(13, 2), 1, 1], "mod 11*17*19*23*29"),
+        ([Fraction(2, 7), Fraction(7, 2), 1, 1], "mod 11*13*17*19*23"),
+        ([z * 13, z.inverse(), 1, 1], "mod 19"),
+        ([z * 13, z.inverse() / 13, 1, 1], "mod 19*31*37*43*61*67*73*79*97"),
     ]
-    for point, delta, partial2 in cases:
+    for point, route in cases:
         got = membership(m, point, 1, prime_floor=10)
-        assert got.certificate == {"delta": delta, "partial2": partial2}
+        assert got.certificate == {"delta": route, "partial2": route}
         assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
         point = [_scalar(c) for c in point]
-        majorant = _Ring.majorant(point)
+        _, rows, relator = _exact_ranks(m, point)
         seen = {}
-        for (build, ncols, threshold), (rows, rank), route in zip(
-            criteria, _exact_ranks(m, point, 1), (delta, partial2)
-        ):
-            norms = _row_norms(build(m, majorant))
-            _check_certificate(route, point, 10, rows, rank, ncols, threshold, norms, seen)
-        assert ("a prime skipped" in seen) == (not delta.startswith("mod 11*13"))
+        _check_certificate(m, route, point, 10, rows, relator, seen)
+        assert ("a prime skipped" in seen) == (not route.startswith("mod 11*13"))
     got = membership(m, [2, 3, 5, 7], 1)
     modular = f"mod {modular_prime(1)}"
     assert got.certificate == {"delta": modular, "partial2": modular}
@@ -1600,17 +1607,18 @@ def test_points_above_the_order_cap_are_refused():
         )
 
 
-def _long_conjugated_double_point():
-    """One double point (3, 7) on 12 strands conjugated by
-    (1,12)^25 (2,11)^25, at the order-120 point (2/3) * zeta_120^(7+i): its
-    certificate needs 1654 primes."""
-    m = MonodromyInput(12, (MonodromyGen((3, 7), ((1, 12, 25), (2, 11, 25))),))
-    point = [Fraction(2, 3) * root_of_unity(120, 7 + i) for i in range(12)]
-    return m, point
+def _long_conjugated_triple_point():
+    """One triple point (1, 2, 3) on 6 strands conjugated by
+    (1,6)^25 (2,5)^25, at the order-120 point (a, b, 1/(ab), 1, 1, 1) of its
+    local component, a = (2/3) * zeta_120^7 and b = (2/3) * zeta_120^8:
+    its certificate is predicted to need 1617 primes."""
+    m = MonodromyInput(6, (MonodromyGen((1, 2, 3), ((1, 6, 25), (2, 5, 25))),))
+    a, b = (Fraction(2, 3) * root_of_unity(120, e) for e in (7, 8))
+    return m, [a, b, (a * b).inverse(), 1, 1, 1]
 
 
 def test_a_certificate_predicted_past_the_prime_cap_is_refused_first(monkeypatch):
-    """The query of `_long_conjugated_double_point` is refused before any
+    """The query of `_long_conjugated_triple_point` is refused before any
     prime after the first is built, in well under a second."""
     rings = []
     ring = _Residues.ring
@@ -1620,7 +1628,7 @@ def test_a_certificate_predicted_past_the_prime_cap_is_refused_first(monkeypatch
         return ring(self, start, stop)
 
     monkeypatch.setattr(_Residues, "ring", spy)
-    m, point = _long_conjugated_double_point()
+    m, point = _long_conjugated_triple_point()
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=f"limited to {CERTIFICATE_PRIME_CAP} primes"):
         membership(m, point, 1)
@@ -1630,15 +1638,15 @@ def test_a_certificate_predicted_past_the_prime_cap_is_refused_first(monkeypatch
 
 def test_the_prime_cap_is_checked_each_time_the_bound_is_set(monkeypatch):
     """At an order-5 point on a component of diamond, above the floor 10,
-    the presentation rank mod 11 is 9 and later primes raise it to 14, so
-    the bound, and the primes it predicts, rise during the walk (at a depth
-    beyond the relator window, so that only this criterion runs).  Each prediction is
-    ceil(bits of the bound / (2 (bits of p_1 - 1))), at least the primes the
-    rule takes at that bound.  A cap below the first prediction refuses
-    before any prime after p_1 is built, a cap below the last one refuses
-    after some were walked, and a cap at the last one changes nothing."""
+    the relator rank mod 11 is 0 and later primes raise it to 4, so the
+    bound, and the primes it predicts, rise during the walk.  Each
+    prediction is ceil(bits of the bound / (2 (bits of p_1 - 1))), at least
+    the primes the rule takes at that bound.  A cap below the first
+    prediction refuses before any prime after p_1 is built, a cap below the
+    last one refuses after some were walked, and a cap at the last one
+    changes nothing."""
     m, _ = _gate_input("diamond")
-    point, k = _gate_point("diamond", True, 5, 0), relator_route_limit(m) + 1
+    point, k = _gate_point("diamond", True, 5, 0), 1
     bounds, rings = [], []
     checked, ring = alexander._checked_bound, _Residues.ring
 

@@ -454,12 +454,10 @@ def test_member_torsion_point_via_packaged_fixture(capsys):
     assert "resonance" not in verdict["criteria"]
     assert verdict["consistent"] is True
     assert verdict["lifted"] is True
-    # a +-1 point is a unit point: on the locus the modular ranks are
-    # certified exact by the norm bound, here with two primes for delta
-    # and one for partial2
+    # a +-1 point is a unit point: on the locus the relator rank mod p1 is
+    # certified exact by the norm bound, and both criteria are read from it
     p1 = modular_prime(1)
-    p2 = modular_prime(1, p1)
-    assert verdict["certificate"] == {"delta": f"mod {p1}*{p2}", "partial2": f"mod {p1}"}
+    assert verdict["certificate"] == {"delta": f"mod {p1}", "partial2": f"mod {p1}"}
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -475,13 +473,21 @@ def test_member_at_the_identity_is_consistent_at_every_depth(capsys, k):
     assert verdict["criteria"]["partial2"] is (True if k == 5 else None)
 
 
-def test_member_refuses_a_certificate_of_too_many_primes_quickly(capsys, tmp_path):
-    # one double point on 12 strands conjugated by 50 unit twists: at this
-    # order-120 point its certificate needs 1654 primes (18 s uncapped)
+def _twisted_triple_point(tmp_path):
+    """One triple point (1, 2, 3) on 6 strands conjugated by 50 unit
+    twists, (1,6)^25 (2,5)^25, as a monodromy file."""
     path = tmp_path / "twisted.json"
-    generator = {"X": [3, 7], "delta": [["A", 1, 12, 25], ["A", 2, 11, 25]]}
-    path.write_text(json.dumps({"n": 12, "generators": [generator]}))
-    point = [(Fraction(2, 3) * root_of_unity(120, 7 + i)).to_json() for i in range(12)]
+    generator = {"X": [1, 2, 3], "delta": [["A", 1, 6, 25], ["A", 2, 5, 25]]}
+    path.write_text(json.dumps({"n": 6, "generators": [generator]}))
+    return path
+
+
+def test_member_refuses_a_certificate_of_too_many_primes_quickly(capsys, tmp_path):
+    # at this order-120 point (a, b, 1/(ab), 1, 1, 1) of the triple point's
+    # local component its certificate is predicted to need 1617 primes
+    path = _twisted_triple_point(tmp_path)
+    a, b = (Fraction(2, 3) * root_of_unity(120, e) for e in (7, 8))
+    point = [c.to_json() for c in (a, b, (a * b).inverse())] + ["1"] * 3
     start = time.perf_counter()
     code, out, err = run(capsys, "member", str(path), f"--point={json.dumps(point)}")
     assert time.perf_counter() - start < 1.0
@@ -491,12 +497,32 @@ def test_member_refuses_a_certificate_of_too_many_primes_quickly(capsys, tmp_pat
     )
 
 
+def test_member_decides_a_long_conjugated_triple_point_at_one_prime(capsys, tmp_path):
+    """At the generic order-120 point (2/3) * zeta_120^(7+i) the relator
+    rows of the twisted triple point have their largest possible rank,
+    b2 = 2 (exactly 2 over Q(zeta_120), by `relator_rank`, a check too
+    slow to run here), at the first prime: the presentation rank is
+    C(5,2) + 2 = 12, both criteria hold at depth 1, and one prime
+    certifies it."""
+    path = _twisted_triple_point(tmp_path)
+    point = [(Fraction(2, 3) * root_of_unity(120, 7 + i)).to_json() for i in range(6)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", str(path), f"--point={json.dumps(point)}")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    assert (verdict["rank"], verdict["in_Vk"], verdict["consistent"]) == (12, True, True)
+    assert verdict["criteria"] == {"delta": True, "partial2": True}
+    route = verdict["certificate"]["delta"]
+    assert "*" not in route and verdict["certificate"]["partial2"] == route
+
+
 def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
     """A rational point on a non-local component of diamond (parameters 2
     and 3 on its basis (1, 0, 0, 1, -1, -1), (0, 1, 1, 0, -1, -1)): its
     coordinates 1/6 are not units, and the deficient ranks mod p1 are made
-    exact by the primes after it, as many as each criterion's majorant
-    bound asks for."""
+    exact by the primes after it, as many as the relator rows' majorant
+    bound asks for; both criteria are read from that one rank."""
     code, out, _ = run(
         capsys, "member", "fixture:diamond_monodromy", "--point=2,3,3,2,1/6,1/6"
     )
@@ -506,14 +532,11 @@ def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
     point = [2, 3, 3, 2, Fraction(1, 6), Fraction(1, 6)]
     assert verdict["rank"] == presentation_rank(load_monodromy("diamond_monodromy"), point)
     primes = [modular_prime(1)]
-    while len(primes) < 4:
+    while len(primes) < 3:
         primes.append(modular_prime(1, primes[-1]))
-    # the majorant bound needs four primes for delta and three for partial2,
-    # whose rows are the chain-map rows times the degree-two differential
-    assert verdict["certificate"] == {
-        "delta": "mod " + "*".join(map(str, primes)),
-        "partial2": "mod " + "*".join(map(str, primes[:3])),
-    }
+    # the relator rows' majorant bound needs three primes
+    route = "mod " + "*".join(map(str, primes))
+    assert verdict["certificate"] == {"delta": route, "partial2": route}
 
 
 def test_member_skips_the_default_prime_where_it_does_not_apply(capsys, tmp_path):
@@ -570,7 +593,7 @@ def test_member_generic_point_is_outside(capsys, monodromy_file):
     verdict = json.loads(out)
     assert verdict["in_Vk"] is False
     assert verdict["rank"] == 15
-    # off the locus the full modular rank decides both criteria
+    # off the locus the full relator rank mod p1 decides both criteria
     modular = f"mod {modular_prime(1)}"
     assert verdict["certificate"] == {"delta": modular, "partial2": modular}
 
@@ -680,7 +703,8 @@ def test_one_flat_of_every_line_is_refused_before_its_pairs_are_mapped(
 
 @pytest.mark.parametrize("n", [MEMBER_STRAND_CAP + 1, 40])
 def test_member_refuses_a_monodromy_of_many_strands_quickly(capsys, tmp_path, n):
-    # one double point on 40 strands takes 12 s and 152 MiB at a unit point
+    # a pencil on 40 strands takes 7.8 s and 54 MiB at an order-120 point of
+    # its component (see MEMBER_STRAND_CAP)
     path = tmp_path / "double.json"
     path.write_text(json.dumps({"n": n, "generators": [{"X": [1, 2]}]}))
     start = time.perf_counter()
@@ -954,8 +978,7 @@ def test_report_on_files_checks_each_input(capsys, braid4_file, monodromy_file):
 
 @pytest.mark.parametrize("n", [MEMBER_STRAND_CAP + 1, 80])
 def test_report_refuses_a_monodromy_of_many_strands_quickly(capsys, tmp_path, n):
-    # the rank at the identity of one double point on 40 strands takes
-    # 1.8 s and 139 MiB; `report` shares `member`'s strand cap
+    # `report` shares `member`'s strand cap
     path = tmp_path / "double.json"
     path.write_text(json.dumps({"n": n, "generators": [{"X": [1, 2]}]}))
     start = time.perf_counter()
@@ -1058,6 +1081,7 @@ _AFFINE_TRIANGLE = {
             {"pair": [{"n": 3, "flats": []}, {"n": 3, "flats": [], "labels": []}]},
             "unknown lattice key 'labels'",
         ),
+        ({"pair": [{"n": 3, "flats": []}, 5]}, "a lattice must be a JSON object"),
         (_AFFINE_TRIANGLE | {"labels": 5}, "labels must be a list of strings"),
         (_AFFINE_TRIANGLE | {"labels": "abc"}, "labels must be a list of strings"),
         (
@@ -1094,6 +1118,7 @@ _AFFINE_TRIANGLE = {
         "boolean-flat-index",
         "misspelt-parallel-pairs",
         "unknown-key-in-pair",
+        "non-object-lattice-in-pair",
         "numeric-labels",
         "string-labels",
         "non-string-labels",

@@ -1,16 +1,24 @@
 """Smoke test of `tools/op_digests.py` on the `resonance` workload: one
 digest per op, in batch order, the same on a second run; and the `member`
-workloads' op digests pinned to `member_op_digests.txt`."""
+workloads' op digests pinned to `member_op_digests.txt`, their verdicts
+without certificates to `member_verdict_digests.txt`."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "op_digests.py"
 PINNED = Path(__file__).resolve().parent / "member_op_digests.txt"
+PINNED_VERDICTS = Path(__file__).resolve().parent / "member_verdict_digests.txt"
+MEMBER_RUNS = [
+    ("member-rational", 1), ("member-rational", 7919),
+    ("member-torus", 1), ("member-torus", 7919),
+]
 
 
 def _load_tool():
@@ -19,6 +27,29 @@ def _load_tool():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _pins(path: Path) -> dict[tuple[str, int], list[tuple[str, str]]]:
+    """The lines `<workload> <seed> <digest>  <label>` of a pinned file,
+    as (label, digest) lists keyed by (workload, seed)."""
+    pinned = {}
+    for line in path.read_text().splitlines():
+        workload, seed, digest, label = line.split(" ", 3)
+        pinned.setdefault((workload, int(seed)), []).append((label.lstrip(), digest))
+    return pinned
+
+
+def verdict_digests(tool, workload: str, seed: int) -> list[tuple[str, str]]:
+    """(label, sha256 hex digest) of each op's exit code, JSON output with
+    its `certificate` removed, and standard error."""
+    out = []
+    for label, rc, stdout, stderr in tool.op_outputs(workload, seed):
+        verdict = json.loads(stdout) if stdout else None
+        if isinstance(verdict, dict):
+            verdict.pop("certificate", None)
+        text = f"{rc}\n{json.dumps(verdict, sort_keys=True)}\n{stderr}"
+        out.append((label, hashlib.sha256(text.encode()).hexdigest()))
+    return out
 
 
 def test_resonance_digests_name_every_op_and_repeat(capsys, tmp_path):
@@ -39,14 +70,21 @@ def test_member_outputs_keep_their_pinned_digests():
     """Every op output of `member-rational` and `member-torus` at seeds 1
     and 7919, certificates included, is byte-identical to the recorded one:
     each line of the pinned file is `<workload> <seed> <digest>  <label>`."""
-    pinned = {}
-    for line in PINNED.read_text().splitlines():
-        workload, seed, digest, label = line.split(" ", 3)
-        pinned.setdefault((workload, int(seed)), []).append((label.lstrip(), digest))
-    assert sorted(pinned) == [
-        ("member-rational", 1), ("member-rational", 7919),
-        ("member-torus", 1), ("member-torus", 7919),
-    ]
+    pinned = _pins(PINNED)
+    assert sorted(pinned) == MEMBER_RUNS
     tool = _load_tool()
     for (workload, seed), want in pinned.items():
         assert tool.op_digests(workload, seed) == want, (workload, seed)
+
+
+def test_member_verdicts_keep_their_pinned_digests():
+    """Every verdict of `member-rational` and `member-torus` at seeds 1 and
+    7919, the JSON output without its `certificate` (`in_Vk`, `rank`,
+    `criteria`, `consistent`, `lifted`, ...), equals the recorded one.  The
+    pins were recorded when both criteria still ran their own certified
+    walks, so a change of certificates alone leaves them unchanged."""
+    pinned = _pins(PINNED_VERDICTS)
+    assert sorted(pinned) == MEMBER_RUNS
+    tool = _load_tool()
+    for (workload, seed), want in pinned.items():
+        assert verdict_digests(tool, workload, seed) == want, (workload, seed)

@@ -28,8 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def op_digests(workload: str, seed: int) -> list[tuple[str, str]]:
-    """(label, sha256 hex digest) of each op of the workload's batch."""
+def op_outputs(workload: str, seed: int) -> list[tuple[str, int, str, str]]:
+    """(label, exit code, stdout, stderr) of each op of the workload's batch."""
     for path in (str(ROOT / "src"), str(ROOT / "perfbench")):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -43,9 +43,16 @@ def op_digests(workload: str, seed: int) -> list[tuple[str, str]]:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 rc = cli_main(op.argv)
-            text = f"{rc}\n{stdout.getvalue()}\n{stderr.getvalue()}"
-            out.append((op.label, hashlib.sha256(text.encode()).hexdigest()))
+            out.append((op.label, rc, stdout.getvalue(), stderr.getvalue()))
     return out
+
+
+def op_digests(workload: str, seed: int) -> list[tuple[str, str]]:
+    """(label, sha256 hex digest) of each op of the workload's batch."""
+    return [
+        (label, hashlib.sha256(f"{rc}\n{stdout}\n{stderr}".encode()).hexdigest())
+        for label, rc, stdout, stderr in op_outputs(workload, seed)
+    ]
 
 
 def main(argv=None) -> int:
