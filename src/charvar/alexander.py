@@ -63,6 +63,7 @@ from .exactalg import (
     _galois,
     _mul,
     modp_ranks,
+    modulus_runs,
     prime_field,
 )
 
@@ -82,16 +83,16 @@ POINT_ORDER_CAP = 120
 # through in each evaluation ring, and the majorant bounds, so the primes,
 # grow with its length.  The triple point (1, 2, 3) on 6 strands conjugated
 # by (1, 6)^L, at the point (a, b, 1/(ab), 1, 1, 1) of its local component
-# with a = (2/3) * zeta_120^7 and b = (2/3) * zeta_120^8, takes 0.25 s for
-# L = 10 (462 primes) and 1.4 s for L = 20 (892 primes); on 12 strands,
-# conjugated by (1, 12)^L, 0.30 s and 1.7 s.  From L = 24 on it passes
-# CERTIFICATE_PRIME_CAP; uncapped, L = 30 takes 5.0 s (1321 primes) and
-# L = 50 20 s (2180 primes, 36 MiB).  At the rational point
-# (2, 3/2, 1/3, 1, 1, 1) it takes 0.013 s for L = 50 (36 primes), and past
-# the cap 0.038 s for L = 100 and 0.46 s for L = 300 (213 primes) (2-core
-# Intel Xeon, Python 3.11, best of three).  The packaged fixtures'
-# conjugators have at most 3.  Without the cap a factor ["A", 1, 2, 10**10]
-# hung every command on load.
+# with a = (2/3) * zeta_120^7 and b = (2/3) * zeta_120^8, takes 0.042 s for
+# L = 10 (462 primes) and 0.12 s for L = 20 (892 primes); on 12 strands,
+# conjugated by (1, 12)^L, 0.045 s and 0.12 s.  From L = 24 on it passes
+# CERTIFICATE_PRIME_CAP; uncapped, L = 30 takes 0.26 s (1321 primes) and
+# L = 50 0.88 s (2180 primes, a 19 MiB process peak).  At the rational
+# point (2, 3/2, 1/3, 1, 1, 1) it takes 0.010 s for L = 50 (36 primes), and
+# past the cap 0.027 s for L = 100 and 0.12 s for L = 300 (213 primes)
+# (2-core Intel Xeon, Python 3.11, best of three, one run uncapped).  The
+# packaged fixtures' conjugators have at most 3.  Without the cap a factor
+# ["A", 1, 2, 10**10] hung every command on load.
 BRAID_LENGTH_CAP = 50
 
 # Largest number of primes that a membership certificate is predicted to
@@ -99,12 +100,12 @@ BRAID_LENGTH_CAP = 50
 # before the primes it asks for are built.  The costs of the braid and
 # order caps multiply here: the triple point of BRAID_LENGTH_CAP's comment
 # conjugated by (1,6)^25 (2,5)^25, within both, needs 1617 primes at that
-# order-120 point and took 9.9 s; it is refused in 0.006 s.  Near the cap,
-# conjugated by (1, 6)^22 it needs 978 primes (2.0 s), and by (1, 6)^24 it
-# is refused (1064 predicted).  The other queries that the order, braid and
-# strand cap comments quote need at most 892 primes, the tests' queries at
-# most 130 and the benchmark's member queries at most 10 (2-core Intel
-# Xeon, Python 3.11).
+# order-120 point and takes 0.51 s uncapped; it is refused in 0.006 s.
+# Near the cap, conjugated by (1, 6)^22 it needs 978 primes (0.12 s), and
+# by (1, 6)^24 it is refused (1064 predicted).  The other queries that the
+# order, braid and strand cap comments quote need at most 892 primes, the
+# tests' queries at most 130 and the benchmark's member queries at most 10
+# (2-core Intel Xeon, Python 3.11).
 CERTIFICATE_PRIME_CAP = 1000
 
 FreeWord = tuple[int, ...]
@@ -138,12 +139,13 @@ class _Ring:
     inverses: exact at a point (`_ring`), int residues modulo a prime or a
     product of primes (`_Residues`), or majorants with denominators
     (`majorant`).  The builders test zeros by truthiness and need only
-    ring operations, so the tests also run them on Laurent polynomials."""
+    ring operations, so the tests also run them on Laurent polynomials.
+    `ts` and `tinvs` list the values of the t_i and of their inverses."""
 
-    __slots__ = ("n", "one", "zero", "modulus", "_t", "_tinv", "_factors")
+    __slots__ = ("n", "one", "zero", "modulus", "ts", "tinvs", "_factors")
 
     def __init__(self, t: list, tinv: list, one, zero, modulus: int | None = None):
-        self.n, self._t, self._tinv, self.one, self.zero = len(t), t, tinv, one, zero
+        self.n, self.ts, self.tinvs, self.one, self.zero = len(t), t, tinv, one, zero
         self.modulus = modulus
         self._factors: dict[TwistFactor, list] = {}
 
@@ -159,10 +161,7 @@ class _Ring:
         return cls(t, tinv, _Majorant(1, 1), _Majorant(0, 1))
 
     def t(self, index: int):
-        return self._t[index]
-
-    def tinv(self, index: int):
-        return self._tinv[index]
+        return self.ts[index]
 
     def factor_rows(self, factor: TwistFactor) -> list[list[tuple[int, object]]]:
         """Rows i..j of the Gassner matrix of a twist factor (i, j, e), each
@@ -228,15 +227,25 @@ class _Majorant:
 def _coordinate_bounds(c: ExactScalar) -> tuple[tuple[int, int], tuple[int, int]]:
     """The majorants (bound, den) of c and of 1/c (see `_Majorant`): as
     |sigma(zeta^i)| = 1 the sum of the |a_i|, a = c.ints, bounds every
-    |sigma(c.den * c)|, and likewise for c.inverse().  When c * conj(c) = 1,
-    that is a * conj(a) = den^2 on ints (conj the Galois map zeta -> 1/zeta),
-    as for roots of unity and +-1, every |sigma(c)| is 1 and 1/c = conj(c)
-    has the same denominator: both get (den, den), with no inverse built."""
+    |sigma(c.den * c)|, and likewise for c.inverse().  When c * conj(c) = 1
+    (`_is_unimodular`), as for roots of unity and +-1, every |sigma(c)| is 1
+    and 1/c = conj(c) has the same denominator: both get (den, den), with no
+    inverse built."""
     a, den = c.ints, c.den
-    if _fold(c.order, _mul(a, _galois(c.order, a, -1))) == [den * den] + [0] * (len(a) - 1):
+    if _is_unimodular(c):
         return (den, den), (den, den)
     inverse = c.inverse()
     return (sum(map(abs, a)), den), (sum(map(abs, inverse.ints)), inverse.den)
+
+
+def _is_unimodular(c: ExactScalar) -> bool:
+    """Whether c * conj(c) = 1, that is a * conj(a) = den^2 on a = c.ints
+    (conj the Galois map zeta -> 1/zeta).  With den = 1 this holds exactly
+    for the roots of unity, +-1 included: an algebraic integer whose
+    conjugates all lie on the unit circle is one (Kronecker)."""
+    a, den = c.ints, c.den
+    square = _fold(c.order, _mul(a, _galois(c.order, a, -1)))
+    return square == [den * den] + [0] * (len(a) - 1)
 
 
 def _cleared_norms(rows: list[list[_Majorant]]) -> list[int]:
@@ -362,13 +371,14 @@ def _gradient(word: FreeWord, ring: _Ring, lo: int, size: int) -> list:
     letters all lie in generators lo+1..lo+size."""
     grad = [ring.zero] * size
     m = ring.one
+    t, tinv = ring.ts, ring.tinvs
     for letter in word:
         idx = abs(letter) - 1
         if letter > 0:
             grad[idx - lo] = grad[idx - lo] + m
-            m = m * ring.t(idx)
+            m = m * t[idx]
         else:
-            m = m * ring.tinv(idx)
+            m = m * tinv[idx]
             grad[idx - lo] = grad[idx - lo] - m
     return grad
 
@@ -423,8 +433,7 @@ def _wedge_vectors(u: Sequence, v: Sequence, pairs: Sequence[tuple[int, int]]):
 def monodromy_braid(gen: "MonodromyGen") -> BraidWord:
     """The conjugated full twist as a braid word: the inverse conjugator,
     the twist, then the conjugator (words act leftmost-first)."""
-    delta = normalize_braid(gen.delta)
-    return invert_braid(delta) + full_twist(gen.X) + delta
+    return gen.inverse_delta + full_twist(gen.X) + gen.delta
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +485,11 @@ class MonodromyGen:
     def __post_init__(self):
         object.__setattr__(self, "X", _validated_strands(self.X))
         object.__setattr__(self, "delta", normalize_braid(self.delta))
+
+    @cached_property
+    def inverse_delta(self) -> BraidWord:
+        """The inverse conjugator, normalized once per generator."""
+        return invert_braid(self.delta)
 
 
 def _check_gen(gen: MonodromyGen, n: int) -> None:
@@ -576,15 +590,27 @@ class MonodromyInput:
             raw_gens = obj["generators"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed monodromy data: {exc}") from exc
+        if not isinstance(raw_gens, list):
+            raise ValidationError("monodromy generators must be a list of objects")
         gens = []
         try:
             for item in raw_gens:
                 if not isinstance(item, dict):
                     raise ValidationError("each monodromy generator must be an object")
-                X = tuple(_json_int(v) for v in item["X"])
+                raw_X, raw_delta = item["X"], item.get("delta", [])
+                if not isinstance(raw_X, list):
+                    raise ValidationError(
+                        "monodromy generator X must be a list of strand indices"
+                    )
+                if not isinstance(raw_delta, list):
+                    raise ValidationError(
+                        "monodromy generator delta must be a list of"
+                        ' ["A", i, j, exponent] factors'
+                    )
+                X = tuple(_json_int(v) for v in raw_X)
                 delta = []
-                for entry in item.get("delta", ()):
-                    if len(entry) != 4 or entry[0] != "A":
+                for entry in raw_delta:
+                    if not isinstance(entry, list) or len(entry) != 4 or entry[0] != "A":
                         raise ValidationError(
                             'conjugator factors look like ["A", i, j, exponent]'
                         )
@@ -719,7 +745,7 @@ def _pushed_vectors(gen: MonodromyGen, ring: _Ring) -> tuple[list[list], list]:
             upper = _gradient([s for s in X if s > k], ring, 0, ring.n)
             uppers[k] = [(ring.t(k - 1) - ring.one) * c for c in upper]
     us = []
-    for theta in _push(invert_braid(gen.delta), units, ring):
+    for theta in _push(gen.inverse_delta, units, ring):
         u = [theta[c] if c + 1 in members else ring.zero for c in range(ring.n)]
         for k, upper in uppers.items():
             a = theta[k - 1]
@@ -743,27 +769,46 @@ def relator_jacobian(m: MonodromyInput, point: Sequence) -> list[list]:
 
 
 def _relator_rows(m: MonodromyInput, ring: _Ring) -> list[list]:
-    """Rows X[:-1] of Gassner(generator) - I for every generator, from the
-    chain-map vectors: Gassner(gen) - I = Phi_gen d_2, and d_2 sends
-    e_a ^ e_b to (t_b - 1) e_a - (t_a - 1) e_b, so row s is
+    """Rows X[:-1] of Gassner(generator) - I for every generator, in
+    generator order (`_generator_relator_rows`)."""
+    return [row for gen in m.generators for row in _generator_relator_rows(gen, ring)]
+
+
+def _generator_relator_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
+    """Rows X[:-1] of Gassner(gen) - I, from the chain-map vectors:
+    Gassner(gen) - I = Phi_gen d_2, and d_2 sends e_a ^ e_b to
+    (t_b - 1) e_a - (t_a - 1) e_b, so row s is
     (x_s ^ y) d_2 = eps(y) x_s - eps(x_s) y with
     eps(v) = sum_b (t_b - 1) v_b, O(n) per row from `_pushed_vectors`."""
+    shifts = [t - ring.one for t in ring.ts]
 
     def eps(v: list):
         total = ring.zero
-        for b, a in enumerate(v):
+        for shift, a in zip(shifts, v):
             if a:
-                total = total + (ring.t(b) - ring.one) * a
+                total = total + shift * a
         return total
 
+    xs, y = _pushed_vectors(gen, ring)
+    ey = eps(y)
     rows = []
-    for gen in m.generators:
-        xs, y = _pushed_vectors(gen, ring)
-        ey = eps(y)
-        for x in xs:
-            ex = eps(x)
-            rows.append([ey * a - ex * b for a, b in zip(x, y)])
+    for x in xs:
+        ex = eps(x)
+        rows.append([ey * a - ex * b for a, b in zip(x, y)])
     return rows
+
+
+@cache
+def _unit_norms(gen: MonodromyGen, n: int) -> tuple[int, ...]:
+    """The cleared norms (`_cleared_norms`) of a generator's relator rows on
+    the majorant ring of a point on n strands whose every coordinate is a
+    root of unity (+-1 included, `_Residues.roots_of_unity`).  There every
+    t_i and 1/t_i gets the majorant (1, 1) (`_coordinate_bounds`), as at
+    the point 1, so the ring is the same all-ones ring at every such point
+    and the norms depend only on the generator and n: built once for
+    each."""
+    ring = _Ring.majorant([ExactScalar.one()] * n)
+    return tuple(_cleared_norms(_generator_relator_rows(gen, ring)))
 
 
 def presentation_rank(m: MonodromyInput, point: Sequence) -> int:
@@ -835,12 +880,13 @@ def membership(
     above p_i (see `PrimeField`), so every entry of R (an integer
     polynomial in the t_i and their inverses) lies in that ring, and
     reducing modulo P_i is a ring map that commutes with minors.  Hence the
-    rank r_i mod p_i is at most r.  The primes of each new range are built
-    together, once, modulo their product N = p_start ... p_stop-1 (see
-    `ResidueRing`), and ranked at all of them by one elimination modulo N
-    (`modp_ranks`, in runs of at most MODULUS_BITS bits).  Z -> Z/N is a
-    ring map, so every entry is the residue of the entry built in Z/N, and
-    an elimination modulo N is one in every F_{p_i} at once.  The stop rule
+    rank r_i mod p_i is at most r.  The primes of each new range are cut
+    into runs whose product N = p_a ... p_b-1 has at most MODULUS_BITS bits
+    (`modulus_runs`); each run is built once modulo N (see `ResidueRing`;
+    a run of one prime takes its images as they are) and ranked at all its
+    primes by one elimination modulo N (`modp_ranks`).  Z -> Z/N is a ring
+    map, so every entry is the residue of the entry built in Z/N, and an
+    elimination modulo N is one in every F_{p_i} at once.  The stop rule
     (`_certified_rank`):
 
     - a rank mod p_1 equal to full is r;
@@ -849,7 +895,12 @@ def membership(
       Z[zeta_M] and a bound B_e on every |sigma(d_e * e)| over the
       embeddings sigma of K in C (at a unit point, where every coordinate
       and its inverse has integer power-basis coefficients, every d_e is
-      1).  Scale row r by L_r, the lcm of its entries' d_e; its entries are
+      1).  At a point whose every coordinate is a root of unity, +-1
+      included, every t_i and 1/t_i gets the majorant (1, 1), so the
+      majorant ring, and each generator's rows on it, depend only on the
+      generator and n: their norms are kept across queries
+      (`_unit_norms`), and no majorant ring is built for the query.
+      Scale row r by L_r, the lcm of its entries' d_e; its entries are
       then bounded by B_e * L_r / d_e.  Let H be the product of the s + 1
       largest of these cleared row norms.  For an (s+1)-minor D, the
       matching minor D' = (prod L_r) * D of the cleared rows lies in
@@ -874,8 +925,12 @@ def membership(
     residues = _Residues(m.n, point, prime_floor)
 
     def ranks(start: int, stop: int) -> list[int]:
-        rows = _relator_rows(m, residues.ring(start, stop))
-        return modp_ranks(rows, m.n, [residues.field(i).p for i in range(start, stop)])
+        primes = [residues.field(i).p for i in range(start, stop)]
+        out = []
+        for a, b in modulus_runs(primes):
+            rows = _relator_rows(m, residues.ring(start + a, start + b))
+            out += modp_ranks(rows, m.n, primes[a:b])
+        return out
 
     r, route = _certified_rank(m, residues, ranks, min(m.b2, m.n - 1))
     at_one = all(c == 1 for c in residues.coords)
@@ -893,7 +948,8 @@ def membership(
 
 class _Residues:
     """A torus point's evaluation rings modulo products of consecutive
-    primes that apply (see `field`), and its majorant ring.  Each
+    primes that apply (see `field`), whether its coordinates are roots of
+    unity (`roots_of_unity`), and its majorant ring.  Each
     coordinate's image at each prime is computed once, from its `ints` and
     `den` (`PrimeField.reduce`)."""
 
@@ -926,8 +982,12 @@ class _Residues:
         """Evaluation at the point's image in Z/N, N = p_start ... p_stop-1,
         the ring's `modulus` (see `PrimeField`, `ResidueRing`): the images
         and inverses at those primes, where every image is a unit, combined
-        by the Chinese remainder theorem.  Entries are built on integer
-        representatives, which `_push` reduces mod N to keep them small."""
+        by the Chinese remainder theorem (taken as they are for one prime).
+        Entries are built on integer representatives, which `_push` reduces
+        mod N to keep them small."""
+        if stop == start + 1:
+            p = self.field(start).p
+            return _Ring(self.images[start], self.inverses[start], 1, 0, p)
         crt = ResidueRing([self.field(i) for i in range(start, stop)])
         return _Ring(
             [crt.combine(v) for v in zip(*self.images[start:stop])],
@@ -938,7 +998,18 @@ class _Residues:
         )
 
     @cached_property
+    def roots_of_unity(self) -> bool:
+        """Whether every coordinate is a root of unity (+-1 included): den 1
+        and c * conj(c) = 1 (`_is_unimodular`).  A point with c * conj(c) = 1
+        but den != 1, such as (3 + 4i)/5, or with a cyclotomic unit such as
+        1 + zeta_5, is not such a point."""
+        return all(c.den == 1 and _is_unimodular(c) for c in self.coords)
+
+    @cached_property
     def majorant(self) -> _Ring:
+        """The majorant ring of the point (`_Ring.majorant`), built for the
+        stop rule's norms only where `roots_of_unity` fails; where it holds,
+        this is the all-ones ring whose norms `_unit_norms` keeps."""
         return _Ring.majorant(self.coords)
 
 
@@ -947,22 +1018,30 @@ def _certified_rank(
 ) -> tuple[int, str]:
     """The rank at the point of the relator rows, which is at most `full`,
     with the primes used (see `membership`).  `ranks(start, stop)` gives
-    their rank mod p_start .. p_stop-1, and the rows are built on the
-    majorant ring only for the norms of the stop rule.  The primes after
-    the first are asked for in ranges, each as long as the rule needs at
-    the current rank, and walked in order until the rule stops."""
+    their rank mod p_start .. p_stop-1.  The stop rule's norms are the
+    cleared norms of the rows on the majorant ring: where every coordinate
+    is a root of unity they are each generator's `_unit_norms`, kept across
+    queries; elsewhere the rows are built on `residues.majorant`.  The
+    primes after the first are asked for in ranges, each as long as the
+    rule needs at the current rank, and walked in order until the rule
+    stops: while their product is at most isqrt(bound), that is while its
+    square is at most the bound."""
     primes = [residues.field(0).p]
     rank = ranks(0, 1)[0]
     if rank < full:
-        norms = sorted(_cleared_norms(_relator_rows(m, residues.majorant)), reverse=True)
+        if residues.roots_of_unity:
+            norms = [x for gen in m.generators for x in _unit_norms(gen, m.n)]
+        else:
+            norms = _cleared_norms(_relator_rows(m, residues.majorant))
+        norms.sort(reverse=True)
         phi = _euler_phi(residues.order)
-        bound = _checked_bound(norms[: rank + 1], phi, primes[0])
+        limit = math.isqrt(_checked_bound(norms[: rank + 1], phi, primes[0]))
         product, stop = primes[0], 1
-        while product ** 2 <= bound:
+        while product <= limit:
             if len(primes) == stop:
                 # the primes the rule needs at the current rank, in one range
                 start, batch = stop, product
-                while batch ** 2 <= bound:
+                while batch <= limit:
                     batch *= residues.field(stop).p
                     stop += 1
                 batch_ranks = iter(ranks(start, stop))
@@ -974,7 +1053,7 @@ def _certified_rank(
                 rank = r
                 if rank == full:
                     break
-                bound = _checked_bound(norms[: rank + 1], phi, primes[0])
+                limit = math.isqrt(_checked_bound(norms[: rank + 1], phi, primes[0]))
     return rank, "mod " + "*".join(map(str, primes))
 
 

@@ -347,6 +347,14 @@ class Lattice2:
             )
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValidationError("n must be an integer")
+        pairs = obj.get("parallel_pairs", [])
+        for key, value, form in (
+            ("flats", flats, "a list of index lists"),
+            ("parallel_pairs", pairs, "a list of index pairs"),
+        ):
+            if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+                raise ValidationError(f"malformed lattice JSON: {key} must be {form}")
+
         def shift(seq):
             out = []
             for v in seq:
@@ -360,7 +368,7 @@ class Lattice2:
             return cls(
                 n=n,
                 flats=[tuple(shift(f)) for f in flats],
-                parallel_pairs=[tuple(shift(p)) for p in obj.get("parallel_pairs", [])],
+                parallel_pairs=[tuple(shift(p)) for p in pairs],
             )
         except ValidationError:
             raise

@@ -805,6 +805,22 @@ def _element_of_order(order: int, p: int) -> int:
 MODULUS_BITS = 1024
 
 
+def modulus_runs(primes: Sequence[int]) -> list[tuple[int, int]]:
+    """The index ranges (start, stop) that cut the primes, in order, into
+    runs whose products have at most MODULUS_BITS bits (a run holds one
+    prime at least)."""
+    runs: list[tuple[int, int]] = []
+    start = 0
+    while start < len(primes):
+        stop, n = start + 1, primes[start]
+        while stop < len(primes) and (n * primes[stop]).bit_length() <= MODULUS_BITS:
+            n *= primes[stop]
+            stop += 1
+        runs.append((start, stop))
+        start = stop
+    return runs
+
+
 def modp_rank(rows: Iterable[Sequence[int]], ncols: int, p: int) -> int:
     """Rank over F_p of integer rows (`modp_ranks` with the one prime p)."""
     return modp_ranks(rows, ncols, (p,))[0]
@@ -815,7 +831,8 @@ def modp_ranks(
 ) -> list[int]:
     """Rank over F_p of integer rows at each of some distinct primes, by one
     sparse elimination modulo their product N that stops at full rank (one
-    per run of primes whose product has at most MODULUS_BITS bits).
+    per run of primes whose product has at most MODULUS_BITS bits,
+    `modulus_runs`).
 
     Rows are reduced mod N and kept as {column: value} dicts of their
     nonzero entries.  Each step takes the remaining row with the fewest
@@ -833,15 +850,10 @@ def modp_ranks(
     """
     rows = list(rows)
     ranks: list[int] = []
-    start = 0
-    while start < len(primes):
-        stop, n = start + 1, primes[start]
-        while stop < len(primes) and (n * primes[stop]).bit_length() <= MODULUS_BITS:
-            n *= primes[stop]
-            stop += 1
+    for start, stop in modulus_runs(primes):
+        n = math.prod(primes[start:stop])
         work = [{c: r for c, v in enumerate(row) if (r := v % n)} for row in rows]
         ranks += _modular_ranks(work, ncols, primes[start:stop], n, 0)
-        start = stop
     return ranks
 
 

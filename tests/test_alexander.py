@@ -48,6 +48,7 @@ from charvar.alexander import (
     twist_generator_image,
     _certified_rank,
     _coordinate_bounds,
+    _cleared_norms,
     _Majorant,
     _presentation_rows,
     _pushed_vectors,
@@ -985,6 +986,13 @@ def _is_unit_point(point):
     )
 
 
+def _is_root_of_unity_point(point):
+    """Every coordinate c is a root of unity: c^(2M) = 1, M the point's
+    order, as the roots of unity of Q(zeta_M) are the +-zeta_M^e."""
+    order = point_order(point)
+    return all(_scalar(c) ** (2 * order) == 1 for c in point)
+
+
 def _point_kind(point):
     if _is_unit_point(point):
         return "unit"
@@ -1149,46 +1157,60 @@ def test_certified_route_agrees_with_the_exact_route():
 
 
 def test_certified_rank_takes_the_maximum_and_stops_at_the_norm_bound(monkeypatch):
-    """The prime loop on scripted ranks of a 3x3 matrix at a point of order
+    """The prime loop on scripted ranks of a 3x3 matrix at points of order
     5 (phi = 4, primes 11, 31, 41, 61 above 10), 1, 2, 1, 3 mod those
     primes, whose majorant rows have norm^2 3: the rank is the maximum over
     the primes taken, and primes are taken until their product squared
     passes the product of the rank + 1 largest norms^2, to the power phi.
     After 11 the rank is 1 and 11^2 <= 9^4; after 31 it is 2 and
     (11*31)^2 <= 27^4; after 41 the product passes 27^4.  A largest
-    possible rank of 2 stops the loop as soon as a rank 2 appears."""
-    residues = _Residues(2, [root_of_unity(5)] * 2, 10)
+    possible rank of 2 stops the loop as soon as a rank 2 appears.  At the
+    root-of-unity point (zeta_5, zeta_5) the norms are the generator's
+    `_unit_norms` and no majorant rows are built; at (2 zeta_5, 2 zeta_5),
+    where the same primes apply, each query builds them once."""
+    m = MonodromyInput(2, (MonodromyGen((1, 2)),))
     script = {11: 1, 31: 2, 41: 1, 61: 3}
+    builds = []
 
     def build(_m, ring):
         assert ring is residues.majorant
+        builds.append(ring)
         return [[_Majorant(1, 1)] * 3 for _ in range(3)]
 
     def ranks(start, stop):
         return [script[residues.field(i).p] for i in range(start, stop)]
 
     monkeypatch.setattr(alexander, "_relator_rows", build)
-    assert _certified_rank(None, residues, ranks, 3) == (2, "mod 11*31*41")
-    assert _certified_rank(None, residues, ranks, 2) == (2, "mod 11*31")
+    monkeypatch.setattr(alexander, "_unit_norms", lambda gen, n: (3, 3, 3))
+    for scale, majorants in ((1, 0), (2, 1)):
+        for full, want in ((3, (2, "mod 11*31*41")), (2, (2, "mod 11*31"))):
+            residues = _Residues(2, [root_of_unity(5) * scale] * 2, 10)
+            builds.clear()
+            assert _certified_rank(m, residues, ranks, full) == want
+            assert len(builds) == majorants
 
 
 def test_certified_rank_walks_each_batch_in_prime_order(monkeypatch):
-    """Scripted ranks of a 4 x 4 matrix, drawn for each prime, at a point
+    """Scripted ranks of a 4 x 4 matrix, drawn for each prime, at points
     of order 5 above the floor 10 (primes 11, 31, 41, 61, ...), with
     majorant bounds that make ranges of several primes: the certified rank
     and certificate, for a largest possible rank `full`, equal those of the
     reference loop under the threshold full - 1, which builds diagonal
     matrices of those ranks for each batch and ranks each prime of a batch
     by its own elimination, and some range walked primes of different
-    ranks."""
+    ranks.  At the root-of-unity point (zeta_5, zeta_5) the norms are the
+    generator's `_unit_norms` and no majorant rows are built; at
+    (2 zeta_5, 2 zeta_5), where the same primes apply, they are built once
+    when the rank mod 11 is below `full`."""
     primes = [modular_prime(5, 10)]
     while len(primes) < 400:
         primes.append(modular_prime(5, primes[-1]))
     seen = set()
-    script, bound = [], []
+    script, bound, majorants = [], [], []
 
     def build(_m, ring):
         if ring.modulus is None:
+            majorants.append(ring)
             return [[_Majorant(bound[0], 1)] * 4 for _ in range(4)]
         n = ring.modulus
         batch = [i for i, p in enumerate(primes) if n % p == 0]
@@ -1197,15 +1219,19 @@ def test_certified_rank_walks_each_batch_in_prime_order(monkeypatch):
         diagonal = [sum(units[i] for i in batch if j < script[i]) % n for j in range(4)]
         return [[diagonal[j] * (j == c) for c in range(4)] for j in range(4)]
 
+    m = MonodromyInput(2, (MonodromyGen((1, 2)),))
     monkeypatch.setattr(alexander, "_relator_rows", build)
+    # the cleared norms of the scripted majorant rows
+    monkeypatch.setattr(alexander, "_unit_norms", lambda gen, n: (4 * bound[0] ** 2,) * 4)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(min_value=0, max_value=4), min_size=400, max_size=400),
         st.integers(min_value=1, max_value=10**4),
         st.integers(min_value=1, max_value=4),
+        st.sampled_from([1, 2]),
     )
-    def check(drawn, drawn_bound, full):
+    def check(drawn, drawn_bound, full, scale):
         # a rank mod p never exceeds the largest possible rank
         script[:], bound[:] = [min(r, full) for r in drawn], [drawn_bound]
 
@@ -1214,8 +1240,10 @@ def test_certified_rank_walks_each_batch_in_prime_order(monkeypatch):
                 seen.add("a batch of primes of different ranks")
             return script[start:stop]
 
-        point = [root_of_unity(5)] * 2
-        got = _certified_rank(None, _Residues(2, point, 10), ranks, full)
+        point = [root_of_unity(5) * scale] * 2
+        majorants.clear()
+        got = _certified_rank(m, _Residues(2, point, 10), ranks, full)
+        assert len(majorants) == (scale == 2 and script[0] < full)
         want = reference_certified_rank(None, _Residues(2, point, 10), build, 4, full - 1)
         assert got == want
 
@@ -1404,7 +1432,9 @@ def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkey
     calls rank relator rows (n columns) at distinct primes, in order, that
     begin with those of the certificate.  The relator rows are built once
     per residue ring, and once on the majorant ring when primes after p_1
-    are taken; off the locus (decided at p_1) no majorant is built."""
+    are taken at a point that is not a root-of-unity point; at one (here
+    the grid's order-4 point) the generators' `_unit_norms` serve and no
+    majorant is built, nor off the locus (decided at p_1)."""
     queries = [
         ("diamond", True, None, False, MODULAR_PRIME_FLOOR),
         ("diamond", True, 5, False, 10),
@@ -1419,7 +1449,7 @@ def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkey
         want = reference_membership(m, point, 1, prime_floor=floor)
         certificate = _reference_certificate(m, point, 1, floor)
         wants.append((m, point, floor, (want.rank, want.delta, want.partial2), certificate))
-    built, ranked = [], []
+    built, ranked, seen = [], [], set()
     relator_rows, ranks = alexander._relator_rows, alexander.modp_ranks
 
     def presentation(m, ring):
@@ -1450,7 +1480,149 @@ def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkey
         majorants = [ring for ring in built if ring.modulus is None]
         assert len(built) - len(majorants) == len(ranked)
         assert all(isinstance(ring.t(0), _Majorant) for ring in majorants)
-        assert len(majorants) == (1 if len(route) > 1 else 0), name
+        roots_of_unity = _is_root_of_unity_point(point)
+        assert len(majorants) == (len(route) > 1 and not roots_of_unity), name
+        seen.add((len(route) > 1, roots_of_unity))
+    assert seen == {(True, False), (True, True), (False, False)}
+
+
+_MEMO_INPUTS = {
+    "diamond": lambda: load_monodromy("diamond_monodromy"),
+    "braid4_affine": lambda: load_monodromy("braid4_affine_monodromy"),
+    **{f"pencil{n}": (lambda n=n: pencil_monodromy(n)) for n in range(2, 7)},
+    **{
+        f"grid{a}{b}": (lambda a=a, b=b: grid_monodromy(a, b))
+        for a in range(1, 4)
+        for b in range(1, 4)
+        if a + b >= 2
+    },
+    **{f"generic{n}": (lambda n=n: generic_monodromy(n)) for n in range(2, 6)},
+}
+
+
+def _memo_norms(m):
+    return [x for gen in m.generators for x in alexander._unit_norms(gen, m.n)]
+
+
+def test_unit_norms_are_the_majorant_norms_at_every_root_of_unity_point():
+    """On diamond, braid4_affine, pencil(n), grid(n1, n2) and generic(n),
+    at points whose coordinates are roots of unity of one order d <= 12
+    (signed powers of zeta_d), at +-1 points and at lifted central points
+    of roots of unity (coordinate product 1): the point passes
+    `_Residues.roots_of_unity`, and its generators' `_unit_norms`, in
+    generator order, equal the cleared norms of the relator rows on its
+    own majorant ring."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(_MEMO_INPUTS)),
+        st.sampled_from(["roots", "signs", "central"]),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @example("diamond", "central", 12, 0)
+    @example("braid4_affine", "central", 5, 0)
+    def check(name, kind, order, seed):
+        m = _MEMO_INPUTS[name]()
+        rng = random.Random(seed)
+        if kind == "central" and m.lift is None:
+            kind = "roots"
+        if kind == "signs":
+            point = [ExactScalar.from_rational(rng.choice([1, -1])) for _ in range(m.n)]
+        else:
+            size = m.n + 1 if kind == "central" else m.n
+            point = [
+                root_of_unity(order, rng.randrange(order)) * rng.choice([1, -1])
+                for _ in range(size)
+            ]
+            if kind == "central":
+                point[-1] = math.prod(point[:-1], start=ExactScalar.one()).inverse()
+                point = lift_point(m.lift, point)
+        assert _is_root_of_unity_point(point)
+        residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
+        assert residues.roots_of_unity
+        assert _memo_norms(m) == _cleared_norms(_relator_rows(m, residues.majorant))
+        seen.add(kind)
+
+    check()
+    assert seen == {"roots", "signs", "central"}
+
+
+def _component_point(name, param):
+    """The point of the input's first component subtorus whose first
+    parameter is `param` and every other parameter 1."""
+    m, bases = _gate_input(name)
+    rows = bases[0]
+    return [param ** rows[0][i] for i in range(m.n)]
+
+
+def test_points_that_are_not_roots_of_unity_take_the_majorant_route(monkeypatch):
+    """A coordinate with c * conj(c) = 1 but den != 1, (3 + 4 zeta_4)/5,
+    and cyclotomic units such as 1 + zeta_5 and 1 + zeta_12 are no roots
+    of unity: at such points on a component of diamond or pencil(6) the
+    point fails `_Residues.roots_of_unity`, its majorant norms differ from
+    the all-ones ring's, `_unit_norms` is not asked, and the relator rows
+    are built on the point's own majorant ring once per query."""
+    params = [
+        ExactScalar.from_coeffs(4, [Fraction(3, 5), Fraction(4, 5)]),
+        1 + root_of_unity(5),
+        1 + root_of_unity(12),
+    ]
+    queries = []
+    for name in ("diamond", "pencil6"):
+        m, _ = _gate_input(name)
+        for param in params:
+            point = _component_point(name, param)
+            residues = _Residues(m.n, point, MODULAR_PRIME_FLOOR)
+            assert not residues.roots_of_unity and not _is_root_of_unity_point(point)
+            assert _memo_norms(m) != _cleared_norms(_relator_rows(m, residues.majorant))
+            queries.append((m, point))
+    built = []
+    relator_rows = alexander._relator_rows
+
+    def build(m, ring):
+        if ring.modulus is None:
+            built.append(ring)
+        return relator_rows(m, ring)
+
+    def memo(gen, n):
+        raise AssertionError("the unit memo was asked at a point of no roots of unity")
+
+    monkeypatch.setattr(alexander, "_relator_rows", build)
+    monkeypatch.setattr(alexander, "_unit_norms", memo)
+    for m, point in queries:
+        built.clear()
+        got = membership(m, point, 1)
+        assert "*" in got.certificate["delta"]
+        assert len(built) == 1
+        _assert_matches_the_references(got, m, point, 1, MODULAR_PRIME_FLOOR)
+
+
+def test_the_unit_memo_holds_one_entry_per_generator_and_strand_count():
+    """`membership` at root-of-unity points on components of every gate
+    input, of orders 1..12 at depths 1 and 2: on a component the relator
+    rank is below min(b2, n - 1), so every query asks the stop rule's
+    norms, and afterwards the memo holds one entry per distinct
+    (generator, n) pair, however many queries asked for it.  Some queries'
+    verdicts and certificates are checked against the references."""
+    alexander._unit_norms.cache_clear()
+    pairs, queries = set(), 0
+    for name in sorted(GATE_INPUTS):
+        m, _ = _gate_input(name)
+        pairs.update((gen, m.n) for gen in m.generators)
+        for order in range(1, 13):
+            for seed in range(3):
+                point = _gate_point(name, True, order, seed)
+                if not _is_root_of_unity_point(point):
+                    continue
+                for k in (1, 2):
+                    got = membership(m, point, k)
+                    queries += 1
+                if order in (1, 4, 12) and seed == 0:
+                    _assert_matches_the_references(got, m, point, 2, MODULAR_PRIME_FLOOR)
+    assert queries > 4 * len(pairs)
+    assert alexander._unit_norms.cache_info().currsize == len(pairs)
 
 
 def test_majorants_bound_every_embedding():

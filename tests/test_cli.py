@@ -1104,6 +1104,23 @@ _AFFINE_TRIANGLE = {
             {"flavor": "affine", "hyperplanes": [[1, 0, 0], 5, [1, 1, 1]]},
             "hyperplanes must be a list of coefficient lists",
         ),
+        ({"n": 3, "generators": 5}, "monodromy generators must be a list of objects"),
+        (
+            {"n": 3, "generators": [{"X": 5}]},
+            "monodromy generator X must be a list of strand indices",
+        ),
+        (
+            {"n": 3, "generators": [{"X": [1, 2], "delta": 5}]},
+            'monodromy generator delta must be a list of ["A", i, j, exponent] factors',
+        ),
+        (
+            {"n": 3, "flats": 5},
+            "malformed lattice JSON: flats must be a list of index lists",
+        ),
+        (
+            {"n": 3, "flats": [], "parallel_pairs": 5},
+            "malformed lattice JSON: parallel_pairs must be a list of index pairs",
+        ),
     ],
     ids=[
         "generator-without-X",
@@ -1126,6 +1143,11 @@ _AFFINE_TRIANGLE = {
         "lattice-keys-in-arrangement",
         "string-hyperplanes",
         "non-list-hyperplane-row",
+        "non-list-generators",
+        "non-list-generator-X",
+        "non-list-generator-delta",
+        "non-list-flats",
+        "non-list-parallel-pairs",
     ],
 )
 def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, message):

@@ -1,5 +1,6 @@
 """Smoke test of `tools/op_digests.py` on the `resonance` workload: one
-digest per op, in batch order, the same on a second run; and the `member`
+digest per op, in batch order, the same on a second run, and `--against`
+naming only the ops that differ from another checkout's; and the `member`
 workloads' op digests pinned to `member_op_digests.txt`, their verdicts
 without certificates to `member_verdict_digests.txt`."""
 
@@ -64,6 +65,26 @@ def test_resonance_digests_name_every_op_and_repeat(capsys, tmp_path):
     assert tool.op_digests("resonance", 1) == [
         (label, line.split("  ", 1)[0]) for line, label in zip(lines, labels)
     ]
+
+
+def test_against_a_checkout_prints_only_the_labels_whose_digests_differ(capsys, tmp_path):
+    """`--against CHECKOUT` runs the checkout's own tool in a subprocess.
+    Against this checkout no label is printed and the exit code is 0;
+    against one whose tool prints the same lines but with one digest
+    changed and the last op missing, just those two labels are printed,
+    in batch order, and the exit code is 1."""
+    tool = _load_tool()
+    args = ["--workload", "resonance", "--seed", "1", "--against"]
+    assert tool.main(args + [str(TOOL.parent.parent)]) == 0
+    assert capsys.readouterr().out == ""
+    ours = tool.op_digests("resonance", 1)
+    lines = [f"{digest}  {label}" for label, digest in ours]
+    lines[2] = f"{'0' * 64}  {ours[2][0]}"
+    other = tmp_path / "other"
+    (other / "tools").mkdir(parents=True)
+    (other / "tools" / "op_digests.py").write_text(f"print({chr(10).join(lines[:-1])!r})\n")
+    assert tool.main(args + [str(other)]) == 1
+    assert capsys.readouterr().out.splitlines() == [ours[2][0], ours[-1][0]]
 
 
 def test_member_outputs_keep_their_pinned_digests():
