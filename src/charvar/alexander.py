@@ -7,9 +7,10 @@ the degree-two chain map attached to a conjugated full twist, the
 presentation matrix of the Alexander invariant (first homology of the
 universal abelian cover as a module over the character torus's coordinate
 ring), and certified point membership in the depth-k characteristic
-varieties (`membership`, the one route for torus points).  Every entry is
-built at a point, never symbolically: the paper's V_k, cut out by the k-th
-Fitting ideal, is decided as a rank at the point.
+varieties (`membership`, the one route for torus points).  The paper's
+V_k, cut out by the k-th Fitting ideal, is decided as a rank at the point:
+no Fitting ideal is formed, and only the relator rows are compiled, once
+per generator, into Laurent polynomials that each evaluation ring reads.
 
 Index and sign conventions.  The whole-matrix constructions that pin them
 (Gassner matrices, wedge squares, twist and monodromy chain maps) live in
@@ -71,27 +72,29 @@ from .exactalg import (
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.001-0.004 s as a unit point (9-30 primes) and 0.006-0.07 s as a
-# point (a/b) * zeta_120^e (42-254 primes), on one core of a 2-core Intel
-# Xeon, Python 3.11 (the tests' `_gate_point`, seeds 0-3, depths 1 and 2,
-# best of four runs).  A point of larger order is refused before any
-# cyclotomic polynomial is built.
+# takes 0.0006-0.0018 s as a unit point (6-15 primes) and 0.003-0.018 s as
+# a point (a/b) * zeta_120^e (26-125 primes), and its first query, which
+# compiles the input's relator rows, 0.001-0.007 s and 0.004-0.037 s
+# (the tests' `_gate_point`, seeds 0-3, depths 1 and 2, best of four runs
+# on one core of a 2-core Intel Xeon, Python 3.11).  A point of larger
+# order is refused before any cyclotomic polynomial is built.
 POINT_ORDER_CAP = 120
 
 # Largest length, in unit twists, of a braid word (`normalize_braid`), so
-# of a generator's conjugator.  Every factor of the conjugator is pushed
-# through in each evaluation ring, and the majorant bounds, so the primes,
-# grow with its length.  The triple point (1, 2, 3) on 6 strands conjugated
-# by (1, 6)^L, at the point (a, b, 1/(ab), 1, 1, 1) of its local component
-# with a = (2/3) * zeta_120^7 and b = (2/3) * zeta_120^8, takes 0.042 s for
-# L = 10 (462 primes) and 0.12 s for L = 20 (892 primes); on 12 strands,
-# conjugated by (1, 12)^L, 0.045 s and 0.12 s.  From L = 24 on it passes
-# CERTIFICATE_PRIME_CAP; uncapped, L = 30 takes 0.26 s (1321 primes) and
-# L = 50 0.88 s (2180 primes, a 19 MiB process peak).  At the rational
-# point (2, 3/2, 1/3, 1, 1, 1) it takes 0.010 s for L = 50 (36 primes), and
-# past the cap 0.027 s for L = 100 and 0.12 s for L = 300 (213 primes)
-# (2-core Intel Xeon, Python 3.11, best of three, one run uncapped).  The
-# packaged fixtures' conjugators have at most 3.  Without the cap a factor
+# of a generator's conjugator.  The relator polynomials, or past
+# COMPILE_BUDGET the pushes and circuit bounds, and so the primes, grow
+# with its length.  The triple point (1, 2, 3) on 6 strands conjugated by
+# (1, 6)^L, at the point (a, b, 1/(ab), 1, 1, 1) of its local component
+# with a = (2/3) * zeta_120^7 and b = (2/3) * zeta_120^8, takes 0.008 s for
+# L = 10 (126 primes; its first query, with the compile, 0.034 s).  From
+# L = 14 on it is past COMPILE_BUDGET: 0.13 s for L = 20 (892 primes,
+# 0.22 s first); on 12 strands, conjugated by (1, 12)^L, 0.010 s and 0.13 s.
+# From L = 24 on it passes CERTIFICATE_PRIME_CAP (1064 primes predicted,
+# refused in 0.02 s).  At the rational point (2, 3/2, 1/3, 1, 1, 1) it
+# takes 0.010 s for L = 50 (36 primes; 0.034 s first), and past the cap
+# 0.017 s for L = 100 and 0.10 s for L = 300 (213 primes) (2-core Intel
+# Xeon, Python 3.11, best of three, past the cap uncapped).  The packaged
+# fixtures' conjugators have at most 3.  Without the cap a factor
 # ["A", 1, 2, 10**10] hung every command on load.
 BRAID_LENGTH_CAP = 50
 
@@ -99,13 +102,14 @@ BRAID_LENGTH_CAP = 50
 # need (`_checked_bound`), checked each time the stop rule's bound is set,
 # before the primes it asks for are built.  The costs of the braid and
 # order caps multiply here: the triple point of BRAID_LENGTH_CAP's comment
-# conjugated by (1,6)^25 (2,5)^25, within both, needs 1617 primes at that
-# order-120 point and takes 0.51 s uncapped; it is refused in 0.006 s.
-# Near the cap, conjugated by (1, 6)^22 it needs 978 primes (0.12 s), and
-# by (1, 6)^24 it is refused (1064 predicted).  The other queries that the
-# order, braid and strand cap comments quote need at most 892 primes, the
-# tests' queries at most 130 and the benchmark's member queries at most 10
-# (2-core Intel Xeon, Python 3.11).
+# conjugated by (1,6)^25 (2,5)^25, within both, is past COMPILE_BUDGET and
+# needs 1617 primes at that order-120 point by its circuit bounds; it is
+# refused in 0.03 s, most of it the abandoned compile.  Conjugated by
+# (1, 6)^22 it needs 978 primes (0.12 s), and by (1, 6)^13, the longest
+# power within COMPILE_BUDGET, 161 primes from its polynomial bounds.  The
+# other queries that the order, braid and strand cap comments quote need
+# at most 892 primes, the tests' queries at most 55 and the benchmark's
+# member queries at most 5 (2-core Intel Xeon, Python 3.11).
 CERTIFICATE_PRIME_CAP = 1000
 
 FreeWord = tuple[int, ...]
@@ -137,10 +141,11 @@ def _torus_coords(n: int, point: Sequence) -> list[ExactScalar]:
 class _Ring:
     """Uniform scalar operations on the values of the t_i and their
     inverses: exact at a point (`_ring`), int residues modulo a prime or a
-    product of primes (`_Residues`), or majorants with denominators
-    (`majorant`).  The builders test zeros by truthiness and need only
-    ring operations, so the tests also run them on Laurent polynomials.
-    `ts` and `tinvs` list the values of the t_i and of their inverses."""
+    product of primes (`_Residues`), or Laurent polynomials (`_Laurent`,
+    on which `_compiled_rows` runs the relator builders once per
+    generator).  The builders test zeros by truthiness and need only ring
+    operations.  `ts` and `tinvs` list the values of the t_i and of their
+    inverses."""
 
     __slots__ = ("n", "one", "zero", "modulus", "ts", "tinvs", "_factors")
 
@@ -188,13 +193,123 @@ def _ring(n: int, point: Sequence) -> _Ring:
     return _Ring(t, [c.inverse() for c in t], ExactScalar.one(), ExactScalar.zero())
 
 
+# Bits per variable of a packed exponent (`_Laurent`).  The exponents are
+# balanced digits, so each must stay below 2^31 in absolute value; the
+# relator entries of conjugators within BRAID_LENGTH_CAP have exponents of
+# a few dozen.
+_EXPONENT_BITS = 32
+
+# Largest work, in term operations (a product of polynomials of a and b
+# terms costs a * b, a sum of b terms into another b), of compiling one
+# generator's relator rows (`_compiled_rows`).  A Gassner matrix of a long
+# conjugator can hold exponentially many monomials: a triple point on 6
+# strands conjugated by 10 random unit twists compiles to 12892 terms
+# (0.16 million term operations, 0.06 s), by 20 to about 1.5 million terms
+# in 54 s and 1.7 GiB.  A generator past the budget is not compiled: its
+# rows are pushed through the Gassner factors in every ring, at a cost
+# linear in the conjugator's length, and bounded by the circuit majorant
+# (`_Majorant`).  Its abandoned compile costs about 0.02 s, once per
+# process.  The packaged fixtures need at most 700 term operations a
+# generator, and the triple point conjugated by (1,6)^13, the longest such
+# power within the budget, 46594 (2-core Intel Xeon, Python 3.11).
+COMPILE_BUDGET = 5 * 10**4
+
+
+class _CompileBudgetExceeded(Exception):
+    """A compile passed COMPILE_BUDGET."""
+
+
+class _Laurent:
+    """A Laurent polynomial over Z in t_1..t_n: a dict from packed
+    exponents to nonzero integer coefficients.  The exponent vector e is
+    packed as the int sum_i e_i * 2^(W i), W = _EXPONENT_BITS, whose
+    balanced base-2^W digits are the e_i (`_unpack`), so the product of two
+    monomials is the sum of their keys.  The polynomials of one compile
+    share `budget`, a one-item list holding the term operations left
+    (COMPILE_BUDGET)."""
+
+    __slots__ = ("terms", "budget")
+
+    def __init__(self, terms: dict[int, int], budget: list[int]):
+        self.terms, self.budget = terms, budget
+
+    def _spend(self, work: int) -> None:
+        self.budget[0] -= work
+        if self.budget[0] < 0:
+            raise _CompileBudgetExceeded
+
+    def _combine(self, other: "_Laurent", sign: int) -> "_Laurent":
+        self._spend(len(other.terms))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + sign * c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return _Laurent(out, self.budget)
+
+    def __add__(self, other: "_Laurent") -> "_Laurent":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "_Laurent") -> "_Laurent":
+        return self._combine(other, -1)
+
+    def __mul__(self, other: "_Laurent") -> "_Laurent":
+        self._spend(len(self.terms) * len(other.terms))
+        out: dict[int, int] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = k1 + k2
+                s = out.get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return _Laurent(out, self.budget)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+def _unpack(key: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero exponents (variable, e_i) of a packed monomial."""
+    base = 1 << _EXPONENT_BITS
+    out = []
+    for i in range(n):
+        e = key & (base - 1)
+        if e >= base >> 1:
+            e -= base
+        if e:
+            out.append((i, e))
+        key = (key - e) >> _EXPONENT_BITS
+    assert key == 0, "exponent outside the packed range"
+    return tuple(out)
+
+
+def _symbolic_ring(n: int) -> _Ring:
+    """The t_i and their inverses as `_Laurent` monomials sharing a fresh
+    budget of COMPILE_BUDGET term operations."""
+    budget = [COMPILE_BUDGET]
+    keys = [1 << (_EXPONENT_BITS * i) for i in range(n)]
+    return _Ring(
+        [_Laurent({key: 1}, budget) for key in keys],
+        [_Laurent({-key: 1}, budget) for key in keys],
+        _Laurent({0: 1}, budget),
+        _Laurent({}, budget),
+    )
+
+
 class _Majorant:
     """A majorant of a value x of Q(zeta_M): a positive integer `den` with
     den * x in Z[zeta_M], and an integer `bound` on |sigma(den * x)| at
     every embedding sigma.  A sum or a difference clears with
     L = lcm(den_x, den_y) and is bounded by
     bound_x * L / den_x + bound_y * L / den_y; a product clears with
-    den_x * den_y and is bounded by bound_x * bound_y."""
+    den_x * den_y and is bounded by bound_x * bound_y.  Built through the
+    row builders (`_Ring.majorant`), these bound every term the builders
+    form, with no cancellation: the circuit majorant of the generators
+    that are not compiled."""
 
     __slots__ = ("bound", "den")
 
@@ -246,18 +361,6 @@ def _is_unimodular(c: ExactScalar) -> bool:
     a, den = c.ints, c.den
     square = _fold(c.order, _mul(a, _galois(c.order, a, -1)))
     return square == [den * den] + [0] * (len(a) - 1)
-
-
-def _cleared_norms(rows: list[list[_Majorant]]) -> list[int]:
-    """Squared bounds on the Euclidean norms at every embedding of the
-    majorant rows, each row r scaled by L_r, the lcm of its entries' dens,
-    so that L_r times the row lies in Z[zeta_M]: entry e is bounded by
-    e.bound * L_r / e.den."""
-    norms = []
-    for row in rows:
-        scale = math.lcm(*{e.den for e in row})
-        norms.append(sum((e.bound * (scale // e.den)) ** 2 for e in row))
-    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +635,11 @@ class MonodromyInput:
 
     def _check_lift(self) -> None:
         lift = self.lift
+        if not isinstance(lift, dict):
+            raise ValidationError("lift metadata must be an object")
+        _refuse_unknown_keys(
+            lift, "lift", ("central_n", "strand_to_central", "infinity"), ()
+        )
         try:
             central_n = _json_int(lift["central_n"])
             strands = [_json_int(v) for v in lift["strand_to_central"]]
@@ -590,6 +698,7 @@ class MonodromyInput:
             raw_gens = obj["generators"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed monodromy data: {exc}") from exc
+        _refuse_unknown_keys(obj, "monodromy", ("n", "generators"), ("lift",))
         if not isinstance(raw_gens, list):
             raise ValidationError("monodromy generators must be a list of objects")
         gens = []
@@ -597,6 +706,7 @@ class MonodromyInput:
             for item in raw_gens:
                 if not isinstance(item, dict):
                     raise ValidationError("each monodromy generator must be an object")
+                _refuse_unknown_keys(item, "monodromy generator", ("X",), ("delta",))
                 raw_X, raw_delta = item["X"], item.get("delta", [])
                 if not isinstance(raw_X, list):
                     raise ValidationError(
@@ -623,6 +733,20 @@ class MonodromyInput:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed monodromy generator: {exc}") from exc
         return cls(n, tuple(gens), obj.get("lift"))
+
+
+def _refuse_unknown_keys(obj: dict, what: str, required: tuple, optional: tuple) -> None:
+    """Refuse keys of a JSON object outside `required` and `optional`,
+    naming them and the keys expected, so that a misspelt key is not
+    dropped silently."""
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        expected = ", ".join(map(repr, required))
+        if optional:
+            expected += " and optionally " + ", ".join(map(repr, optional))
+        raise ValidationError(
+            f"unknown {what} key {', '.join(map(repr, unknown))}; expected {expected}"
+        )
 
 
 def _json_int(value) -> int:
@@ -798,17 +922,147 @@ def _generator_relator_rows(gen: MonodromyGen, ring: _Ring) -> list[list]:
     return rows
 
 
+class _CompiledRows:
+    """A generator's relator rows (`_generator_relator_rows`) as integer
+    Laurent polynomials in t_1..t_n, laid out for evaluation.  `powers`
+    lists the distinct powers (i, e) of the t_i that the monomials hold
+    (t_i^e, or 1/t_i^-e when e < 0).  Monomial 0 is 1, and monomial j + 1
+    is monomial `steps[j][0]` times the power `steps[j][1]`: the monomials
+    share their prefixes, as a trie over the variables in order.  Each
+    entry of `rows` is a tuple of (monomial, coefficient) terms, and
+    `weights` holds each entry's sum of |coefficient|s."""
+
+    __slots__ = ("powers", "steps", "rows", "weights")
+
+    def __init__(self, n: int, rows: list[list[_Laurent]]):
+        powers: dict[tuple[int, int], int] = {}
+        nodes: dict[tuple[int, int], int] = {}  # (monomial, power) -> monomial
+        steps: list[tuple[int, int]] = []
+        self.rows = []
+        for row in rows:
+            entries = []
+            for entry in row:
+                terms = []
+                for key, c in entry.terms.items():
+                    node = 0
+                    for pair in _unpack(key, n):
+                        power = powers.setdefault(pair, len(powers))
+                        child = nodes.get((node, power))
+                        if child is None:
+                            steps.append((node, power))
+                            child = nodes[node, power] = len(steps)
+                        node = child
+                    terms.append((node, c))
+                entries.append(tuple(terms))
+            self.rows.append(tuple(entries))
+        self.powers = list(powers)
+        self.steps = steps
+        self.weights = [[sum(abs(k) for _, k in entry) for entry in row] for row in self.rows]
+
+
 @cache
-def _unit_norms(gen: MonodromyGen, n: int) -> tuple[int, ...]:
-    """The cleared norms (`_cleared_norms`) of a generator's relator rows on
-    the majorant ring of a point on n strands whose every coordinate is a
-    root of unity (+-1 included, `_Residues.roots_of_unity`).  There every
-    t_i and 1/t_i gets the majorant (1, 1) (`_coordinate_bounds`), as at
-    the point 1, so the ring is the same all-ones ring at every such point
-    and the norms depend only on the generator and n: built once for
-    each."""
-    ring = _Ring.majorant([ExactScalar.one()] * n)
-    return tuple(_cleared_norms(_generator_relator_rows(gen, ring)))
+def _compiled_rows(gen: MonodromyGen, n: int) -> _CompiledRows | None:
+    """A generator's relator rows on n strands, compiled once per
+    (generator, n) for the life of the process by running the builders on
+    the Laurent polynomials of `_symbolic_ring`; None when that passes
+    COMPILE_BUDGET."""
+    try:
+        return _CompiledRows(n, _generator_relator_rows(gen, _symbolic_ring(n)))
+    except _CompileBudgetExceeded:
+        return None
+
+
+def _relator_values(m: MonodromyInput, ring: _Ring) -> list[list]:
+    """The relator rows (`_relator_rows`) on a ring, evaluated from each
+    generator's compiled rows: every power t_i^(+-e) that a monomial needs
+    is computed once per ring, every monomial once per generator, by one
+    product from its prefix, and each entry as the sum of its coefficients
+    times its monomials.  A generator that is not compiled is built by
+    `_generator_relator_rows`.  In a residue ring every entry is reduced
+    mod its modulus, into [0, modulus); they are the residues of the
+    entries that `_relator_rows` builds there, as Z -> Z/N is a ring
+    map."""
+    modulus = ring.modulus
+    table: dict[tuple[int, int], object] = {}
+    rows = []
+    for gen in m.generators:
+        compiled = _compiled_rows(gen, m.n)
+        if compiled is None:
+            built = _generator_relator_rows(gen, ring)
+            rows += built if modulus is None else [[v % modulus for v in row] for row in built]
+            continue
+        pw = []
+        for i, e in compiled.powers:
+            value = table.get((i, e))
+            if value is None:
+                base = ring.ts[i] if e > 0 else ring.tinvs[i]
+                value = table[i, e] = (
+                    base ** abs(e) if modulus is None else pow(base, abs(e), modulus)
+                )
+            pw.append(value)
+        values = [ring.one]
+        for parent, power in compiled.steps:
+            value = values[parent] * pw[power]
+            values.append(value if modulus is None else value % modulus)
+        for row in compiled.rows:
+            out = [sum([k * values[a] for a, k in entry], ring.zero) for entry in row]
+            rows.append(out if modulus is None else [v % modulus for v in out])
+    return rows
+
+
+def _relator_majorants(
+    m: MonodromyInput, coords: Sequence[ExactScalar]
+) -> list[tuple[int, list[int]]]:
+    """For each relator row at a point (in `_relator_rows` order), a
+    positive integer L_r with L_r times the row in Z[zeta_M]^n, and for each
+    entry e an integer bound on |sigma(L_r * e)| at every embedding sigma
+    of Q(zeta_M) in C.
+
+    With (B_i, d_i) and (B'_i, d'_i) the majorants of t_i and 1/t_i
+    (`_coordinate_bounds`), a monomial t^mu of a compiled entry gets
+    d_mu = prod d_i^(mu_i) over mu_i > 0 times prod d'_i^(-mu_i) over
+    mu_i < 0, and B_mu the same product of the B_i and B'_i: d_mu * t^mu is
+    a product of the d_i t_i and d'_i / t_i, so it lies in Z[zeta_M], and
+    |sigma(d_mu * t^mu)| <= B_mu.  L_r is the lcm of the d_mu over the
+    row's monomials, so an entry sum_mu c_mu t^mu times L_r lies in
+    Z[zeta_M] and is bounded by sum_mu |c_mu| * B_mu * L_r / d_mu at every
+    sigma (the triangle inequality).  The polynomial has cancelled every
+    t_i / t_i and every pair of opposite terms that the circuit majorant
+    counts, so these bounds are at most the circuit's.  A generator that is
+    not compiled takes the circuit's: its rows built on `_Ring.majorant`,
+    each cleared by L_r, the lcm of its entries' d, and an entry (B, d)
+    bounded by B * L_r / d."""
+    bounds = [_coordinate_bounds(c) for c in coords]
+    units = all(pair == ((1, 1), (1, 1)) for pair in bounds)
+    out = []
+    for gen in m.generators:
+        compiled = _compiled_rows(gen, m.n)
+        if compiled is None:
+            for row in _generator_relator_rows(gen, _Ring.majorant(coords)):
+                scale = math.lcm(*{e.den for e in row})
+                out.append((scale, [e.bound * (scale // e.den) for e in row]))
+            continue
+        if units:
+            # every monomial is bounded by 1, as at roots of unity
+            out += [(1, weights) for weights in compiled.weights]
+            continue
+        pw = []
+        for i, e in compiled.powers:
+            b, d = bounds[i][e < 0]
+            pw.append((b ** abs(e), d ** abs(e)))
+        majorant, dens = [1], [1]
+        for parent, power in compiled.steps:
+            b, d = pw[power]
+            majorant.append(majorant[parent] * b)
+            dens.append(dens[parent] * d)
+        for row in compiled.rows:
+            scale = math.lcm(*[dens[a] for entry in row for a, _ in entry])
+            entries = [
+                sum([abs(k) * majorant[a] * (scale // dens[a]) for a, k in entry])
+                for entry in row
+            ]
+            out.append((scale, entries))
+    return out
 
 
 def presentation_rank(m: MonodromyInput, point: Sequence) -> int:
@@ -886,23 +1140,30 @@ def membership(
     a run of one prime takes its images as they are) and ranked at all its
     primes by one elimination modulo N (`modp_ranks`).  Z -> Z/N is a ring
     map, so every entry is the residue of the entry built in Z/N, and an
-    elimination modulo N is one in every F_{p_i} at once.  The stop rule
+    elimination modulo N is one in every F_{p_i} at once.  The rows are
+    not pushed through the Gassner factors in each ring: each generator's
+    rows are compiled once per (generator, n) into integer Laurent
+    polynomials in the t_i (`_compiled_rows`), which every ring evaluates
+    (`_relator_values`); a generator whose compile would pass
+    COMPILE_BUDGET is pushed in each ring instead.  The stop rule
     (`_certified_rank`):
 
     - a rank mod p_1 equal to full is r;
-    - otherwise let s = max r_i over the primes taken.  The `_Ring.majorant`
-      build of R gives each entry e a denominator d_e with d_e * e in
-      Z[zeta_M] and a bound B_e on every |sigma(d_e * e)| over the
-      embeddings sigma of K in C (at a unit point, where every coordinate
-      and its inverse has integer power-basis coefficients, every d_e is
-      1).  At a point whose every coordinate is a root of unity, +-1
-      included, every t_i and 1/t_i gets the majorant (1, 1), so the
-      majorant ring, and each generator's rows on it, depend only on the
-      generator and n: their norms are kept across queries
-      (`_unit_norms`), and no majorant ring is built for the query.
-      Scale row r by L_r, the lcm of its entries' d_e; its entries are
-      then bounded by B_e * L_r / d_e.  Let H be the product of the s + 1
-      largest of these cleared row norms.  For an (s+1)-minor D, the
+    - otherwise let s = max r_i over the primes taken.  Each coordinate c
+      and its inverse get a denominator d with d * c in Z[zeta_M] and a
+      bound B on every |sigma(d * c)| over the embeddings sigma of K in C
+      (`_coordinate_bounds`).  A monomial t^mu then gets d_mu and B_mu,
+      the products of those of its factors, and d_mu * t^mu, a product of
+      elements of Z[zeta_M], lies in Z[zeta_M] with |sigma(d_mu * t^mu)|
+      <= B_mu.  Row r of R is cleared by L_r, the lcm of the d_mu of its
+      monomials: every entry e = sum c_mu t^mu then has L_r * e in
+      Z[zeta_M], as each L_r / d_mu is an integer, and |sigma(L_r * e)|
+      <= sum |c_mu| * B_mu * L_r / d_mu (`_relator_majorants`).  The
+      polynomial has cancelled what a bound pushed through the builders
+      would count (t_i / t_i, opposite terms), so these norms are at most
+      that circuit majorant's (`_Majorant`), which a generator past the
+      budget takes.  Let H be the product of the s + 1 largest cleared
+      row norms.  For an (s+1)-minor D, the
       matching minor D' = (prod L_r) * D of the cleared rows lies in
       Z[zeta_M] and |sigma(D')| <= H at every sigma (Hadamard), so
       |N(D')| <= H^phi(M).  D lies in P_i times the local ring at P_i, so
@@ -928,7 +1189,7 @@ def membership(
         primes = [residues.field(i).p for i in range(start, stop)]
         out = []
         for a, b in modulus_runs(primes):
-            rows = _relator_rows(m, residues.ring(start + a, start + b))
+            rows = _relator_values(m, residues.ring(start + a, start + b))
             out += modp_ranks(rows, m.n, primes[a:b])
         return out
 
@@ -948,10 +1209,8 @@ def membership(
 
 class _Residues:
     """A torus point's evaluation rings modulo products of consecutive
-    primes that apply (see `field`), whether its coordinates are roots of
-    unity (`roots_of_unity`), and its majorant ring.  Each
-    coordinate's image at each prime is computed once, from its `ints` and
-    `den` (`PrimeField.reduce`)."""
+    primes that apply (see `field`).  Each coordinate's image at each prime
+    is computed once, from its `ints` and `den` (`PrimeField.reduce`)."""
 
     def __init__(self, n: int, point: Sequence, floor: int):
         self.coords = _torus_coords(n, point)
@@ -983,8 +1242,8 @@ class _Residues:
         the ring's `modulus` (see `PrimeField`, `ResidueRing`): the images
         and inverses at those primes, where every image is a unit, combined
         by the Chinese remainder theorem (taken as they are for one prime).
-        Entries are built on integer representatives, which `_push` reduces
-        mod N to keep them small."""
+        Entries are computed on integer representatives, reduced mod N to
+        keep them small."""
         if stop == start + 1:
             p = self.field(start).p
             return _Ring(self.images[start], self.inverses[start], 1, 0, p)
@@ -997,21 +1256,6 @@ class _Residues:
             crt.p,
         )
 
-    @cached_property
-    def roots_of_unity(self) -> bool:
-        """Whether every coordinate is a root of unity (+-1 included): den 1
-        and c * conj(c) = 1 (`_is_unimodular`).  A point with c * conj(c) = 1
-        but den != 1, such as (3 + 4i)/5, or with a cyclotomic unit such as
-        1 + zeta_5, is not such a point."""
-        return all(c.den == 1 and _is_unimodular(c) for c in self.coords)
-
-    @cached_property
-    def majorant(self) -> _Ring:
-        """The majorant ring of the point (`_Ring.majorant`), built for the
-        stop rule's norms only where `roots_of_unity` fails; where it holds,
-        this is the all-ones ring whose norms `_unit_norms` keeps."""
-        return _Ring.majorant(self.coords)
-
 
 def _certified_rank(
     m: MonodromyInput, residues: _Residues, ranks, full: int
@@ -1019,21 +1263,20 @@ def _certified_rank(
     """The rank at the point of the relator rows, which is at most `full`,
     with the primes used (see `membership`).  `ranks(start, stop)` gives
     their rank mod p_start .. p_stop-1.  The stop rule's norms are the
-    cleared norms of the rows on the majorant ring: where every coordinate
-    is a root of unity they are each generator's `_unit_norms`, kept across
-    queries; elsewhere the rows are built on `residues.majorant`.  The
-    primes after the first are asked for in ranges, each as long as the
-    rule needs at the current rank, and walked in order until the rule
-    stops: while their product is at most isqrt(bound), that is while its
-    square is at most the bound."""
+    squared Euclidean norms of the cleared rows' bounds at the point
+    (`_relator_majorants`), read from the compiled relator polynomials: a
+    row's entries e = sum c_mu t^mu times L_r, the lcm of their monomials'
+    d_mu, lie in Z[zeta_M], because each d_mu * t^mu is a product of the
+    d * c and d' / c of the coordinates c, all in Z[zeta_M], and each
+    L_r / d_mu is an integer.  The primes after the first are asked for in
+    ranges, each as long as the rule needs at the current rank, and walked
+    in order until the rule stops: while their product is at most
+    isqrt(bound), that is while its square is at most the bound."""
     primes = [residues.field(0).p]
     rank = ranks(0, 1)[0]
     if rank < full:
-        if residues.roots_of_unity:
-            norms = [x for gen in m.generators for x in _unit_norms(gen, m.n)]
-        else:
-            norms = _cleared_norms(_relator_rows(m, residues.majorant))
-        norms.sort(reverse=True)
+        majorants = _relator_majorants(m, residues.coords)
+        norms = sorted((sum(b * b for b in bounds) for _, bounds in majorants), reverse=True)
         phi = _euler_phi(residues.order)
         limit = math.isqrt(_checked_bound(norms[: rank + 1], phi, primes[0]))
         product, stop = primes[0], 1

@@ -348,11 +348,13 @@ class Lattice2:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValidationError("n must be an integer")
         pairs = obj.get("parallel_pairs", [])
-        for key, value, form in (
-            ("flats", flats, "a list of index lists"),
-            ("parallel_pairs", pairs, "a list of index pairs"),
+        for key, value, form, size in (
+            ("flats", flats, "a list of index lists", None),
+            ("parallel_pairs", pairs, "a list of index pairs", 2),
         ):
-            if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+            if not isinstance(value, list) or not all(
+                isinstance(v, list) and size in (None, len(v)) for v in value
+            ):
                 raise ValidationError(f"malformed lattice JSON: {key} must be {form}")
 
         def shift(seq):

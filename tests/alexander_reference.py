@@ -14,7 +14,10 @@ no point is given, and exact at the point otherwise.  The generators of a
 Fitting ideal, the paper's definition of V_k, live here too: the library
 decides V_k as a rank at a point, and the tests hold the two against each
 other.  So does the certified rank loop that ranks each prime of a batch
-by its own elimination (`certified_rank`, `membership`).
+by its own elimination (`certified_rank`, `membership`), and the row
+norms of the circuit majorant, which pushes bounds through the builders
+(`majorant_ring`, `circuit_norms`): the library's bounds from the
+compiled relator polynomials are held against them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from charvar.alexander import (
     BraidWord,
     MonodromyGen,
     _check_gen,
-    _cleared_norms,
     _gradient,
     _push,
     _resolution_differential,
@@ -47,6 +49,32 @@ from laurent import LaurentPoly, symbolic_ring
 def _ring(n: int, point: Sequence | None = None) -> _Ring:
     """Symbolic Laurent scalars, or exact values at a torus point."""
     return symbolic_ring(n) if point is None else alexander._ring(n, point)
+
+
+def majorant_ring(coords: Sequence) -> _Ring:
+    """The circuit majorant ring at a point (`charvar.alexander._Majorant`):
+    the row builders on it return, for every entry e, a denominator d with
+    d * e in Z[zeta_M] and an integer bound on every |sigma(d * e)| over
+    the embeddings sigma of Q(zeta_M) in C, counting every term the
+    builders form."""
+    return _Ring.majorant([alexander._scalar(c) for c in coords])
+
+
+def _cleared_norms(rows: list[list]) -> list[int]:
+    """Squared bounds on the Euclidean norms at every embedding of the
+    majorant rows, each row r scaled by L_r, the lcm of its entries' dens,
+    so that L_r times the row lies in Z[zeta_M]: entry e is bounded by
+    e.bound * L_r / e.den."""
+    norms = []
+    for row in rows:
+        scale = math.lcm(*{e.den for e in row})
+        norms.append(sum((e.bound * (scale // e.den)) ** 2 for e in row))
+    return norms
+
+
+def circuit_norms(m, build, coords: Sequence[ExactScalar]) -> list[int]:
+    """The cleared norms of build's rows on the circuit majorant ring."""
+    return _cleared_norms(build(m, majorant_ring(coords)))
 
 
 def resolution_differential(k: int, n: int, point: Sequence | None = None):
@@ -217,22 +245,27 @@ def fitting_generators(matrix: Sequence[Sequence], k: int):
     return gens
 
 
-def certified_rank(m, residues, build, ncols: int, threshold: int) -> tuple[int, str]:
+def certified_rank(
+    m, residues, build, ncols: int, threshold: int, norms: list[int] | None = None
+) -> tuple[int, str]:
     """The certified rank loop on build's own rows with one elimination per
     prime: each batch of primes is built once modulo their product and then
     ranked at its primes one by one (`modp_rank`), under the stop rule of
-    `membership`.  The library ranks only the relator rows, a batch at all
-    its primes in one elimination (`modp_ranks`), and reads the
-    presentation's ranks from them; this loop ranks the presentation rows
-    themselves, the reference its ranks and certificates are held
-    against."""
+    `membership` on the row norms `norms` (by default the circuit norms of
+    build's rows, `circuit_norms`).  The library ranks only the relator
+    rows, a batch at all its primes in one elimination (`modp_ranks`), and
+    reads the presentation's ranks from them; this loop ranks the
+    presentation rows themselves, the reference its ranks and certificates
+    are held against."""
     ring = residues.ring(0, 1)
     rows = build(m, ring)
     full = min(len(rows), ncols)
     primes = [ring.modulus]
     rank = modp_rank(rows, ncols, ring.modulus)
     if rank < full and rank <= threshold:
-        norms = sorted(_cleared_norms(build(m, residues.majorant)), reverse=True)
+        if norms is None:
+            norms = circuit_norms(m, build, residues.coords)
+        norms = sorted(norms, reverse=True)
         phi = _euler_phi(residues.order)
         bound = math.prod(norms[: rank + 1]) ** phi
         product, stop = primes[0], 1

@@ -4,9 +4,12 @@ An element of the group ring Z[Z^n], over which the Alexander invariant
 is a module, with integer exponents of either sign and integer
 coefficients.  It evaluates to a scalar at a point whose coordinates are
 roots of unity times rationals.  The library decides torus points by
-ranks at the point and builds no symbolic entry; the tests use these to
-pin the symbolic constructions (Gassner matrices, chain maps, resolution
-differentials, Fitting ideals) that the row builders are checked against.
+ranks at the point; its only symbolic entries are the relator rows it
+compiles on its own packed polynomials (`charvar.alexander._Laurent`).
+The tests use these to pin the symbolic constructions (Gassner matrices,
+chain maps, resolution differentials, Fitting ideals) that the row
+builders are checked against, and to recompute the relator polynomials'
+bounds independently of the compiled layout.
 """
 
 from __future__ import annotations

@@ -532,9 +532,9 @@ def test_member_rational_point_on_a_component_is_certified_by_primes(capsys):
     point = [2, 3, 3, 2, Fraction(1, 6), Fraction(1, 6)]
     assert verdict["rank"] == presentation_rank(load_monodromy("diamond_monodromy"), point)
     primes = [modular_prime(1)]
-    while len(primes) < 3:
+    while len(primes) < 2:
         primes.append(modular_prime(1, primes[-1]))
-    # the relator rows' majorant bound needs three primes
+    # the majorant bound of the relator polynomials needs two primes
     route = "mod " + "*".join(map(str, primes))
     assert verdict["certificate"] == {"delta": route, "partial2": route}
 
@@ -1121,6 +1121,39 @@ _AFFINE_TRIANGLE = {
             {"n": 3, "flats": [], "parallel_pairs": 5},
             "malformed lattice JSON: parallel_pairs must be a list of index pairs",
         ),
+        (
+            {"n": 3, "flats": [], "parallel_pairs": [[1, 2, 3]]},
+            "malformed lattice JSON: parallel_pairs must be a list of index pairs",
+        ),
+        (
+            {"n": 3, "flats": [], "parallel_pairs": [[1]]},
+            "malformed lattice JSON: parallel_pairs must be a list of index pairs",
+        ),
+        (
+            {"n": 3, "generators": [{"X": [1, 2, 3]}], "lfit": {"central_n": 4}},
+            "unknown monodromy key 'lfit'; expected 'n', 'generators' and optionally 'lift'",
+        ),
+        (
+            {"n": 3, "generators": [{"X": [1, 2, 3], "dleta": [["A", 1, 3, 1]]}]},
+            "unknown monodromy generator key 'dleta'; expected 'X' and optionally 'delta'",
+        ),
+        (
+            {
+                "n": 3,
+                "generators": [{"X": [1, 2, 3]}],
+                "lift": {
+                    "central_n": 4,
+                    "strand_to_central": [1, 2, 3],
+                    "infinity": 4,
+                    "infinty": 4,
+                },
+            },
+            "unknown lift key 'infinty'; expected 'central_n', 'strand_to_central', 'infinity'",
+        ),
+        (
+            {"n": 3, "generators": [{"X": [1, 2, 3]}], "lift": [4, [1, 2, 3], 4]},
+            "lift metadata must be an object",
+        ),
     ],
     ids=[
         "generator-without-X",
@@ -1148,6 +1181,12 @@ _AFFINE_TRIANGLE = {
         "non-list-generator-delta",
         "non-list-flats",
         "non-list-parallel-pairs",
+        "parallel-triple",
+        "parallel-single",
+        "misspelt-monodromy-lift",
+        "misspelt-generator-delta",
+        "misspelt-lift-infinity",
+        "non-object-lift",
     ],
 )
 def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, message):
@@ -1156,6 +1195,33 @@ def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, obj, messa
     code, out, err = run(capsys, "lattice", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_member_refuses_misspelt_monodromy_keys_at_every_level(capsys, tmp_path):
+    """A misspelt key would drop a conjugator or the lift and change the
+    verdicts: `member` names it and the keys expected, with exit code 2,
+    at the top level, inside a generator and inside `lift`; with the keys
+    spelt right the same file is decided."""
+    path = tmp_path / "misspelt.json"
+    generator = {"X": [1, 2, 3], "dleta": [["A", 1, 3, 1]]}
+    lift = {"central_n": 4, "strand_to_central": [1, 2, 3], "infinty": 4}
+    cases = [
+        ({"n": 3, "generators": [generator], "lfit": {"central_n": 4}}, "monodromy key 'lfit'"),
+        ({"n": 3, "generators": [generator]}, "monodromy generator key 'dleta'"),
+        (
+            {"n": 3, "generators": [{"X": [1, 2, 3], "delta": [["A", 1, 3, 1]]}], "lift": lift},
+            "lift key 'infinty'",
+        ),
+    ]
+    for obj, key in cases:
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "member", str(path), "--point=2,3,1/6")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown {key}; expected ")
+    lift["infinity"] = lift.pop("infinty")
+    path.write_text(json.dumps(cases[2][0]))
+    code, out, _ = run(capsys, "member", str(path), "--point=2,3,1/6")
+    assert code == 0 and json.loads(out)["in_Vk"] is True
 
 
 def test_console_entry_point_matches_main():
