@@ -72,9 +72,9 @@ from .exactalg import (
 # membership tests accept.  On the locus a point needs about phi(m) times as
 # many primes as at order 1, and more when its coordinates have
 # denominators: at order 120 a point on a component of diamond or pencil(6)
-# takes 0.0006-0.0018 s as a unit point (6-15 primes) and 0.003-0.018 s as
+# takes 0.0005-0.0022 s as a unit point (6-15 primes) and 0.003-0.014 s as
 # a point (a/b) * zeta_120^e (26-125 primes), and its first query, which
-# compiles the input's relator rows, 0.001-0.007 s and 0.004-0.037 s
+# compiles the input's relator rows, 0.001-0.008 s and 0.004-0.032 s
 # (the tests' `_gate_point`, seeds 0-3, depths 1 and 2, best of four runs
 # on one core of a 2-core Intel Xeon, Python 3.11).  A point of larger
 # order is refused before any cyclotomic polynomial is built.
@@ -209,9 +209,10 @@ _EXPONENT_BITS = 32
 # rows are pushed through the Gassner factors in every ring, at a cost
 # linear in the conjugator's length, and bounded by the circuit majorant
 # (`_Majorant`).  Its abandoned compile costs about 0.02 s, once per
-# process.  The packaged fixtures need at most 700 term operations a
-# generator, and the triple point conjugated by (1,6)^13, the longest such
-# power within the budget, 46594 (2-core Intel Xeon, Python 3.11).
+# process, in the first query that needs primes after p_1 (`membership`).
+# The packaged fixtures need at most 700 term operations a generator, and
+# the triple point conjugated by (1,6)^13, the longest such power within
+# the budget, 46594 (2-core Intel Xeon, Python 3.11).
 COMPILE_BUDGET = 5 * 10**4
 
 
@@ -929,10 +930,9 @@ class _CompiledRows:
     (t_i^e, or 1/t_i^-e when e < 0).  Monomial 0 is 1, and monomial j + 1
     is monomial `steps[j][0]` times the power `steps[j][1]`: the monomials
     share their prefixes, as a trie over the variables in order.  Each
-    entry of `rows` is a tuple of (monomial, coefficient) terms, and
-    `weights` holds each entry's sum of |coefficient|s."""
+    entry of `rows` is a tuple of (monomial, coefficient) terms."""
 
-    __slots__ = ("powers", "steps", "rows", "weights")
+    __slots__ = ("powers", "steps", "rows")
 
     def __init__(self, n: int, rows: list[list[_Laurent]]):
         powers: dict[tuple[int, int], int] = {}
@@ -957,27 +957,35 @@ class _CompiledRows:
             self.rows.append(tuple(entries))
         self.powers = list(powers)
         self.steps = steps
-        self.weights = [[sum(abs(k) for _, k in entry) for entry in row] for row in self.rows]
 
 
-@cache
-def _compiled_rows(gen: MonodromyGen, n: int) -> _CompiledRows | None:
+# Each generator's compiled relator rows by (generator, n), None past
+# COMPILE_BUDGET, kept for the life of the process (`_compiled_rows`).
+_COMPILED: dict[tuple[MonodromyGen, int], _CompiledRows | None] = {}
+
+
+def _compiled_rows(gen: MonodromyGen, n: int, compile: bool = True) -> _CompiledRows | None:
     """A generator's relator rows on n strands, compiled once per
     (generator, n) for the life of the process by running the builders on
     the Laurent polynomials of `_symbolic_ring`; None when that passes
-    COMPILE_BUDGET."""
-    try:
-        return _CompiledRows(n, _generator_relator_rows(gen, _symbolic_ring(n)))
-    except _CompileBudgetExceeded:
-        return None
+    COMPILE_BUDGET, or, with `compile` false, when it is not compiled
+    yet."""
+    key = gen, n
+    if compile and key not in _COMPILED:
+        try:
+            _COMPILED[key] = _CompiledRows(n, _generator_relator_rows(gen, _symbolic_ring(n)))
+        except _CompileBudgetExceeded:
+            _COMPILED[key] = None
+    return _COMPILED.get(key)
 
 
-def _relator_values(m: MonodromyInput, ring: _Ring) -> list[list]:
+def _relator_values(m: MonodromyInput, ring: _Ring, compile: bool = True) -> list[list]:
     """The relator rows (`_relator_rows`) on a ring, evaluated from each
     generator's compiled rows: every power t_i^(+-e) that a monomial needs
     is computed once per ring, every monomial once per generator, by one
     product from its prefix, and each entry as the sum of its coefficients
-    times its monomials.  A generator that is not compiled is built by
+    times its monomials.  A generator that is not compiled (past
+    COMPILE_BUDGET, or not yet, with `compile` false) is built by
     `_generator_relator_rows`.  In a residue ring every entry is reduced
     mod its modulus, into [0, modulus); they are the residues of the
     entries that `_relator_rows` builds there, as Z -> Z/N is a ring
@@ -986,7 +994,7 @@ def _relator_values(m: MonodromyInput, ring: _Ring) -> list[list]:
     table: dict[tuple[int, int], object] = {}
     rows = []
     for gen in m.generators:
-        compiled = _compiled_rows(gen, m.n)
+        compiled = _compiled_rows(gen, m.n, compile)
         if compiled is None:
             built = _generator_relator_rows(gen, ring)
             rows += built if modulus is None else [[v % modulus for v in row] for row in built]
@@ -1033,7 +1041,6 @@ def _relator_majorants(
     each cleared by L_r, the lcm of its entries' d, and an entry (B, d)
     bounded by B * L_r / d."""
     bounds = [_coordinate_bounds(c) for c in coords]
-    units = all(pair == ((1, 1), (1, 1)) for pair in bounds)
     out = []
     for gen in m.generators:
         compiled = _compiled_rows(gen, m.n)
@@ -1041,10 +1048,6 @@ def _relator_majorants(
             for row in _generator_relator_rows(gen, _Ring.majorant(coords)):
                 scale = math.lcm(*{e.den for e in row})
                 out.append((scale, [e.bound * (scale // e.den) for e in row]))
-            continue
-        if units:
-            # every monomial is bounded by 1, as at roots of unity
-            out += [(1, weights) for weights in compiled.weights]
             continue
         pw = []
         for i, e in compiled.powers:
@@ -1141,12 +1144,15 @@ def membership(
     primes by one elimination modulo N (`modp_ranks`).  Z -> Z/N is a ring
     map, so every entry is the residue of the entry built in Z/N, and an
     elimination modulo N is one in every F_{p_i} at once.  The rows are
-    not pushed through the Gassner factors in each ring: each generator's
-    rows are compiled once per (generator, n) into integer Laurent
-    polynomials in the t_i (`_compiled_rows`), which every ring evaluates
-    (`_relator_values`); a generator whose compile would pass
-    COMPILE_BUDGET is pushed in each ring instead.  The stop rule
-    (`_certified_rank`):
+    evaluated from each generator's relator rows compiled once per
+    (generator, n) into integer Laurent polynomials in the t_i
+    (`_compiled_rows`, `_relator_values`), not pushed through the Gassner
+    factors in each ring.  Only the stop rule's bounds and the primes after
+    p_1 need the compile, so p_1 compiles nothing: a generator not yet
+    compiled is pushed there, and a query decided at p_1 (full rank, as at
+    most points off the components) costs no compile.  A generator whose
+    compile would pass COMPILE_BUDGET is pushed in every ring.  The stop
+    rule (`_certified_rank`):
 
     - a rank mod p_1 equal to full is r;
     - otherwise let s = max r_i over the primes taken.  Each coordinate c
@@ -1189,7 +1195,8 @@ def membership(
         primes = [residues.field(i).p for i in range(start, stop)]
         out = []
         for a, b in modulus_runs(primes):
-            rows = _relator_values(m, residues.ring(start + a, start + b))
+            # p_1, ranked alone, compiles nothing
+            rows = _relator_values(m, residues.ring(start + a, start + b), start > 0)
             out += modp_ranks(rows, m.n, primes[a:b])
         return out
 

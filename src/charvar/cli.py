@@ -464,18 +464,19 @@ MEMBER_HYPERPLANE_CAP = 200
 # on its component (coordinate product 1) the relator rank stays below its
 # largest possible value, so the certificate needs many primes.  At the
 # point (2/3) * zeta_120^(7+i), i < n - 1, completed to product 1, it takes
-# 0.013 s on 12 strands (69 primes), 0.020 s on 16, 0.031 s on 20, 0.087 s
-# on 30 (188 primes) and 0.21 s on 40 (274 primes); the first query of a
-# process, which compiles the relator rows, 0.022 s on 12 strands and
-# 0.24 s on 40.  At the unit point zeta_5^i so completed it takes 0.0003 s
-# on 12 strands and 0.0015 s on 40 (0.003 s and 0.042 s first), at the
-# rational point ((i+2)/(i+1)) so completed 0.0007 s on 12 and 0.010 s on
-# 40 (0.003 s and 0.068 s first).  One double point on n strands, at those
-# points without the completion, is decided at the first prime, in under
-# 0.001 s up to 40 strands; the process peaked at 20 MiB.  `report`'s rank
-# at the identity, read from the vertex sets (`phi_one_rank`), takes under
-# 0.001 s on 40 strands (2-core Intel Xeon, Python 3.11, best of three).
-# A larger input is refused before any ring is built.
+# 0.018 s on 12 strands (69 primes), 0.021 s on 16, 0.037 s on 20, 0.11 s
+# on 30 (188 primes) and 0.27 s on 40 (274 primes); the first query of a
+# process, which compiles the relator rows, 0.034 s on 12 strands and
+# 0.38 s on 40.  At the unit point zeta_5^i so completed it takes 0.0005 s
+# on 12 strands and 0.0046 s on 40 (0.004 s and 0.074 s first), at the
+# rational point ((i+2)/(i+1)) so completed 0.0010 s on 12 and 0.013 s on
+# 40 (0.004 s and 0.083 s first).  One double point on n strands, at those
+# points without the completion, is decided at the first prime, with no
+# compile, in under 0.001 s up to 40 strands; the process peaked at
+# 20 MiB.  `report`'s rank at the identity, read from the vertex sets
+# (`phi_one_rank`), takes under 0.001 s on 40 strands (2-core Intel Xeon,
+# Python 3.11, best of three).  A larger input is refused before any ring
+# is built.
 MEMBER_STRAND_CAP = 12
 
 

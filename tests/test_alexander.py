@@ -1561,15 +1561,18 @@ def test_generators_past_the_compile_budget_are_pushed_and_bounded_by_the_circui
 
 def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkeypatch):
     """`membership` never builds presentation rows, on any ring, nor relator
-    rows by the builders: it evaluates each generator's compiled relator
-    polynomials once per residue ring, pushes nothing through a Gassner
-    matrix there, and eliminates each prime's rows once per query: the
-    `modp_ranks` calls rank relator rows (n columns) at distinct primes, in
-    order, that begin with those of the certificate, one call per
-    evaluation.  The majorants of the compiled rows are asked for once,
-    exactly when primes after p_1 are taken, at roots of unity (the grid's
-    order-4 point) as elsewhere, and not off the locus (decided at p_1)."""
+    rows by `_relator_rows`: it evaluates each generator's compiled relator
+    polynomials once per residue ring, and eliminates each prime's rows
+    once per query: the `modp_ranks` calls rank relator rows (n columns) at
+    distinct primes, in order, that begin with those of the certificate,
+    one call per evaluation.  p_1 compiles nothing: a generator not yet
+    compiled is pushed through the Gassner factors there, and on no other
+    residue ring.  The compile and the majorants of the compiled rows are
+    asked for exactly when primes after p_1 are taken, at roots of unity
+    (the grid's order-4 point) as elsewhere, and not off the locus (decided
+    at p_1)."""
     queries = [
+        ("diamond", False, None, False, MODULAR_PRIME_FLOOR),
         ("diamond", True, None, False, MODULAR_PRIME_FLOOR),
         ("diamond", True, 5, False, 10),
         ("pencil6", True, 12, True, MODULAR_PRIME_FLOOR),
@@ -1583,20 +1586,21 @@ def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkey
         want = reference_membership(m, point, 1, prime_floor=floor)
         certificate = _reference_certificate(m, point, 1, floor)
         wants.append((m, point, floor, (want.rank, want.delta, want.partial2), certificate))
-    evaluated, ranked, asked, seen = [], [], [], set()
-    values, ranks, majorants = (
+    evaluated, ranked, asked, compiling, pushed, seen = [], [], [], [], [], set()
+    values, ranks, majorants, compiled = (
         alexander._relator_values,
         alexander.modp_ranks,
         alexander._relator_majorants,
+        alexander._compiled_rows,
     )
     push = alexander._push
 
     def refuse(m, ring):
         raise AssertionError("membership built rows by the builders")
 
-    def evaluate(m, ring):
+    def evaluate(m, ring, compile=True):
         evaluated.append(ring)
-        return values(m, ring)
+        return values(m, ring, compile)
 
     def rank(rows, ncols, primes):
         ranked.append((ncols, list(primes)))
@@ -1606,20 +1610,28 @@ def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkey
         asked.append(coords)
         return majorants(m, coords)
 
+    def spy_compiled(gen, n, compile=True):
+        if compile:
+            compiling.append(gen)
+        return compiled(gen, n, compile)
+
     def spy_push(braid, vectors, ring):
-        assert ring.modulus is None, "a Gassner push on a residue ring"
+        if not isinstance(ring.one, alexander._Laurent):
+            pushed.append(ring.modulus)
         return push(braid, vectors, ring)
 
+    monkeypatch.setattr(alexander, "_COMPILED", {})
     monkeypatch.setattr(alexander, "_presentation_rows", refuse)
     monkeypatch.setattr(alexander, "_relator_rows", refuse)
     monkeypatch.setattr(alexander, "_relator_values", evaluate)
     monkeypatch.setattr(alexander, "modp_ranks", rank)
     monkeypatch.setattr(alexander, "_relator_majorants", bound)
+    monkeypatch.setattr(alexander, "_compiled_rows", spy_compiled)
     monkeypatch.setattr(alexander, "_push", spy_push)
     for (name, *_), (m, point, floor, verdicts, certificate) in zip(queries, wants):
-        evaluated.clear()
-        ranked.clear()
-        asked.clear()
+        for spied in (evaluated, ranked, asked, compiling, pushed):
+            spied.clear()
+        pending = [gen for gen in m.generators if (gen, m.n) not in alexander._COMPILED]
         got = membership(m, point, 1, prime_floor=floor)
         assert (got.rank, got.delta, got.partial2) == verdicts
         assert got.certificate == certificate
@@ -1630,9 +1642,16 @@ def test_membership_ranks_each_prime_once_and_builds_no_presentation_rows(monkey
         assert all(ncols == m.n for ncols, _ in ranked)
         assert len(evaluated) == len(ranked)
         assert all(ring.modulus == math.prod(batch) for ring, (_, batch) in zip(evaluated, ranked))
+        assert set(pushed) == ({route[0]} if any(gen.delta for gen in pending) else set())
         assert len(asked) == (len(route) > 1), name
-        seen.add((len(route) > 1, _is_root_of_unity_point(point)))
-    assert seen == {(True, False), (True, True), (False, False)}
+        assert bool(compiling) == (len(route) > 1), name
+        seen.add((len(route) > 1, _is_root_of_unity_point(point), not pending))
+    assert seen == {
+        (False, False, False),
+        (True, False, False),
+        (True, False, True),
+        (True, True, False),
+    }
 
 
 _SMALL_INPUTS = {
@@ -1753,17 +1772,19 @@ def test_each_generator_is_compiled_once_per_strand_count(monkeypatch):
     rational points and at unit and non-unit points of orders 1..12, at
     depths 1 and 2: afterwards the compiled rows hold one entry per
     distinct (generator, n) pair, each compiled once, however many queries
-    asked for it.  Every Gassner push happened in those compiles, on the
-    symbolic ring: each conjugated generator's inverse conjugator and
-    conjugator once, and none on a residue ring.  Some queries' verdicts
+    asked for it.  The pushes on the symbolic ring are those compiles: each
+    conjugated generator's inverse conjugator and conjugator once; every
+    other push is on the ring mod the query's p_1.  Some queries' verdicts
     and certificates are checked against the references."""
-    _compiled_rows.cache_clear()
-    pushes = []
+    monkeypatch.setattr(alexander, "_COMPILED", {})
+    pushes, residue = [], set()
     push = alexander._push
 
     def spy(braid, vectors, ring):
-        assert ring.modulus is None, "a Gassner push on a residue ring"
-        pushes.append(braid)
+        if isinstance(ring.one, alexander._Laurent):
+            pushes.append(braid)
+        else:
+            residue.add(ring.modulus)
         return push(braid, vectors, ring)
 
     monkeypatch.setattr(alexander, "_push", spy)
@@ -1776,13 +1797,15 @@ def test_each_generator_is_compiled_once_per_strand_count(monkeypatch):
         ):
             point = _gate_point(name, on, order, seed, scaled and order is not None)
             for k in (1, 2):
+                residue.clear()
                 got = membership(m, point, k)
                 queries += 1
+                first = got.certificate["delta"].removeprefix("mod ").split("*")[0]
+                assert residue <= {int(first)}
             if seed == 0 and order in (None, 12):
                 checks.append((got, m, point))
-    info = _compiled_rows.cache_info()
     assert queries > 10 * len(pairs)
-    assert info.currsize == info.misses == len(pairs)
+    assert set(alexander._COMPILED) == pairs
     want = [braid for gen, _ in pairs if gen.delta for braid in (gen.inverse_delta, gen.delta)]
     assert sorted(pushes) == sorted(want)
     monkeypatch.undo()
@@ -1876,22 +1899,22 @@ def test_relator_certificate_needs_no_more_primes_than_the_presentation():
     assert (got.rank, got.delta, got.partial2) == _exact_membership(m, point, 1)
 
 
-def test_membership_pushes_only_to_compile(monkeypatch):
-    """Both criteria are read from one relator rank, whose rows are
-    evaluated from the compiled relator polynomials: with the compiled rows
-    cleared, the first `membership` on diamond pushes each conjugated
-    generator's vectors through its inverse conjugator and its conjugator
-    once, on the symbolic ring, and a second query, on a component (several
-    primes), pushes nothing."""
+def test_membership_compiles_only_past_the_first_prime(monkeypatch):
+    """Both criteria are read from one relator rank.  With no rows compiled,
+    a `membership` on diamond off its components, decided at p_1, pushes
+    each conjugated generator's vectors through its inverse conjugator and
+    its conjugator once, on the ring mod p_1, and compiles nothing.  A
+    query on a component (several primes) pushes them once more mod its
+    p_1 and once on the symbolic ring, the compile; afterwards no query,
+    on a component or off, pushes anything."""
     pushes = []
     push = alexander._push
 
     def spy(braid, vectors, ring):
-        assert ring.modulus is None, "a Gassner push on a residue ring"
-        pushes.append(braid)
+        pushes.append((ring.modulus, braid))
         return push(braid, vectors, ring)
 
-    _compiled_rows.cache_clear()
+    monkeypatch.setattr(alexander, "_COMPILED", {})
     monkeypatch.setattr(alexander, "_push", spy)
     m, _ = _gate_input("diamond")
     want = sorted(
@@ -1900,13 +1923,23 @@ def test_membership_pushes_only_to_compile(monkeypatch):
         if gen.delta
         for braid in (invert_braid(gen.delta), gen.delta)
     )
-    modular = f"mod {modular_prime(1)}"
-    got = membership(m, [2, 3, 5, 7, 11, 13], 1)
-    assert got.certificate == {"delta": modular, "partial2": modular}
-    assert sorted(pushes) == want
+    p1 = modular_prime(1)
+    off = [2, 3, 5, 7, 11, 13]
+    got = membership(m, off, 1)
+    assert got.certificate == {"delta": f"mod {p1}", "partial2": f"mod {p1}"}
+    assert sorted(pushes) == [(p1, braid) for braid in want]
+    assert alexander._COMPILED == {}
     pushes.clear()
     got = membership(m, _gate_point("diamond", True, None, False, 0), 1)
     assert all("*" in route for route in got.certificate.values())
+    first = int(got.certificate["delta"].removeprefix("mod ").split("*")[0])
+    assert sorted(braid for modulus, braid in pushes if modulus is None) == want
+    assert sorted(braid for modulus, braid in pushes if modulus is not None) == want
+    assert {modulus for modulus, _ in pushes} == {None, first}
+    pushes.clear()
+    got = membership(m, _gate_point("diamond", True, None, False, 1), 1)
+    assert all("*" in route for route in got.certificate.values())
+    membership(m, off, 1)
     assert pushes == []
 
 
